@@ -1,7 +1,7 @@
 """Command-line laboratory for the growth experiments.
 
 Usage:
-    sphgrow [--config FILE] [--seed N] [--out DIR] [--threads N] SUBCOMMAND
+    sphgrow [--config FILE] [--seed N] [--out DIR] SUBCOMMAND
 
 Subcommands: thm7, thm56, thm1scan, thm3, thm4scan, classical, render,
 specfun-check.  Each writes report.json and rows.csv to --out (plus a
@@ -94,20 +94,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for all sampling (u64)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="kernel threads (0 = library default)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("thm7", "thm56", "thm1scan", "thm3", "thm4scan",
                  "classical", "render", "specfun-check"):
         sub.add_parser(name)
     args = parser.parse_args(argv)
-
-    if args.threads > 0:
-        try:
-            import numba
-            numba.set_num_threads(args.threads)
-        except (ImportError, ValueError):
-            pass
 
     config = {}
     if args.config:

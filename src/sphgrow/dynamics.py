@@ -9,7 +9,6 @@ log|f'(z_j)| so that log (f^n)^# stays finite far past double overflow.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -301,25 +300,3 @@ def _orbit_towers(f, z0: complex, n_max: int) -> list:
             out.append(None)
     return out
 
-
-# ---------------------------------------------------------------------------
-# batch CSV interface
-
-
-def batch_lyapunov_csv(f, src_path: str, dst_path: str, N: int):
-    """Read start points (columns re, im) and write Lyapunov scan results."""
-    rows = []
-    with open(src_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(complex(float(rec["re"]), float(rec["im"])))
-    with open(dst_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["start", "status", "horizon", "chi_upper", "chi_lower"])
-        for z0 in rows:
-            try:
-                est = lyapunov_estimate(f, z0, N)
-                orbit_status = "truncated" if est.truncated else "complete"
-                w.writerow([f"{z0.real:.17g}{z0.imag:+.17g}j", orbit_status,
-                            est.horizon, f"{est.upper:.17g}", f"{est.lower:.17g}"])
-            except ValueError as e:
-                w.writerow([f"{z0.real:.17g}{z0.imag:+.17g}j", f"error:{e}", N, "", ""])

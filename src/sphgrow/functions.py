@@ -137,9 +137,6 @@ class ScaledMittagLeffler:
     positive_axis_max = True
 
 
-FunctionDescriptor = (Polynomial, ExpAffine, CoshSqrt, MittagLeffler, ScaledMittagLeffler)
-
-
 @lru_cache(maxsize=None)
 def choose_eta(alpha: float) -> float:
     """Largest eta in {0.5, 0.25, ...} with max(|f|,|f'|) < 0.99 on |z|=1.
@@ -382,25 +379,6 @@ class MaxModulusTable:
 
     R0: float
     log_levels: list  # entry n: TowerReal equal to M^n(R0, f)
-
-    def recheck_prefix(self, f) -> bool:
-        """Recompute the first entries directly and compare."""
-        for n in range(min(3, len(self.log_levels) - 1)):
-            v = self.log_levels[n].value()
-            if not math.isfinite(v):
-                break
-            want = log_max_modulus(f, v)
-            got = self.log_levels[n + 1]
-            if want < 700.0:
-                if abs(math.log(got.value()) - want) > 1e-9 * (1.0 + abs(want)):
-                    return False
-            else:
-                if abs(got.log().value() - want) > 1e-6 * abs(want):
-                    return False
-        return True
-
-    def strictly_increasing(self) -> bool:
-        return all(a < b for a, b in zip(self.log_levels, self.log_levels[1:]))
 
 
 def iterated_max_modulus(f, R: float, n_max: int) -> MaxModulusTable:

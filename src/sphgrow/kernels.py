@@ -1,10 +1,9 @@
-"""Hot grid/orbit kernels with numba acceleration and a numpy fallback.
+"""Hot grid/orbit kernels, vectorized over batches of start points.
 
 The kernels compute log spherical derivatives of iterates over batches of
 start points (the inner loop of the measure quadratures and the theorem
-scans) and orbit log-magnitude tables for rendering.  Set the environment
-variable SPHGROW_PURE_NUMPY=1 to force the vectorized-numpy path; the
-benchmark in benchmarks/bench_kernels.py compares the two.
+scans) and orbit log-magnitude tables for rendering.  There is one numpy
+implementation per orbit family.
 
 Status codes: 0 = reached step n; 1 = orbit left double range earlier.
 """
@@ -12,20 +11,11 @@ Status codes: 0 = reached step n; 1 = orbit left double range earlier.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("SPHGROW_PURE_NUMPY", "") not in ("", "0")
-
+# no compiled (numba) kernel path exists; perfbench/worker.py records this flag
 USING_NUMBA = False
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba present in normal installs
-        pass
 
 STATUS_OK = 0
 STATUS_OVERFLOW = 1
@@ -41,190 +31,89 @@ _LOG_BIG = 1e300
 # exp-affine family f(z) = lam * e^z
 
 
-def _expaffine_logphi_scalar(x0, y0, n, loglam, arglam, logphi, logderiv, loglast, status):
-    m = x0.shape[0]
-    for i in range(m):
-        x = x0[i]
-        y = y0[i]
-        s = 0.0
-        ll = 0.5 * math.log(x * x + y * y) if (x != 0.0 or y != 0.0) else -745.0
-        ok = True
+def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
+    """log (f^n)^#, log|(f^n)'|, log|z_n|, status for f = lam e^z."""
+    x = np.ascontiguousarray(x0, dtype=np.float64)
+    y = np.ascontiguousarray(y0, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.zeros_like(x)
+        r2 = x * x + y * y
+        ll = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
+        alive = np.ones(x.shape, dtype=bool)
+        dead_at_end = np.zeros(x.shape, dtype=bool)
         for k in range(n):
-            s += x + loglam
-            ll = x + loglam  # log|z_{k+1}| for this family
+            s = np.where(alive, s + x + loglam, s)
+            ll = np.where(alive, x + loglam, ll)
             a = y + arglam
-            if ll > _EXP_LIMIT:
-                # z_{k+1} exceeds doubles; if this is the final step its
-                # log-magnitude ll is all we need, otherwise the orbit dies
-                if k < n - 1:
-                    ok = False
-                break
-            r = math.exp(ll)
-            x = r * math.cos(a)
-            y = r * math.sin(a)
-        if ok:
-            if ll > 350.0:
-                den = 2.0 * ll
+            over = alive & (ll > _EXP_LIMIT)
+            # z_{k+1} exceeds doubles; if this is the final step its
+            # log-magnitude ll is all we need, otherwise the orbit dies
+            if k < n - 1:
+                alive = alive & ~over
             else:
-                den = math.log1p(x * x + y * y)
-            logphi[i] = s - den
-            logderiv[i] = s
-            loglast[i] = ll
-            status[i] = STATUS_OK
-        else:
-            logphi[i] = math.nan
-            logderiv[i] = s
-            loglast[i] = ll
-            status[i] = STATUS_OVERFLOW
-
-
-def _expaffine_logphi_numpy(x0, y0, n, loglam, arglam):
-    x = x0.astype(np.float64).copy()
-    y = y0.astype(np.float64).copy()
-    s = np.zeros_like(x)
-    r2 = x * x + y * y
-    ll = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
-    alive = np.ones(x.shape, dtype=bool)
-    dead_at_end = np.zeros(x.shape, dtype=bool)
-    for k in range(n):
-        s = np.where(alive, s + x + loglam, s)
-        ll = np.where(alive, x + loglam, ll)
-        a = y + arglam
-        over = alive & (ll > _EXP_LIMIT)
-        if k < n - 1:
-            alive = alive & ~over
-        else:
-            dead_at_end |= over
-        safe = np.where(alive & ~dead_at_end, np.minimum(ll, _EXP_LIMIT), 0.0)
-        r = np.exp(safe)
-        nx = r * np.cos(a)
-        ny = r * np.sin(a)
-        x = np.where(alive & ~dead_at_end, nx, x)
-        y = np.where(alive & ~dead_at_end, ny, y)
-    den = np.where(ll > 350.0, 2.0 * ll, np.log1p(np.where(dead_at_end, 0.0, x * x + y * y)))
-    logphi = np.where(alive, s - den, np.nan)
+                dead_at_end |= over
+            safe = np.where(alive & ~dead_at_end, np.minimum(ll, _EXP_LIMIT), 0.0)
+            r = np.exp(safe)
+            nx = r * np.cos(a)
+            ny = r * np.sin(a)
+            x = np.where(alive & ~dead_at_end, nx, x)
+            y = np.where(alive & ~dead_at_end, ny, y)
+        den = np.where(ll > 350.0, 2.0 * ll, np.log1p(np.where(dead_at_end, 0.0, x * x + y * y)))
+        logphi = np.where(alive, s - den, np.nan)
     status = np.where(alive, STATUS_OK, STATUS_OVERFLOW).astype(np.int64)
     return logphi, s, ll, status
 
 
 # ---------------------------------------------------------------------------
-# polynomial p(z) = sum c_k z^k, with log-polar escalation at |z| > 1e100
+# polynomial p(z) = sum c_k z^k, continued on log|z| alone once |z| > 1e100
 
 
-def _poly_logphi_scalar(x0, y0, n, cre, cim, logphi, logderiv, loglast, status):
-    d = cre.shape[0] - 1
-    lead = math.hypot(cre[d], cim[d])
-    log_lead = math.log(lead)
-    arg_lead = math.atan2(cim[d], cre[d])
+def poly_logphi(x0, y0, n: int, coefficients):
+    """Same outputs for a polynomial given by its coefficient list."""
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    y0 = np.ascontiguousarray(y0, dtype=np.float64)
+    coeffs = np.asarray(coefficients, dtype=np.complex128)
+    d = coeffs.shape[0] - 1
+    lead = coeffs[d]
     # escalate before z^d (and the Horner intermediates) can overflow
     esc_log = min(_POLAR_ESCALATE, 690.0 / d - 10.0)
-    m = x0.shape[0]
-    for i in range(m):
-        x = x0[i]
-        y = y0[i]
-        s = 0.0
-        polar = False
-        ll = 0.0
-        aa = 0.0
-        ok = True
-        for k in range(n):
-            if not polar:
-                # derivative p'(z) by Horner
-                dre = 0.0
-                dim = 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = x0 + 1j * y0
+        s = np.zeros(z.shape)
+        polar = np.zeros(z.shape, dtype=bool)
+        ll = np.zeros(z.shape)
+        alive = np.ones(z.shape, dtype=bool)
+        for _ in range(n):
+            pol = alive & polar
+            rect = alive & ~polar
+            if rect.any():
+                # p'(z) and p(z) by Horner
+                zr = z[rect]
+                dv = np.zeros(zr.shape, dtype=np.complex128)
                 for j in range(d, 0, -1):
-                    tre = dre * x - dim * y + j * cre[j]
-                    dim = dre * y + dim * x + j * cim[j]
-                    dre = tre
-                s += 0.5 * math.log(dre * dre + dim * dim)
-                # p(z) by Horner
-                vre = 0.0
-                vim = 0.0
+                    dv = dv * zr + j * coeffs[j]
+                sv = np.zeros(zr.shape, dtype=np.complex128)
                 for j in range(d, -1, -1):
-                    tre = vre * x - vim * y + cre[j]
-                    vim = vre * y + vim * x + cim[j]
-                    vre = tre
-                x = vre
-                y = vim
-                mag = math.hypot(x, y)
-                if mag > 0.0 and math.log(mag) > esc_log:
-                    polar = True
-                    ll = math.log(mag)
-                    aa = math.atan2(y, x)
-            else:
+                    sv = sv * zr + coeffs[j]
+                s[rect] += np.log(np.abs(dv))
+                z[rect] = sv
+                mag = np.abs(sv)
+                esc = (mag > 0.0) & (np.log(np.maximum(mag, 1e-323)) > esc_log)
+                if esc.any():
+                    idx = np.flatnonzero(rect)[esc]
+                    polar[idx] = True
+                    ll[idx] = np.log(mag[esc])
+            if pol.any():
                 # leading-term step: |p'| ~ d |a_d| r^(d-1), p ~ a_d z^d
-                s += math.log(float(d)) + log_lead + (d - 1.0) * ll
-                nll = d * ll + log_lead
-                aa = d * aa + arg_lead
-                aa -= 2.0 * math.pi * round(aa / (2.0 * math.pi))
-                ll = nll
-                if ll > _LOG_BIG:
-                    ok = False
-                    break
-        if ok:
-            if polar:
-                den = 2.0 * ll
-            else:
-                mag = math.hypot(x, y)
-                ll = math.log(mag) if mag > 0.0 else -745.0
-                if ll > 350.0:
-                    den = 2.0 * ll
-                else:
-                    den = math.log1p(mag * mag)
-            logphi[i] = s - den
-            logderiv[i] = s
-            loglast[i] = ll
-            status[i] = STATUS_OK
-        else:
-            logphi[i] = math.nan
-            logderiv[i] = s
-            loglast[i] = ll
-            status[i] = STATUS_OVERFLOW
-
-
-def _poly_logphi_numpy(x0, y0, n, cre, cim):
-    d = cre.shape[0] - 1
-    coeffs = cre + 1j * cim
-    lead = coeffs[d]
-    esc_log = min(_POLAR_ESCALATE, 690.0 / d - 10.0)
-    z = (x0 + 1j * y0).astype(np.complex128)
-    s = np.zeros(z.shape)
-    polar = np.zeros(z.shape, dtype=bool)
-    ll = np.zeros(z.shape)
-    aa = np.zeros(z.shape)
-    alive = np.ones(z.shape, dtype=bool)
-    for _ in range(n):
-        pol = alive & polar
-        rect = alive & ~polar
-        if rect.any():
-            zr = z[rect]
-            dv = np.zeros(zr.shape, dtype=np.complex128)
-            for j in range(d, 0, -1):
-                dv = dv * zr + j * coeffs[j]
-            sv = np.zeros(zr.shape, dtype=np.complex128)
-            for j in range(d, -1, -1):
-                sv = sv * zr + coeffs[j]
-            s[rect] += np.log(np.abs(dv))
-            z[rect] = sv
-            mag = np.abs(sv)
-            esc = (mag > 0.0) & (np.log(np.maximum(mag, 1e-323)) > esc_log)
-            if esc.any():
-                idx = np.flatnonzero(rect)[esc]
-                polar[idx] = True
-                ll[idx] = np.log(mag[esc])
-                aa[idx] = np.angle(sv[esc])
-        if pol.any():
-            s[pol] += math.log(float(d)) + math.log(abs(lead)) + (d - 1.0) * ll[pol]
-            ll[pol] = d * ll[pol] + math.log(abs(lead))
-            aa[pol] = np.remainder(d * aa[pol] + np.angle(lead) + math.pi,
-                                   2.0 * math.pi) - math.pi
-            dead = pol & (ll > _LOG_BIG)
-            alive &= ~dead
-    rect_mag = np.abs(z)
-    ll = np.where(polar, ll, np.log(np.maximum(rect_mag, 1e-323)))
-    den = np.where(polar | (ll > 350.0), 2.0 * ll,
-                   np.log1p(np.where(polar, 0.0, rect_mag * rect_mag)))
-    logphi = np.where(alive, s - den, np.nan)
+                s[pol] += math.log(float(d)) + math.log(abs(lead)) + (d - 1.0) * ll[pol]
+                ll[pol] = d * ll[pol] + math.log(abs(lead))
+                dead = pol & (ll > _LOG_BIG)
+                alive &= ~dead
+        rect_mag = np.abs(z)
+        ll = np.where(polar, ll, np.log(np.maximum(rect_mag, 1e-323)))
+        den = np.where(polar | (ll > 350.0), 2.0 * ll,
+                       np.log1p(np.where(polar, 0.0, rect_mag * rect_mag)))
+        logphi = np.where(alive, s - den, np.nan)
     status = np.where(alive, STATUS_OK, STATUS_OVERFLOW).astype(np.int64)
     return logphi, s, ll, status
 
@@ -233,103 +122,27 @@ def _poly_logphi_numpy(x0, y0, n, cre, cim):
 # orbit log-magnitude table for the exp family (render / escape scans)
 
 
-def _expaffine_logmags_scalar(x0, y0, loglam, arglam, n_max, table, escape_step, log_escape):
-    m = x0.shape[0]
-    for i in range(m):
-        x = x0[i]
-        y = y0[i]
-        table[i, 0] = 0.5 * math.log(x * x + y * y) if (x != 0.0 or y != 0.0) else -745.0
-        esc = -1
+def expaffine_logmags(x0, y0, loglam: float, arglam: float, n_max: int, log_escape: float):
+    """Orbit table of log|z_k| (nan past double overflow) and first-escape index."""
+    x = np.ascontiguousarray(x0, dtype=np.float64)
+    y = np.ascontiguousarray(y0, dtype=np.float64)
+    m = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = np.full((m, n_max + 1), np.nan)
+        r2 = x * x + y * y
+        table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
+        escape_step = np.full(m, -1, dtype=np.int64)
+        alive = np.ones(m, dtype=bool)
         for k in range(1, n_max + 1):
             ll = x + loglam
             a = y + arglam
-            table[i, k] = ll
-            if esc < 0 and ll > log_escape:
-                esc = k
-            if ll > _EXP_LIMIT:
-                for j in range(k + 1, n_max + 1):
-                    table[i, j] = math.nan
-                break
-            r = math.exp(ll)
-            x = r * math.cos(a)
-            y = r * math.sin(a)
-        escape_step[i] = esc
-
-
-def _expaffine_logmags_numpy(x0, y0, loglam, arglam, n_max, log_escape):
-    m = x0.shape[0]
-    table = np.full((m, n_max + 1), np.nan)
-    r2 = x0 * x0 + y0 * y0
-    table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
-    escape_step = np.full(m, -1, dtype=np.int64)
-    x = x0.astype(np.float64).copy()
-    y = y0.astype(np.float64).copy()
-    alive = np.ones(m, dtype=bool)
-    for k in range(1, n_max + 1):
-        ll = x + loglam
-        a = y + arglam
-        table[alive, k] = ll[alive]
-        newly = alive & (escape_step < 0) & (ll > log_escape)
-        escape_step[newly] = k
-        over = alive & (ll > _EXP_LIMIT)
-        alive = alive & ~over
-        safe = np.where(alive, np.minimum(ll, _EXP_LIMIT), 0.0)
-        r = np.exp(safe)
-        x = np.where(alive, r * np.cos(a), x)
-        y = np.where(alive, r * np.sin(a), y)
+            table[alive, k] = ll[alive]
+            newly = alive & (escape_step < 0) & (ll > log_escape)
+            escape_step[newly] = k
+            over = alive & (ll > _EXP_LIMIT)
+            alive = alive & ~over
+            safe = np.where(alive, np.minimum(ll, _EXP_LIMIT), 0.0)
+            r = np.exp(safe)
+            x = np.where(alive, r * np.cos(a), x)
+            y = np.where(alive, r * np.sin(a), y)
     return table, escape_step
-
-
-if USING_NUMBA:
-    _expaffine_logphi_jit = njit(cache=True)(_expaffine_logphi_scalar)
-    _poly_logphi_jit = njit(cache=True)(_poly_logphi_scalar)
-    _expaffine_logmags_jit = njit(cache=True)(_expaffine_logmags_scalar)
-
-
-def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
-    """log (f^n)^#, log|(f^n)'|, log|z_n|, status for f = lam e^z."""
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    y0 = np.ascontiguousarray(y0, dtype=np.float64)
-    if USING_NUMBA:
-        m = x0.shape[0]
-        logphi = np.empty(m)
-        logderiv = np.empty(m)
-        loglast = np.empty(m)
-        status = np.empty(m, dtype=np.int64)
-        _expaffine_logphi_jit(x0, y0, n, loglam, arglam, logphi, logderiv, loglast, status)
-        return logphi, logderiv, loglast, status
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _expaffine_logphi_numpy(x0, y0, n, loglam, arglam)
-
-
-def poly_logphi(x0, y0, n: int, coefficients):
-    """Same outputs for a polynomial given by its coefficient list."""
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    y0 = np.ascontiguousarray(y0, dtype=np.float64)
-    cs = np.asarray(coefficients, dtype=np.complex128)
-    cre = np.ascontiguousarray(cs.real)
-    cim = np.ascontiguousarray(cs.imag)
-    if USING_NUMBA:
-        m = x0.shape[0]
-        logphi = np.empty(m)
-        logderiv = np.empty(m)
-        loglast = np.empty(m)
-        status = np.empty(m, dtype=np.int64)
-        _poly_logphi_jit(x0, y0, n, cre, cim, logphi, logderiv, loglast, status)
-        return logphi, logderiv, loglast, status
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _poly_logphi_numpy(x0, y0, n, cre, cim)
-
-
-def expaffine_logmags(x0, y0, loglam: float, arglam: float, n_max: int, log_escape: float):
-    """Orbit table of log|z_k| (nan past double overflow) and first-escape index."""
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    y0 = np.ascontiguousarray(y0, dtype=np.float64)
-    if USING_NUMBA:
-        m = x0.shape[0]
-        table = np.empty((m, n_max + 1))
-        escape_step = np.empty(m, dtype=np.int64)
-        _expaffine_logmags_jit(x0, y0, loglam, arglam, n_max, table, escape_step, log_escape)
-        return table, escape_step
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _expaffine_logmags_numpy(x0, y0, loglam, arglam, n_max, log_escape)

@@ -118,9 +118,6 @@ class SlowEscapeSchedule:
     eta_n: list                  # x_n^(1/n) - (1 + lambda), n >= 1
     invariant_failures: list = field(default_factory=list)
 
-    def delta(self, x):
-        return 1.0 / mp.log(x)
-
     def __len__(self):
         return len(self.x)
 

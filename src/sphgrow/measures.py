@@ -195,7 +195,7 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         if finite.any():
             cand = float(lpv[finite].max())
             best = max(best, cand)
-            best_chordal = max(best_chordal, _chordal_best_flat(lpv, xs, ys))
+            best_chordal = max(best_chordal, _chordal_best(lpv, xs, ys))
         new_cells = []
         k = 0
         for (a, b, c, d) in cells:
@@ -225,13 +225,8 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
 
 
 def _chordal_best(lp: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
+    """Largest finite log chordal value lp + log(1+|z|^2), element-wise in any shape."""
     vals = lp + np.log1p(X * X + Y * Y)
-    vals = vals[np.isfinite(vals)]
-    return float(vals.max()) if vals.size else -math.inf
-
-
-def _chordal_best_flat(lp: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
-    vals = lp + np.log1p(xs * xs + ys * ys)
     vals = vals[np.isfinite(vals)]
     return float(vals.max()) if vals.size else -math.inf
 
@@ -249,12 +244,6 @@ class AreaResult:
     cells: int
     refinements: int
     overflow_cells: int
-
-    def as_report(self) -> dict:
-        return {"value": self.value, "error_estimate": math.exp(self.log_error)
-                if self.log_error < 700 else math.inf,
-                "cells": self.cells, "refinements": self.refinements,
-                "overflow_cells": self.overflow_cells}
 
 
 def _logsumexp_list(vals) -> float:

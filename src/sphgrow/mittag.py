@@ -255,16 +255,3 @@ def ml_eval_vec(alpha: float, z: np.ndarray) -> np.ndarray:
             res[i] = complex(np.inf, 0.0)
     return out
 
-
-def ml_derivative_vec(alpha: float, z: np.ndarray) -> np.ndarray:
-    _check_alpha(alpha)
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.empty(z.shape, dtype=np.complex128)
-    flat = z.ravel()
-    res = out.ravel()
-    for i in range(flat.size):
-        try:
-            res[i] = ml_derivative(alpha, flat[i])
-        except OverflowError:
-            res[i] = complex(np.inf, 0.0)
-    return out

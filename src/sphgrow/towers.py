@@ -163,14 +163,6 @@ def normalize(t: TowerReal) -> TowerReal:
     return _normalize(t.depth, t.base)
 
 
-def tower_from_log(log_value: float) -> TowerReal:
-    return TowerReal.from_log(log_value)
-
-
-def tower_log(t: TowerReal) -> TowerReal:
-    return t.log()
-
-
 def tower_compare(a: TowerReal, b: TowerReal) -> int:
     """-1, 0, 1 following real-number order of the represented values."""
     a = normalize(a)

@@ -15,10 +15,10 @@ arithmetic and the data are the criterion's own.
 import cmath
 import json
 import math
+import pathlib
 import time
 
 import numpy as np
-import pytest
 
 from conftest import record_criterion
 from sphgrow import cli
@@ -31,17 +31,7 @@ from sphgrow.towers import TowerReal, tower_compare
 EXP = fx.ExpAffine(1.0)
 SQUARE = fx.Polynomial((0, 0, 1))
 FIXED_POINT = complex(0.318, 1.337)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # compile the jit kernels once up front so the per-criterion timers
-    # measure computation, not compiler startup on a cold cache
-    from sphgrow import kernels
-    xs = np.array([0.1]); ys = np.array([0.2])
-    kernels.expaffine_logphi(xs, ys, 2, 0.0, 0.0)
-    kernels.poly_logphi(xs, ys, 2, SQUARE.coefficients)
-    kernels.expaffine_logmags(xs, ys, 0.0, 0.0, 2, 1.0)
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def _report(num, title, ok, detail, elapsed, limit):
@@ -240,7 +230,8 @@ def test_criterion_09_classical_suite():
 def test_criterion_10_determinism(tmp_path):
     t0 = time.time()
     # every subcommand, reduced sizes so two full passes stay inside the
-    # whole-suite budget; byte-identical report.json per subcommand
+    # whole-suite budget; byte-identical report.json per subcommand, and
+    # the first run byte-identical to the committed golden in tests/golden
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "thm7": {"n_range": [1, 2], "grid": {"rel_tol": 0.01}},
@@ -254,6 +245,7 @@ def test_criterion_10_determinism(tmp_path):
     subs = ["thm7", "thm56", "thm1scan", "thm3", "thm4scan", "classical",
             "render", "specfun-check"]
     ok = True
+    drifted = []
     for sub in subs:
         blobs = []
         for run in ("a", "b"):
@@ -262,6 +254,10 @@ def test_criterion_10_determinism(tmp_path):
                       "--out", str(out), sub])
             blobs.append((out / "report.json").read_bytes())
         ok &= blobs[0] == blobs[1]
+        if blobs[0] != (GOLDEN_DIR / f"{sub}.report.json").read_bytes():
+            drifted.append(sub)
+    ok &= not drifted
     _report(10, "determinism", ok,
             "all 8 subcommands run twice with seed 99: report.json "
-            "byte-identical", time.time() - t0, 300.0)
+            "byte-identical, and identical to tests/golden "
+            f"(drifted: {drifted or 'none'})", time.time() - t0, 300.0)

@@ -39,10 +39,17 @@ def test_negative_control_fails():
 
 
 def test_thm7_exp_row_shape():
+    # m = 2 leaves rows n = 2, 3 to compare, so the shape of a compared
+    # row is checked too, not only that of vacuous ones
     U = ms.Region.disk(complex(0.318, 1.337), 0.5)
-    rep = ex.run_thm7(EXP, U, R=5.0, m=4, n_range=[1, 2, 3], grid=FAST_GRID)
+    rep = ex.run_thm7(EXP, U, R=5.0, m=2, n_range=[1, 2, 3], grid=FAST_GRID)
     for row in rep.rows:
         assert set(row) >= {"n", "lhs_tower", "rhs_tower", "margin_log"}
+    compared = [row for row in rep.rows if not row["vacuous"]]
+    assert compared
+    for row in compared:
+        assert row["rhs_tower"].startswith("E^")
+        assert isinstance(row["margin_log"], float)
     csv = rep.rows_csv()
     assert csv.splitlines()[0] == "n,lhs_tower,rhs_tower,margin_log"
     assert "E^" in csv

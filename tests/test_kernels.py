@@ -1,14 +1,16 @@
-"""Vectorized orbit kernels: numba and numpy paths agree, and both agree
-with the scalar orbit code."""
+"""Vectorized orbit kernels agree with the scalar orbit code in dynamics."""
 
 import math
 
 import numpy as np
-import pytest
 
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
 from sphgrow import kernels
+
+# log of the smallest normal double: below it |z| is subnormal and carries
+# fewer than 53 significant bits
+LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 
 def _grid(seed, m=500, lo=-2.0, hi=2.0):
@@ -16,50 +18,33 @@ def _grid(seed, m=500, lo=-2.0, hi=2.0):
     return rng.uniform(lo, hi, m), rng.uniform(lo, hi, m)
 
 
-needs_numba = pytest.mark.skipif(not kernels.USING_NUMBA,
-                                 reason="numba path not active")
+def _assert_grid_matches_orbits(f, xs, ys, n, got, min_pairs):
+    """Kernel outputs (logphi, logderiv, loglast, status) against iterate_orbit.
 
-
-@needs_numba
-def test_exp_paths_agree():
-    xs, ys = _grid(0)
-    jit = kernels.expaffine_logphi(xs, ys, 12, 0.0, 0.0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ref = kernels._expaffine_logphi_numpy(xs, ys, 12, 0.0, 0.0)
-    np.testing.assert_array_equal(jit[3], ref[3])
-    for a, b in zip(jit[:3], ref[:3]):
-        both = np.isfinite(a) & np.isfinite(b)
-        np.testing.assert_allclose(a[both], b[both], rtol=1e-10, atol=1e-9)
-
-
-@needs_numba
-def test_poly_paths_agree():
-    xs, ys = _grid(1)
-    coeffs = np.array([0.1 + 0.2j, -1.0, 0.0, 0.5], dtype=np.complex128)
-    jit = kernels.poly_logphi(xs, ys, 10, coeffs)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ref = kernels._poly_logphi_numpy(xs, ys, 10,
-                                         np.ascontiguousarray(coeffs.real),
-                                         np.ascontiguousarray(coeffs.imag))
-    np.testing.assert_array_equal(jit[3], ref[3])
-    for a, b in zip(jit[:3], ref[:3]):
-        both = np.isfinite(a) & np.isfinite(b)
-        np.testing.assert_allclose(a[both], b[both], rtol=1e-10, atol=1e-9)
-
-
-@needs_numba
-def test_logmags_paths_agree():
-    xs, ys = _grid(2, lo=-1.0, hi=3.0)
-    jit_t, jit_e = kernels.expaffine_logmags(xs, ys, 0.0, 0.0, 20, math.log(5.0))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ref_t, ref_e = kernels._expaffine_logmags_numpy(xs, ys, 0.0, 0.0, 20,
-                                                        math.log(5.0))
-    np.testing.assert_array_equal(jit_e, ref_e)
-    both = np.isfinite(jit_t) & np.isfinite(ref_t)
-    np.testing.assert_array_equal(np.isnan(jit_t), np.isnan(ref_t))
-    # one ulp at step k is amplified by exp at every later step, so the
-    # late entries of a deep orbit only agree to a few digits short of full
-    np.testing.assert_allclose(jit_t[both], ref_t[both], rtol=1e-8, atol=1e-9)
+    Status OK must coincide with the scalar orbit reaching step n.  Where
+    f'(z_k) underflows to 0 in doubles the scalar chain rule is -inf, while
+    the kernel keeps the exact log; there the underflow is confirmed and
+    the kernel value only checked to be finite.
+    """
+    logphi, logderiv, loglast, status = got
+    pairs = 0
+    for i in range(xs.size):
+        orbit = dy.iterate_orbit(f, complex(xs[i], ys[i]), n)
+        reaches = orbit.length() > n and len(orbit.log_deriv_prefix) > n
+        assert (status[i] == kernels.STATUS_OK) == reaches, i
+        if not reaches:
+            continue
+        want = (dy.log_spherical_derivative(orbit, n),
+                orbit.log_deriv_prefix[n], orbit.log_mag(n))
+        for g, w in zip((logphi[i], logderiv[i], loglast[i]), want):
+            if w == -math.inf:
+                assert any(fx.derivative_f(f, z) == 0 for z in orbit.points[:n]), i
+                assert math.isfinite(g), i
+                continue
+            assert math.isfinite(g) and math.isfinite(w), i
+            assert abs(g - w) <= 1e-9 + 1e-10 * abs(w), (i, g, w)
+        pairs += math.isfinite(want[0])
+    assert pairs >= min_pairs
 
 
 def test_exp_kernel_vs_scalar_orbit():
@@ -75,6 +60,10 @@ def test_exp_kernel_vs_scalar_orbit():
         assert math.isclose(loglast[i], orbit.log_mag(n), rel_tol=0, abs_tol=1e-10)
         want = dy.log_spherical_derivative(orbit, n)
         assert math.isclose(logphi[i], want, rel_tol=0, abs_tol=1e-9)
+    # 500 points, most of which overflow before n = 12
+    xs, ys = _grid(0)
+    got = kernels.expaffine_logphi(xs, ys, 12, 0.0, 0.0)
+    _assert_grid_matches_orbits(fx.ExpAffine(1.0), xs, ys, 12, got, min_pairs=60)
 
 
 def test_poly_kernel_vs_scalar_orbit():
@@ -89,6 +78,11 @@ def test_poly_kernel_vs_scalar_orbit():
         assert math.isclose(loglast[i], orbit.log_mag(n), rel_tol=0, abs_tol=1e-9)
         want = dy.log_spherical_derivative(orbit, n)
         assert math.isclose(logphi[i], want, rel_tol=0, abs_tol=1e-8)
+    xs, ys = _grid(1)
+    coeffs = (0.1 + 0.2j, -1.0, 0.0, 0.5)
+    got = kernels.poly_logphi(xs, ys, 10, np.array(coeffs, dtype=np.complex128))
+    _assert_grid_matches_orbits(fx.Polynomial(coeffs), xs, ys, 10, got,
+                                min_pairs=500)
 
 
 def test_overflow_status():
@@ -106,3 +100,28 @@ def test_logmags_escape_index():
     assert math.isclose(table[0, 1], 10.0, rel_tol=1e-12)   # log|e^10|
     assert escape[1] == 3          # 0 -> 1 -> e -> e^e, first |z_k| > 5
 
+    # 500 points against iterate_orbit: escape indices exactly, nan exactly
+    # after the first log|z_k| > 709, values at rtol 1e-8 (one ulp at step k
+    # is amplified by exp at every later step).  Reference entries below the
+    # smallest normal double are skipped: there iterate_orbit holds z_k as a
+    # subnormal and log|z_k| has lost bits, while the kernel keeps log|z_k|
+    # itself (10 such entries here, down to log|z| = -742).
+    f = fx.ExpAffine(1.0)
+    n_max = 20
+    xs, ys = _grid(2, lo=-1.0, hi=3.0)
+    table, escape = kernels.expaffine_logmags(xs, ys, 0.0, 0.0, n_max, math.log(5.0))
+    pairs = 0
+    for i in range(xs.size):
+        orbit = dy.iterate_orbit(f, complex(xs[i], ys[i]), n_max)
+        lm = [orbit.log_mag(k) for k in range(min(orbit.length(), n_max + 1))]
+        want_escape = next((k for k in range(1, len(lm)) if lm[k] > math.log(5.0)), -1)
+        assert escape[i] == want_escape, i
+        first_big = next((k for k in range(len(lm)) if lm[k] > 709.0), n_max)
+        assert np.isnan(table[i, first_big + 1:]).all(), i
+        assert not np.isnan(table[i, :first_big + 1]).any(), i
+        for k in range(first_big + 1):
+            if lm[k] < LOG_TINY:
+                continue
+            assert abs(table[i, k] - lm[k]) <= 1e-9 + 1e-8 * abs(lm[k]), (i, k)
+            pairs += 1
+    assert pairs > 4800
