@@ -111,3 +111,41 @@ def test_region_validation():
 def test_region_area():
     assert math.isclose(ms.Region.disk(0j, 2.0).area(), 4 * math.pi, rel_tol=1e-12)
     assert math.isclose(ms.Region.rectangle(0j, 2.0, 0.5).area(), 4.0, rel_tol=1e-12)
+
+
+# Decisions of the refinement engine on fixed inputs: evaluation and cell
+# counts and depths are exact, log_mu is bit-exact; log_value may differ in
+# the last bits where numpy's vectorised exp/log and summation order differ
+# from a scalar libm loop.
+_PIN_DISK = ms.Region.disk(complex(0.318, 1.337), 0.5)
+_PIN_MU = {  # n: (evaluations, refinements, overflow_points, log_mu)
+    1: (799956, 24, 0, -0.6931471871994257),
+    2: (628371, 24, 0, 0.08439566809151222),
+    3: (647037, 24, 0, 1.0471797062384876),
+    4: (637641, 24, 0, 1.5138521628654031),
+}
+_PIN_AREA = [  # (f, U, n, cells, refinements, log_value)
+    (EXP, _PIN_DISK, 1, 1106, 3, -2.915877044168405),
+    (EXP, _PIN_DISK, 2, 1441, 5, -2.2264927262137126),
+    (EXP, _PIN_DISK, 3, 2359, 6, -1.33189377752403),
+    (EXP, _PIN_DISK, 4, 3063, 6, -0.7287657675164683),
+    (SQUARE, ms.Region.disk(0j, 1e6), 1, 4192, 24, 0.6918008001900873),
+    (SQUARE, ms.Region.rectangle(1.0, 0.25, 0.25), 6, 4434, 5, 1.6400304131750838),
+    (SQUARE, ms.Region.rectangle(1.0, 0.25, 0.25), 7, 6856, 7, 2.337402864894475),
+    (SQUARE, ms.Region.rectangle(1.0, 0.25, 0.25), 8, 10804, 9, 3.0228859626791564),
+    (SQUARE, ms.Region.rectangle(1.0, 0.25, 0.25), 9, 15794, 11, 3.7156729264241086),
+    (SQUARE, ms.Region.rectangle(1.0, 0.25, 0.25), 10, 21770, 13, 4.398932662560346),
+]
+
+
+def test_refinement_decisions_pinned():
+    for n, (evals, rounds, overflow, log_mu) in _PIN_MU.items():
+        res = ms.mu_sup(EXP, _PIN_DISK, n, GRID)
+        assert (res.evaluations, res.refinements, res.overflow_points) == \
+            (evals, rounds, overflow), n
+        assert repr(res.log_mu) == repr(log_mu), n
+    for f, U, n, cells, rounds, log_value in _PIN_AREA:
+        res = ms.spherical_area(f, U, n, GRID)
+        assert (res.cells, res.refinements, res.overflow_cells, res.unconverged) == \
+            (cells, rounds, 0, False), (U, n)
+        assert math.isclose(res.log_value, log_value, rel_tol=1e-13, abs_tol=0.0), (U, n)
