@@ -58,6 +58,9 @@ def _log_abs_derivative(f, z: complex) -> float:
     except fx.EvalOverflow as e:
         return e.log_mag
     if d == 0:
+        if isinstance(f, fx.ExpAffine):
+            # lam e^z never vanishes; it only underflowed (Re z < -745)
+            return z.real + math.log(abs(f.lam))
         return -math.inf
     return math.log(abs(d))
 

@@ -133,6 +133,32 @@ def _bounding_box(U: Region):
             U.center.imag - U.radius, U.center.imag + U.radius)
 
 
+# Both refinement engines hold their cells as parallel arrays (u0, u1, v0, v1):
+# x/y edges for rectangle cells, r/theta edges for polar cells.  Every pass
+# evaluates all of its points in one logphi_batch call and decides every
+# cell with array operations, keeping cells in order.
+
+
+def _grid_cells(us: np.ndarray, vs: np.ndarray):
+    """Cells of the tensor grid with edges us x vs, u outer."""
+    u0, v0 = np.meshgrid(us[:-1], vs[:-1], indexing="ij")
+    u1, v1 = np.meshgrid(us[1:], vs[1:], indexing="ij")
+    return u0.ravel(), u1.ravel(), v0.ravel(), v1.ravel()
+
+
+def _corner_test(corners: np.ndarray, threshold: float):
+    """Per row of 4 corner values: (refine?, largest finite corner).
+
+    A row is refined when some corner is finite and either the finite
+    corners spread by more than threshold or a corner is missing.
+    """
+    fin = np.isfinite(corners)
+    count = fin.sum(axis=1)
+    top = np.where(fin, corners, -np.inf).max(axis=1)
+    spread = np.where(count > 1, top - np.where(fin, corners, np.inf).min(axis=1), np.inf)
+    return (count > 0) & ((spread > threshold) | (count < 4)), top
+
+
 def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     """log sup of (f^n)^# over U by corner-spread adaptive refinement."""
     if n < 1:
@@ -157,35 +183,19 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     spread_ref = float(vals.max() - vals.min()) if vals.size > 1 else 0.0
     threshold = grid.rel_tol * max(spread_ref, 1.0)
 
-    # cell corner coordinates for refinement
-    cells = []
-    corner = lambda i, j: lp[i, j]
-    for i in range(res):
-        for j in range(res):
-            c = (corner(i, j), corner(i + 1, j), corner(i, j + 1), corner(i + 1, j + 1))
-            fin = [v for v in c if math.isfinite(v)]
-            if not fin:
-                continue
-            spread = max(fin) - min(fin) if len(fin) > 1 else math.inf
-            if spread > threshold or len(fin) < 4:
-                cells.append((gx[i], gx[i + 1], gy[j], gy[j + 1]))
+    corners = np.stack([lp[:-1, :-1], lp[1:, :-1], lp[:-1, 1:], lp[1:, 1:]], axis=-1)
+    refine, _ = _corner_test(corners.reshape(-1, 4), threshold)
+    a, b, c, d = (e[refine] for e in _grid_cells(gx, gy))
     rounds = 0
     for _ in range(grid.max_refinements):
-        if not cells:
+        if not a.size:
             break
         rounds += 1
-        xs = []
-        ys = []
-        idx = []
-        for (a, b, c, d) in cells:
-            sub_x = (a, (a + b) / 2, b)
-            sub_y = (c, (c + d) / 2, d)
-            for px in sub_x:
-                for py in sub_y:
-                    xs.append(px)
-                    ys.append(py)
-        xs = np.array(xs)
-        ys = np.array(ys)
+        mx = (a + b) / 2
+        my = (c + d) / 2
+        # the 3x3 block of each cell, x outer
+        xs = np.repeat(np.stack([a, mx, b], axis=1), 3, axis=1).ravel()
+        ys = np.tile(np.stack([c, my, d], axis=1), 3).ravel()
         lpv, stv = logphi_batch(f, xs, ys, n)
         inside = _inside(U, xs, ys)
         lpv = np.where(inside, lpv, np.nan)
@@ -196,29 +206,18 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
             cand = float(lpv[finite].max())
             best = max(best, cand)
             best_chordal = max(best_chordal, _chordal_best(lpv, xs, ys))
-        new_cells = []
-        k = 0
-        for (a, b, c, d) in cells:
-            block = lpv[k:k + 9].reshape(3, 3)
-            k += 9
-            mids = ((a + b) / 2, (c + d) / 2)
-            for (sa, sb) in ((a, mids[0]), (mids[0], b)):
-                for (sc, sd) in ((c, mids[1]), (mids[1], d)):
-                    # corner values of this subcell from the 3x3 block
-                    i0 = 0 if sa == a else 1
-                    j0 = 0 if sc == c else 1
-                    cvals = [block[i0, j0], block[i0 + 1, j0],
-                             block[i0, j0 + 1], block[i0 + 1, j0 + 1]]
-                    fin = [v for v in cvals if math.isfinite(v)]
-                    if not fin:
-                        continue
-                    spread = max(fin) - min(fin) if len(fin) > 1 else math.inf
-                    near_top = max(fin) > best - 3.0 * max(spread_ref, 1.0)
-                    if (spread > threshold or len(fin) < 4) and near_top:
-                        new_cells.append((sa, sb, sc, sd))
-        # refine only the most promising cells to bound the work
-        new_cells.sort(key=lambda t: -(t[1] - t[0]))
-        cells = new_cells[:4096]
+        # subcells (p, q) of each cell, x half p outer; their corners are
+        # block[p:p+2, q:q+2]
+        block = lpv.reshape(-1, 3, 3)
+        corners = np.stack([block[:, p:p + 2, q:q + 2].reshape(-1, 4)
+                            for p in (0, 1) for q in (0, 1)], axis=1)
+        refine, top = _corner_test(corners.reshape(-1, 4), threshold)
+        refine &= top > best - 3.0 * max(spread_ref, 1.0)  # near the top
+        sub = [np.stack(e, axis=1).ravel()[refine] for e in
+               ((a, a, mx, mx), (mx, mx, b, b), (c, my, c, my), (my, d, my, d))]
+        # refine only the most promising cells (the widest first) to bound the work
+        keep = np.argsort(-(sub[1] - sub[0]), kind="stable")[:4096]
+        a, b, c, d = (e[keep] for e in sub)
     return MuSupResult(log_mu=best, log_mu_chordal=best_chordal,
                        evaluations=evals, refinements=rounds,
                        overflow_points=overflow)
@@ -246,14 +245,15 @@ class AreaResult:
     overflow_cells: int
 
 
-def _logsumexp_list(vals) -> float:
-    vals = [v for v in vals if v != -math.inf]
-    if not vals:
+def _logsumexp(vals: np.ndarray) -> float:
+    """log of the sum of e^vals, -inf for no terms."""
+    vals = vals[vals != -np.inf]
+    if not vals.size:
         return -math.inf
-    m = max(vals)
+    m = vals.max()
     if not math.isfinite(m):
-        return m
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+        return float(m)
+    return float(m + np.log(np.exp(vals - m).sum()))
 
 
 def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
@@ -264,77 +264,92 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if U.kind == "disk":
-        cells = _polar_cells(U, grid.base_resolution)
-        midpoint = _polar_midpoint
-        split = _polar_split
+    res = grid.base_resolution
+    polar = U.kind == "disk"
+    if polar:
+        # radial cells clustered toward both 0 and R via sqrt spacing in area
+        u0, u1, v0, v1 = _grid_cells(U.radius * np.sqrt(np.linspace(0.0, 1.0, res + 1)),
+                                     np.linspace(0.0, 2.0 * math.pi, res + 1))
     else:
-        cells = _rect_cells(U, grid.base_resolution)
-        midpoint = _rect_midpoint
-        split = _rect_split
-
+        x0, x1, y0, y1 = _bounding_box(U)
+        u0, u1, v0, v1 = _grid_cells(np.linspace(x0, x1, res + 1),
+                                     np.linspace(y0, y1, res + 1))
+    depth = np.zeros(u0.size, dtype=np.int64)
+    log_tol = math.log(grid.rel_tol)
     total_logs = []
     err_logs = []
     overflow_cells = 0
     n_cells = 0
     refinements = 0
-    active = [(c, 0) for c in cells]
     running_max = -math.inf
     force_bank = False
 
     # iterative deepening: each pass integrates active cells at midpoint
-    # and their 4 children; converged cells bank the Richardson value
-    while active:
-        # batch all evaluation points for this pass
-        pts = []
-        for cell, _ in active:
-            pts.append(midpoint(cell))
-            for child in split(cell):
-                pts.append(midpoint(child))
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        lp, st = logphi_batch(f, xs, ys, n)
-        nxt = []
-        k = 0
-        for cell, depth in active:
-            logc = _cell_log_contrib(lp[k], cell, midpoint, U)
-            k += 1
-            child_logs = []
-            children = split(cell)
-            for child in children:
-                child_logs.append(_cell_log_contrib(lp[k], child, midpoint, U))
-                k += 1
-            logf = _logsumexp_list(child_logs)
-            if logc == -math.inf and logf == -math.inf:
-                n_cells += 1
-                continue
-            if math.isnan(logc) or math.isnan(logf):
-                overflow_cells += 1
-                n_cells += 1
-                continue
-            # Richardson for the O(h^2) midpoint rule
-            diff = _log_abs_diff(logf, logc)
-            running_max = max(running_max, logf)
-            log_tol = math.log(grid.rel_tol)
+    # and their 2 children; converged cells bank the Richardson value
+    while u0.size:
+        um = 0.5 * (u0 + u1)
+        vm = 0.5 * (v0 + v1)
+        # bisect the longer side (radially or angularly for polar cells)
+        along_u = u1 - u0 >= (um * (v1 - v0) if polar else v1 - v0)
+        kids = (np.stack([u0, np.where(along_u, um, u0)], axis=1),
+                np.stack([np.where(along_u, um, u1), u1], axis=1),
+                np.stack([v0, np.where(along_u, v0, vm)], axis=1),
+                np.stack([np.where(along_u, v1, vm), v1], axis=1))
+        # each cell's row: the cell, child 0, child 1
+        cu0, cu1, cv0, cv1 = (np.column_stack([e, k]) for e, k in zip((u0, u1, v0, v1), kids))
+        mu, mv = 0.5 * (cu0 + cu1), 0.5 * (cv0 + cv1)
+        if polar:
+            xs = U.center.real + mu * np.cos(mv)
+            ys = U.center.imag + mu * np.sin(mv)
+            area = 0.5 * (cu1 * cu1 - cu0 * cu0) * (cv1 - cv0)
+        else:
+            xs, ys = mu, mv
+            area = (cu1 - cu0) * (cv1 - cv0)
+        lp, _ = logphi_batch(f, xs.ravel(), ys.ravel(), n)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # log of (1/pi) (f^n)^#(mid)^2 area: -inf outside U, nan on overflow
+            contrib = np.where(_inside(U, xs, ys),
+                               2.0 * lp.reshape(-1, 3) + np.log(area) - math.log(math.pi),
+                               -np.inf)
+            logc, l0, l1 = contrib.T
+            # logf = log(e^l0 + e^l1), the larger finite term factored out
+            top = np.where((l0 == -np.inf) | (l1 > l0), l1, l0)
+            logf = np.where(np.isfinite(top),
+                            top + np.log(np.exp(l0 - top) + np.exp(l1 - top)), top)
+            empty = (logc == -np.inf) & (logf == -np.inf)
+            bad = ~empty & (np.isnan(logc) | np.isnan(logf))
+            live = np.flatnonzero(~empty & ~bad)
+            logc, logf, dep = logc[live], logf[live], depth[live]
+            # Richardson for the O(h^2) midpoint rule; diff = log|e^logf - e^logc|
+            hi = np.maximum(logf, logc)
+            diff = np.where(logf == logc, -np.inf,
+                            hi + np.log1p(-np.exp(np.minimum(logf, logc) - hi)))
+            # each cell is judged against the running max of logf over itself and
+            # every live cell before it, this pass and earlier ones
+            run = np.maximum.accumulate(np.concatenate(([running_max], logf)))
+            running_max = float(run[-1])
+            run = run[1:]
             done = (force_bank
-                    or logf < running_max - 45.0         # ~1e-19 of the total
-                    or diff - logf <= log_tol            # cell itself converged
-                    or diff < running_max + log_tol - 9.2  # error lost in total
-                    or depth >= grid.max_refinements)
-            if done:
-                corrected = _log_richardson(logf, logc)
-                total_logs.append(corrected)
-                err_logs.append(diff - math.log(3.0))
-                n_cells += 1
-            else:
-                refinements = max(refinements, depth + 1)
-                for child in children:
-                    nxt.append((child, depth + 1))
-        force_bank = len(nxt) > 200_000  # runaway guard: bank everything next pass
-        active = nxt
+                    | (logf < run - 45.0)           # ~1e-19 of the total
+                    | (diff - logf <= log_tol)      # cell itself converged
+                    | (diff < run + log_tol - 9.2)  # error lost in total
+                    | (dep >= grid.max_refinements))
+            fc = logc[done] - logf[done]
+            # log((4 e^logf - e^logc)/3), the fine value when coarse exceeds 4x fine
+            total_logs.append(np.where(fc > math.log(4.0) - 1e-12, logf[done],
+                                       logf[done] + np.log((4.0 - np.exp(fc)) / 3.0)))
+            err_logs.append(diff[done] - math.log(3.0))
+        overflow_cells += int(bad.sum())
+        n_cells += int(empty.sum()) + int(bad.sum()) + int(done.sum())
+        grow = ~done
+        if grow.any():
+            refinements = max(refinements, int(dep[grow].max()) + 1)
+        u0, u1, v0, v1 = (k[live[grow]].ravel() for k in kids)
+        depth = np.repeat(dep[grow] + 1, 2)
+        force_bank = u0.size > 200_000  # runaway guard: bank everything next pass
 
-    log_value = _logsumexp_list(total_logs)
-    log_err = _logsumexp_list(err_logs)
+    log_value = _logsumexp(np.concatenate(total_logs))
+    log_err = _logsumexp(np.concatenate(err_logs))
     unconverged = (log_err != -math.inf and log_value != -math.inf
                    and log_err > math.log(10.0 * grid.rel_tol) + log_value)
     if overflow_cells and log_value == -math.inf:
@@ -344,96 +359,6 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
                       unconverged=unconverged or overflow_cells > 0,
                       cells=n_cells, refinements=refinements,
                       overflow_cells=overflow_cells)
-
-
-def _log_abs_diff(a: float, b: float) -> float:
-    """log|e^a - e^b| without overflow."""
-    if a == b:
-        return -math.inf
-    hi, lo = (a, b) if a > b else (b, a)
-    return hi + math.log1p(-math.exp(lo - hi))
-
-
-def _log_richardson(logf: float, logc: float) -> float:
-    """log((4 e^logf - e^logc)/3), clamped to logf when cancellation bites."""
-    if logc - logf > math.log(4.0) - 1e-12:
-        return logf  # coarse above 4x fine: fall back to the fine value
-    return logf + math.log((4.0 - math.exp(logc - logf)) / 3.0)
-
-
-# cell geometry helpers -------------------------------------------------------
-
-
-def _rect_cells(U: Region, res: int):
-    x0, x1, y0, y1 = _bounding_box(U)
-    xs = np.linspace(x0, x1, res + 1)
-    ys = np.linspace(y0, y1, res + 1)
-    return [("r", xs[i], xs[i + 1], ys[j], ys[j + 1])
-            for i in range(res) for j in range(res)]
-
-
-def _rect_midpoint(cell):
-    _, a, b, c, d = cell
-    return ((a + b) / 2.0, (c + d) / 2.0)
-
-
-def _rect_split(cell):
-    # bisect the longer side to keep cell counts linear in depth
-    _, a, b, c, d = cell
-    if b - a >= d - c:
-        mx = (a + b) / 2.0
-        return [("r", a, mx, c, d), ("r", mx, b, c, d)]
-    my = (c + d) / 2.0
-    return [("r", a, b, c, my), ("r", a, b, my, d)]
-
-
-def _rect_area(cell):
-    _, a, b, c, d = cell
-    return (b - a) * (d - c)
-
-
-def _polar_cells(U: Region, res: int):
-    # radial cells clustered toward both 0 and R via sqrt spacing in area
-    rs = U.radius * np.sqrt(np.linspace(0.0, 1.0, res + 1))
-    ths = np.linspace(0.0, 2.0 * math.pi, res + 1)
-    return [("p", U.center.real, U.center.imag, rs[i], rs[i + 1], ths[j], ths[j + 1])
-            for i in range(res) for j in range(res)]
-
-
-def _polar_midpoint(cell):
-    _, cx, cy, r0, r1, t0, t1 = cell
-    rm = 0.5 * (r0 + r1)
-    tm = 0.5 * (t0 + t1)
-    return (cx + rm * math.cos(tm), cy + rm * math.sin(tm))
-
-
-def _polar_split(cell):
-    # bisect radially or angularly, whichever direction the cell is longer
-    _, cx, cy, r0, r1, t0, t1 = cell
-    rm = 0.5 * (r0 + r1)
-    if r1 - r0 >= rm * (t1 - t0):
-        return [("p", cx, cy, r0, rm, t0, t1), ("p", cx, cy, rm, r1, t0, t1)]
-    tm = 0.5 * (t0 + t1)
-    return [("p", cx, cy, r0, r1, t0, tm), ("p", cx, cy, r0, r1, tm, t1)]
-
-
-def _polar_area(cell):
-    _, _, _, r0, r1, t0, t1 = cell
-    return 0.5 * (r1 * r1 - r0 * r0) * (t1 - t0)
-
-
-def _cell_log_contrib(logphi: float, cell, midpoint, U: Region) -> float:
-    """log of (1/pi) * (f^n)^#(mid)^2 * cell_area; -inf outside U, nan overflow."""
-    if math.isnan(logphi):
-        px, py = midpoint(cell)
-        if not bool(_inside(U, np.array([px]), np.array([py]))[0]):
-            return -math.inf
-        return math.nan
-    px, py = midpoint(cell)
-    if not bool(_inside(U, np.array([px]), np.array([py]))[0]):
-        return -math.inf
-    area = _polar_area(cell) if cell[0] == "p" else _rect_area(cell)
-    return 2.0 * logphi + math.log(area) - math.log(math.pi)
 
 
 # ---------------------------------------------------------------------------

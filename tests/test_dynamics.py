@@ -53,6 +53,13 @@ def test_lyapunov_estimate_square_map():
     assert est.lower <= est.upper
 
 
+def test_lyapunov_estimate_exp_derivative_underflow():
+    # f'(z) = e^z underflows to 0 in doubles at Re z = -800 but never vanishes
+    est = dy.lyapunov_estimate(EXP, -800.0 + 0j, 10)
+    assert math.isfinite(est.upper)
+    assert est.per_n[0] == -800.0  # log f^#(z) = Re z - log(1 + e^(2 Re z))
+
+
 def test_find_periodic_point_square():
     pp = dy.find_periodic_point(SQUARE, 1, 0.9 + 0.1j)
     assert abs(pp.location - 1.0) < 1e-8
