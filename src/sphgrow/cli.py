@@ -134,7 +134,9 @@ def main(argv=None) -> int:
             n_tier_a=c.get("n_tier_a", 10_000))
     elif args.command == "thm4scan":
         c = _load_section(config, "thm4scan")
-        ml = fx.ScaledMittagLeffler(c.get("alpha", 1.0), c.get("eta", 0.1))
+        ml = fx.descriptor_from_json({"variant": "scaled_mittag_leffler",
+                                      "alpha": c.get("alpha", 1.0),
+                                      "eta": c.get("eta", 0.1)})
         report = ex.run_thm4_scan(ml, c.get("N", 25), c.get("starts", 1000),
                                   seed=seed)
     elif args.command == "classical":

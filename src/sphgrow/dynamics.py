@@ -58,24 +58,8 @@ def _log_abs_derivative(f, z: complex) -> float:
     except fx.EvalOverflow as e:
         return e.log_mag
     if d == 0:
-        if isinstance(f, fx.ExpAffine):
-            # lam e^z never vanishes; it only underflowed (Re z < -745)
-            return z.real + math.log(abs(f.lam))
-        return -math.inf
+        return f.log_abs_derivative_underflow(z)
     return math.log(abs(d))
-
-
-def _log_abs_derivative_polar(f, lp: tuple) -> float:
-    """log|f'| at a log-polar point, for variants with log continuation."""
-    log_mag, arg = lp
-    if isinstance(f, fx.ExpAffine):
-        if log_mag > 709.0:
-            raise fx.OrbitOverflow("Re z not recoverable")
-        return math.exp(log_mag) * math.cos(arg) + math.log(abs(f.lam))
-    if isinstance(f, fx.Polynomial):
-        d = f.degree
-        return math.log(float(d)) + math.log(abs(f.coefficients[-1])) + (d - 1.0) * log_mag
-    raise fx.OrbitOverflow(f"{type(f).__name__} has no log continuation")
 
 
 def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
@@ -108,7 +92,7 @@ def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
             # escalate to log-polar continuation
             if nxt is not None:
                 nxt_lp = (math.log(abs(nxt)), cmath.phase(nxt))
-            if not isinstance(f, (fx.ExpAffine, fx.Polynomial)):
+            if not f.log_continuation:
                 # next point recorded, but no way to iterate further
                 prefix.append(prefix[-1] + logd)
                 log_points.append(nxt_lp)
@@ -127,7 +111,7 @@ def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
             cur_lp = nxt_lp
             continue
         try:
-            logd = _log_abs_derivative_polar(f, cur_lp)
+            logd = f.log_abs_derivative_polar(*cur_lp)
             nxt_lp = fx.log_eval(f, cur_lp)
         except fx.OrbitOverflow:
             status = OVERFLOW
@@ -285,13 +269,11 @@ def fast_escaping_test(f, z0: complex, R: float, l_max: int, n_max: int,
 def _orbit_towers(f, z0: complex, n_max: int) -> list:
     """|z_n| as TowerReal for n = 0..n_max (None where undeterminable)."""
     z0 = complex(z0)
-    if isinstance(f, fx.ExpAffine) and f.lam.real > 0 and f.lam.imag == 0 \
-            and z0.imag == 0 and z0.real >= 0:
-        # real nonnegative orbit: z_{n+1} = lam e^{z_n} exactly, tower-safe
+    if f.orbit_follows_max_modulus(z0):
+        # the orbit is the max-modulus iteration itself, exact in tower form
         out = [TowerReal.from_value(z0.real)]
-        loglam = math.log(f.lam.real)
         for _ in range(n_max):
-            out.append(out[-1].add_const(loglam).exp())
+            out.append(f.tower_log_max(out[-1]))
         return out
     orbit = iterate_orbit(f, z0, n_max)
     out = []

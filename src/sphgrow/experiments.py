@@ -308,8 +308,8 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
 
 def run_thm4_scan(f, N: int, starts: int, seed: int = 0) -> ExperimentReport:
     """Scan eta*E_alpha orbits for the log(1+rho) upper growth law."""
-    if not isinstance(f, fx.ScaledMittagLeffler):
-        raise ValueError("run_thm4_scan expects a ScaledMittagLeffler")
+    if not isinstance(f, fx.MittagLeffler):
+        raise ValueError("run_thm4_scan expects a MittagLeffler eta * E_alpha")
     _check_unit_disk_contraction(f)
     rho = f.order
     C = fx.growth_constant(f.alpha)

@@ -1,10 +1,12 @@
 """Entire-function descriptors with exact derivatives and max-modulus rules.
 
 Variants: Polynomial, ExpAffine (lambda * e^z), CoshSqrt (cosh sqrt z,
-the alpha=2 Mittag-Leffler), MittagLeffler(alpha), ScaledMittagLeffler
-(eta * E_alpha with eta small enough that |f|, |f'| < 1 on the unit
-circle).  Each knows its order/lower order, whether M(r,f) is attained on
-the positive axis, and how its max modulus iterates in tower form.
+the alpha=2 Mittag-Leffler) and MittagLeffler (eta * E_alpha; eta < 1
+small enough that |f|, |f'| < 1 on the unit circle gives the scaled
+family of the growth scans).  Each variant owns its rules: pointwise
+values and derivatives, the log-polar continuation, log M(r, f) and its
+tower form, its JSON form and, where one exists, its batch kernel.  The
+module-level functions below are the entry points callers use.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from . import mittag
 from .towers import TowerReal
 
@@ -46,8 +49,53 @@ class NonEscalatingError(ValueError):
 # descriptors
 
 
+class Descriptor:
+    """Rules every variant shares unless it knows better.
+
+    Each variant defines eval, derivative, log_max_modulus, tower_log_max
+    and to_json.  Generically, log-polar evaluation works only while the
+    input fits doubles; there is no log-plane continuation of orbits and
+    no batch kernel.
+    """
+
+    log_continuation = False  # orbits can iterate past double range
+
+    def log_eval(self, log_mag: float, arg: float) -> tuple:
+        """Log-polar (log|f|, arg f) at z = e^(log_mag + i arg)."""
+        if log_mag > 709.0:
+            raise OrbitOverflow(f"{type(self).__name__} has no log continuation at tower scale")
+        z = cmath.exp(complex(log_mag, arg))
+        try:
+            v = self.eval(z)
+        except EvalOverflow as e:
+            return (e.log_mag, e.arg)
+        if v == 0:
+            raise OrbitOverflow("zero value has no log-polar form")
+        return (math.log(abs(v)), cmath.phase(v))
+
+    def log_abs_derivative_polar(self, log_mag: float, arg: float) -> float:
+        """log|f'| at a log-polar point, for variants with log continuation."""
+        raise OrbitOverflow(f"{type(self).__name__} has no log continuation")
+
+    def log_abs_derivative_underflow(self, z: complex) -> float:
+        """log|f'(z)| where f'(z) rounded to 0 in doubles."""
+        return -math.inf
+
+    def orbit_follows_max_modulus(self, z0: complex) -> bool:
+        """True when |f^n(z0)| = M^n(|z0|, f) exactly for every n."""
+        return False
+
+    def logphi(self, xs: np.ndarray, ys: np.ndarray, n: int):
+        """(logphi, status) from a batch kernel; None when there is none."""
+        return None
+
+    def logmags(self, xs: np.ndarray, ys: np.ndarray, n_max: int, log_escape: float):
+        """(log|z_k| table, escape step) from a batch kernel; None when there is none."""
+        return None
+
+
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Descriptor):
     coefficients: tuple  # a_0 .. a_d, complex, d >= 2
 
     def __post_init__(self):
@@ -61,15 +109,104 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     order = 0.0
-    lower_order = 0.0
+    log_continuation = True
 
-    @property
-    def positive_axis_max(self) -> bool:
-        return all(c.imag == 0.0 and c.real >= 0.0 for c in self.coefficients)
+    def eval(self, z: complex) -> complex:
+        d = self.degree
+        if abs(z) > 1.0 and d * math.log(abs(z)) + math.log(abs(self.coefficients[-1])) > 705.0:
+            raise EvalOverflow(*self.log_eval(math.log(abs(z)), cmath.phase(z)))
+        total = 0.0 + 0.0j
+        for c in reversed(self.coefficients):
+            total = total * z + c
+        return total
+
+    def derivative(self, z: complex) -> complex:
+        total = 0.0 + 0.0j
+        for k in range(self.degree, 0, -1):
+            total = total * z + k * self.coefficients[k]
+        return total
+
+    def log_eval(self, log_mag: float, arg: float) -> tuple:
+        """Evaluates directly while the value fits doubles; beyond that the
+        leading term a_d z^d dominates and the lower-order correction (when
+        still visible) multiplies in as log(1 + corr)."""
+        d = self.degree
+        lead = self.coefficients[-1]
+        if d * log_mag + math.log(abs(lead)) < 700.0 and log_mag < 700.0:
+            z = cmath.exp(complex(log_mag, arg))
+            total = 0.0 + 0.0j
+            for c in reversed(self.coefficients):
+                total = total * z + c
+            if total == 0:
+                return (-math.inf, 0.0)
+            return (math.log(abs(total)), cmath.phase(total))
+        out_log = d * log_mag + math.log(abs(lead))
+        out_arg = d * arg + cmath.phase(lead)
+        if log_mag < 700.0:
+            z = cmath.exp(complex(log_mag, arg))
+            corr = 0.0 + 0.0j
+            for k in range(d - 1, -1, -1):
+                corr = corr / z + self.coefficients[k] / lead
+            corr /= z
+            if abs(corr) < 0.999:
+                out_log += math.log(abs(1.0 + corr))
+                out_arg += cmath.phase(1.0 + corr)
+        return out_log, math.remainder(out_arg, 2.0 * math.pi)
+
+    def log_abs_derivative_polar(self, log_mag: float, arg: float) -> float:
+        d = self.degree
+        return math.log(float(d)) + math.log(abs(self.coefficients[-1])) + (d - 1.0) * log_mag
+
+    def log_max_modulus(self, r: float) -> float:
+        if all(c.imag == 0.0 and c.real >= 0.0 for c in self.coefficients):
+            lm, _ = self.log_eval(math.log(r), 0.0)  # M(r) attained at z = r
+            return lm
+        return self._log_circle_max(r)
+
+    def _log_circle_max(self, r: float) -> float:
+        """log max |p| on |z| = r: 1024-point scan + golden-section refinement."""
+
+        def lp(theta: float) -> float:
+            lm, _ = self.log_eval(math.log(r), theta)
+            return lm
+
+        n = 1024
+        thetas = [2.0 * math.pi * i / n for i in range(n)]
+        vals = [lp(t) for t in thetas]
+        best = max(range(n), key=vals.__getitem__)
+        # golden-section inside the bracket around the best sample
+        gr = (math.sqrt(5.0) - 1.0) / 2.0
+        a = thetas[best] - 2.0 * math.pi / n
+        b = thetas[best] + 2.0 * math.pi / n
+        c = b - gr * (b - a)
+        d = a + gr * (b - a)
+        fc, fd = lp(c), lp(d)
+        while b - a > 1e-13:
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - gr * (b - a)
+                fc = lp(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + gr * (b - a)
+                fd = lp(d)
+        return max(vals[best], fc, fd)
+
+    def tower_log_max(self, t: TowerReal) -> TowerReal:
+        """M(r) ~ |a_d| r^d once r is large."""
+        return t.pow_const(float(self.degree)).mul_const(abs(self.coefficients[-1]))
+
+    def logphi(self, xs, ys, n):
+        lp, _, _, st = kernels.poly_logphi(xs, ys, n, self.coefficients)
+        return lp, st
+
+    def to_json(self) -> dict:
+        return {"variant": "polynomial",
+                "coefficients": [[c.real, c.imag] for c in self.coefficients]}
 
 
 @dataclass(frozen=True)
-class ExpAffine:
+class ExpAffine(Descriptor):
     lam: complex  # z -> lam * e^z
 
     def __post_init__(self):
@@ -79,62 +216,145 @@ class ExpAffine:
         object.__setattr__(self, "lam", lam)
 
     order = 1.0
-    lower_order = 1.0
-    positive_axis_max = True  # |lam e^z| peaks at z = r for every lam
+    log_continuation = True
+
+    def eval(self, z: complex) -> complex:
+        lm = z.real + math.log(abs(self.lam))
+        if lm > 705.0:
+            raise EvalOverflow(lm, math.remainder(z.imag + cmath.phase(self.lam), 2.0 * math.pi))
+        return self.lam * cmath.exp(z)
+
+    def derivative(self, z: complex) -> complex:
+        return self.eval(z)  # (lam e^z)' = lam e^z
+
+    def log_eval(self, log_mag: float, arg: float) -> tuple:
+        """Exact whenever the rectangular form of z fits doubles."""
+        if log_mag > 709.0:
+            raise OrbitOverflow("ExpAffine input beyond double magnitude")
+        r = math.exp(log_mag)
+        return (r * math.cos(arg) + math.log(abs(self.lam)),
+                math.remainder(r * math.sin(arg) + cmath.phase(self.lam), 2.0 * math.pi))
+
+    def log_abs_derivative_polar(self, log_mag: float, arg: float) -> float:
+        if log_mag > 709.0:
+            raise OrbitOverflow("Re z not recoverable")
+        return math.exp(log_mag) * math.cos(arg) + math.log(abs(self.lam))
+
+    def log_abs_derivative_underflow(self, z: complex) -> float:
+        # lam e^z never vanishes; it only underflowed (Re z < -745)
+        return z.real + math.log(abs(self.lam))
+
+    def orbit_follows_max_modulus(self, z0: complex) -> bool:
+        # real nonnegative orbit of a positive lam: z_{n+1} = lam e^{z_n} = M(z_n)
+        return self.lam.real > 0 and self.lam.imag == 0 and z0.imag == 0 and z0.real >= 0
+
+    def log_max_modulus(self, r: float) -> float:
+        return r + math.log(abs(self.lam))  # |lam e^z| peaks at z = r
+
+    def tower_log_max(self, t: TowerReal) -> TowerReal:
+        return t.add_const(math.log(abs(self.lam))).exp()
+
+    def logphi(self, xs, ys, n):
+        lp, _, _, st = kernels.expaffine_logphi(
+            xs, ys, n, math.log(abs(self.lam)), math.atan2(self.lam.imag, self.lam.real))
+        return lp, st
+
+    def logmags(self, xs, ys, n_max, log_escape):
+        return kernels.expaffine_logmags(
+            xs, ys, math.log(abs(self.lam)), math.atan2(self.lam.imag, self.lam.real),
+            n_max, log_escape)
+
+    def to_json(self) -> dict:
+        return {"variant": "exp_affine", "lambda": [self.lam.real, self.lam.imag]}
 
 
 @dataclass(frozen=True)
-class CoshSqrt:
+class CoshSqrt(Descriptor):
     """z -> cosh(sqrt z); entire of order 1/2, same function as E_2."""
 
     order = 0.5
-    lower_order = 0.5
-    positive_axis_max = True
+
+    def eval(self, z: complex) -> complex:
+        s = cmath.sqrt(z)  # principal branch: Re s >= 0
+        if s.real > 705.0:
+            raise EvalOverflow(s.real - math.log(2.0),
+                               math.remainder(s.imag, 2.0 * math.pi))
+        return cmath.cosh(s)
+
+    def derivative(self, z: complex) -> complex:
+        # d/dz cosh sqrt z = sinh(sqrt z) / (2 sqrt z); entire (even series)
+        s = cmath.sqrt(z)
+        if abs(s) < 1e-8:
+            return 0.5 + z / 12.0
+        if s.real > 705.0:
+            raise EvalOverflow(s.real - math.log(2.0) - math.log(2.0 * abs(s)),
+                               math.remainder(s.imag - cmath.phase(s), 2.0 * math.pi))
+        return cmath.sinh(s) / (2.0 * s)
+
+    def log_max_modulus(self, r: float) -> float:
+        s = math.sqrt(r)
+        return s - math.log(2.0) + math.log1p(math.exp(-2.0 * s))
+
+    def tower_log_max(self, t: TowerReal) -> TowerReal:
+        """M(r) ~ e^(sqrt r) / 2 once r is large."""
+        return t.pow_const(0.5).add_const(-math.log(2.0)).exp()
+
+    def to_json(self) -> dict:
+        return {"variant": "cosh_sqrt"}
 
 
 @dataclass(frozen=True)
-class MittagLeffler:
+class MittagLeffler(Descriptor):
+    """z -> eta * E_alpha(z); eta = 1 is E_alpha itself."""
+
     alpha: float
+    eta: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must be in (0, 2]")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError("eta must be in (0, 1]")
+        object.__setattr__(self, "eta", float(self.eta))
 
     @property
     def order(self) -> float:
         return 1.0 / self.alpha
 
-    @property
-    def lower_order(self) -> float:
-        return 1.0 / self.alpha
+    def eval(self, z: complex) -> complex:
+        return self._checked(z, derivative=False)
 
-    positive_axis_max = True
+    def derivative(self, z: complex) -> complex:
+        return self._checked(z, derivative=True)
 
+    def _checked(self, z: complex, derivative: bool) -> complex:
+        fn = mittag.ml_derivative if derivative else mittag.ml_eval
+        log_scale = math.log(self.eta)
+        try:
+            v = fn(self.alpha, z)
+        except OverflowError:
+            p = 1.0 / self.alpha
+            zp = cmath.exp(p * cmath.log(z))
+            lm = zp.real + math.log(p) + log_scale
+            if derivative:
+                lm += math.log(p) + (p - 1.0) * math.log(abs(z))
+            raise EvalOverflow(lm, math.remainder(zp.imag, 2.0 * math.pi)) from None
+        if log_scale != 0.0:
+            v *= math.exp(log_scale)
+        return v
 
-@dataclass(frozen=True)
-class ScaledMittagLeffler:
-    alpha: float
-    eta: float = None  # default: largest halving value passing the unit-circle scan
+    def log_max_modulus(self, r: float) -> float:
+        return mittag.ml_log_abs(self.alpha, r) + math.log(self.eta)
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError("alpha must be in (0, 2]")
-        eta = self.eta
-        if eta is None:
-            eta = choose_eta(self.alpha)
-        if not 0.0 < eta < 1.0:
-            raise ValueError("eta must be in (0, 1)")
-        object.__setattr__(self, "eta", float(eta))
+    def tower_log_max(self, t: TowerReal) -> TowerReal:
+        """M(r) ~ eta p e^(r^p), p = 1/alpha, once r is large."""
+        p = 1.0 / self.alpha
+        return t.pow_const(p).add_const(math.log(p) + math.log(self.eta)).exp()
 
-    @property
-    def order(self) -> float:
-        return 1.0 / self.alpha
-
-    @property
-    def lower_order(self) -> float:
-        return 1.0 / self.alpha
-
-    positive_axis_max = True
+    def to_json(self) -> dict:
+        if self.eta == 1.0:
+            return {"variant": "mittag_leffler", "alpha": self.alpha}
+        return {"variant": "scaled_mittag_leffler", "alpha": self.alpha, "eta": self.eta}
 
 
 @lru_cache(maxsize=None)
@@ -160,111 +380,14 @@ def choose_eta(alpha: float) -> float:
 # pointwise evaluation
 
 
-def _poly_leading_logpolar(f: Polynomial, log_mag: float, arg: float) -> tuple:
-    """Log-polar value of f at z = e^(log_mag + i arg).
-
-    Evaluates directly while the value fits doubles; beyond that the
-    leading term a_d z^d dominates and the lower-order correction (when
-    still visible) multiplies in as log(1 + corr).
-    """
-    d = f.degree
-    lead = f.coefficients[-1]
-    if d * log_mag + math.log(abs(lead)) < 700.0 and log_mag < 700.0:
-        z = cmath.exp(complex(log_mag, arg))
-        total = 0.0 + 0.0j
-        for c in reversed(f.coefficients):
-            total = total * z + c
-        if total == 0:
-            return (-math.inf, 0.0)
-        return (math.log(abs(total)), cmath.phase(total))
-    out_log = d * log_mag + math.log(abs(lead))
-    out_arg = d * arg + cmath.phase(lead)
-    if log_mag < 700.0:
-        z = cmath.exp(complex(log_mag, arg))
-        corr = 0.0 + 0.0j
-        for k in range(d - 1, -1, -1):
-            corr = corr / z + f.coefficients[k] / lead
-        corr /= z
-        if abs(corr) < 0.999:
-            out_log += math.log(abs(1.0 + corr))
-            out_arg += cmath.phase(1.0 + corr)
-    return out_log, math.remainder(out_arg, 2.0 * math.pi)
-
-
 def eval_f(f, z: complex) -> complex:
     """Value of f at z; EvalOverflow with log-polar payload when too large."""
-    z = complex(z)
-    if isinstance(f, Polynomial):
-        d = f.degree
-        if abs(z) > 1.0 and d * math.log(abs(z)) + math.log(abs(f.coefficients[-1])) > 705.0:
-            lm, ar = _poly_leading_logpolar(f, math.log(abs(z)), cmath.phase(z))
-            raise EvalOverflow(lm, ar)
-        total = 0.0 + 0.0j
-        for c in reversed(f.coefficients):
-            total = total * z + c
-        return total
-    if isinstance(f, ExpAffine):
-        lm = z.real + math.log(abs(f.lam))
-        if lm > 705.0:
-            raise EvalOverflow(lm, math.remainder(z.imag + cmath.phase(f.lam), 2.0 * math.pi))
-        return f.lam * cmath.exp(z)
-    if isinstance(f, CoshSqrt):
-        s = cmath.sqrt(z)  # principal branch: Re s >= 0
-        if s.real > 705.0:
-            raise EvalOverflow(s.real - math.log(2.0),
-                               math.remainder(s.imag, 2.0 * math.pi))
-        return cmath.cosh(s)
-    if isinstance(f, MittagLeffler):
-        return _ml_checked(f.alpha, z, 0.0, derivative=False)
-    if isinstance(f, ScaledMittagLeffler):
-        return _ml_scaled(f, z, derivative=False)
-    raise TypeError(f"not a function descriptor: {f!r}")
-
-
-def _ml_checked(alpha: float, z: complex, log_scale: float, derivative: bool) -> complex:
-    fn = mittag.ml_derivative if derivative else mittag.ml_eval
-    try:
-        v = fn(alpha, z)
-    except OverflowError:
-        p = 1.0 / alpha
-        zp = cmath.exp(p * cmath.log(z))
-        lm = zp.real + math.log(p) + log_scale
-        if derivative:
-            lm += math.log(p) + (p - 1.0) * math.log(abs(z))
-        raise EvalOverflow(lm, math.remainder(zp.imag, 2.0 * math.pi)) from None
-    if log_scale != 0.0:
-        v *= math.exp(log_scale)
-    return v
-
-
-def _ml_scaled(f: ScaledMittagLeffler, z: complex, derivative: bool) -> complex:
-    return _ml_checked(f.alpha, z, math.log(f.eta), derivative)
+    return f.eval(complex(z))
 
 
 def derivative_f(f, z: complex) -> complex:
     """Exact analytic derivative of the variant at z."""
-    z = complex(z)
-    if isinstance(f, Polynomial):
-        total = 0.0 + 0.0j
-        for k in range(f.degree, 0, -1):
-            total = total * z + k * f.coefficients[k]
-        return total
-    if isinstance(f, ExpAffine):
-        return eval_f(f, z)  # (lam e^z)' = lam e^z
-    if isinstance(f, CoshSqrt):
-        # d/dz cosh sqrt z = sinh(sqrt z) / (2 sqrt z); entire (even series)
-        s = cmath.sqrt(z)
-        if abs(s) < 1e-8:
-            return 0.5 + z / 12.0
-        if s.real > 705.0:
-            raise EvalOverflow(s.real - math.log(2.0) - math.log(2.0 * abs(s)),
-                               math.remainder(s.imag - cmath.phase(s), 2.0 * math.pi))
-        return cmath.sinh(s) / (2.0 * s)
-    if isinstance(f, MittagLeffler):
-        return _ml_checked(f.alpha, z, 0.0, derivative=True)
-    if isinstance(f, ScaledMittagLeffler):
-        return _ml_scaled(f, z, derivative=True)
-    raise TypeError(f"not a function descriptor: {f!r}")
+    return f.derivative(complex(z))
 
 
 def log_eval(f, z_logpolar: tuple) -> tuple:
@@ -275,102 +398,18 @@ def log_eval(f, z_logpolar: tuple) -> tuple:
     Polynomial at large |z| via the leading term.  Other variants are
     supported only while the input itself fits doubles.
     """
-    log_mag, arg = float(z_logpolar[0]), float(z_logpolar[1])
-    if isinstance(f, ExpAffine):
-        if log_mag > 709.0:
-            raise OrbitOverflow("ExpAffine input beyond double magnitude")
-        r = math.exp(log_mag)
-        return (r * math.cos(arg) + math.log(abs(f.lam)),
-                math.remainder(r * math.sin(arg) + cmath.phase(f.lam), 2.0 * math.pi))
-    if isinstance(f, Polynomial):
-        return _poly_leading_logpolar(f, log_mag, arg)
-    if log_mag > 709.0:
-        raise OrbitOverflow(f"{type(f).__name__} has no log continuation at tower scale")
-    z = cmath.exp(complex(log_mag, arg))
-    try:
-        v = eval_f(f, z)
-    except EvalOverflow as e:
-        return (e.log_mag, e.arg)
-    if v == 0:
-        raise OrbitOverflow("zero value has no log-polar form")
-    return (math.log(abs(v)), cmath.phase(v))
+    return f.log_eval(float(z_logpolar[0]), float(z_logpolar[1]))
 
 
 # ---------------------------------------------------------------------------
 # maximum modulus
 
 
-def _log_poly_circle_max(f: Polynomial, r: float) -> float:
-    """log max |p| on |z| = r: 1024-point scan + golden-section refinement."""
-
-    def lp(theta: float) -> float:
-        lm, _ = _poly_leading_logpolar(f, math.log(r), theta)
-        return lm
-
-    n = 1024
-    thetas = [2.0 * math.pi * i / n for i in range(n)]
-    vals = [lp(t) for t in thetas]
-    best = max(range(n), key=vals.__getitem__)
-    # golden-section inside the bracket around the best sample
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a = thetas[best] - 2.0 * math.pi / n
-    b = thetas[best] + 2.0 * math.pi / n
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = lp(c), lp(d)
-    while b - a > 1e-13:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = lp(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = lp(d)
-    return max(vals[best], fc, fd)
-
-
 def log_max_modulus(f, r: float) -> float:
     """log M(r, f).  Exact positive-axis rule when the variant allows it."""
     if r <= 0.0:
         raise ValueError("r must be positive")
-    if isinstance(f, ExpAffine):
-        return r + math.log(abs(f.lam))
-    if isinstance(f, CoshSqrt):
-        s = math.sqrt(r)
-        return s - math.log(2.0) + math.log1p(math.exp(-2.0 * s))
-    if isinstance(f, MittagLeffler):
-        return mittag.ml_log_abs(f.alpha, r)
-    if isinstance(f, ScaledMittagLeffler):
-        return mittag.ml_log_abs(f.alpha, r) + math.log(f.eta)
-    if isinstance(f, Polynomial):
-        if f.positive_axis_max:
-            lm, _ = _poly_leading_logpolar(f, math.log(r), 0.0)
-            return lm
-        return _log_poly_circle_max(f, r)
-    raise TypeError(f"not a function descriptor: {f!r}")
-
-
-def _tower_log_max(f, t: TowerReal) -> TowerReal:
-    """M(value of t, f) as a tower, for arguments beyond double range.
-
-    Each variant's log M(r) is dominated by an explicit closed form once r
-    is large: r + log|lam| (ExpAffine), d log r + log|a_d| (Polynomial),
-    sqrt r - log 2 (CoshSqrt), r^(1/alpha) + log(1/alpha) (+ log eta).
-    """
-    if isinstance(f, ExpAffine):
-        return t.add_const(math.log(abs(f.lam))).exp()
-    if isinstance(f, Polynomial):
-        return t.pow_const(float(f.degree)).mul_const(abs(f.coefficients[-1]))
-    if isinstance(f, CoshSqrt):
-        return t.pow_const(0.5).add_const(-math.log(2.0)).exp()
-    if isinstance(f, (MittagLeffler, ScaledMittagLeffler)):
-        p = 1.0 / f.alpha
-        shift = math.log(p)
-        if isinstance(f, ScaledMittagLeffler):
-            shift += math.log(f.eta)
-        return t.pow_const(p).add_const(shift).exp()
-    raise TypeError(f"not a function descriptor: {f!r}")
+    return f.log_max_modulus(r)
 
 
 @dataclass
@@ -382,7 +421,11 @@ class MaxModulusTable:
 
 
 def iterated_max_modulus(f, R: float, n_max: int) -> MaxModulusTable:
-    """Table of M^n(R, f) for n = 0..n_max as TowerReal values."""
+    """Table of M^n(R, f) for n = 0..n_max as TowerReal values.
+
+    Past FLOAT_CEILING each step uses the variant's tower form of M, whose
+    explicit closed form dominates log M(r) once r is large.
+    """
     if R <= 0.0:
         raise ValueError("R must be positive")
     if log_max_modulus(f, R) <= math.log(R):
@@ -395,7 +438,7 @@ def iterated_max_modulus(f, R: float, n_max: int) -> MaxModulusTable:
         if math.isfinite(v) and v <= FLOAT_CEILING:
             levels.append(TowerReal.from_log(log_max_modulus(f, v)))
         else:
-            levels.append(_tower_log_max(f, t))
+            levels.append(f.tower_log_max(t))
     return MaxModulusTable(R0=R, log_levels=levels)
 
 
@@ -545,7 +588,7 @@ def _ml_tail_vec(alpha: float, z: np.ndarray) -> tuple:
 # JSON interface
 
 
-def descriptor_from_json(obj) -> object:
+def descriptor_from_json(obj) -> Descriptor:
     """Parse {"variant": ..., ...} (dict or JSON string) to a descriptor."""
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -560,20 +603,16 @@ def descriptor_from_json(obj) -> object:
     if variant == "mittag_leffler":
         return MittagLeffler(float(obj["alpha"]))
     if variant == "scaled_mittag_leffler":
-        return ScaledMittagLeffler(float(obj["alpha"]), obj.get("eta"))
+        alpha = float(obj["alpha"])
+        # default: largest halving value passing the unit-circle scan
+        eta = obj.get("eta")
+        if eta is None:
+            eta = choose_eta(alpha)
+        if not 0.0 < eta < 1.0:
+            raise ValueError("eta must be in (0, 1)")
+        return MittagLeffler(alpha, eta)
     raise ValueError(f"unknown variant: {variant!r}")
 
 
 def descriptor_to_json(f) -> dict:
-    if isinstance(f, Polynomial):
-        return {"variant": "polynomial",
-                "coefficients": [[c.real, c.imag] for c in f.coefficients]}
-    if isinstance(f, ExpAffine):
-        return {"variant": "exp_affine", "lambda": [f.lam.real, f.lam.imag]}
-    if isinstance(f, CoshSqrt):
-        return {"variant": "cosh_sqrt"}
-    if isinstance(f, MittagLeffler):
-        return {"variant": "mittag_leffler", "alpha": f.alpha}
-    if isinstance(f, ScaledMittagLeffler):
-        return {"variant": "scaled_mittag_leffler", "alpha": f.alpha, "eta": f.eta}
-    raise TypeError(f"not a function descriptor: {f!r}")
+    return f.to_json()

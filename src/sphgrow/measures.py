@@ -77,14 +77,10 @@ def logphi_batch(f, xs: np.ndarray, ys: np.ndarray, n: int):
     """(logphi, status) arrays over start points; NaN where the orbit dies."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if isinstance(f, fx.ExpAffine):
-        lp, _, _, st = kernels.expaffine_logphi(
-            xs, ys, n, math.log(abs(f.lam)), math.atan2(f.lam.imag, f.lam.real))
-        return lp, st
-    if isinstance(f, fx.Polynomial):
-        lp, _, _, st = kernels.poly_logphi(xs, ys, n, f.coefficients)
-        return lp, st
-    # generic scalar fallback (Mittag-Leffler families, cosh sqrt)
+    batch = f.logphi(xs, ys, n)
+    if batch is not None:
+        return batch
+    # scalar fallback for variants without a batch kernel
     lp = np.empty(xs.shape)
     st = np.zeros(xs.shape, dtype=np.int64)
     flat_x = xs.ravel()

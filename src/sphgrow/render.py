@@ -14,7 +14,6 @@ import numpy as np
 
 from . import dynamics as dy
 from . import functions as fx
-from . import kernels
 from . import measures as ms
 
 MAX_RESOLUTION = 8192
@@ -61,11 +60,10 @@ def render_escape(f, window: ms.Region, resolution, R: float,
 
 
 def _orbit_logmags(f, xs, ys, n_max, log_escape):
-    if isinstance(f, fx.ExpAffine):
-        return kernels.expaffine_logmags(
-            xs, ys, math.log(abs(f.lam)), math.atan2(f.lam.imag, f.lam.real),
-            n_max, log_escape)
-    # generic scalar fallback
+    batch = f.logmags(xs, ys, n_max, log_escape)
+    if batch is not None:
+        return batch
+    # scalar fallback for variants without a batch kernel
     m = xs.size
     table = np.full((m, n_max + 1), np.nan)
     esc = np.full(m, -1, dtype=np.int64)

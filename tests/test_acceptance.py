@@ -56,7 +56,7 @@ def test_criterion_02_derivative_oracle():
     t0 = time.time()
     variants = [SQUARE, fx.Polynomial((1.0 + 0.5j, -2.0, 0.0, 0.25)), EXP,
                 fx.ExpAffine(0.3 - 0.2j), fx.CoshSqrt(),
-                fx.MittagLeffler(0.75), fx.ScaledMittagLeffler(1.0, 0.1)]
+                fx.MittagLeffler(0.75), fx.MittagLeffler(1.0, 0.1)]
     rng = np.random.default_rng(11)
     h = 1e-6
     worst = 0.0
@@ -195,7 +195,7 @@ def test_criterion_06_slow_escape_construction():
 
 def test_criterion_07_upper_growth_law():
     t0 = time.time()
-    f = fx.ScaledMittagLeffler(1.0, 0.1)
+    f = fx.MittagLeffler(1.0, 0.1)
     rep = ex.run_thm4_scan(f, N=25, starts=1000, seed=0)
     ok = rep.verdict == ex.PASS and not rep.violating_rows()
     retained = rep.parameters.get("retained")

@@ -97,7 +97,7 @@ def test_thm3_bad_x0_inconclusive():
 
 
 def test_thm4_small_scan():
-    f = fx.ScaledMittagLeffler(1.0, 0.1)
+    f = fx.MittagLeffler(1.0, 0.1)
     rep = ex.run_thm4_scan(f, N=15, starts=50, seed=0)
     assert rep.verdict == ex.PASS
     assert not rep.violating_rows()
