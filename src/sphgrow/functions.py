@@ -508,7 +508,7 @@ def _ratio_block_max(alpha: float, p: float, z: np.ndarray) -> float:
 
     small = r <= rs
     if small.any():
-        e, de = _ml_series_vec(alpha, z[small])
+        e, de = mittag.ml_series_vec(alpha, z[small])
         ok = np.abs(e) >= 1.0
         vals = np.zeros(e.shape)
         vals[ok] = np.abs(de[ok]) / (r[small][ok] ** (p - 1.0) * np.abs(e[ok]))
@@ -526,7 +526,7 @@ def _ratio_block_max(alpha: float, p: float, z: np.ndarray) -> float:
         vals[deep] = p
         mid = ~deep
         if mid.any():
-            t, dt = _ml_tail_vec(alpha, zl[mid])
+            t, dt = mittag.ml_tail_vec(alpha, zl[mid])
             e = t.copy()
             de = dt.copy()
             g = growth[mid] & (zp[mid].real <= 45.0)
@@ -539,49 +539,6 @@ def _ratio_block_max(alpha: float, p: float, z: np.ndarray) -> float:
             vals[mid] = mv
         out[large] = vals
     return float(out.max()) if out.size else 0.0
-
-
-def _ml_series_vec(alpha: float, z: np.ndarray) -> tuple:
-    """Vectorized (E_alpha, E_alpha') by the power series; |z| moderate."""
-    e = np.ones(z.shape, dtype=np.complex128)
-    de = np.full(z.shape, 1.0 / math.gamma(alpha + 1.0), dtype=np.complex128)
-    term = np.ones(z.shape, dtype=np.complex128)
-    for n in range(1, 400):
-        term = term * z * math.exp(math.lgamma(alpha * (n - 1) + 1.0)
-                                   - math.lgamma(alpha * n + 1.0))
-        e += term
-        if n > 1:  # the n=1 derivative term seeds de above
-            de += n * term / z
-        if float(np.abs(term).max()) < 1e-18:
-            break
-    return e, de
-
-
-def _ml_tail_vec(alpha: float, z: np.ndarray) -> tuple:
-    """Vectorized algebraic tail (-sum z^-k / Gamma(1 - alpha k)) and its
-    derivative, truncated where terms start growing."""
-    inv = 1.0 / z
-    t = np.zeros(z.shape, dtype=np.complex128)
-    dt = np.zeros(z.shape, dtype=np.complex128)
-    zk = inv.copy()
-    prev = np.full(z.shape, np.inf)
-    alive = np.ones(z.shape, dtype=bool)
-    for k in range(1, 80):
-        g = 1.0 - alpha * k
-        if g <= 0.0 and abs(g - round(g)) < 1e-12:
-            coeff = 0.0
-        else:
-            coeff = 1.0 / math.gamma(g)
-        term = -coeff * zk
-        mag = np.abs(term)
-        alive &= mag <= prev
-        if not alive.any():
-            break
-        t = np.where(alive, t + term, t)
-        dt = np.where(alive, dt + k * coeff * zk * inv, dt)
-        prev = mag
-        zk = zk * inv
-    return t, dt
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,22 @@ def ml_series_derivative(alpha: float, z: complex, max_terms: int = MAX_SERIES_T
     return total
 
 
+def ml_series_vec(alpha: float, z: np.ndarray) -> tuple:
+    """Vectorized (E_alpha, E_alpha') by the power series; |z| moderate."""
+    e = np.ones(z.shape, dtype=np.complex128)
+    de = np.full(z.shape, 1.0 / math.gamma(alpha + 1.0), dtype=np.complex128)
+    term = np.ones(z.shape, dtype=np.complex128)
+    for n in range(1, 400):
+        term = term * z * math.exp(math.lgamma(alpha * (n - 1) + 1.0)
+                                   - math.lgamma(alpha * n + 1.0))
+        e += term
+        if n > 1:  # the n=1 derivative term seeds de above
+            de += n * term / z
+        if float(np.abs(term).max()) < 1e-18:
+            break
+    return e, de
+
+
 def _algebraic_tail(alpha: float, z: complex, derivative: bool) -> complex:
     """-sum_k z^(-k)/Gamma(1-a k), truncated at its smallest term.
 
@@ -145,6 +161,33 @@ def _algebraic_tail(alpha: float, z: complex, derivative: bool) -> complex:
         if mag < 1e-300:
             break
     return total
+
+
+def ml_tail_vec(alpha: float, z: np.ndarray) -> tuple:
+    """Vectorized algebraic tail (-sum z^-k / Gamma(1 - alpha k)) and its
+    derivative, truncated where terms start growing."""
+    inv = 1.0 / z
+    t = np.zeros(z.shape, dtype=np.complex128)
+    dt = np.zeros(z.shape, dtype=np.complex128)
+    zk = inv.copy()
+    prev = np.full(z.shape, np.inf)
+    alive = np.ones(z.shape, dtype=bool)
+    for k in range(1, 80):
+        g = 1.0 - alpha * k
+        if g <= 0.0 and abs(g - round(g)) < 1e-12:
+            coeff = 0.0
+        else:
+            coeff = 1.0 / math.gamma(g)
+        term = -coeff * zk
+        mag = np.abs(term)
+        alive &= mag <= prev
+        if not alive.any():
+            break
+        t = np.where(alive, t + term, t)
+        dt = np.where(alive, dt + k * coeff * zk * inv, dt)
+        prev = mag
+        zk = zk * inv
+    return t, dt
 
 
 def _sector(alpha: float, z: complex) -> str:
@@ -239,19 +282,3 @@ def ml_log_abs(alpha: float, x: float) -> float:
         tail = _algebraic_tail(alpha, complex(x), derivative=False)
         return lead + math.log(p) + math.log1p(tail.real * math.exp(-lead) / p)
     return lead + math.log(p)
-
-
-def ml_eval_vec(alpha: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized eval; nan+inf markers where the value overflows."""
-    _check_alpha(alpha)
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.empty(z.shape, dtype=np.complex128)
-    flat = z.ravel()
-    res = out.ravel()
-    for i in range(flat.size):
-        try:
-            res[i] = ml_eval(alpha, flat[i])
-        except OverflowError:
-            res[i] = complex(np.inf, 0.0)
-    return out
-

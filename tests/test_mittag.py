@@ -86,16 +86,6 @@ def test_derivative_finite_difference():
         assert abs(got - fd) <= 1e-6 * max(1.0, abs(got))
 
 
-def test_vectorized_matches_scalar():
-    alpha = 0.75
-    rng = np.random.default_rng(4)
-    z = rng.uniform(-8, 8, 64) + 1j * rng.uniform(-8, 8, 64)
-    vec = mittag.ml_eval_vec(alpha, z)
-    for i in range(z.size):
-        s = mittag.ml_eval(alpha, complex(z[i]))
-        assert abs(vec[i] - s) <= 1e-11 * max(1.0, abs(s))
-
-
 def test_switch_radius_sane():
     r = mittag.switch_radius(0.75)
     assert 2.0 < r < 20.0
