@@ -69,6 +69,18 @@ def _load_section(config: dict, name: str) -> dict:
     return dict(config.get(name, {}))
 
 
+def _n_values(section: dict, name: str, n_max: int):
+    """n_range as given, else n_min..n_max; the two forms exclude each other."""
+    if "n_range" not in section:
+        return range(section.get("n_min", 1), section.get("n_max", n_max) + 1)
+    if "n_min" in section or "n_max" in section:
+        raise ValueError(f"{name}: give n_range or n_min/n_max, not both")
+    ns = section["n_range"]
+    if not ns or not all(isinstance(n, int) for n in ns):
+        raise ValueError(f"{name}.n_range must be a non-empty list of integers")
+    return ns
+
+
 def _resolve_region(section: dict, f, default_auto=True) -> ms.Region:
     if "region" in section:
         return _region_from_json(section["region"])
@@ -111,14 +123,14 @@ def main(argv=None) -> int:
         c = _load_section(config, "thm7")
         report = ex.run_thm7(
             f, _resolve_region(c, f), c.get("R", 5.0), c.get("m", 2),
-            range(c.get("n_min", 1), c.get("n_max", 4) + 1),
+            _n_values(c, "thm7", 4),
             _grid_from_json(c.get("grid")))
     elif args.command == "thm56":
         c = _load_section(config, "thm56")
         report = ex.run_thm5_thm6(
             f, _resolve_region(c, f), c.get("R_lower", 5.0),
             c.get("R_upper", 5.0), c.get("m", 2),
-            range(c.get("n_min", 1), c.get("n_max", 3) + 1),
+            _n_values(c, "thm56", 3),
             _grid_from_json(c.get("grid")))
     elif args.command == "thm1scan":
         c = _load_section(config, "thm1scan")

@@ -169,3 +169,20 @@ def test_cli_fail_exit_code(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"] == "Fail"
     assert report["parameters"]["smallest_working_m"] == 4
+
+
+@pytest.mark.parametrize("sub", ["thm7", "thm56"])
+def test_cli_n_range_honoured(tmp_path, sub):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({sub: {"n_range": [1, 2], "grid": {"rel_tol": 0.01}}}))
+    cli.main(["--config", str(cfg), "--out", str(tmp_path), sub])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["parameters"]["n_range"] == [1, 2]
+    assert [row["n"] for row in report["rows"]] == [1, 2]
+
+
+def test_cli_n_range_excludes_n_min_n_max(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thm7": {"n_range": [1, 2], "n_max": 4}}))
+    with pytest.raises(ValueError, match="not both"):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm7"])
