@@ -8,11 +8,12 @@ specfun-check.  Each writes report.json and rows.csv to --out (plus a
 .ppm for render).  Reports are byte-identical across runs with the same
 config and seed.
 
-Config JSON schema (every key optional; defaults shown by `--help`):
+Config JSON schema (every key optional; the values shown are the
+defaults; a key the CLI does not read is an error):
 {
   "function": {"variant": "exp_affine", "lambda": [1.0, 0.0]},
   "thm7":     {"region": REGION, "R": 5.0, "m": 2, "n_min": 1, "n_max": 4,
-               "grid": GRID, "auto_center": false},
+               "grid": GRID},
   "thm56":    {"region": REGION, "R_lower": 5.0, "R_upper": 5.0, "m": 2,
                "n_min": 1, "n_max": 3, "grid": GRID},
   "thm1scan": {"region": REGION, "N": 5, "starts": 20, "grid": GRID},
@@ -27,6 +28,9 @@ REGION: {"kind": "disk", "center": [re, im], "radius": r}
      or {"kind": "rectangle", "center": [re, im],
          "half_width": w, "half_height": h}
 GRID:   {"base_resolution": 32, "max_refinements": 8, "rel_tol": 1e-3}
+thm7 and thm56 take either "n_range" (a list of n, e.g. [1, 2]) or
+n_min/n_max, not both.  Without a region they use a disk of radius 0.5
+around a repelling fixed point of f.
 """
 
 from __future__ import annotations
@@ -43,6 +47,37 @@ from . import measures as ms
 from . import render as rd
 
 DEFAULT_FUNCTION = {"variant": "exp_affine", "lambda": [1.0, 0.0]}
+
+# the keys each section reads; None marks a leaf, a dict a nested object.
+# The function object is checked against the JSON of the descriptor it
+# parses to.
+_REGION = dict.fromkeys(("kind", "center", "radius", "half_width", "half_height"))
+_GRID = dict.fromkeys(("base_resolution", "max_refinements", "rel_tol"))
+_N = dict.fromkeys(("n_range", "n_min", "n_max"))
+CONFIG_KEYS = {
+    "function": None,
+    "thm7": {"region": _REGION, "R": None, "m": None, **_N, "grid": _GRID},
+    "thm56": {"region": _REGION, "R_lower": None, "R_upper": None, "m": None, **_N,
+              "grid": _GRID},
+    "thm1scan": {"region": _REGION, "N": None, "starts": None, "grid": _GRID},
+    "thm3": dict.fromkeys(("lambda", "x0", "n_max", "precision_bits", "x0_tier_a",
+                           "n_tier_a")),
+    "thm4scan": dict.fromkeys(("alpha", "eta", "N", "starts")),
+    "classical": {"samples": None},
+    "render": {"window": _REGION, "resolution": None, "R": None, "l_max": None,
+               "n_max": None},
+}
+
+
+def _unknown_keys(obj: dict, known: dict, path: str = "") -> list:
+    """Dotted paths of the keys in obj that nothing reads."""
+    out = []
+    for key, value in obj.items():
+        if key not in known:
+            out.append(path + key)
+        elif known[key] is not None:
+            out += _unknown_keys(value or {}, known[key], f"{path}{key}.")
+    return out
 
 
 def _region_from_json(obj) -> ms.Region:
@@ -81,12 +116,10 @@ def _n_values(section: dict, name: str, n_max: int):
     return ns
 
 
-def _resolve_region(section: dict, f, default_auto=True) -> ms.Region:
+def _resolve_region(section: dict, f) -> ms.Region:
     if "region" in section:
         return _region_from_json(section["region"])
-    if default_auto:
-        return _auto_region(f)
-    raise ValueError("region required")
+    return _auto_region(f)
 
 
 def _write_outputs(report, out_dir: str) -> None:
@@ -116,7 +149,13 @@ def main(argv=None) -> int:
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
-    f = fx.descriptor_from_json(config.get("function", DEFAULT_FUNCTION))
+    function = config.get("function", DEFAULT_FUNCTION)
+    f = fx.descriptor_from_json(function)
+    read = fx.descriptor_to_json(f)  # holds every key the variant reads
+    unknown = _unknown_keys(config, CONFIG_KEYS) + [
+        f"function.{key}" for key in function if key not in read]
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     seed = args.seed
 
     if args.command == "thm7":

@@ -186,3 +186,21 @@ def test_cli_n_range_excludes_n_min_n_max(tmp_path):
     cfg.write_text(json.dumps({"thm7": {"n_range": [1, 2], "n_max": 4}}))
     with pytest.raises(ValueError, match="not both"):
         cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm7"])
+
+
+@pytest.mark.parametrize("config, path", [
+    ({"thm7": {"auto_center": True, "bogus": 1}}, "thm7.auto_center, thm7.bogus"),
+    ({"thm8": {}}, "thm8"),
+    ({"thm56": {"grid": {"rel_tol": 0.01, "tol": 1}}}, "thm56.grid.tol"),
+    ({"thm1scan": {"region": {"kind": "disk", "center": [0, 0], "radius": 1,
+                              "r": 2}}}, "thm1scan.region.r"),
+    ({"render": {"window": {"size": 1}}}, "render.window.size"),
+    ({"function": {"variant": "mittag_leffler", "alpha": 0.75, "eta": 0.5}},
+     "function.eta"),
+])
+def test_cli_rejects_unknown_config_keys(tmp_path, config, path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=f"unknown config keys: {path}$"):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "classical"])
+    assert not (tmp_path / "report.json").exists()
