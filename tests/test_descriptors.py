@@ -11,6 +11,7 @@ change) with
     PYTHONPATH=src python tests/test_descriptors.py
 """
 
+import ast
 import hashlib
 import json
 import pathlib
@@ -25,6 +26,7 @@ from sphgrow import measures as ms
 from sphgrow import render as rd
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "descriptors.json"
+SRC = pathlib.Path(fx.__file__).parent
 
 VARIANTS = {
     "square": {"variant": "polynomial", "coefficients": [[0, 0], [0, 0], [1, 0]]},
@@ -120,6 +122,28 @@ def test_variant_rules_bit_exact(name, tmp_path):
     for key in expected:
         assert got[key] == expected[key], f"{name}: {key} moved"
     assert set(got) == set(expected)
+
+
+def _descriptor_type_checks(path: pathlib.Path) -> list:
+    """Lines of isinstance calls that name a descriptor class."""
+    classes = {cls.__name__ for cls in vars(fx).values()
+               if isinstance(cls, type) and issubclass(cls, fx.Descriptor)}
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            names = {getattr(n, "attr", getattr(n, "id", None))
+                     for arg in node.args[1:] for n in ast.walk(arg)}
+            if names & classes:
+                hits.append(node.lineno)
+    return hits
+
+
+@pytest.mark.parametrize("module", ["dynamics", "measures", "render", "cli",
+                                    "logplane", "kernels", "mittag", "towers"])
+def test_no_variant_dispatch_outside_functions(module):
+    # each variant's rules live on its class in functions.py; other modules
+    # ask the descriptor instead of testing its type
+    assert _descriptor_type_checks(SRC / f"{module}.py") == []
 
 
 if __name__ == "__main__":
