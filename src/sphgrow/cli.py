@@ -94,12 +94,6 @@ def _grid_from_json(obj) -> ms.GridSpec:
                        rel_tol=obj.get("rel_tol", 1e-3))
 
 
-def _auto_region(f, seed_point=complex(1.0, 1.0), radius=0.5) -> ms.Region:
-    """Center the region on a repelling fixed point of f."""
-    pt = dy.find_periodic_point(f, 1, seed_point)
-    return ms.Region.disk(pt.location, radius)
-
-
 def _load_section(config: dict, name: str) -> dict:
     return dict(config.get(name, {}))
 
@@ -119,7 +113,8 @@ def _n_values(section: dict, name: str, n_max: int):
 def _resolve_region(section: dict, f) -> ms.Region:
     if "region" in section:
         return _region_from_json(section["region"])
-    return _auto_region(f)
+    # a disk around a repelling fixed point of f
+    return ms.Region.disk(dy.find_periodic_point(f, 1, complex(1.0, 1.0)).location, 0.5)
 
 
 def _write_outputs(report, out_dir: str) -> None:

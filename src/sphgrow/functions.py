@@ -58,7 +58,9 @@ class Descriptor:
     no batch kernel.
     """
 
-    log_continuation = False  # orbits can iterate past double range
+    # orbits iterate past double range; such variants define
+    # log_abs_derivative_polar(log_mag, arg), log|f'| at a log-polar point
+    log_continuation = False
 
     def log_eval(self, log_mag: float, arg: float) -> tuple:
         """Log-polar (log|f|, arg f) at z = e^(log_mag + i arg)."""
@@ -72,10 +74,6 @@ class Descriptor:
         if v == 0:
             raise OrbitOverflow("zero value has no log-polar form")
         return (math.log(abs(v)), cmath.phase(v))
-
-    def log_abs_derivative_polar(self, log_mag: float, arg: float) -> float:
-        """log|f'| at a log-polar point, for variants with log continuation."""
-        raise OrbitOverflow(f"{type(self).__name__} has no log continuation")
 
     def log_abs_derivative_underflow(self, z: complex) -> float:
         """log|f'(z)| where f'(z) rounded to 0 in doubles."""
