@@ -29,8 +29,8 @@ REGION: {"kind": "disk", "center": [re, im], "radius": r}
          "half_width": w, "half_height": h}
 GRID:   {"base_resolution": 32, "max_refinements": 8, "rel_tol": 1e-3}
 thm7 and thm56 take either "n_range" (a list of n, e.g. [1, 2]) or
-n_min/n_max, not both.  Without a region they use a disk of radius 0.5
-around a repelling fixed point of f.
+n_min/n_max, not both.  Without a region, thm7, thm56 and thm1scan use a
+disk of radius 0.5 around a repelling fixed point of f.
 """
 
 from __future__ import annotations
