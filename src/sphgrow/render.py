@@ -1,9 +1,10 @@
 """Escape-time rendering with fast-escaping overlay, written as binary PPM.
 
-Pixels are colored by first-escape index; on top of that each escaping
-pixel is classified with the exact tower-arithmetic fast-escape test.
-A vectorized double-precision prefilter rules out most pixels cheaply;
-only the undecided ones pay for the per-pixel tower comparison.
+Pixels are colored by first-escape index; on top of that each pixel is
+classified with the fast-escape test, read off the same orbit table that
+gives the escape index.  Array comparisons in doubles decide almost every
+entry; only near-ties and levels past double range pay for a tower
+comparison.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import numpy as np
 from . import dynamics as dy
 from . import functions as fx
 from . import measures as ms
+from .towers import TowerReal
 
 MAX_RESOLUTION = 8192
+# relative gap below which a float comparison is left to tower arithmetic
+_TIE_REL = 1e-12
 
 
 def render_escape(f, window: ms.Region, resolution, R: float,
@@ -43,7 +47,7 @@ def render_escape(f, window: ms.Region, resolution, R: float,
     logmags, escape_step = _orbit_logmags(f, flat_x, flat_y, n_max, log_escape)
 
     table = fx.iterated_max_modulus(f, R, n_max)
-    fast = _classify_fast(f, flat_x, flat_y, logmags, table, R, l_max, n_max)
+    fast = _classify_fast(logmags, table, l_max, n_max)
 
     rgb = _colorize(escape_step, fast, n_max).reshape(height, width, 3)
     with open(out_path, "wb") as fh:
@@ -76,61 +80,34 @@ def _orbit_logmags(f, xs, ys, n_max, log_escape):
     return table, esc
 
 
-def _classify_fast(f, xs, ys, logmags, table, R, l_max, n_max):
-    """Fast-escape membership for the overlay.
+def _classify_fast(logmags, table, l_max, n_max):
+    """Fast-escape membership for the overlay, read off the orbit table.
 
-    Comparisons are exact tower arithmetic while the orbit is trackable.
-    Orbits truncated by sheer growth (beyond log-polar double range,
-    i.e. past e^(e^709)) are treated as keeping pace for the remaining
-    steps; that optimistic continuation is what makes off-axis pixels
-    classifiable at all, and it only upgrades orbits that already beat
-    every decidable comparison.
+    A pixel is a member when for some l <= l_max, |z_n| > M^(n-l)(R)
+    strictly for every l <= n <= n_max.  Floats decide a comparison whose
+    two sides are finite and clearly apart; exact tower arithmetic decides
+    near-ties and levels past double range.  A NaN entry marks an orbit
+    that grew out of log-polar range (past e^(e^709)); it is treated as
+    keeping pace for the remaining steps.  That optimistic continuation is
+    what makes off-axis pixels classifiable at all, and it only upgrades
+    orbits that already beat every decidable comparison.
     """
-    m = xs.size
     # float view of the tower table: log M^k where it fits, else +inf
-    log_M = np.empty(n_max + 1)
-    for k, t in enumerate(table.log_levels):
-        v = t.log().value()
-        log_M[k] = v if math.isfinite(v) else math.inf
-
-    candidate = np.zeros(m, dtype=bool)
+    log_M = [t.log().value() for t in table.log_levels]
+    fast = np.zeros(logmags.shape[0], dtype=bool)
     for l in range(l_max + 1):
-        ok_l = np.ones(m, dtype=bool)
+        run = ~fast
         for n in range(l, n_max + 1):
-            col = logmags[:, n]
-            decided = np.isfinite(col) & math.isfinite(log_M[n - l])
-            # a decidable comparison that fails disqualifies this l
-            ok_l &= ~(decided & (col <= log_M[n - l]))
-        candidate |= ok_l
-    fast = np.zeros(m, dtype=bool)
-    for i in np.nonzero(candidate)[0]:
-        fast[i] = _member_optimistic(
-            f, complex(xs[i], ys[i]), table, l_max, n_max)
+            col, v = logmags[:, n], log_M[n - l]
+            beats = np.isnan(col) | (col > v)
+            # within the gap the float view cannot be trusted
+            gap = _TIE_REL * np.maximum(np.maximum(np.abs(col), abs(v)), 1.0)
+            near = np.isfinite(col) & ~(np.abs(col - v) > gap)
+            for i in np.nonzero(run & near)[0]:
+                beats[i] = TowerReal.from_log(col[i]) > table.log_levels[n - l]
+            run &= beats
+        fast |= run
     return fast
-
-
-def _member_optimistic(f, z0, table, l_max, n_max) -> bool:
-    from .towers import TowerReal
-    orbit = dy.iterate_orbit(f, z0, n_max)
-    avail = orbit.length()
-    grew_out = orbit.status == dy.OVERFLOW and avail <= n_max
-    mags = []
-    for k in range(avail):
-        lm = orbit.log_mag(k)
-        mags.append(None if lm == -math.inf else TowerReal.from_log(lm))
-    for l in range(l_max + 1):
-        ok = True
-        for n in range(l, n_max + 1):
-            if n < avail:
-                if mags[n] is None or not mags[n] > table.log_levels[n - l]:
-                    ok = False
-                    break
-            else:
-                ok = grew_out
-                break
-        if ok:
-            return True
-    return False
 
 
 def _colorize(escape_step, fast, n_max):

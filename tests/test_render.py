@@ -81,7 +81,7 @@ def test_classify_fast_matches_scalar_oracle(name, f, window, R, size, n_max, l_
     log_escape = math.log(max(R, 10.0))
     logmags, _ = rd._orbit_logmags(f, xs, ys, n_max, log_escape)
     table = fx.iterated_max_modulus(f, R, n_max)
-    fast = rd._classify_fast(f, xs, ys, logmags, table, R, l_max, n_max)
+    fast = rd._classify_fast(logmags, table, l_max, n_max)
     expect = [_oracle_orbit(f, complex(x, y), table, l_max, n_max)
               for x, y in zip(xs, ys)]
     assert fast.tolist() == expect
@@ -131,23 +131,28 @@ def _hand_made_table(table, n_max):
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 3])
-def test_classify_fast_hand_made_table(monkeypatch, l_max):
+def test_classify_fast_hand_made_table(l_max):
     f, R, n_max = fx.ExpAffine(1.0), 5.0, 6
     table = fx.iterated_max_modulus(f, R, n_max)
     logmags = _hand_made_table(table, n_max)
     m = logmags.shape[0]
     rows = [[v for v in row if not math.isnan(v)] for row in logmags]
-
-    def table_orbit(f, z0, n):
-        # the orbit record a row of the table stands for
-        known = rows[int(z0.real)]
-        status = dy.OVERFLOW if len(known) <= n else dy.COMPLETE
-        return dy.OrbitRecord(start=z0, points=[], log_points=[(v, 0.0) for v in known],
-                              log_deriv_prefix=[], status=status)
-
-    monkeypatch.setattr(dy, "iterate_orbit", table_orbit)
-    xs, ys = np.arange(m, dtype=float), np.zeros(m)
-    fast = rd._classify_fast(f, xs, ys, logmags, table, R, l_max, n_max)
+    fast = rd._classify_fast(logmags, table, l_max, n_max)
     expect = [_oracle_member(row, table, l_max, n_max) for row in rows]
     assert fast.tolist() == expect
     assert 0 < sum(expect) < m
+
+
+def test_exp_render_runs_no_scalar_orbits(tmp_path, monkeypatch):
+    calls = []
+    orbit = dy.iterate_orbit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orbit(*args, **kwargs)
+
+    monkeypatch.setattr(dy, "iterate_orbit", counting)
+    stats = rd.render_escape(fx.ExpAffine(1.0), ms.Region.rectangle(1.0 + 0j, 3.0, 3.0),
+                             64, 5.0, 3, 12, str(tmp_path / "img.ppm"))
+    assert stats["fast_members"] > 0
+    assert calls == []
