@@ -114,8 +114,6 @@ def el_inequality_check(tract: LogTract, samples: int = 1000,
 @dataclass
 class SlowEscapeSchedule:
     x: list                      # mpf values, length n_max + 1
-    lambda_lower: float
-    eta_n: list                  # x_n^(1/n) - (1 + lambda), n >= 1
     invariant_failures: list = field(default_factory=list)
 
     def __len__(self):
@@ -123,7 +121,12 @@ class SlowEscapeSchedule:
 
 
 def schedule_build(tract: LogTract, x0: float, n_max: int) -> SlowEscapeSchedule:
-    """Targets x_{n+1} = (1+lambda) x_n / (1 + delta(x_n)), delta = 1/log x."""
+    """Targets x_{n+1} = (1+lambda) x_n / (1 + delta(x_n)), delta = 1/log x.
+
+    The first step is x_1 = (lambda - delta(x_0)) x_0 / (1 + delta(x_0)).
+    Each step also checks the partial-sum inequality and x_n <= e^(x_{n-1})
+    (as log x_n <= x_{n-1}, reusing the log the next step needs).
+    """
     lam_low = 1.0  # growth exponent of h(x) = e^x for the exponential family
     floor = max(tract.alpha_cutoff, 8.0 * math.pi, math.e**2)
     if not x0 > floor:
@@ -132,35 +135,24 @@ def schedule_build(tract: LogTract, x0: float, n_max: int) -> SlowEscapeSchedule
         raise ValueError(
             f"x0={x0} must exceed {which[0]:.6f} (binding bound: {which[1]})")
     with mp.workprec(96):
-        xs = [mp.mpf(x0)]
-        d0 = 1.0 / mp.log(xs[0])
-        xs.append((lam_low - d0) / (1.0 + d0) * xs[0])
-        for n in range(1, n_max):
-            dn = 1.0 / mp.log(xs[n])
-            xs.append((1.0 + lam_low) / (1.0 + dn) * xs[n])
-        xs = xs[:n_max + 1]
-        sched = SlowEscapeSchedule(x=xs, lambda_lower=lam_low, eta_n=[])
-        # recompute both recurrences and Eq-style partial-sum inequality
+        x = mp.mpf(x0)
+        d = 1.0 / mp.log(x)
+        xs = [x]
         fails = []
-        if xs[1:]:
-            x1 = (lam_low - d0) / (1.0 + d0) * xs[0]
-            if abs(x1 - xs[1]) > 1e-20 * abs(x1):
-                fails.append("x1 recurrence")
         partial = mp.mpf(0)
-        for n in range(1, len(xs)):
-            dn_1 = 1.0 / mp.log(xs[n - 1])
-            if n >= 2:
-                expect = (1.0 + lam_low) / (1.0 + dn_1) * xs[n - 1]
-                if abs(expect - xs[n]) > 1e-20 * abs(expect):
-                    fails.append(f"x_{n} recurrence")
-            partial += (lam_low - dn_1) * xs[n - 1]
-            if partial < (1.0 + 1.0 / mp.log(xs[n - 1])) * xs[n] * (1 - mp.mpf(2)**-60):
+        shave = 1 - mp.mpf(2)**-60
+        for n in range(1, n_max + 1):
+            grow = lam_low - d if n == 1 else 1.0 + lam_low
+            x_n = grow / (1.0 + d) * x
+            partial += (lam_low - d) * x
+            if partial < (1.0 + d) * x_n * shave:
                 fails.append(f"partial-sum inequality at n={n}")
-            if xs[n] > mp.exp(xs[n - 1]):
+            log_x = mp.log(x_n)
+            if log_x > x:
                 fails.append(f"x_{n} > e^x_{n-1}")
-            sched.eta_n.append(float(xs[n] ** (mp.mpf(1) / n) - (1.0 + lam_low)))
-        sched.invariant_failures = fails
-    return sched
+            x, d = x_n, 1.0 / log_x
+            xs.append(x)
+    return SlowEscapeSchedule(x=xs, invariant_failures=fails)
 
 
 def schedule_growth_statistic(schedule: SlowEscapeSchedule, n: int) -> float:
