@@ -91,6 +91,13 @@ def test_thm3_tier_b():
     assert any("partial-sum" in note for note in rep.notes)
 
 
+@pytest.mark.parametrize("n_tier_a, expect", [(100, [10, 100]), (1000, [10, 100, 1000]),
+                                              (50, [10, 50]), (5, [5])])
+def test_thm3_tier_a_rows_distinct(n_tier_a, expect):
+    rep = ex.run_thm3(1.0, 26.0, 3, 256, x0_tier_a=1e6, n_tier_a=n_tier_a)
+    assert [row["n"] for row in rep.rows if row["tier"] == "a"] == expect
+
+
 def test_thm3_bad_x0_inconclusive():
     rep = ex.run_thm3(1.0, 10.0, 7, 256, x0_tier_a=1e6, n_tier_a=100)
     assert rep.verdict == ex.INCONCLUSIVE
@@ -204,3 +211,4 @@ def test_cli_rejects_unknown_config_keys(tmp_path, config, path):
     with pytest.raises(ValueError, match=f"unknown config keys: {path}$"):
         cli.main(["--config", str(cfg), "--out", str(tmp_path), "classical"])
     assert not (tmp_path / "report.json").exists()
+
