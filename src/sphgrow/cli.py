@@ -48,10 +48,13 @@ from . import render as rd
 
 DEFAULT_FUNCTION = {"variant": "exp_affine", "lambda": [1.0, 0.0]}
 
-# the keys each section reads; None marks a leaf, a dict a nested object.
-# The function object is checked against the JSON of the descriptor it
-# parses to.
-_REGION = dict.fromkeys(("kind", "center", "radius", "half_width", "half_height"))
+# the keys each section reads; None marks a leaf, a dict a nested object,
+# _REGION a region, whose keys depend on its kind.  The function object is
+# checked against the JSON of the descriptor it parses to.
+_REGION_KINDS = {"disk": dict.fromkeys(("kind", "center", "radius")),
+                 "rectangle": dict.fromkeys(("kind", "center", "half_width",
+                                             "half_height"))}
+_REGION = {**_REGION_KINDS["disk"], **_REGION_KINDS["rectangle"]}
 _GRID = dict.fromkeys(("base_resolution", "max_refinements", "rel_tol"))
 _N = dict.fromkeys(("n_range", "n_min", "n_max"))
 CONFIG_KEYS = {
@@ -75,6 +78,13 @@ def _unknown_keys(obj: dict, known: dict, path: str = "") -> list:
     for key, value in obj.items():
         if key not in known:
             out.append(path + key)
+        elif known[key] is _REGION:
+            kind = value.get("kind")
+            bad = _unknown_keys(value, _REGION_KINDS.get(kind, _REGION), f"{path}{key}.")
+            if kind not in _REGION_KINDS and not bad:
+                raise ValueError(f"{path}{key}.kind: {kind!r} is not a region kind "
+                                 f"({', '.join(_REGION_KINDS)})")
+            out += bad
         elif known[key] is not None:
             out += _unknown_keys(value or {}, known[key], f"{path}{key}.")
     return out

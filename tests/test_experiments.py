@@ -204,6 +204,10 @@ def test_cli_n_range_excludes_n_min_n_max(tmp_path):
     ({"render": {"window": {"size": 1}}}, "render.window.size"),
     ({"function": {"variant": "mittag_leffler", "alpha": 0.75, "eta": 0.5}},
      "function.eta"),
+    ({"thm7": {"region": {"kind": "disk", "center": [0, 0], "radius": 1,
+                          "half_width": 1}}}, "thm7.region.half_width"),
+    ({"render": {"window": {"kind": "rectangle", "center": [1, 0], "half_width": 3,
+                            "half_height": 3, "radius": 1}}}, "render.window.radius"),
 ])
 def test_cli_rejects_unknown_config_keys(tmp_path, config, path):
     cfg = tmp_path / "cfg.json"
@@ -212,3 +216,16 @@ def test_cli_rejects_unknown_config_keys(tmp_path, config, path):
         cli.main(["--config", str(cfg), "--out", str(tmp_path), "classical"])
     assert not (tmp_path / "report.json").exists()
 
+
+@pytest.mark.parametrize("config, message", [
+    ({"thm7": {"region": {"kind": "circle", "center": [0, 0], "radius": 1}}},
+     "thm7.region.kind: 'circle' is not a region kind"),
+    ({"render": {"window": {"center": [1, 0], "half_width": 3, "half_height": 3}}},
+     "render.window.kind: None is not a region kind"),
+], ids=["circle", "missing"])
+def test_cli_rejects_unknown_region_kind(tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=message):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "classical"])
+    assert not (tmp_path / "report.json").exists()
