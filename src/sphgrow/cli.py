@@ -80,8 +80,9 @@ def _unknown_keys(obj: dict, known: dict, path: str = "") -> list:
             out.append(path + key)
         elif known[key] is _REGION:
             kind = value.get("kind")
-            bad = _unknown_keys(value, _REGION_KINDS.get(kind, _REGION), f"{path}{key}.")
-            if kind not in _REGION_KINDS and not bad:
+            keys = _REGION_KINDS.get(kind) if isinstance(kind, str) else None
+            bad = _unknown_keys(value, keys or _REGION, f"{path}{key}.")
+            if keys is None and not bad:
                 raise ValueError(f"{path}{key}.kind: {kind!r} is not a region kind "
                                  f"({', '.join(_REGION_KINDS)})")
             out += bad

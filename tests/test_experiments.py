@@ -222,7 +222,9 @@ def test_cli_rejects_unknown_config_keys(tmp_path, config, path):
      "thm7.region.kind: 'circle' is not a region kind"),
     ({"render": {"window": {"center": [1, 0], "half_width": 3, "half_height": 3}}},
      "render.window.kind: None is not a region kind"),
-], ids=["circle", "missing"])
+    ({"thm56": {"region": {"kind": ["disk"], "center": [0, 0], "radius": 1}}},
+     r"thm56.region.kind: \['disk'\] is not a region kind"),
+], ids=["circle", "missing", "list"])
 def test_cli_rejects_unknown_region_kind(tmp_path, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
