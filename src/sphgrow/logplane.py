@@ -134,6 +134,8 @@ def schedule_build(tract: LogTract, x0: float, n_max: int) -> SlowEscapeSchedule
                     (8.0 * math.pi, "8*pi"), (math.e**2, "e^2"))
         raise ValueError(
             f"x0={x0} must exceed {which[0]:.6f} (binding bound: {which[1]})")
+    if n_max < 0:
+        raise ValueError(f"n_max={n_max} must be >= 0")
     with mp.workprec(96):
         x = mp.mpf(x0)
         d = 1.0 / mp.log(x)

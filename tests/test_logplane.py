@@ -59,6 +59,11 @@ def test_schedule_precondition_names_binding_bound():
         lp.schedule_build(TRACT, 10.0, 4)
 
 
+def test_schedule_rejects_negative_n_max():
+    with pytest.raises(ValueError, match="n_max=-1"):
+        lp.schedule_build(TRACT, 26.0, -1)
+
+
 def test_growth_statistic_tends_to_log2():
     sched = lp.schedule_build(TRACT, 1e6, 1200)
     stat = lp.schedule_growth_statistic(sched, 1000)

@@ -107,6 +107,7 @@ def _hand_made_table(table, n_max):
         [2.0, 6.0, 200.0, 1e70, 1e300, 1e306, 1.7e308][:n_max + 1],
         [2.0, 6.0, 200.0, 1e70, 1e300, nan, nan][:n_max + 1],
         [nan] * (n_max + 1),
+        [1e-20] + up[1:4] + [nan] * (n_max - 3),             # just above log M^0 = 0 at R = 1
     ]
     rng = np.random.default_rng(5)
     finite = [v for v in log_M if math.isfinite(v)]
@@ -130,9 +131,9 @@ def _hand_made_table(table, n_max):
     return np.array(rows, dtype=float)
 
 
-@pytest.mark.parametrize("l_max", [0, 1, 3])
-def test_classify_fast_hand_made_table(l_max):
-    f, R, n_max = fx.ExpAffine(1.0), 5.0, 6
+@pytest.mark.parametrize("l_max, R", [(0, 5.0), (1, 5.0), (3, 5.0), (0, 1.0), (1, 1.0)])
+def test_classify_fast_hand_made_table(l_max, R):
+    f, n_max = fx.ExpAffine(1.0), 6
     table = fx.iterated_max_modulus(f, R, n_max)
     logmags = _hand_made_table(table, n_max)
     m = logmags.shape[0]
