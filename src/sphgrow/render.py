@@ -100,7 +100,8 @@ def _classify_fast(logmags, table, l_max, n_max):
         for n in range(l, n_max + 1):
             col, v = logmags[:, n], log_M[n - l]
             beats = np.isnan(col) | (col > v)
-            # within the gap the float view cannot be trusted
+            # floats cannot be trusted within the gap; it is absolute below
+            # |v| = 1, where a tower holds e^v rather than v
             gap = _TIE_REL * np.maximum(np.maximum(np.abs(col), abs(v)), 1.0)
             near = np.isfinite(col) & ~(np.abs(col - v) > gap)
             for i in np.nonzero(run & near)[0]:
