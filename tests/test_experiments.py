@@ -103,6 +103,16 @@ def test_thm3_bad_x0_inconclusive():
     assert rep.verdict == ex.INCONCLUSIVE
 
 
+def test_thm3_rejects_zero_lambda(tmp_path):
+    with pytest.raises(ValueError, match="lam must be nonzero"):
+        ex.run_thm3(0j, 26.0, 7, 256)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thm3": {"lambda": 0.0}}))
+    with pytest.raises(ValueError, match="lam must be nonzero"):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm3"])
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_thm4_small_scan():
     f = fx.MittagLeffler(1.0, 0.1)
     rep = ex.run_thm4_scan(f, N=15, starts=50, seed=0)
