@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import functions as fx
 from .towers import TowerReal
@@ -125,12 +125,8 @@ def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
                        escalated_at=escalated_at, overflow_at=overflow_at)
 
 
-def log_spherical_derivative(orbit: OrbitRecord, n: int, chordal: bool = False) -> float:
-    """log (f^n)^#(z_0) = log|(f^n)'| - log(1 + |z_n|^2).
-
-    With chordal=True adds log(1 + |z_0|^2), giving the derivative in the
-    spherical metric on both source and target.
-    """
+def log_spherical_derivative(orbit: OrbitRecord, n: int) -> float:
+    """log (f^n)^#(z_0) = log|(f^n)'| - log(1 + |z_n|^2)."""
     if n >= len(orbit.log_deriv_prefix) or n >= orbit.length():
         raise IndexError(f"orbit data ends before n={n}")
     lm = orbit.log_mag(n)
@@ -140,11 +136,7 @@ def log_spherical_derivative(orbit: OrbitRecord, n: int, chordal: bool = False) 
         den = 0.0
     else:
         den = math.log1p(math.exp(2.0 * lm))
-    out = orbit.log_deriv_prefix[n] - den
-    if chordal:
-        a0 = abs(orbit.start)
-        out += math.log1p(a0 * a0)
-    return out
+    return orbit.log_deriv_prefix[n] - den
 
 
 @dataclass
@@ -156,7 +148,7 @@ class LyapunovEstimate:
     truncated: bool = False
 
 
-def lyapunov_estimate(f, z0: complex, N: int, chordal: bool = False) -> LyapunovEstimate:
+def lyapunov_estimate(f, z0: complex, N: int) -> LyapunovEstimate:
     """Finite-horizon Lyapunov surrogates from (1/n) log (f^n)^#.
 
     Only n >= N/2 enter the max/min, damping transients.
@@ -169,7 +161,7 @@ def lyapunov_estimate(f, z0: complex, N: int, chordal: bool = False) -> Lyapunov
         raise ValueError("orbit dies before step 2; no estimate")
     per_n = []
     for n in range(1, avail + 1):
-        per_n.append(log_spherical_derivative(orbit, n, chordal=chordal) / n)
+        per_n.append(log_spherical_derivative(orbit, n) / n)
     window = [v for n, v in enumerate(per_n, start=1) if n >= N / 2.0]
     if not window:
         window = per_n

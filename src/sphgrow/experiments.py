@@ -116,43 +116,24 @@ def run_thm7(f, U: ms.Region, R: float, m: int, n_range,
     grid = grid or ms.GridSpec()
     ns = sorted(n_range)
     table = fx.iterated_max_modulus(f, R, max(ns))
-    mus = {}
-    rows = []
-    for n in ns:
-        mus[n] = ms.mu_sup(f, U, n, grid)
+    log_mus = [ms.mu_sup(f, U, n, grid).log_mu for n in ns]
+
+    def rows_at(m_try):
+        return [_lower_bound_row(n, v, table, m_try) for n, v in zip(ns, log_mus)]
+
     # smallest m in [0, 6] that leaves at least one non-vacuous row and
     # makes every non-vacuous row hold; a shift that checks nothing is not
     # a working shift
-    def holds(n, m_try):
-        k = n - m_try
-        if k < 0:
-            return True
-        lhs = TowerReal.from_log(mus[n].log_mu)
-        rhs = table.log_levels[k].log()
-        return tower_compare(lhs, rhs) >= 0
     best_m = next((mm for mm in range(0, min(6, ns[-1]) + 1)
-                   if all(holds(n, mm) for n in ns)), None)
-    all_ok = True
-    for n in ns:
-        k = n - m
-        lhs = TowerReal.from_log(mus[n].log_mu)
-        if k < 0:
-            rows.append({"n": n, "lhs_tower": str(lhs), "rhs_tower": "",
-                         "margin_log": None, "vacuous": True, "violates": False})
-            continue
-        rhs = table.log_levels[k].log()
-        ok = tower_compare(lhs, rhs) >= 0
-        all_ok &= ok
-        rows.append({"n": n, "lhs_tower": str(lhs), "rhs_tower": str(rhs),
-                     "margin_log": _clean(_tower_margin_log(lhs, rhs)),
-                     "vacuous": False, "violates": not ok})
+                   if not any(r["violates"] for r in rows_at(mm))), None)
+    rows = rows_at(m)
     return ExperimentReport(
         experiment_id="thm7-sup-metric-vs-tower",
         function=fx.descriptor_to_json(f),
         parameters={"region": _region_json(U), "R": R, "m": m,
                     "n_range": ns, "grid": _grid_json(grid),
                     "smallest_working_m": best_m},
-        rows=rows, verdict=_lower_bound_verdict(rows, all_ok),
+        rows=rows, verdict=_lower_bound_verdict(rows),
         tolerances={"comparison": "exact tower order"},
         notes=_vacuous_notes(rows, m))
 
@@ -167,7 +148,6 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
     grid = grid or ms.GridSpec()
     ns = sorted(n_range)
     low_table = fx.iterated_max_modulus(f, R_lower, max(ns))
-    rows = []
     unconverged = False
     areas = {}
     for n in ns:
@@ -191,29 +171,19 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
             break
         R_up *= 2.0
         doublings += 1
-    all_low = True
+    rows = []
     for n in ns:
-        lhs = TowerReal.from_log(areas[n].log_value)
-        k = n - m
-        if k < 0:
-            rows.append({"n": n, "lhs_tower": str(lhs), "rhs_tower": "",
-                         "margin_log": None, "vacuous": True, "violates": False})
-            continue
-        rhs = low_table.log_levels[k].log()
-        ok = tower_compare(lhs, rhs) >= 0
-        all_low &= ok
-        row = {"n": n, "lhs_tower": str(lhs), "rhs_tower": str(rhs),
-               "margin_log": _clean(_tower_margin_log(lhs, rhs)),
-               "vacuous": False, "violates": not ok}
-        if upper_ok:
+        row = _lower_bound_row(n, areas[n].log_value, low_table, m)
+        if upper_ok and not row["vacuous"]:
             up = up_table.log_levels[n].log()
             row["upper_tower"] = str(up)
-            row["upper_margin_log"] = _clean(_tower_margin_log(up, lhs))
+            row["upper_margin_log"] = _clean(_tower_margin_log(
+                up, TowerReal.from_log(areas[n].log_value)))
         rows.append(row)
     if unconverged:
         verdict = INCONCLUSIVE
     else:
-        verdict = _lower_bound_verdict(rows, all_low and upper_ok)
+        verdict = _lower_bound_verdict(rows, upper_ok)
     return ExperimentReport(
         experiment_id="thm5-thm6-area-vs-tower",
         function=fx.descriptor_to_json(f),
@@ -227,9 +197,23 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
         notes=_vacuous_notes(rows, m))
 
 
-def _lower_bound_verdict(rows, all_ok: bool) -> str:
-    """Pass only when some lower-bound row was actually compared."""
-    if not all_ok:
+def _lower_bound_row(n: int, log_lhs: float, table, m: int) -> dict:
+    """Row comparing e^log_lhs with level n - m of table; vacuous when n < m."""
+    lhs = TowerReal.from_log(log_lhs)
+    if n < m:
+        return {"n": n, "lhs_tower": str(lhs), "rhs_tower": "",
+                "margin_log": None, "vacuous": True, "violates": False}
+    rhs = table.log_levels[n - m].log()
+    ok = tower_compare(lhs, rhs) >= 0
+    return {"n": n, "lhs_tower": str(lhs), "rhs_tower": str(rhs),
+            "margin_log": _clean(_tower_margin_log(lhs, rhs)),
+            "vacuous": False, "violates": not ok}
+
+
+def _lower_bound_verdict(rows, upper_ok: bool = True) -> str:
+    """Fail on a violated row or a failed upper bound; Pass only when some
+    lower-bound row was actually compared."""
+    if not upper_ok or any(r["violates"] for r in rows):
         return FAIL
     if all(r["vacuous"] for r in rows):
         return INCONCLUSIVE
@@ -421,13 +405,16 @@ def _check_growth_chain(orbit, t, horizon, rho, log_C, margin):
 def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
              x0_tier_a: float = 1e6, n_tier_a: int = 10_000) -> ExperimentReport:
     """Two-tier slow-escape verification of the log(1 + lambda) lower bound."""
-    tract = lg.LogTract(lam)
+    if n_tier_a < 1:
+        raise ValueError(f"n_tier_a={n_tier_a} must be >= 1")
+    if not x0_tier_a > lg.X0_FLOOR:
+        raise ValueError(f"x0_tier_a={x0_tier_a} must exceed {lg.X0_FLOOR:.6f} (8*pi)")
     target = math.log(1.0 + 1.0)  # lambda(f) = 1 for the exponential family
     tol = 0.15
     rows = []
     notes = []
     try:
-        sched = lg.schedule_build(tract, x0, n_max)
+        sched = lg.schedule_build(x0, n_max)
     except ValueError as exc:
         return ExperimentReport(
             experiment_id="thm3-slow-escape", function={"variant": "exp_affine",
@@ -443,10 +430,10 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
     achieved_n = 0
     tier_b_ok = True
     try:
-        trace = lg.slow_orbit_construct(tract, sched, precision_bits)
+        trace = lg.slow_orbit_construct(lam, sched, precision_bits)
         achieved_n = trace.length()
         for n in range(2, n_max + 1):
-            bound = lg.log_sph_deriv_from_logplane(tract, trace, n)
+            bound = lg.log_sph_deriv_from_logplane(trace, n)
             stat = math.log(bound) / n if bound > 1.0 else -math.inf
             ok = (n < n_max) or stat >= target - tol
             tier_b_ok &= ok
@@ -458,7 +445,7 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
         tier_b_ok = False
         notes.append(f"construction failed at n={achieved_n}: {exc}")
     # tier a: pure schedule arithmetic out to n_tier_a
-    sched_a = lg.schedule_build(tract, x0_tier_a, n_tier_a)
+    sched_a = lg.schedule_build(x0_tier_a, n_tier_a)
     tier_a_ok = True
     for n in sorted({n for n in (10, 100, 1000, n_tier_a) if n <= n_tier_a}):
         stat = lg.schedule_growth_statistic(sched_a, n)

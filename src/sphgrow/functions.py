@@ -441,36 +441,6 @@ def iterated_max_modulus(f, R: float, n_max: int) -> MaxModulusTable:
 
 
 # ---------------------------------------------------------------------------
-# order estimation and convexity
-
-
-def lower_order_estimate(f, r_grid) -> float:
-    """min over the grid tail of log log M(r,f) / log r."""
-    rs = [float(r) for r in r_grid]
-    if len(rs) < 10:
-        raise ValueError("need at least 10 grid points")
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("grid must be increasing")
-    if math.log10(rs[-1] / rs[0]) < 6.0:
-        raise ValueError("grid must span at least 6 decades")
-    tail = rs[len(rs) // 2:]
-    best = math.inf
-    for r in tail:
-        lm = log_max_modulus(f, r)
-        if lm <= 0.0:
-            continue
-        best = min(best, math.log(lm) / math.log(r))
-    return best
-
-
-def hadamard_convexity_check(f, r: float, c: float) -> bool:
-    """log M(r^c, f) >= c log M(r, f) for c > 1 and r past the threshold."""
-    if c <= 1.0:
-        raise ValueError("c must exceed 1")
-    return log_max_modulus(f, r**c) >= c * log_max_modulus(f, r)
-
-
-# ---------------------------------------------------------------------------
 # empirical derivative-growth constant C: |f'| <= C |z|^(rho-1) |f| on the
 # sampled set {1 <= |z| <= 1e4, |f| >= 1}
 

@@ -22,6 +22,7 @@ import numpy as np
 
 LOG_96PI = math.log(96.0 * math.pi)
 FOUR_PI = 4.0 * math.pi
+X0_FLOOR = 8.0 * math.pi  # smallest schedule start; above e^2, so delta(x0) < 1/2
 
 
 class PrecisionExhausted(Exception):
@@ -30,81 +31,6 @@ class PrecisionExhausted(Exception):
 
 class ScheduleInfeasible(Exception):
     """A backward target cannot be reached inside the tract."""
-
-
-# ---------------------------------------------------------------------------
-# tract
-
-
-@dataclass(frozen=True)
-class LogTract:
-    lam: complex
-    alpha_cutoff: float = 0.0
-
-    def __post_init__(self):
-        if self.lam == 0:
-            raise ValueError("lam must be nonzero")
-
-    @property
-    def log_lam(self) -> complex:
-        return complex(mp.log(mp.mpc(self.lam)))
-
-    def F_double(self, w: complex) -> complex:
-        z = complex(w)
-        return complex(math.exp(z.real) * math.cos(z.imag),
-                       math.exp(z.real) * math.sin(z.imag)) + self.log_lam
-
-    def F_prime_double(self, w: complex) -> complex:
-        z = complex(w)
-        return complex(math.exp(z.real) * math.cos(z.imag),
-                       math.exp(z.real) * math.sin(z.imag))
-
-
-def pullback(v: complex) -> complex:
-    """Exact inverse on log-polar targets: G(L, theta) = L + i*theta."""
-    return complex(math.log(abs(v)), math.atan2(v.imag, v.real))
-
-
-def tract_invariant_report(tract: LogTract, samples: int = 100,
-                           seed: int = 0) -> dict:
-    """Check 2*pi*i periodicity of F and exp(F(w)) == f(e^w)."""
-    rng = np.random.default_rng(seed)
-    ws = rng.uniform(0.2, 3.0, samples) + 1j * rng.uniform(-1.4, 1.4, samples)
-    worst_periodic = 0.0
-    worst_semiconj = 0.0
-    for w in ws:
-        a = tract.F_double(w)
-        b = tract.F_double(w + 2j * math.pi)
-        worst_periodic = max(worst_periodic, abs(a - b) / max(abs(a), 1.0))
-        lhs = np.exp(a)
-        rhs = tract.lam * np.exp(np.exp(w))
-        worst_semiconj = max(worst_semiconj, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    return {"samples": samples,
-            "max_periodicity_error": float(worst_periodic),
-            "max_semiconjugacy_error": float(worst_semiconj),
-            "passed": worst_periodic < 1e-12 and worst_semiconj <= 1e-10}
-
-
-def el_inequality_check(tract: LogTract, samples: int = 1000,
-                        seed: int = 0) -> dict:
-    """Expansion estimate |F'(w)| >= Re F(w) / (4*pi) on the base strip."""
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-    rng = np.random.default_rng(seed)
-    ws = rng.uniform(0.0, 6.0, samples) + 1j * rng.uniform(
-        -math.pi / 2, math.pi / 2, samples)
-    min_ratio = math.inf
-    used = 0
-    for w in ws:
-        re_F = tract.F_double(w).real
-        if re_F <= 0.0:
-            continue
-        used += 1
-        ratio = abs(tract.F_prime_double(w)) * FOUR_PI / re_F
-        min_ratio = min(min_ratio, ratio)
-    return {"samples": samples, "used": used,
-            "min_ratio": float(min_ratio),
-            "passed": used > 0 and min_ratio >= 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +46,18 @@ class SlowEscapeSchedule:
         return len(self.x)
 
 
-def schedule_build(tract: LogTract, x0: float, n_max: int) -> SlowEscapeSchedule:
+def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
     """Targets x_{n+1} = (1+lambda) x_n / (1 + delta(x_n)), delta = 1/log x.
 
     The first step is x_1 = (lambda - delta(x_0)) x_0 / (1 + delta(x_0)).
-    Each step also checks the partial-sum inequality and x_n <= e^(x_{n-1})
-    (as log x_n <= x_{n-1}, reusing the log the next step needs).
+    Each step also checks the partial-sum inequality.  No step can break
+    x_n <= e^(x_{n-1}): it multiplies by at most 2/(1+delta) < 2, and
+    2x < e^x for every real x.
     """
     lam_low = 1.0  # growth exponent of h(x) = e^x for the exponential family
-    floor = max(tract.alpha_cutoff, 8.0 * math.pi, math.e**2)
-    if not x0 > floor:
-        which = max((tract.alpha_cutoff, "alpha_cutoff"),
-                    (8.0 * math.pi, "8*pi"), (math.e**2, "e^2"))
+    if not x0 > X0_FLOOR:
         raise ValueError(
-            f"x0={x0} must exceed {which[0]:.6f} (binding bound: {which[1]})")
+            f"x0={x0} must exceed {X0_FLOOR:.6f} (binding bound: 8*pi)")
     if n_max < 0:
         raise ValueError(f"n_max={n_max} must be >= 0")
     with mp.workprec(96):
@@ -149,10 +73,7 @@ def schedule_build(tract: LogTract, x0: float, n_max: int) -> SlowEscapeSchedule
             partial += (lam_low - d) * x
             if partial < (1.0 + d) * x_n * shave:
                 fails.append(f"partial-sum inequality at n={n}")
-            log_x = mp.log(x_n)
-            if log_x > x:
-                fails.append(f"x_{n} > e^x_{n-1}")
-            x, d = x_n, 1.0 / log_x
+            x, d = x_n, 1.0 / mp.log(x_n)
             xs.append(x)
     return SlowEscapeSchedule(x=xs, invariant_failures=fails)
 
@@ -196,7 +117,7 @@ class SlowOrbitTrace:
             "steps": self.steps}, sort_keys=True, indent=1)
 
 
-def slow_orbit_construct(tract: LogTract, schedule: SlowEscapeSchedule,
+def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule,
                          precision_bits: int) -> SlowOrbitTrace:
     """Backward orbit whose forward Re F^n hit the schedule within 4*pi.
 
@@ -204,6 +125,8 @@ def slow_orbit_construct(tract: LogTract, schedule: SlowEscapeSchedule,
     branch fixed to the positive-imaginary side of strip 0.  The base point
     is then verified forward at twice the working precision.
     """
+    if lam == 0:
+        raise ValueError("lam must be nonzero")
     if precision_bits < 53:
         raise ValueError("precision_bits must be at least 53")
     xs = schedule.x
@@ -215,7 +138,7 @@ def slow_orbit_construct(tract: LogTract, schedule: SlowEscapeSchedule,
     internal = max(precision_bits, int(1.5 * max_x) + 64,
                    int(1.45 * float(mp.fsum(xs[:n_max]))) + 64)
     with mp.workprec(internal):
-        log_lam = mp.log(mp.mpc(tract.lam))
+        log_lam = mp.log(mp.mpc(lam))
         two_pi = 2 * mp.pi
         w = mp.mpc(xs[n_max], 0)      # topmost point: real axis, Re = x_n
         ws = [w]
@@ -238,7 +161,7 @@ def slow_orbit_construct(tract: LogTract, schedule: SlowEscapeSchedule,
     # forward verification at doubled precision
     with mp.workprec(2 * internal):
         v = mp.mpc(u)
-        log_lam = mp.log(mp.mpc(tract.lam))
+        log_lam = mp.log(mp.mpc(lam))
         re_F = [float(v.real)]
         steps = []
         for n in range(1, n_max + 1):
@@ -264,8 +187,7 @@ def slow_orbit_construct(tract: LogTract, schedule: SlowEscapeSchedule,
                           precision_bits=internal)
 
 
-def log_sph_deriv_from_logplane(tract: LogTract, trace: SlowOrbitTrace,
-                                n: int) -> float:
+def log_sph_deriv_from_logplane(trace: SlowOrbitTrace, n: int) -> float:
     """Certified lower bound on log (f^n)^#(e^u) from the trace.
 
     log (f^n)^# >= log|(F^n)'(u)| - log 2 - log|z| - Re F^n(u), and for this

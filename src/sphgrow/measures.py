@@ -108,7 +108,6 @@ def logphi_batch(f, xs: np.ndarray, ys: np.ndarray, n: int):
 @dataclass
 class MuSupResult:
     log_mu: float
-    log_mu_chordal: float
     evaluations: int
     refinements: int
     overflow_points: int
@@ -175,7 +174,6 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     if vals.size == 0:
         raise ValueError(f"every grid orbit overflows before n={n}; use smaller n")
     best = float(vals.max())
-    best_chordal = _chordal_best(lp, X, Y)
     spread_ref = float(vals.max() - vals.min()) if vals.size > 1 else 0.0
     threshold = grid.rel_tol * max(spread_ref, 1.0)
 
@@ -201,7 +199,6 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         if finite.any():
             cand = float(lpv[finite].max())
             best = max(best, cand)
-            best_chordal = max(best_chordal, _chordal_best(lpv, xs, ys))
         # subcells (p, q) of each cell, x half p outer; their corners are
         # block[p:p+2, q:q+2]
         block = lpv.reshape(-1, 3, 3)
@@ -214,16 +211,8 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         # refine only the most promising cells (the widest first) to bound the work
         keep = np.argsort(-(sub[1] - sub[0]), kind="stable")[:4096]
         a, b, c, d = (e[keep] for e in sub)
-    return MuSupResult(log_mu=best, log_mu_chordal=best_chordal,
-                       evaluations=evals, refinements=rounds,
+    return MuSupResult(log_mu=best, evaluations=evals, refinements=rounds,
                        overflow_points=overflow)
-
-
-def _chordal_best(lp: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
-    """Largest finite log chordal value lp + log(1+|z|^2), element-wise in any shape."""
-    vals = lp + np.log1p(X * X + Y * Y)
-    vals = vals[np.isfinite(vals)]
-    return float(vals.max()) if vals.size else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +350,12 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
 # characteristics
 
 
-def nevanlinna_T(f, r: float, panels: int = 4096) -> float:
+def nevanlinna_T(f, r: float) -> float:
     """(1/2pi) circle mean of log+ |f|; kink-splitting trapezoid rule."""
     if r <= 0.0:
         raise ValueError("r must be positive")
     logr = math.log(r)
+    panels = 4096
 
     def g(theta: float) -> float:
         lm, _ = fx.log_eval(f, (logr, theta))

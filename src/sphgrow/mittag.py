@@ -80,13 +80,13 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
 
 
-def ml_series(alpha: float, z: complex, max_terms: int = MAX_SERIES_TERMS) -> complex:
+def ml_series(alpha: float, z: complex) -> complex:
     """Truncated power series; accurate while |z|**(1/alpha) is moderate."""
     _check_alpha(alpha)
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     biggest = 1.0
-    for n in range(1, max_terms):
+    for n in range(1, MAX_SERIES_TERMS):
         term *= z * math.exp(math.lgamma(alpha * (n - 1) + 1.0) - math.lgamma(alpha * n + 1.0))
         total += term
         mag = abs(term)
@@ -96,14 +96,14 @@ def ml_series(alpha: float, z: complex, max_terms: int = MAX_SERIES_TERMS) -> co
     return total
 
 
-def ml_series_derivative(alpha: float, z: complex, max_terms: int = MAX_SERIES_TERMS) -> complex:
+def ml_series_derivative(alpha: float, z: complex) -> complex:
     """Term-wise derivative sum n z^(n-1) / Gamma(alpha n + 1)."""
     _check_alpha(alpha)
     # term_n = n z^(n-1) / Gamma(alpha n + 1)
     total = 1.0 / math.gamma(alpha + 1.0) + 0.0j
     term = total
     biggest = abs(total)
-    for n in range(2, max_terms):
+    for n in range(2, MAX_SERIES_TERMS):
         term *= z * (n / (n - 1)) * math.exp(
             math.lgamma(alpha * (n - 1) + 1.0) - math.lgamma(alpha * n + 1.0)
         )

@@ -145,6 +145,30 @@ def test_no_variant_dispatch_outside_functions(module):
     assert _descriptor_type_checks(SRC / f"{module}.py") == []
 
 
+def _unreached_public_functions() -> list:
+    """Public functions and methods of the library that no library module,
+    perfbench file or acceptance test names."""
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.setdefault(node.name, f"{path.stem}.{node.name}")
+    root = pathlib.Path(__file__).parents[1]
+    callers = [*SRC.glob("*.py"), *(root / "perfbench").glob("*.py"),
+               root / "tests" / "test_acceptance.py"]
+    named = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            named.add(getattr(node, "attr", getattr(node, "id", None)))
+    return sorted(where for name, where in defined.items() if name not in named)
+
+
+def test_every_public_function_has_a_caller():
+    # a function only its own unit test calls checks nothing the CLI,
+    # the experiments or the benchmark reports
+    assert _unreached_public_functions() == []
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -38,14 +38,6 @@ def test_spherical_derivative_square_map():
     assert math.isclose(got, want, rel_tol=0, abs_tol=1e-9)
 
 
-def test_chordal_adds_source_factor():
-    z0 = 2.0 + 1.0j
-    orbit = dy.iterate_orbit(SQUARE, z0, 3)
-    plain = dy.log_spherical_derivative(orbit, 2)
-    chordal = dy.log_spherical_derivative(orbit, 2, chordal=True)
-    assert math.isclose(chordal - plain, math.log1p(abs(z0) ** 2), rel_tol=1e-12)
-
-
 def test_lyapunov_estimate_square_map():
     est = dy.lyapunov_estimate(SQUARE, cmath.exp(0.7j), 30)
     # on the unit circle (1/n) log (f^n)^# -> log 2

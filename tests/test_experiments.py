@@ -113,6 +113,20 @@ def test_thm3_rejects_zero_lambda(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n_tier_a", 0, "^n_tier_a=0 must be >= 1$"),
+    ("x0_tier_a", 5.0, r"^x0_tier_a=5.0 must exceed 25.132741 \(8\*pi\)$"),
+])
+def test_thm3_rejects_bad_tier_a(tmp_path, key, value, message):
+    with pytest.raises(ValueError, match=message):
+        ex.run_thm3(1.0, 26.0, 3, 256, **{key: value})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thm3": {key: value}}))
+    with pytest.raises(ValueError, match=message):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm3"])
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_thm4_small_scan():
     f = fx.MittagLeffler(1.0, 0.1)
     rep = ex.run_thm4_scan(f, N=15, starts=50, seed=0)

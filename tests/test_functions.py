@@ -117,14 +117,3 @@ def test_descriptor_json_roundtrip():
         g = fx.descriptor_from_json(fx.descriptor_to_json(f))
         assert type(g) is type(f)
         assert fx.descriptor_to_json(g) == fx.descriptor_to_json(f)
-
-
-def test_hadamard_convexity():
-    assert fx.hadamard_convexity_check(fx.ExpAffine(1.0), 10.0, 2.0)
-    assert fx.hadamard_convexity_check(fx.Polynomial((0, 0, 1)), 10.0, 2.0)
-
-
-def test_lower_order_estimate():
-    r_grid = np.geomspace(10.0, 1e8, 14)
-    est = fx.lower_order_estimate(fx.ExpAffine(1.0), r_grid)
-    assert math.isclose(est, 1.0, abs_tol=0.1)

@@ -1,5 +1,5 @@
-"""Logarithmic change of variable: tract invariants, slow-escape schedules,
-and the backward orbit construction."""
+"""Logarithmic change of variable: slow-escape schedules and the backward
+orbit construction."""
 
 import math
 
@@ -8,30 +8,9 @@ import pytest
 
 from sphgrow import logplane as lp
 
-TRACT = lp.LogTract(1.0)
-
-
-def test_pullback():
-    w = lp.pullback(2.0 + 0j)
-    assert math.isclose(w.real, math.log(2.0), rel_tol=1e-15)
-    assert w.imag == 0.0
-    assert abs(lp.pullback(1j).imag - math.pi / 2) < 1e-15
-
-
-def test_tract_semiconjugacy():
-    rep = lp.tract_invariant_report(TRACT, samples=200, seed=1)
-    assert rep["passed"]
-    assert rep["max_semiconjugacy_error"] <= 1e-10
-    assert rep["max_periodicity_error"] <= 1e-12
-
-
-def test_expansion_inequality():
-    rep = lp.el_inequality_check(TRACT, samples=1000, seed=1)
-    assert rep["min_ratio"] >= 1.0
-
 
 def test_schedule_known_values():
-    sched = lp.schedule_build(TRACT, 26.0, 8)
+    sched = lp.schedule_build(26.0, 8)
     # regression anchors for the first two recurrence steps at x0 = 26
     assert math.isclose(float(sched.x[1]), 13.78797062591687, rel_tol=1e-12)
     assert math.isclose(float(sched.x[2]), 19.96625866810981, rel_tol=1e-12)
@@ -47,7 +26,7 @@ def test_schedule_known_values():
 def test_schedule_partial_sum_gap_at_n2():
     # the partial-sum inequality fails at n = 2 for every admissible x0:
     # its induction step needs x1 >= x0, but x1 < x0 never holds there.
-    sched = lp.schedule_build(TRACT, 26.0, 8)
+    sched = lp.schedule_build(26.0, 8)
     assert any("n=2" in note for note in sched.invariant_failures)
     # and holds again once delta(x) has decayed
     assert not any(f"n={k}" in note for note in sched.invariant_failures
@@ -55,24 +34,25 @@ def test_schedule_partial_sum_gap_at_n2():
 
 
 def test_schedule_precondition_names_binding_bound():
-    with pytest.raises(ValueError, match="8\\*pi"):
-        lp.schedule_build(TRACT, 10.0, 4)
+    with pytest.raises(ValueError, match=r"^x0=10.0 must exceed 25.132741 "
+                                         r"\(binding bound: 8\*pi\)$"):
+        lp.schedule_build(10.0, 4)
 
 
 def test_schedule_rejects_negative_n_max():
     with pytest.raises(ValueError, match="n_max=-1"):
-        lp.schedule_build(TRACT, 26.0, -1)
+        lp.schedule_build(26.0, -1)
 
 
 def test_growth_statistic_tends_to_log2():
-    sched = lp.schedule_build(TRACT, 1e6, 1200)
+    sched = lp.schedule_build(1e6, 1200)
     stat = lp.schedule_growth_statistic(sched, 1000)
     assert abs(float(stat) - math.log(2.0)) < 5e-3
 
 
 def test_slow_orbit_tracks_schedule():
-    sched = lp.schedule_build(TRACT, 26.0, 7)
-    trace = lp.slow_orbit_construct(TRACT, sched, precision_bits=256)
+    sched = lp.schedule_build(26.0, 7)
+    trace = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
     for n in range(1, 8):
         assert abs(trace.re_F[n] - float(sched.x[n])) <= lp.FOUR_PI
     # internal precision was raised to what the target magnitudes demand
@@ -80,18 +60,18 @@ def test_slow_orbit_tracks_schedule():
 
 
 def test_slow_orbit_derivative_statistic():
-    sched = lp.schedule_build(TRACT, 26.0, 7)
-    trace = lp.slow_orbit_construct(TRACT, sched, precision_bits=256)
+    sched = lp.schedule_build(26.0, 7)
+    trace = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
     n = 7
-    log_phi = lp.log_sph_deriv_from_logplane(TRACT, trace, n)
+    log_phi = lp.log_sph_deriv_from_logplane(trace, n)
     stat = math.log(log_phi) / n
     assert stat >= math.log(2.0) - 0.15
 
 
 def test_slow_orbit_json_stable():
-    sched = lp.schedule_build(TRACT, 26.0, 5)
-    t1 = lp.slow_orbit_construct(TRACT, sched, precision_bits=256)
-    t2 = lp.slow_orbit_construct(TRACT, sched, precision_bits=256)
+    sched = lp.schedule_build(26.0, 5)
+    t1 = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
+    t2 = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
     assert t1.to_json() == t2.to_json()
 
 

@@ -41,12 +41,6 @@ def test_mu_sup_exp_small_disk():
     assert res.log_mu >= want - 0.05 or res.log_mu >= want - abs(want) * 0.01
 
 
-def test_mu_sup_chordal_at_least_spherical():
-    U = ms.Region.rectangle(2.0 + 0j, 0.3, 0.3)
-    res = ms.mu_sup(SQUARE, U, 2, GRID)
-    assert res.log_mu_chordal >= res.log_mu
-
-
 def test_area_law_whole_plane_square():
     # S(D(0, R), z^2) -> deg = 2 as R -> infinity
     res = ms.spherical_area(SQUARE, ms.Region.disk(0j, 1e6), 1, GRID)
