@@ -1,6 +1,7 @@
 """Experiment harness: verdicts, report serialization, determinism, render
 output, and the CLI entry point."""
 
+import hashlib
 import json
 import math
 import os
@@ -168,6 +169,27 @@ def test_cli_specfun(tmp_path):
     assert report["verdict"] == "Pass"
     assert (tmp_path / "rows.csv").read_text().startswith(
         "n,lhs_tower,rhs_tower,margin_log")
+
+
+# sha256 of report.json and rows.csv at CLI defaults with --seed 7.  The
+# goldens run other configs, and the thm4scan golden has no rows, so these
+# are what catch a last-bit change in the orbit-level experiments.
+DEFAULT_OUTPUT_SHA256 = {
+    "thm3": ("f9f67a66c2c4d2b44d642605fad72656f94937a7409bb0427b8141bcc4e8bfd9",
+             "34fd01277d0eb3234c4a0bf071a0151a3e5f703402c314166cec6fc4fe0e9717"),
+    "thm4scan": ("b6448b27e4696cf73d826dbaa56f8b40edc1bd95b83662718b472b4e159c35e8",
+                 "ed4c109e0b623c81ecb48145d20697c1b0f31b6086388e45cef315c38b089989"),
+    "specfun-check": ("923f5c38d2bd5832f988e957a23868226ba5e7819ef4bc7e0cadb5d4bc029a32",
+                      "34238fdbbf7709f5d9bbfc9bbe22800520d0fbeedce455992f19b6a886fb120c"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(DEFAULT_OUTPUT_SHA256))
+def test_default_cli_outputs_pinned(tmp_path, sub):
+    assert cli.main(["--seed", "7", "--out", str(tmp_path), sub]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("report.json", "rows.csv"))
+    assert digests == DEFAULT_OUTPUT_SHA256[sub]
 
 
 def test_cli_byte_identical(tmp_path):
