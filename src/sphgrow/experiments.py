@@ -413,17 +413,8 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
     tol = 0.15
     rows = []
     notes = []
-    try:
-        sched = lg.schedule_build(x0, n_max)
-    except ValueError as exc:
-        return ExperimentReport(
-            experiment_id="thm3-slow-escape", function={"variant": "exp_affine",
-            "lambda": [float(np.real(lam)), float(np.imag(lam))]},
-            parameters={"x0": x0, "n_max": n_max,
-                        "precision_bits": precision_bits},
-            rows=[], verdict=INCONCLUSIVE,
-            tolerances={"slope_tol": tol},
-            notes=[f"schedule precondition failed: {exc}"])
+    # the first step: schedule_build rejects a bad x0 or n_max by name
+    sched = lg.schedule_build(x0, n_max)
     if sched.invariant_failures:
         notes.append("schedule invariant failures: "
                      + "; ".join(sched.invariant_failures))

@@ -123,7 +123,10 @@ def poly_logphi(x0, y0, n: int, coefficients):
 
 
 def expaffine_logmags(x0, y0, loglam: float, arglam: float, n_max: int, log_escape: float):
-    """Orbit table of log|z_k| (nan past double overflow) and first-escape index."""
+    """Orbit table of log|z_k| (nan past double overflow) and first-escape index.
+
+    Each step works only on the live rows, the orbits still below e^709.
+    """
     x = np.ascontiguousarray(x0, dtype=np.float64)
     y = np.ascontiguousarray(y0, dtype=np.float64)
     m = x.shape[0]
@@ -132,17 +135,17 @@ def expaffine_logmags(x0, y0, loglam: float, arglam: float, n_max: int, log_esca
         r2 = x * x + y * y
         table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
         escape_step = np.full(m, -1, dtype=np.int64)
-        alive = np.ones(m, dtype=bool)
+        live = np.arange(m)
         for k in range(1, n_max + 1):
             ll = x + loglam
+            table[live, k] = ll
+            newly = (ll > log_escape) & (escape_step[live] < 0)
+            escape_step[live[newly]] = k
+            keep = ~(ll > _EXP_LIMIT)
+            if not keep.all():
+                live, ll, y = live[keep], ll[keep], y[keep]
             a = y + arglam
-            table[alive, k] = ll[alive]
-            newly = alive & (escape_step < 0) & (ll > log_escape)
-            escape_step[newly] = k
-            over = alive & (ll > _EXP_LIMIT)
-            alive = alive & ~over
-            safe = np.where(alive, np.minimum(ll, _EXP_LIMIT), 0.0)
-            r = np.exp(safe)
-            x = np.where(alive, r * np.cos(a), x)
-            y = np.where(alive, r * np.sin(a), y)
+            r = np.exp(ll)
+            x = r * np.cos(a)
+            y = r * np.sin(a)
     return table, escape_step

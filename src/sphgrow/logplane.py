@@ -54,26 +54,29 @@ def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
     x_n <= e^(x_{n-1}): it multiplies by at most 2/(1+delta) < 2, and
     2x < e^x for every real x.
     """
-    lam_low = 1.0  # growth exponent of h(x) = e^x for the exponential family
     if not x0 > X0_FLOOR:
         raise ValueError(
             f"x0={x0} must exceed {X0_FLOOR:.6f} (binding bound: 8*pi)")
     if n_max < 0:
         raise ValueError(f"n_max={n_max} must be >= 0")
+    # every operand is an mpf: a float operand costs a conversion per use
+    one = mp.mpf(1)
+    lam_low = one  # growth exponent of h(x) = e^x for the exponential family
+    grow = one + lam_low  # the factor 1 + lambda of every step after the first
     with mp.workprec(96):
         x = mp.mpf(x0)
-        d = 1.0 / mp.log(x)
+        d = one / mp.log(x)
         xs = [x]
         fails = []
         partial = mp.mpf(0)
         shave = 1 - mp.mpf(2)**-60
         for n in range(1, n_max + 1):
-            grow = lam_low - d if n == 1 else 1.0 + lam_low
-            x_n = grow / (1.0 + d) * x
-            partial += (lam_low - d) * x
-            if partial < (1.0 + d) * x_n * shave:
+            low, high = lam_low - d, one + d
+            x_n = (low if n == 1 else grow) / high * x
+            partial += low * x
+            if partial < high * x_n * shave:
                 fails.append(f"partial-sum inequality at n={n}")
-            x, d = x_n, 1.0 / mp.log(x_n)
+            x, d = x_n, one / mp.log(x_n)
             xs.append(x)
     return SlowEscapeSchedule(x=xs, invariant_failures=fails)
 

@@ -38,6 +38,7 @@ _SERIES_TRUST = 1e-12
 _EPS = 2.2e-16
 
 _switch_cache: dict[float, float] = {}
+_ratio_cache: dict[float, list] = {}
 
 
 def _log_max_term(alpha: float, r: float) -> float:
@@ -80,17 +81,31 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
 
 
+def _series_ratios(alpha: float) -> list:
+    """c[n] = Gamma(alpha (n-1) + 1) / Gamma(alpha n + 1), n >= 1; c[0] unused.
+
+    Term n of the series is term n-1 times z * c[n].  Computed once per alpha.
+    """
+    if alpha not in _ratio_cache:
+        lg = [math.lgamma(alpha * n + 1.0) for n in range(MAX_SERIES_TERMS)]
+        _ratio_cache[alpha] = [math.nan] + [math.exp(lg[n - 1] - lg[n])
+                                            for n in range(1, MAX_SERIES_TERMS)]
+    return _ratio_cache[alpha]
+
+
 def ml_series(alpha: float, z: complex) -> complex:
     """Truncated power series; accurate while |z|**(1/alpha) is moderate."""
     _check_alpha(alpha)
+    c = _series_ratios(alpha)
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     biggest = 1.0
     for n in range(1, MAX_SERIES_TERMS):
-        term *= z * math.exp(math.lgamma(alpha * (n - 1) + 1.0) - math.lgamma(alpha * n + 1.0))
+        term *= z * c[n]
         total += term
         mag = abs(term)
-        biggest = max(biggest, mag)
+        if mag > biggest:
+            biggest = mag
         if mag < _SERIES_STOP * biggest and n > 3:
             break
     return total
@@ -99,17 +114,17 @@ def ml_series(alpha: float, z: complex) -> complex:
 def ml_series_derivative(alpha: float, z: complex) -> complex:
     """Term-wise derivative sum n z^(n-1) / Gamma(alpha n + 1)."""
     _check_alpha(alpha)
+    c = _series_ratios(alpha)
     # term_n = n z^(n-1) / Gamma(alpha n + 1)
     total = 1.0 / math.gamma(alpha + 1.0) + 0.0j
     term = total
     biggest = abs(total)
     for n in range(2, MAX_SERIES_TERMS):
-        term *= z * (n / (n - 1)) * math.exp(
-            math.lgamma(alpha * (n - 1) + 1.0) - math.lgamma(alpha * n + 1.0)
-        )
+        term *= z * (n / (n - 1)) * c[n]
         total += term
         mag = abs(term)
-        biggest = max(biggest, mag)
+        if mag > biggest:
+            biggest = mag
         if mag < _SERIES_STOP * biggest and n > 3:
             break
     return total
@@ -117,12 +132,12 @@ def ml_series_derivative(alpha: float, z: complex) -> complex:
 
 def ml_series_vec(alpha: float, z: np.ndarray) -> tuple:
     """Vectorized (E_alpha, E_alpha') by the power series; |z| moderate."""
+    c = _series_ratios(alpha)
     e = np.ones(z.shape, dtype=np.complex128)
     de = np.full(z.shape, 1.0 / math.gamma(alpha + 1.0), dtype=np.complex128)
     term = np.ones(z.shape, dtype=np.complex128)
     for n in range(1, 400):
-        term = term * z * math.exp(math.lgamma(alpha * (n - 1) + 1.0)
-                                   - math.lgamma(alpha * n + 1.0))
+        term = term * z * c[n]
         e += term
         if n > 1:  # the n=1 derivative term seeds de above
             de += n * term / z

@@ -96,18 +96,18 @@ def _classify_fast(logmags, table, l_max, n_max):
     log_M = [t.log().value() for t in table.log_levels]
     fast = np.zeros(logmags.shape[0], dtype=bool)
     for l in range(l_max + 1):
-        run = ~fast
+        run = np.flatnonzero(~fast)  # the pixels still in the running for l
         for n in range(l, n_max + 1):
-            col, v = logmags[:, n], log_M[n - l]
+            col, v = logmags[run, n], log_M[n - l]
             beats = np.isnan(col) | (col > v)
             # floats cannot be trusted within the gap; it is absolute below
             # |v| = 1, where a tower holds e^v rather than v
             gap = _TIE_REL * np.maximum(np.maximum(np.abs(col), abs(v)), 1.0)
             near = np.isfinite(col) & ~(np.abs(col - v) > gap)
-            for i in np.nonzero(run & near)[0]:
+            for i in np.flatnonzero(near):
                 beats[i] = TowerReal.from_log(col[i]) > table.log_levels[n - l]
-            run &= beats
-        fast |= run
+            run = run[beats]
+        fast[run] = True
     return fast
 
 

@@ -99,11 +99,6 @@ def test_thm3_tier_a_rows_distinct(n_tier_a, expect):
     assert [row["n"] for row in rep.rows if row["tier"] == "a"] == expect
 
 
-def test_thm3_bad_x0_inconclusive():
-    rep = ex.run_thm3(1.0, 10.0, 7, 256, x0_tier_a=1e6, n_tier_a=100)
-    assert rep.verdict == ex.INCONCLUSIVE
-
-
 def test_thm3_rejects_zero_lambda(tmp_path):
     with pytest.raises(ValueError, match="lam must be nonzero"):
         ex.run_thm3(0j, 26.0, 7, 256)
@@ -117,10 +112,14 @@ def test_thm3_rejects_zero_lambda(tmp_path):
 @pytest.mark.parametrize("key, value, message", [
     ("n_tier_a", 0, "^n_tier_a=0 must be >= 1$"),
     ("x0_tier_a", 5.0, r"^x0_tier_a=5.0 must exceed 25.132741 \(8\*pi\)$"),
+    ("x0", 10.0, r"^x0=10.0 must exceed 25.132741 \(binding bound: 8\*pi\)$"),
+    ("n_max", -1, "^n_max=-1 must be >= 0$"),
 ])
 def test_thm3_rejects_bad_tier_a(tmp_path, key, value, message):
+    # a bad tier-b start fails as loudly as a bad tier-a one: no report at all
+    args = {"lam": 1.0, "x0": 26.0, "n_max": 3, "precision_bits": 256, key: value}
     with pytest.raises(ValueError, match=message):
-        ex.run_thm3(1.0, 26.0, 3, 256, **{key: value})
+        ex.run_thm3(**args)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"thm3": {key: value}}))
     with pytest.raises(ValueError, match=message):

@@ -1,8 +1,10 @@
 """Vectorized orbit kernels agree with the scalar orbit code in dynamics."""
 
+import cmath
 import math
 
 import numpy as np
+import pytest
 
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
@@ -125,3 +127,60 @@ def test_logmags_escape_index():
             assert abs(table[i, k] - lm[k]) <= 1e-9 + 1e-8 * abs(lm[k]), (i, k)
             pairs += 1
     assert pairs > 4800
+
+
+def _logmags_full_width(x0, y0, loglam, arglam, n_max, log_escape):
+    """expaffine_logmags as it was first written: every step over every orbit."""
+    x = np.ascontiguousarray(x0, dtype=np.float64)
+    y = np.ascontiguousarray(y0, dtype=np.float64)
+    m = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = np.full((m, n_max + 1), np.nan)
+        r2 = x * x + y * y
+        table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
+        escape_step = np.full(m, -1, dtype=np.int64)
+        alive = np.ones(m, dtype=bool)
+        for k in range(1, n_max + 1):
+            ll = x + loglam
+            a = y + arglam
+            table[alive, k] = ll[alive]
+            newly = alive & (escape_step < 0) & (ll > log_escape)
+            escape_step[newly] = k
+            over = alive & (ll > 709.0)
+            alive = alive & ~over
+            safe = np.where(alive, np.minimum(ll, 709.0), 0.0)
+            r = np.exp(safe)
+            x = np.where(alive, r * np.cos(a), x)
+            y = np.where(alive, r * np.sin(a), y)
+    return table, escape_step
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3 - 0.2j])
+def test_logmags_bit_identical_to_full_width(lam):
+    # the live-row kernel must reproduce every bit, NaN tails included
+    n_max = 12
+    side = np.linspace(-3.0, 3.0, 200)
+    X, Y = np.meshgrid(side + 1.0, side)
+    # and backward orbits that reach Re z = t (so log|z| > 709 one step
+    # later) at step k: principal branches z_(j-1) = log(z_j / lam)
+    starts = []
+    for k in (n_max - 1, n_max - 2, n_max - 6):
+        for t in np.linspace(720.0, 1500.0, 9):
+            z = complex(t)
+            for _ in range(k):
+                z = cmath.log(z / lam)
+            starts.append(z)
+    xs = np.concatenate([X.ravel(), [z.real for z in starts]])
+    ys = np.concatenate([Y.ravel(), [z.imag for z in starts]])
+    args = (xs, ys, math.log(abs(lam)), cmath.phase(lam), n_max, math.log(5.0))
+    table, escape = kernels.expaffine_logmags(*args)
+    want_table, want_escape = _logmags_full_width(*args)
+    assert table.tobytes() == want_table.tobytes()
+    assert escape.tobytes() == want_escape.tobytes()
+    # the points exercise what the live rows change: orbits that leave
+    # double range midway (NaN tails), orbits that pass e^709 at the last
+    # step, and orbits that never escape
+    last = want_table[:, n_max]
+    assert np.isnan(last).sum() >= 18
+    assert (last > 709.0).sum() >= 9
+    assert (want_escape < 0).any()

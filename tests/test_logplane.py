@@ -44,6 +44,36 @@ def test_schedule_rejects_negative_n_max():
         lp.schedule_build(26.0, -1)
 
 
+def _schedule_float_operands(x0, n_max):
+    """schedule_build as it was first written: float operands in mpf arithmetic."""
+    lam_low = 1.0
+    with mp.workprec(96):
+        x = mp.mpf(x0)
+        d = 1.0 / mp.log(x)
+        xs = [x]
+        fails = []
+        partial = mp.mpf(0)
+        shave = 1 - mp.mpf(2)**-60
+        for n in range(1, n_max + 1):
+            grow = lam_low - d if n == 1 else 1.0 + lam_low
+            x_n = grow / (1.0 + d) * x
+            partial += (lam_low - d) * x
+            if partial < (1.0 + d) * x_n * shave:
+                fails.append(f"partial-sum inequality at n={n}")
+            x, d = x_n, 1.0 / mp.log(x_n)
+            xs.append(x)
+    return xs, fails
+
+
+@pytest.mark.parametrize("x0, n_max", [(26.0, 7), (1e6, 2000)])
+def test_schedule_bit_identical_to_float_operands(x0, n_max):
+    # mpf operands change no rounding: every float operand converts exactly
+    sched = lp.schedule_build(x0, n_max)
+    xs, fails = _schedule_float_operands(x0, n_max)
+    assert [x._mpf_ for x in sched.x] == [x._mpf_ for x in xs]
+    assert sched.invariant_failures == fails
+
+
 def test_growth_statistic_tends_to_log2():
     sched = lp.schedule_build(1e6, 1200)
     stat = lp.schedule_growth_statistic(sched, 1000)

@@ -108,3 +108,62 @@ def test_alpha_validation():
         mittag.ml_eval(0.0, 1.0)
     with pytest.raises(ValueError):
         mittag.ml_eval(2.5, 1.0)
+
+
+def _series_per_term(alpha, z):
+    """ml_series as it was first written: two lgamma calls per term."""
+    total = term = 1.0 + 0.0j
+    biggest = 1.0
+    for n in range(1, mittag.MAX_SERIES_TERMS):
+        term *= z * math.exp(math.lgamma(alpha * (n - 1) + 1.0) - math.lgamma(alpha * n + 1.0))
+        total += term
+        mag = abs(term)
+        biggest = max(biggest, mag)
+        if mag < 1e-18 * biggest and n > 3:
+            break
+    return total
+
+
+def _series_derivative_per_term(alpha, z):
+    total = term = 1.0 / math.gamma(alpha + 1.0) + 0.0j
+    biggest = abs(total)
+    for n in range(2, mittag.MAX_SERIES_TERMS):
+        term *= z * (n / (n - 1)) * math.exp(
+            math.lgamma(alpha * (n - 1) + 1.0) - math.lgamma(alpha * n + 1.0))
+        total += term
+        mag = abs(term)
+        biggest = max(biggest, mag)
+        if mag < 1e-18 * biggest and n > 3:
+            break
+    return total
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5, 2.0])
+def test_series_bit_identical_to_per_term_gamma(alpha):
+    # the cached Gamma ratios must not move a single bit of either sum
+    r = mittag.switch_radius(alpha)
+    rng = np.random.default_rng(3)
+    radii = np.concatenate([[0.0, 1e-3, 0.5 * r, r], rng.uniform(0.0, r, 40)])
+    angles = rng.uniform(-math.pi, math.pi, radii.size)
+    zs = [complex(t * math.cos(a), t * math.sin(a)) for t, a in zip(radii, angles)]
+    zs += [complex(r, 0.0), complex(-r, 0.0), complex(0.0, r)]
+    for z in zs:
+        assert mittag.ml_series(alpha, z) == _series_per_term(alpha, z), z
+        assert mittag.ml_series_derivative(alpha, z) == \
+            _series_derivative_per_term(alpha, z), z
+    # the vectorized series reads the same table, so it keeps its bits too
+    zv = np.array(zs[1:21])  # z = 0 is left out: the derivative divides by z
+    e, de = mittag.ml_series_vec(alpha, zv)
+    term = np.ones(zv.shape, dtype=np.complex128)
+    want_e = np.ones(zv.shape, dtype=np.complex128)
+    want_de = np.full(zv.shape, 1.0 / math.gamma(alpha + 1.0), dtype=np.complex128)
+    for n in range(1, 400):
+        term = term * zv * math.exp(math.lgamma(alpha * (n - 1) + 1.0)
+                                    - math.lgamma(alpha * n + 1.0))
+        want_e += term
+        if n > 1:
+            want_de += n * term / zv
+        if float(np.abs(term).max()) < 1e-18:
+            break
+    assert e.tobytes() == want_e.tobytes()
+    assert de.tobytes() == want_de.tobytes()
