@@ -112,8 +112,9 @@ def test_thm3_rejects_zero_lambda(tmp_path):
 @pytest.mark.parametrize("key, value, message", [
     ("n_tier_a", 0, "^n_tier_a=0 must be >= 1$"),
     ("x0_tier_a", 5.0, r"^x0_tier_a=5.0 must exceed 25.132741 \(8\*pi\)$"),
-    ("x0", 10.0, r"^x0=10.0 must exceed 25.132741 \(binding bound: 8\*pi\)$"),
-    ("n_max", -1, "^n_max=-1 must be >= 0$"),
+    pytest.param("x0", 10.0, r"^x0=10.0 must exceed 25.132741 \(binding bound: 8\*pi\)$",
+                 id="x0"),
+    pytest.param("n_max", -1, "^n_max=-1 must be >= 0$", id="n_max"),
 ])
 def test_thm3_rejects_bad_tier_a(tmp_path, key, value, message):
     # a bad tier-b start fails as loudly as a bad tier-a one: no report at all
