@@ -143,3 +143,37 @@ def test_refinement_decisions_pinned():
         assert (res.cells, res.refinements, res.overflow_cells, res.unconverged) == \
             (cells, rounds, 0, False), (U, n)
         assert math.isclose(res.log_value, log_value, rel_tol=1e-13, abs_tol=0.0), (U, n)
+
+
+# Further variants the pins above never reach: orbits that overflow inside
+# U, a rectangle in mu_sup, a complex lambda, a polynomial, and a variant
+# without a batch kernel (scalar fallback, small grid).
+_SMALL_GRID = ms.GridSpec(base_resolution=16, max_refinements=3)
+_PIN_CASES = {  # name: (f, U, n, grid, mu pin, area pin)
+    # mu pin: (repr(log_mu), evaluations, refinements, overflow_points)
+    # area pin: (cells, refinements, overflow_cells, unconverged, log_value)
+    "exp-overflow": (EXP, ms.Region.disk(6.5, 0.5), 3, GRID,
+                     ("-4.502140331560971e+171", 761643, 24, 5192),
+                     (1126, 3, 372, True, -1.8613443349114433e+175)),
+    "exp-complex-rect": (fx.ExpAffine(0.3 - 0.2j), ms.Region.rectangle(1 + 1j, 0.7, 0.4), 3, GRID,
+                         ("0.45787663098898856", 194598, 6, 0),
+                         (1345, 1, 0, False, -1.826825035669466)),
+    "poly-disk": (fx.Polynomial((0.1, 0, 1)), ms.Region.disk(0.5 + 0.5j, 0.4), 6, GRID,
+                  ("3.688727168353537", 666072, 24, 0),
+                  (12789, 9, 0, False, 1.8725826714912324)),
+    "coshsqrt-scalar": (fx.CoshSqrt(), ms.Region.disk(2 + 1j, 1.0), 2, _SMALL_GRID,
+                        ("-2.4807324624232923", 39997, 3, 0),
+                        (312, 3, 0, False, -5.136325926109829)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_CASES))
+def test_refinement_pins_more_variants(name):
+    f, U, n, grid, mu_pin, area_pin = _PIN_CASES[name]
+    res = ms.mu_sup(f, U, n, grid)
+    assert (repr(res.log_mu), res.evaluations, res.refinements, res.overflow_points) == mu_pin
+    area = ms.spherical_area(f, U, n, grid)
+    cells, rounds, overflow, unconverged, log_value = area_pin
+    assert (area.cells, area.refinements, area.overflow_cells, area.unconverged) == \
+        (cells, rounds, overflow, unconverged)
+    assert math.isclose(area.log_value, log_value, rel_tol=1e-13, abs_tol=0.0)
