@@ -108,9 +108,9 @@ def logphi_batch(f, xs: np.ndarray, ys: np.ndarray, n: int):
 @dataclass
 class MuSupResult:
     log_mu: float
-    evaluations: int
+    evaluations: int  # grid and 3x3 block points examined, reused corners included
     refinements: int
-    overflow_points: int
+    overflow_points: int  # of those, the ones inside U whose orbit overflowed
 
 
 def _inside(U: Region, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -129,9 +129,10 @@ def _bounding_box(U: Region):
 
 
 # Both refinement engines hold their cells as parallel arrays (u0, u1, v0, v1):
-# x/y edges for rectangle cells, r/theta edges for polar cells.  Every pass
-# evaluates all of its points in one logphi_batch call and decides every
-# cell with array operations, keeping cells in order.
+# x/y edges for rectangle cells, r/theta edges for polar cells.  Each pass makes
+# one logphi_batch call on the points no earlier pass evaluated (mu_sup: 4 edge
+# midpoints and the centre per cell; spherical_area: 2 child midpoints) and
+# decides every cell with array operations, keeping cells in order.
 
 
 def _grid_cells(us: np.ndarray, vs: np.ndarray):
@@ -141,17 +142,31 @@ def _grid_cells(us: np.ndarray, vs: np.ndarray):
     return u0.ravel(), u1.ravel(), v0.ravel(), v1.ravel()
 
 
-def _corner_test(corners: np.ndarray, threshold: float):
-    """Per row of 4 corner values: (refine?, largest finite corner).
+def _cell_corners(g: np.ndarray) -> np.ndarray:
+    """Corner values of every cell of the point grid(s) g, x and y on the last
+    two axes: rows (x0, y0), (x0, y1), (x1, y0), (x1, y1), cells row-major."""
+    w = np.lib.stride_tricks.sliding_window_view(g, (2, 2), axis=(-2, -1))
+    return np.moveaxis(w, (-2, -1), (0, 1)).reshape(4, -1)
 
-    A row is refined when some corner is finite and either the finite
+
+def _corner_test(corners: np.ndarray, threshold: float):
+    """Per cell, from its 4 corner columns (the rows of corners), combined
+    elementwise: (refine?, largest finite corner).
+
+    A cell is refined when some corner is finite and either the finite
     corners spread by more than threshold or a corner is missing.
     """
     fin = np.isfinite(corners)
-    count = fin.sum(axis=1)
-    top = np.where(fin, corners, -np.inf).max(axis=1)
-    spread = np.where(count > 1, top - np.where(fin, corners, np.inf).min(axis=1), np.inf)
+    count = fin.sum(axis=0)
+    top = np.where(fin, corners, -np.inf).max(axis=0)
+    spread = np.where(count > 1, top - np.where(fin, corners, np.inf).min(axis=0), np.inf)
     return (count > 0) & ((spread > threshold) | (count < 4)), top
+
+
+def _block(corners: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Each cell's 3x3 block, x outer, from its corner rows (as _cell_corners
+    gives them) and its 5 other points (x0, ym), (xm, y0), (xm, ym), (xm, y1), (x1, ym)."""
+    return np.insert(new.reshape(-1, 5), [0, 1, 4, 5], corners.T, axis=1).reshape(-1, 3, 3)
 
 
 def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
@@ -164,12 +179,11 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     gy = np.linspace(y0, y1, res + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
     lp, st = logphi_batch(f, X.ravel(), Y.ravel(), n)
-    lp = lp.reshape(X.shape)
-    st = st.reshape(X.shape)
     mask = _inside(U, X, Y)
-    lp = np.where(mask, lp, np.nan)
+    lp = np.where(mask, lp.reshape(X.shape), np.nan)
+    hot = (st.reshape(X.shape) != kernels.STATUS_OK) & mask  # overflowed inside U
     vals = lp[np.isfinite(lp)]
-    overflow = int(((st != kernels.STATUS_OK) & mask).sum())
+    overflow = int(hot.sum())
     evals = X.size
     if vals.size == 0:
         raise ValueError(f"every grid orbit overflows before n={n}; use smaller n")
@@ -177,40 +191,42 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     spread_ref = float(vals.max() - vals.min()) if vals.size > 1 else 0.0
     threshold = grid.rel_tol * max(spread_ref, 1.0)
 
-    corners = np.stack([lp[:-1, :-1], lp[1:, :-1], lp[:-1, 1:], lp[1:, 1:]], axis=-1)
-    refine, _ = _corner_test(corners.reshape(-1, 4), threshold)
+    corners = _cell_corners(lp)
+    refine, _ = _corner_test(corners, threshold)
     a, b, c, d = (e[refine] for e in _grid_cells(gx, gy))
+    # each cell's corner values and overflow flags, from the pass that evaluated them
+    lpc, hotc = corners[:, refine], _cell_corners(hot)[:, refine]
     rounds = 0
-    for _ in range(grid.max_refinements):
-        if not a.size:
-            break
+    while a.size and rounds < grid.max_refinements:
         rounds += 1
         mx = (a + b) / 2
         my = (c + d) / 2
-        # the 3x3 block of each cell, x outer
-        xs = np.repeat(np.stack([a, mx, b], axis=1), 3, axis=1).ravel()
-        ys = np.tile(np.stack([c, my, d], axis=1), 3).ravel()
+        xs = np.stack([a, mx, mx, mx, b], axis=1).ravel()
+        ys = np.stack([my, c, my, d, my], axis=1).ravel()
         lpv, stv = logphi_batch(f, xs, ys, n)
         inside = _inside(U, xs, ys)
         lpv = np.where(inside, lpv, np.nan)
         finite = np.isfinite(lpv)
-        overflow += int(((stv != kernels.STATUS_OK) & inside).sum())
-        evals += xs.size
-        if finite.any():
-            cand = float(lpv[finite].max())
-            best = max(best, cand)
+        if finite.any():  # the corners are in best already
+            best = max(best, float(lpv[finite].max()))
+        block = _block(lpc, lpv)
+        hot = _block(hotc, (stv != kernels.STATUS_OK) & inside)
+        overflow += int(hot.sum())
+        evals += block.size
+        if rounds == grid.max_refinements:
+            break  # nothing reads the subcells of the last permitted round
         # subcells (p, q) of each cell, x half p outer; their corners are
         # block[p:p+2, q:q+2]
-        block = lpv.reshape(-1, 3, 3)
-        corners = np.stack([block[:, p:p + 2, q:q + 2].reshape(-1, 4)
-                            for p in (0, 1) for q in (0, 1)], axis=1)
-        refine, top = _corner_test(corners.reshape(-1, 4), threshold)
+        corners = _cell_corners(block)
+        refine, top = _corner_test(corners, threshold)
         refine &= top > best - 3.0 * max(spread_ref, 1.0)  # near the top
-        sub = [np.stack(e, axis=1).ravel()[refine] for e in
+        idx = np.flatnonzero(refine)
+        sub = [np.stack(e, axis=1).ravel()[idx] for e in
                ((a, a, mx, mx), (mx, mx, b, b), (c, my, c, my), (my, d, my, d))]
         # refine only the most promising cells (the widest first) to bound the work
         keep = np.argsort(-(sub[1] - sub[0]), kind="stable")[:4096]
         a, b, c, d = (e[keep] for e in sub)
+        lpc, hotc = corners[:, idx[keep]], _cell_corners(hot)[:, idx[keep]]
     return MuSupResult(log_mu=best, evaluations=evals, refinements=rounds,
                        overflow_points=overflow)
 
@@ -269,6 +285,8 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
     running_max = -math.inf
     force_bank = False
 
+    lpm = np.empty((u0.size, 0))  # log (f^n)^# at each cell's midpoint once known
+
     # iterative deepening: each pass integrates active cells at midpoint
     # and their 2 children; converged cells bank the Richardson value
     while u0.size:
@@ -290,11 +308,14 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
         else:
             xs, ys = mu, mv
             area = (cu1 - cu0) * (cv1 - cv0)
-        lp, _ = logphi_batch(f, xs.ravel(), ys.ravel(), n)
+        # after the first pass a cell's own midpoint was a child's the pass before
+        k = lpm.shape[1]
+        lp, _ = logphi_batch(f, xs[:, k:].ravel(), ys[:, k:].ravel(), n)
+        lp = np.column_stack([lpm, lp.reshape(-1, 3 - k)])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # log of (1/pi) (f^n)^#(mid)^2 area: -inf outside U, nan on overflow
             contrib = np.where(_inside(U, xs, ys),
-                               2.0 * lp.reshape(-1, 3) + np.log(area) - math.log(math.pi),
+                               2.0 * lp + np.log(area) - math.log(math.pi),
                                -np.inf)
             logc, l0, l1 = contrib.T
             # logf = log(e^l0 + e^l1), the larger finite term factored out
@@ -331,6 +352,7 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
             refinements = max(refinements, int(dep[grow].max()) + 1)
         u0, u1, v0, v1 = (k[live[grow]].ravel() for k in kids)
         depth = np.repeat(dep[grow] + 1, 2)
+        lpm = lp[live[grow], 1:].reshape(-1, 1)
         force_bank = u0.size > 200_000  # runaway guard: bank everything next pass
 
     log_value = _logsumexp(np.concatenate(total_logs))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sphgrow import functions as fx
+from sphgrow import kernels
 from sphgrow import measures as ms
 
 EXP = fx.ExpAffine(1.0)
@@ -177,3 +178,226 @@ def test_refinement_pins_more_variants(name):
     assert (area.cells, area.refinements, area.overflow_cells, area.unconverged) == \
         (cells, rounds, overflow, unconverged)
     assert math.isclose(area.log_value, log_value, rel_tol=1e-13, abs_tol=0.0)
+
+
+# The engines as they were before each pass evaluated only new points: a
+# mu_sup pass evaluates every refined cell's whole 3x3 block, the corner
+# test reduces stacked (N, 4) rows, and a spherical_area pass evaluates each
+# cell's midpoint with its 2 children's.  Evaluations at the same doubles
+# give the same values, so the engines must agree with these bit for bit.
+
+
+def _corner_test_rows(corners, threshold):
+    fin = np.isfinite(corners)
+    count = fin.sum(axis=1)
+    top = np.where(fin, corners, -np.inf).max(axis=1)
+    spread = np.where(count > 1, top - np.where(fin, corners, np.inf).min(axis=1), np.inf)
+    return (count > 0) & ((spread > threshold) | (count < 4)), top
+
+
+def _mu_sup_full_blocks(f, U, n, grid):
+    x0, x1, y0, y1 = ms._bounding_box(U)
+    res = grid.base_resolution
+    gx = np.linspace(x0, x1, res + 1)
+    gy = np.linspace(y0, y1, res + 1)
+    X, Y = np.meshgrid(gx, gy, indexing="ij")
+    lp, st = ms.logphi_batch(f, X.ravel(), Y.ravel(), n)
+    lp = lp.reshape(X.shape)
+    st = st.reshape(X.shape)
+    mask = ms._inside(U, X, Y)
+    lp = np.where(mask, lp, np.nan)
+    vals = lp[np.isfinite(lp)]
+    overflow = int(((st != 0) & mask).sum())
+    evals = X.size
+    best = float(vals.max())
+    spread_ref = float(vals.max() - vals.min()) if vals.size > 1 else 0.0
+    threshold = grid.rel_tol * max(spread_ref, 1.0)
+    corners = np.stack([lp[:-1, :-1], lp[1:, :-1], lp[:-1, 1:], lp[1:, 1:]], axis=-1)
+    refine, _ = _corner_test_rows(corners.reshape(-1, 4), threshold)
+    a, b, c, d = (e[refine] for e in ms._grid_cells(gx, gy))
+    rounds = 0
+    for _ in range(grid.max_refinements):
+        if not a.size:
+            break
+        rounds += 1
+        mx = (a + b) / 2
+        my = (c + d) / 2
+        xs = np.repeat(np.stack([a, mx, b], axis=1), 3, axis=1).ravel()
+        ys = np.tile(np.stack([c, my, d], axis=1), 3).ravel()
+        lpv, stv = ms.logphi_batch(f, xs, ys, n)
+        inside = ms._inside(U, xs, ys)
+        lpv = np.where(inside, lpv, np.nan)
+        finite = np.isfinite(lpv)
+        overflow += int(((stv != 0) & inside).sum())
+        evals += xs.size
+        if finite.any():
+            best = max(best, float(lpv[finite].max()))
+        block = lpv.reshape(-1, 3, 3)
+        corners = np.stack([block[:, p:p + 2, q:q + 2].reshape(-1, 4)
+                            for p in (0, 1) for q in (0, 1)], axis=1)
+        refine, top = _corner_test_rows(corners.reshape(-1, 4), threshold)
+        refine &= top > best - 3.0 * max(spread_ref, 1.0)
+        sub = [np.stack(e, axis=1).ravel()[refine] for e in
+               ((a, a, mx, mx), (mx, mx, b, b), (c, my, c, my), (my, d, my, d))]
+        keep = np.argsort(-(sub[1] - sub[0]), kind="stable")[:4096]
+        a, b, c, d = (e[keep] for e in sub)
+    return ms.MuSupResult(log_mu=best, evaluations=evals, refinements=rounds,
+                          overflow_points=overflow)
+
+
+def _area_three_points(f, U, n, grid):
+    res = grid.base_resolution
+    polar = U.kind == "disk"
+    if polar:
+        u0, u1, v0, v1 = ms._grid_cells(U.radius * np.sqrt(np.linspace(0.0, 1.0, res + 1)),
+                                        np.linspace(0.0, 2.0 * math.pi, res + 1))
+    else:
+        x0, x1, y0, y1 = ms._bounding_box(U)
+        u0, u1, v0, v1 = ms._grid_cells(np.linspace(x0, x1, res + 1),
+                                        np.linspace(y0, y1, res + 1))
+    depth = np.zeros(u0.size, dtype=np.int64)
+    log_tol = math.log(grid.rel_tol)
+    total_logs, err_logs = [], []
+    overflow_cells = n_cells = refinements = 0
+    running_max = -math.inf
+    force_bank = False
+    while u0.size:
+        um = 0.5 * (u0 + u1)
+        vm = 0.5 * (v0 + v1)
+        along_u = u1 - u0 >= (um * (v1 - v0) if polar else v1 - v0)
+        kids = (np.stack([u0, np.where(along_u, um, u0)], axis=1),
+                np.stack([np.where(along_u, um, u1), u1], axis=1),
+                np.stack([v0, np.where(along_u, v0, vm)], axis=1),
+                np.stack([np.where(along_u, v1, vm), v1], axis=1))
+        cu0, cu1, cv0, cv1 = (np.column_stack([e, k]) for e, k in zip((u0, u1, v0, v1), kids))
+        mu, mv = 0.5 * (cu0 + cu1), 0.5 * (cv0 + cv1)
+        if polar:
+            xs = U.center.real + mu * np.cos(mv)
+            ys = U.center.imag + mu * np.sin(mv)
+            area = 0.5 * (cu1 * cu1 - cu0 * cu0) * (cv1 - cv0)
+        else:
+            xs, ys = mu, mv
+            area = (cu1 - cu0) * (cv1 - cv0)
+        lp, _ = ms.logphi_batch(f, xs.ravel(), ys.ravel(), n)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            contrib = np.where(ms._inside(U, xs, ys),
+                               2.0 * lp.reshape(-1, 3) + np.log(area) - math.log(math.pi),
+                               -np.inf)
+            logc, l0, l1 = contrib.T
+            top = np.where((l0 == -np.inf) | (l1 > l0), l1, l0)
+            logf = np.where(np.isfinite(top),
+                            top + np.log(np.exp(l0 - top) + np.exp(l1 - top)), top)
+            empty = (logc == -np.inf) & (logf == -np.inf)
+            bad = ~empty & (np.isnan(logc) | np.isnan(logf))
+            live = np.flatnonzero(~empty & ~bad)
+            logc, logf, dep = logc[live], logf[live], depth[live]
+            hi = np.maximum(logf, logc)
+            diff = np.where(logf == logc, -np.inf,
+                            hi + np.log1p(-np.exp(np.minimum(logf, logc) - hi)))
+            run = np.maximum.accumulate(np.concatenate(([running_max], logf)))
+            running_max = float(run[-1])
+            run = run[1:]
+            done = (force_bank
+                    | (logf < run - 45.0)
+                    | (diff - logf <= log_tol)
+                    | (diff < run + log_tol - 9.2)
+                    | (dep >= grid.max_refinements))
+            fc = logc[done] - logf[done]
+            total_logs.append(np.where(fc > math.log(4.0) - 1e-12, logf[done],
+                                       logf[done] + np.log((4.0 - np.exp(fc)) / 3.0)))
+            err_logs.append(diff[done] - math.log(3.0))
+        overflow_cells += int(bad.sum())
+        n_cells += int(empty.sum()) + int(bad.sum()) + int(done.sum())
+        grow = ~done
+        if grow.any():
+            refinements = max(refinements, int(dep[grow].max()) + 1)
+        u0, u1, v0, v1 = (k[live[grow]].ravel() for k in kids)
+        depth = np.repeat(dep[grow] + 1, 2)
+        force_bank = u0.size > 200_000
+    log_value = ms._logsumexp(np.concatenate(total_logs))
+    log_err = ms._logsumexp(np.concatenate(err_logs))
+    unconverged = (log_err != -math.inf and log_value != -math.inf
+                   and log_err > math.log(10.0 * grid.rel_tol) + log_value)
+    value = math.exp(log_value) if log_value < 700.0 else math.inf
+    return ms.AreaResult(value=value, log_value=log_value, log_error=log_err,
+                         unconverged=unconverged or overflow_cells > 0,
+                         cells=n_cells, refinements=refinements,
+                         overflow_cells=overflow_cells)
+
+
+_ORACLE_MU = {f"exp-pin-n{n}": (EXP, _PIN_DISK, n, GRID) for n in _PIN_MU}
+_ORACLE_MU.update({name: case[:4] for name, case in _PIN_CASES.items()})
+_ORACLE_AREA = {f"area-pin-{i}": (f, U, n, GRID) for i, (f, U, n, *_) in enumerate(_PIN_AREA)}
+_ORACLE_AREA.update({name: case[:4] for name, case in _PIN_CASES.items()})
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MU))
+def test_mu_sup_bit_identical_to_full_blocks(name):
+    f, U, n, grid = _ORACLE_MU[name]
+    got, want = ms.mu_sup(f, U, n, grid), _mu_sup_full_blocks(f, U, n, grid)
+    assert repr(got.log_mu) == repr(want.log_mu)
+    assert (got.evaluations, got.refinements, got.overflow_points) == \
+        (want.evaluations, want.refinements, want.overflow_points)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_AREA))
+def test_area_bit_identical_to_three_points(name):
+    f, U, n, grid = _ORACLE_AREA[name]
+    got, want = ms.spherical_area(f, U, n, grid), _area_three_points(f, U, n, grid)
+    for field in ("value", "log_value", "log_error"):
+        assert getattr(got, field).hex() == getattr(want, field).hex(), field
+    for field in ("unconverged", "cells", "refinements", "overflow_cells"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_corner_test_columns_match_rows():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(0.0, 3.0, (4000, 4))
+    pick = rng.random(rows.shape)
+    rows[pick < 0.1] = np.nan
+    rows[(pick >= 0.1) & (pick < 0.15)] = np.inf
+    rows[(pick >= 0.15) & (pick < 0.2)] = -np.inf
+    rows[:50] = np.nan                            # every corner missing
+    rows[50:60] = [np.inf, -np.inf, np.nan, np.inf]
+    rows[60:70] = 1.25                            # no spread at all
+    for threshold in (1e-3, 0.5, 4.0):
+        got = ms._corner_test(rows.T, threshold)
+        want = _corner_test_rows(rows, threshold)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def _count_kernel_points(monkeypatch):
+    sizes = []
+    kernel = kernels.expaffine_logphi
+
+    def counted(x0, y0, *args):
+        sizes.append(np.size(x0))
+        return kernel(x0, y0, *args)
+
+    monkeypatch.setattr(kernels, "expaffine_logphi", counted)
+    return sizes
+
+
+def test_mu_sup_evaluates_each_block_point_once(monkeypatch):
+    # the grid once, then per refined cell its 4 edge midpoints and centre;
+    # its 4 corners come from the block that evaluated them
+    sizes = _count_kernel_points(monkeypatch)
+    res = ms.mu_sup(EXP, _PIN_DISK, 4, GRID)
+    grid_points = (GRID.base_resolution + 1) ** 2
+    assert len(sizes) == res.refinements + 1
+    assert sum(sizes) == grid_points + 5 * (res.evaluations - grid_points) // 9
+
+
+def test_area_evaluates_each_midpoint_once(monkeypatch):
+    # 3 points per cell on the first pass (its midpoint and its 2 children's),
+    # then 2: a cell's own midpoint was a child midpoint of the pass before
+    sizes = _count_kernel_points(monkeypatch)
+    want = _area_three_points(EXP, _PIN_DISK, 3, GRID)
+    three_point_sizes = list(sizes)
+    sizes.clear()
+    got = ms.spherical_area(EXP, _PIN_DISK, 3, GRID)
+    assert got.cells == want.cells
+    assert len(sizes) == len(three_point_sizes) > 1
+    assert sizes[0] == three_point_sizes[0] == 3 * GRID.base_resolution ** 2
+    assert [3 * s for s in sizes[1:]] == [2 * s for s in three_point_sizes[1:]]
