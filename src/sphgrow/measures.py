@@ -201,6 +201,7 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         rounds += 1
         mx = (a + b) / 2
         my = (c + d) / 2
+        # the 5 points of each cell's 3x3 block that are not its corners
         xs = np.stack([a, mx, mx, mx, b], axis=1).ravel()
         ys = np.stack([my, c, my, d, my], axis=1).ravel()
         lpv, stv = logphi_batch(f, xs, ys, n)
@@ -284,8 +285,7 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
     refinements = 0
     running_max = -math.inf
     force_bank = False
-
-    lpm = np.empty((u0.size, 0))  # log (f^n)^# at each cell's midpoint once known
+    lpm = np.empty((u0.size, 0))  # each cell's midpoint log (f^n)^#, once known
 
     # iterative deepening: each pass integrates active cells at midpoint
     # and their 2 children; converged cells bank the Richardson value
