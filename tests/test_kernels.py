@@ -184,3 +184,78 @@ def test_logmags_bit_identical_to_full_width(lam):
     assert np.isnan(last).sum() >= 18
     assert (last > 709.0).sum() >= 9
     assert (want_escape < 0).any()
+
+
+def _logphi_full_width(x0, y0, n, loglam, arglam):
+    """expaffine_logphi as it was first written: every step over every orbit,
+    with the orbits that pass e^709 at the last step kept alive."""
+    x = np.ascontiguousarray(x0, dtype=np.float64)
+    y = np.ascontiguousarray(y0, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.zeros_like(x)
+        r2 = x * x + y * y
+        ll = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
+        alive = np.ones(x.shape, dtype=bool)
+        dead_at_end = np.zeros(x.shape, dtype=bool)
+        for k in range(n):
+            s = np.where(alive, s + x + loglam, s)
+            ll = np.where(alive, x + loglam, ll)
+            a = y + arglam
+            over = alive & (ll > 709.0)
+            if k < n - 1:
+                alive = alive & ~over
+            else:
+                dead_at_end |= over
+            safe = np.where(alive & ~dead_at_end, np.minimum(ll, 709.0), 0.0)
+            r = np.exp(safe)
+            nx = r * np.cos(a)
+            ny = r * np.sin(a)
+            x = np.where(alive & ~dead_at_end, nx, x)
+            y = np.where(alive & ~dead_at_end, ny, y)
+        den = np.where(ll > 350.0, 2.0 * ll, np.log1p(np.where(dead_at_end, 0.0, x * x + y * y)))
+        logphi = np.where(alive, s - den, np.nan)
+    status = np.where(alive, kernels.STATUS_OK, kernels.STATUS_OVERFLOW).astype(np.int64)
+    return logphi, s, ll, status
+
+
+def _overflow_starts(lam, n):
+    """A 120^2 grid with Re z_0 in [-2, 4], a strip with Re z_0 in [6, 7] where
+    most orbits of lam e^z overflow within 4 steps, and backward orbits that
+    reach Re z = t (so log|z| > 709 one step later) at step n - 1 (the last
+    step overflows), n - 2 and n - 6 (overflow midway)."""
+    side = np.linspace(-3.0, 3.0, 120)
+    X, Y = np.meshgrid(side + 1.0, side)
+    rng = np.random.default_rng(11)
+    sx, sy = rng.uniform(6.0, 7.0, 4000), rng.uniform(-0.5, 0.5, 4000)
+    starts = []
+    for k in (n - 1, n - 2, n - 6):
+        if k < 0:
+            continue
+        for t in np.linspace(720.0, 1500.0, 9):
+            z = complex(t)
+            for _ in range(k):
+                z = cmath.log(z / lam)
+            starts.append(z)
+    xs = np.concatenate([X.ravel(), sx, [z.real for z in starts]])
+    ys = np.concatenate([Y.ravel(), sy, [z.imag for z in starts]])
+    return xs, ys
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3 - 0.2j])
+@pytest.mark.parametrize("n", [1, 2, 4, 12])
+def test_logphi_bit_identical_to_full_width(lam, n):
+    # logphi, logderiv and status keep every bit; log|z_n| is only defined
+    # where the orbit reaches step n
+    xs, ys = _overflow_starts(lam, n)
+    args = (xs, ys, n, math.log(abs(lam)), cmath.phase(lam))
+    logphi, logderiv, loglast, status = kernels.expaffine_logphi(*args)
+    want = _logphi_full_width(*args)
+    assert logphi.tobytes() == want[0].tobytes()
+    assert logderiv.tobytes() == want[1].tobytes()
+    assert status.tobytes() == want[3].tobytes()
+    ok = want[3] == kernels.STATUS_OK
+    assert loglast[ok].tobytes() == want[2][ok].tobytes()
+    # orbits that die midway, at the last step and never
+    assert (~ok).sum() >= 9 * (n > 1)
+    assert (want[2][ok] > 709.0).sum() >= 9
+    assert (want[2][ok] < 5.0).any()

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sphgrow import dynamics as dy
 from sphgrow import functions as fx
 from sphgrow import kernels
 from sphgrow import measures as ms
@@ -401,3 +402,52 @@ def test_area_evaluates_each_midpoint_once(monkeypatch):
     assert len(sizes) == len(three_point_sizes) > 1
     assert sizes[0] == three_point_sizes[0] == 3 * GRID.base_resolution ** 2
     assert [3 * s for s in sizes[1:]] == [2 * s for s in three_point_sizes[1:]]
+
+
+def _logphi_per_point(f, xs, ys, n):
+    """logphi_batch's scalar fallback as it was first written: one orbit per
+    start, an orbit that raises OverflowError or OrbitOverflow counted as
+    overflowed."""
+    lp = np.empty(xs.shape)
+    st = np.zeros(xs.shape, dtype=np.int64)
+    for i in range(xs.size):
+        try:
+            orbit = dy.iterate_orbit(f, complex(xs[i], ys[i]), n)
+            if orbit.length() > n:
+                lp[i] = dy.log_spherical_derivative(orbit, n)
+            else:
+                lp[i] = math.nan
+                st[i] = kernels.STATUS_OVERFLOW
+        except (OverflowError, fx.OrbitOverflow):
+            lp[i] = math.nan
+            st[i] = kernels.STATUS_OVERFLOW
+    return lp, st
+
+
+def _starts(center, half, size):
+    side = np.linspace(-half, half, size)
+    X, Y = np.meshgrid(center.real + side, center.imag + side)
+    return X.ravel(), Y.ravel()
+
+
+# kernel-less variants, plus a polynomial with its kernel switched off; each
+# window holds orbits that stay bounded and orbits that overflow before n
+_FALLBACK_CASES = {
+    "cosh_sqrt": (fx.CoshSqrt(), 300.0 + 0j, 400.0, 3),
+    "ml_075": (fx.MittagLeffler(0.75), 0j, 4.0, 3),
+    "ml_02": (fx.MittagLeffler(0.2), -0.5 + 0j, 0.5, 6),
+    "poly": (fx.Polynomial((0.25, 0, 1)), 0.5 + 0.5j, 4.0, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FALLBACK_CASES))
+def test_logphi_fallback_bit_identical_to_per_point(name, monkeypatch):
+    f, center, half, n = _FALLBACK_CASES[name]
+    monkeypatch.setattr(type(f), "logphi", fx.Descriptor.logphi)
+    xs, ys = _starts(center, half, 9)
+    lp, st = ms.logphi_batch(f, xs, ys, n)
+    want_lp, want_st = _logphi_per_point(f, xs, ys, n)
+    assert lp.tobytes() == want_lp.tobytes()
+    assert st.tobytes() == want_st.tobytes()
+    assert st.sum() < st.size
+    assert (st.sum() > 0) == (name != "poly")  # a polynomial orbit continues in log-polar form

@@ -157,3 +157,35 @@ def test_exp_render_runs_no_scalar_orbits(tmp_path, monkeypatch):
                              64, 5.0, 3, 12, str(tmp_path / "img.ppm"))
     assert stats["fast_members"] > 0
     assert calls == []
+
+
+def _orbit_logmags_per_point(f, xs, ys, n_max, log_escape):
+    """render's scalar fallback as it was first written (its escape index
+    counts a start beyond the escape radius as escaping at step 0)."""
+    table = np.full((xs.size, n_max + 1), np.nan)
+    esc = np.full(xs.size, -1, dtype=np.int64)
+    for i in range(xs.size):
+        orbit = dy.iterate_orbit(f, complex(xs[i], ys[i]), n_max)
+        for k in range(orbit.length()):
+            table[i, k] = orbit.log_mag(k)
+            if esc[i] < 0 and table[i, k] > log_escape:
+                esc[i] = k
+    return table, esc
+
+
+@pytest.mark.parametrize("name, f, window, R, n_max", [
+    ("cosh_sqrt", fx.CoshSqrt(), ms.Region.rectangle(0j, 30.0, 30.0), 20.0, 6),
+    ("ml_075", fx.MittagLeffler(0.75), ms.Region.rectangle(0j, 4.0, 4.0), 5.0, 4),
+    ("poly", fx.Polynomial((0.25, 0, 1)), ms.Region.rectangle(0.5 + 0.5j, 4.0, 4.0), 5.0, 8),
+], ids=["cosh_sqrt", "ml_075", "poly"])
+def test_logmags_fallback_bit_identical_to_per_point(name, f, window, R, n_max):
+    xs, ys = _pixels(window, 11)
+    log_escape = math.log(max(R, 10.0))
+    table, esc = rd._orbit_logmags(f, xs, ys, n_max, log_escape)
+    want_table, want_esc = _orbit_logmags_per_point(f, xs, ys, n_max, log_escape)
+    assert table.tobytes() == want_table.tobytes()
+    # the two rules agree on every start inside the escape radius
+    inside = ~(want_table[:, 0] > log_escape)
+    assert esc[inside].tobytes() == want_esc[inside].tobytes()
+    assert (want_esc[inside] >= 1).any() and (want_esc < 0).any()
+    assert np.isnan(want_table[:, -1]).any() == (name != "poly")
