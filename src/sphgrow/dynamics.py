@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import functions as fx
 from .towers import TowerReal
 
@@ -77,52 +79,58 @@ def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
     cur = z0
     cur_lp = None
     for n in range(n_max):
-        if mode_rect:
-            logd = _log_abs_derivative(f, cur)
-            try:
-                nxt = fx.eval_f(f, cur)
-            except fx.EvalOverflow as e:
-                nxt = None
-                nxt_lp = (e.log_mag, e.arg)
-            if nxt is not None and abs(nxt) <= ESCALATION_THRESHOLD:
-                prefix.append(prefix[-1] + logd)
-                points.append(nxt)
-                cur = nxt
-                continue
-            # escalate to log-polar continuation
-            if nxt is not None:
-                nxt_lp = (math.log(abs(nxt)), cmath.phase(nxt))
-            if not f.log_continuation:
-                # next point recorded, but no way to iterate further
-                prefix.append(prefix[-1] + logd)
-                log_points.append(nxt_lp)
-                if n + 1 < n_max:
-                    status = OVERFLOW
-                    overflow_at = n + 1
-                else:
-                    status = ESCALATED
-                escalated_at = n + 1
-                break
-            mode_rect = False
-            escalated_at = n + 1
-            status = ESCALATED
-            prefix.append(prefix[-1] + logd)
-            log_points.append(nxt_lp)
-            cur_lp = nxt_lp
-            continue
+        nxt = None
         try:
-            logd = f.log_abs_derivative_polar(*cur_lp)
-            nxt_lp = fx.log_eval(f, cur_lp)
-        except fx.OrbitOverflow:
+            if mode_rect:
+                logd = _log_abs_derivative(f, cur)
+                try:
+                    nxt = fx.eval_f(f, cur)
+                except fx.EvalOverflow as e:
+                    nxt_lp = (e.log_mag, e.arg)
+            else:
+                logd = f.log_abs_derivative_polar(*cur_lp)
+                nxt_lp = fx.log_eval(f, cur_lp)
+        except (OverflowError, fx.OrbitOverflow):
+            # no value, not even a log-polar one: the orbit ends here
             status = OVERFLOW
             overflow_at = n
             break
         prefix.append(prefix[-1] + logd)
+        if nxt is not None and abs(nxt) <= ESCALATION_THRESHOLD:
+            points.append(nxt)
+            cur = nxt
+            continue
+        if nxt is not None:
+            nxt_lp = (math.log(abs(nxt)), cmath.phase(nxt))
         log_points.append(nxt_lp)
         cur_lp = nxt_lp
+        if mode_rect:
+            # escalate to log-polar continuation
+            mode_rect = False
+            escalated_at = n + 1
+            status = ESCALATED
+            if not f.log_continuation:
+                # next point recorded, but no way to iterate further
+                if n + 1 < n_max:
+                    status = OVERFLOW
+                    overflow_at = n + 1
+                break
     return OrbitRecord(start=z0, points=points, log_points=log_points,
                        log_deriv_prefix=prefix, status=status,
                        escalated_at=escalated_at, overflow_at=overflow_at)
+
+
+def orbit_table(f, xs, ys, n: int):
+    """(log|z_k| table, log (f^n)^#) over start points, one iterate_orbit each;
+    NaN past an orbit's end, and for log (f^n)^# where the orbit ends first."""
+    table = np.full((xs.size, n + 1), np.nan)
+    logphi = np.full(xs.size, np.nan)
+    for i in range(xs.size):
+        orbit = iterate_orbit(f, complex(xs[i], ys[i]), n)
+        table[i, :orbit.length()] = [orbit.log_mag(k) for k in range(orbit.length())]
+        if orbit.length() > n:
+            logphi[i] = log_spherical_derivative(orbit, n)
+    return table, logphi
 
 
 def log_spherical_derivative(orbit: OrbitRecord, n: int) -> float:

@@ -3,7 +3,10 @@
 The kernels compute log spherical derivatives of iterates over batches of
 start points (the inner loop of the measure quadratures and the theorem
 scans) and orbit log-magnitude tables for rendering.  There is one numpy
-implementation per orbit family.
+orbit loop per orbit family: for lam e^z, `_exp_orbit` steps only the
+orbits still in double range, and `expaffine_logphi` and
+`expaffine_logmags` read its table.  The escape index has one rule
+(`escape_index`), shared with the scalar fallback of the render.
 
 Status codes: 0 = reached step n; 1 = orbit left double range earlier.
 """
@@ -28,40 +31,79 @@ _LOG_BIG = 1e300
 
 
 # ---------------------------------------------------------------------------
-# exp-affine family f(z) = lam * e^z
+# exp-affine family f(z) = lam * e^z: one live-row orbit loop, two readers
+
+
+def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
+    """n steps of f = lam e^z, each on the live rows only (log|z_k| <= 709
+    before the last step): the (m, n + 1) table of log|z_k|, NaN once an orbit
+    leaves double range; s = log|(f^k)'(z_0)| up to that step or n; the escape
+    steps (all -1 when log_escape is None); the live rows and their z_n."""
+    x = np.ascontiguousarray(x0, dtype=np.float64)
+    y = np.ascontiguousarray(y0, dtype=np.float64)
+    m = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = np.full((m, n + 1), np.nan)
+        r2 = x * x + y * y
+        table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
+        escape_step = np.full(m, -1, dtype=np.int64)
+        s_all, s = np.zeros(m), np.zeros(m)
+        live = np.arange(m)
+        for k in range(1, n + 1):
+            ll = x + loglam
+            table[live, k] = ll
+            if log_escape is not None:
+                _mark_escapes(escape_step, live, ll, k, log_escape)
+            s += x  # s + x + loglam, in place
+            s += loglam
+            # z_k exceeds doubles: the orbit ends, unless this is the last step
+            drop = ll > _EXP_LIMIT
+            if k < n and drop.any():
+                s_all[live[drop]] = s[drop]
+                keep = ~drop
+                live, ll, y, s = live[keep], ll[keep], y[keep], s[keep]
+            a = y + arglam
+            r = np.exp(ll)
+            x = r * np.cos(a)
+            y = r * np.sin(a)
+        s_all[live] = s
+    return table, s_all, escape_step, live, x, y
 
 
 def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
-    """log (f^n)^#, log|(f^n)'|, log|z_n|, status for f = lam e^z."""
-    x = np.ascontiguousarray(x0, dtype=np.float64)
-    y = np.ascontiguousarray(y0, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = np.zeros_like(x)
-        r2 = x * x + y * y
-        ll = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
-        alive = np.ones(x.shape, dtype=bool)
-        dead_at_end = np.zeros(x.shape, dtype=bool)
-        for k in range(n):
-            s = np.where(alive, s + x + loglam, s)
-            ll = np.where(alive, x + loglam, ll)
-            a = y + arglam
-            over = alive & (ll > _EXP_LIMIT)
-            # z_{k+1} exceeds doubles; if this is the final step its
-            # log-magnitude ll is all we need, otherwise the orbit dies
-            if k < n - 1:
-                alive = alive & ~over
-            else:
-                dead_at_end |= over
-            safe = np.where(alive & ~dead_at_end, np.minimum(ll, _EXP_LIMIT), 0.0)
-            r = np.exp(safe)
-            nx = r * np.cos(a)
-            ny = r * np.sin(a)
-            x = np.where(alive & ~dead_at_end, nx, x)
-            y = np.where(alive & ~dead_at_end, ny, y)
-        den = np.where(ll > 350.0, 2.0 * ll, np.log1p(np.where(dead_at_end, 0.0, x * x + y * y)))
-        logphi = np.where(alive, s - den, np.nan)
-    status = np.where(alive, STATUS_OK, STATUS_OVERFLOW).astype(np.int64)
-    return logphi, s, ll, status
+    """log (f^n)^#, log|(f^n)'|, log|z_n| (NaN where the orbit left double
+    range before step n), status for f = lam e^z."""
+    table, s, _, live, x, y = _exp_orbit(x0, y0, n, loglam, arglam, None)
+    ll = table[live, n]
+    logphi = np.full(s.shape, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logphi[live] = s[live] - np.where(ll > 350.0, 2.0 * ll, np.log1p(x * x + y * y))
+    status = np.full(s.shape, STATUS_OVERFLOW, dtype=np.int64)
+    status[live] = STATUS_OK
+    return logphi, s, table[:, n], status
+
+
+def expaffine_logmags(x0, y0, loglam: float, arglam: float, n_max: int, log_escape: float):
+    """Orbit table of log|z_k| (nan past double overflow) and first-escape index."""
+    table, _, escape_step, *_ = _exp_orbit(x0, y0, n_max, loglam, arglam, log_escape)
+    return table, escape_step
+
+
+# the escape rule: the first step k >= 1 with log|z_k| > log_escape, or -1
+
+
+def _mark_escapes(escape_step, rows, ll, k: int, log_escape: float):
+    """Step k of the rule for the rows whose log|z_k| is ll."""
+    newly = (ll > log_escape) & (escape_step[rows] < 0)
+    escape_step[rows[newly]] = k
+
+
+def escape_index(table, log_escape: float):
+    """The escape step of every row of a log|z_k| table."""
+    escape_step = np.full(table.shape[0], -1, dtype=np.int64)
+    for k in range(1, table.shape[1]):
+        _mark_escapes(escape_step, np.arange(table.shape[0]), table[:, k], k, log_escape)
+    return escape_step
 
 
 # ---------------------------------------------------------------------------
@@ -116,36 +158,3 @@ def poly_logphi(x0, y0, n: int, coefficients):
         logphi = np.where(alive, s - den, np.nan)
     status = np.where(alive, STATUS_OK, STATUS_OVERFLOW).astype(np.int64)
     return logphi, s, ll, status
-
-
-# ---------------------------------------------------------------------------
-# orbit log-magnitude table for the exp family (render / escape scans)
-
-
-def expaffine_logmags(x0, y0, loglam: float, arglam: float, n_max: int, log_escape: float):
-    """Orbit table of log|z_k| (nan past double overflow) and first-escape index.
-
-    Each step works only on the live rows, the orbits still below e^709.
-    """
-    x = np.ascontiguousarray(x0, dtype=np.float64)
-    y = np.ascontiguousarray(y0, dtype=np.float64)
-    m = x.shape[0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = np.full((m, n_max + 1), np.nan)
-        r2 = x * x + y * y
-        table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
-        escape_step = np.full(m, -1, dtype=np.int64)
-        live = np.arange(m)
-        for k in range(1, n_max + 1):
-            ll = x + loglam
-            table[live, k] = ll
-            newly = (ll > log_escape) & (escape_step[live] < 0)
-            escape_step[live[newly]] = k
-            keep = ~(ll > _EXP_LIMIT)
-            if not keep.all():
-                live, ll, y = live[keep], ll[keep], y[keep]
-            a = y + arglam
-            r = np.exp(ll)
-            x = r * np.cos(a)
-            y = r * np.sin(a)
-    return table, escape_step

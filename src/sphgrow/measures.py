@@ -45,11 +45,6 @@ class Region:
     def disk(center: complex, radius: float) -> "Region":
         return Region(complex(center), "disk", radius=float(radius))
 
-    def area(self) -> float:
-        if self.kind == "rectangle":
-            return 4.0 * self.half_width * self.half_height
-        return math.pi * self.radius * self.radius
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -81,24 +76,8 @@ def logphi_batch(f, xs: np.ndarray, ys: np.ndarray, n: int):
     if batch is not None:
         return batch
     # scalar fallback for variants without a batch kernel
-    lp = np.empty(xs.shape)
-    st = np.zeros(xs.shape, dtype=np.int64)
-    flat_x = xs.ravel()
-    flat_y = ys.ravel()
-    flp = lp.ravel()
-    fst = st.ravel()
-    for i in range(flat_x.size):
-        try:
-            orbit = dy.iterate_orbit(f, complex(flat_x[i], flat_y[i]), n)
-            if orbit.length() > n:
-                flp[i] = dy.log_spherical_derivative(orbit, n)
-            else:
-                flp[i] = math.nan
-                fst[i] = kernels.STATUS_OVERFLOW
-        except (OverflowError, fx.OrbitOverflow):
-            flp[i] = math.nan
-            fst[i] = kernels.STATUS_OVERFLOW
-    return lp, st
+    lp = dy.orbit_table(f, xs.ravel(), ys.ravel(), n)[1].reshape(xs.shape)
+    return lp, np.where(np.isnan(lp), kernels.STATUS_OVERFLOW, kernels.STATUS_OK)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import dynamics as dy
 from . import functions as fx
+from . import kernels
 from . import measures as ms
 from .towers import TowerReal
 
@@ -68,16 +69,8 @@ def _orbit_logmags(f, xs, ys, n_max, log_escape):
     if batch is not None:
         return batch
     # scalar fallback for variants without a batch kernel
-    m = xs.size
-    table = np.full((m, n_max + 1), np.nan)
-    esc = np.full(m, -1, dtype=np.int64)
-    for i in range(m):
-        orbit = dy.iterate_orbit(f, complex(xs[i], ys[i]), n_max)
-        for k in range(orbit.length()):
-            table[i, k] = orbit.log_mag(k)
-            if esc[i] < 0 and table[i, k] > log_escape:
-                esc[i] = k
-    return table, esc
+    table = dy.orbit_table(f, xs, ys, n_max)[0]
+    return table, kernels.escape_index(table, log_escape)
 
 
 def _classify_fast(logmags, table, l_max, n_max):

@@ -105,3 +105,13 @@ def test_fast_escape_precomputed_table():
 def test_lyapunov_rejects_tiny_horizon():
     with pytest.raises(ValueError):
         dy.lyapunov_estimate(SQUARE, 0.5, 2)
+
+
+def test_orbit_ends_when_no_value_is_representable():
+    # E_0.2 at z_3 = e^207.4: the series overflows, and so does the log-polar
+    # value the variant would report instead; the orbit ends there, kept so far
+    orbit = dy.iterate_orbit(fx.MittagLeffler(0.2), -0.5 + 0j, 6)
+    assert orbit.status == dy.OVERFLOW
+    assert orbit.overflow_at == 3
+    assert orbit.length() == len(orbit.log_deriv_prefix) == 4
+    assert orbit.log_mag(3) > 200.0

@@ -8,11 +8,13 @@ range before n_max counts as keeping pace from there on.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sphgrow import cli
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
 from sphgrow import measures as ms
@@ -189,3 +191,32 @@ def test_logmags_fallback_bit_identical_to_per_point(name, f, window, R, n_max):
     assert esc[inside].tobytes() == want_esc[inside].tobytes()
     assert (want_esc[inside] >= 1).any() and (want_esc < 0).any()
     assert np.isnan(want_table[:, -1]).any() == (name != "poly")
+
+
+def test_fallback_escape_rule_matches_kernel(monkeypatch):
+    # one rule on both paths: the first step k >= 1 with |z_k| > the escape
+    # radius, so a start beyond it does not escape at step 0
+    xs, ys, log_escape = np.array([30.0, -30.0]), np.zeros(2), math.log(10.0)
+    assert rd._orbit_logmags(fx.Polynomial((0, 0, 1)), xs, ys, 6, log_escape)[1].tolist() == [1, 1]
+    assert rd._orbit_logmags(fx.CoshSqrt(), xs, ys, 6, log_escape)[1].tolist() == [1, -1]
+    f = fx.ExpAffine(1.0)
+    xs = np.concatenate([xs, np.linspace(-3.0, 3.0, 25)])
+    ys = np.concatenate([ys, np.linspace(2.0, -2.0, 25)])
+    kernel = rd._orbit_logmags(f, xs, ys, 8, log_escape)
+    monkeypatch.setattr(fx.ExpAffine, "logmags", fx.Descriptor.logmags)
+    fallback = rd._orbit_logmags(f, xs, ys, 8, log_escape)
+    assert kernel[1].tolist()[:2] == [1, 4]
+    assert fallback[1].tobytes() == kernel[1].tobytes()
+
+
+def test_render_completes_when_orbits_overflow(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "function": {"variant": "mittag_leffler", "alpha": 0.2},
+        "render": {"window": {"kind": "rectangle", "center": [-0.5, 0],
+                              "half_width": 0.5, "half_height": 0.5},
+                   "resolution": 3, "n_max": 6}}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "render"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["parameters"]["pixels"] == 9
+    assert (tmp_path / "escape.ppm").stat().st_size > 0
