@@ -46,6 +46,7 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
         table = np.full((m, n + 1), np.nan)
         r2 = x * x + y * y
         table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
+        del r2  # one (m,) array fewer at the peak of a 512^2 render
         escape_step = np.full(m, -1, dtype=np.int64)
         s_all, s = np.zeros(m), np.zeros(m)
         live = np.arange(m)
@@ -62,10 +63,13 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
                 s_all[live[drop]] = s[drop]
                 keep = ~drop
                 live, ll, y, s = live[keep], ll[keep], y[keep], s[keep]
+            # z_k = e^ll (cos a + i sin a), products formed in place
             a = y + arglam
             r = np.exp(ll)
-            x = r * np.cos(a)
-            y = r * np.sin(a)
+            x = np.cos(a)
+            x *= r
+            y = np.sin(a, out=a)
+            y *= r
         s_all[live] = s
     return table, s_all, escape_step, live, x, y
 
