@@ -52,10 +52,11 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
         live = np.arange(m)
         for k in range(1, n + 1):
             ll = x + loglam
-            table[live, k] = ll
+            # a strided copy, not a scatter, while every row is live
+            table[live if live.size < m else slice(None), k] = ll
             if log_escape is not None:
                 _mark_escapes(escape_step, live, ll, k, log_escape)
-            s += x  # s + x + loglam, in place
+            s += x  # (s + x) + loglam, in place: the full-width loop's rounding
             s += loglam
             # z_k exceeds doubles: the orbit ends, unless this is the last step
             drop = ll > _EXP_LIMIT
@@ -63,7 +64,7 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
                 s_all[live[drop]] = s[drop]
                 keep = ~drop
                 live, ll, y, s = live[keep], ll[keep], y[keep], s[keep]
-            # z_k = e^ll (cos a + i sin a), products formed in place
+            # z_k = e^ll (cos a + i sin a), formed in place to hold fewer (m,) arrays
             a = y + arglam
             r = np.exp(ll)
             x = np.cos(a)
