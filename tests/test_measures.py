@@ -4,6 +4,7 @@ closed forms and dense-grid oracles."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -93,6 +94,27 @@ def test_sandwich_exp():
     out = ms.characteristic_sandwich_check(EXP, math.e, GRID)
     assert out["passed"]
     assert abs(out["T"] - math.e / math.pi) < 1e-3
+
+
+def _exp_circle_mean(r, g):
+    """(1/2pi) integral over theta of g(r cos theta), split where cos changes sign."""
+    pi = mp.pi
+    return float(mp.quad(lambda t: g(r * mp.cos(t)), [0, pi / 2, 3 * pi / 2, 2 * pi]) / (2 * pi))
+
+
+def test_exp_characteristics_closed_forms():
+    # f = e^z, |f| = e^(r cos theta) on |z| = r:
+    #   T0(r) = mean of log sqrt(1 + |f|^2) - log sqrt(1 + |f(0)|^2)
+    #   S(r) = r dT0/dr = mean of r cos theta e^(2 r cos theta) / (1 + e^(2 r cos theta))
+    grid = ms.GridSpec(rel_tol=1e-2)
+    with mp.workdps(30):
+        for r in (1.0, math.e, math.e ** 2, 10.0):
+            t0 = _exp_circle_mean(r, lambda x: 0.5 * mp.log1p(mp.exp(2 * x))) - 0.5 * math.log(2.0)
+            s = _exp_circle_mean(r, lambda x: x * mp.exp(2 * x) / (1 + mp.exp(2 * x)))
+            got_t0, _ = ms.ahlfors_shimizu_T0(EXP, r, grid)
+            got_s = ms.spherical_area(EXP, ms.Region.disk(0j, r), 1, grid).value
+            assert abs(got_t0 - t0) <= 1e-3 * t0, r
+            assert abs(got_s - s) <= 2e-3 * s, r
 
 
 def test_region_validation():
