@@ -243,6 +243,24 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
     Disk regions integrate on polar cells, rectangles on cartesian cells.
     Every cell contributes its log value; totals combine by log-sum-exp.
     """
+    return _area(f, U, n, grid, grid.base_resolution, log_weight=False)
+
+
+def _cell_logs(lp, inside, u0, u1, v0, v1, polar: bool, weight):
+    """log of (1/pi) (f^n)^#(mid)^2 area, times weight if one is given, per
+    cell: -inf outside U, nan on overflow."""
+    area = 0.5 * (u1 * u1 - u0 * u0) * (v1 - v0) if polar else (u1 - u0) * (v1 - v0)
+    logs = 2.0 * lp + np.log(area) - math.log(math.pi)
+    if weight is not None:
+        logs += np.log(weight)
+    return np.where(inside, logs, -np.inf)
+
+
+def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, log_weight: bool) -> AreaResult:
+    """spherical_area on base_resolution x sectors base cells (sectors along
+    theta for a disk, along y for a rectangle).  With log_weight (a disk) the
+    integrand carries the weight log(R/rho), R the disk's radius and rho the
+    midpoint radius of the cell; rho > 0 at every midpoint."""
     if n < 1:
         raise ValueError("n must be >= 1")
     res = grid.base_resolution
@@ -250,11 +268,11 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
     if polar:
         # radial cells clustered toward both 0 and R via sqrt spacing in area
         u0, u1, v0, v1 = _grid_cells(U.radius * np.sqrt(np.linspace(0.0, 1.0, res + 1)),
-                                     np.linspace(0.0, 2.0 * math.pi, res + 1))
+                                     np.linspace(0.0, 2.0 * math.pi, sectors + 1))
     else:
         x0, x1, y0, y1 = _bounding_box(U)
         u0, u1, v0, v1 = _grid_cells(np.linspace(x0, x1, res + 1),
-                                     np.linspace(y0, y1, res + 1))
+                                     np.linspace(y0, y1, sectors + 1))
     depth = np.zeros(u0.size, dtype=np.int64)
     log_tol = math.log(grid.rel_tol)
     total_logs = []
@@ -264,7 +282,7 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
     refinements = 0
     running_max = -math.inf
     force_bank = False
-    lpm = np.empty((u0.size, 0))  # each cell's midpoint log (f^n)^#, once known
+    logc = None  # each cell's own midpoint log value, once known
 
     # iterative deepening: each pass integrates active cells at midpoint
     # and their 2 children; converged cells bank the Richardson value
@@ -273,30 +291,36 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
         vm = 0.5 * (v0 + v1)
         # bisect the longer side (radially or angularly for polar cells)
         along_u = u1 - u0 >= (um * (v1 - v0) if polar else v1 - v0)
+        # the midpoints of child 0 and child 1, and on the first pass the
+        # cell's own: after that it was a child's the pass before
+        mu = np.stack([np.where(along_u, 0.5 * (u0 + um), um),
+                       np.where(along_u, 0.5 * (um + u1), um)], axis=1)
+        mv = np.stack([np.where(along_u, vm, 0.5 * (v0 + vm)),
+                       np.where(along_u, vm, 0.5 * (vm + v1))], axis=1)
+        if logc is None:
+            mu, mv = np.column_stack([um, mu]), np.column_stack([vm, mv])
+        if polar:
+            xs = U.center.real + mu * np.cos(mv)
+            ys = U.center.imag + mu * np.sin(mv)
+        else:
+            xs, ys = mu, mv
+        inside = _inside(U, xs, ys)
+        del mv  # only the new points and their radii stay alive in the kernel
+        lp, _ = logphi_batch(f, xs.ravel(), ys.ravel(), n)
+        del xs, ys
+        lp = lp.reshape(mu.shape)
         kids = (np.stack([u0, np.where(along_u, um, u0)], axis=1),
                 np.stack([np.where(along_u, um, u1), u1], axis=1),
                 np.stack([v0, np.where(along_u, v0, vm)], axis=1),
                 np.stack([np.where(along_u, v1, vm), v1], axis=1))
-        # each cell's row: the cell, child 0, child 1
-        cu0, cu1, cv0, cv1 = (np.column_stack([e, k]) for e, k in zip((u0, u1, v0, v1), kids))
-        mu, mv = 0.5 * (cu0 + cu1), 0.5 * (cv0 + cv1)
-        if polar:
-            xs = U.center.real + mu * np.cos(mv)
-            ys = U.center.imag + mu * np.sin(mv)
-            area = 0.5 * (cu1 * cu1 - cu0 * cu0) * (cv1 - cv0)
-        else:
-            xs, ys = mu, mv
-            area = (cu1 - cu0) * (cv1 - cv0)
-        # after the first pass a cell's own midpoint was a child's the pass before
-        k = lpm.shape[1]
-        lp, _ = logphi_batch(f, xs[:, k:].ravel(), ys[:, k:].ravel(), n)
-        lp = np.column_stack([lpm, lp.reshape(-1, 3 - k)])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # log of (1/pi) (f^n)^#(mid)^2 area: -inf outside U, nan on overflow
-            contrib = np.where(_inside(U, xs, ys),
-                               2.0 * lp + np.log(area) - math.log(math.pi),
-                               -np.inf)
-            logc, l0, l1 = contrib.T
+            if logc is None:
+                logc = _cell_logs(lp[:, 0], inside[:, 0], u0, u1, v0, v1, polar,
+                                  np.log(U.radius / um) if log_weight else None)
+            kid_logs = _cell_logs(lp[:, -2:], inside[:, -2:], *kids, polar,
+                                  np.log(U.radius / mu[:, -2:]) if log_weight else None)
+            del lp, inside, mu
+            l0, l1 = kid_logs.T
             # logf = log(e^l0 + e^l1), the larger finite term factored out
             top = np.where((l0 == -np.inf) | (l1 > l0), l1, l0)
             logf = np.where(np.isfinite(top),
@@ -331,7 +355,7 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
             refinements = max(refinements, int(dep[grow].max()) + 1)
         u0, u1, v0, v1 = (k[live[grow]].ravel() for k in kids)
         depth = np.repeat(dep[grow] + 1, 2)
-        lpm = lp[live[grow], 1:].reshape(-1, 1)
+        logc = kid_logs[live[grow]].ravel()
         force_bank = u0.size > 200_000  # runaway guard: bank everything next pass
 
     log_value = _logsumexp(np.concatenate(total_logs))
@@ -392,46 +416,18 @@ def nevanlinna_T(f, r: float) -> float:
 
 
 def ahlfors_shimizu_T0(f, r: float, grid: GridSpec) -> tuple:
-    """(T0(r,f), unconverged) via 32-node quadrature of S(t)/t in log t."""
+    """(T0(r,f), unconverged): T0(r) = integral from 0 to r of S(t)/t dt.
+
+    Swapping the integrals (Fubini) makes it one weighted area integral,
+    T0(r) = (1/pi) integral over |z| < r of (f^#)^2 log(r/|z|) dx dy, which
+    spherical_area's engine computes on 4 x base_resolution angular sectors:
+    with base_resolution the single disk under-resolves the strips where an
+    entire function's area concentrates (Re z ~ 0 for e^z) at large r.
+    """
     if r < 1.0:
         raise ValueError("r must be >= 1")
-    t_lo = r * 1e-6
-    # composite 8-panel x 4-point Gauss-Legendre in u = log t
-    gl_x = (-0.8611363115940526, -0.33998104358485626,
-            0.33998104358485626, 0.8611363115940526)
-    gl_w = (0.3478548451374538, 0.6521451548625461,
-            0.6521451548625461, 0.3478548451374538)
-    u0 = math.log(t_lo)
-    u1 = math.log(r)
-    total = 0.0
-    unconverged = False
-    for p in range(8):
-        a = u0 + (u1 - u0) * p / 8.0
-        b = u0 + (u1 - u0) * (p + 1) / 8.0
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        for xg, wg in zip(gl_x, gl_w):
-            t = math.exp(mid + half * xg)
-            res = spherical_area(f, Region.disk(0.0, t), 1, grid)
-            unconverged |= res.unconverged
-            total += wg * half * res.value
-    # analytic small-t remainder: S(t) <= t^2 max_{|z|<=t_lo} (f^#)^2
-    peak = _sup_logphi_smalldisk(f, t_lo)
-    tail = 0.5 * t_lo * t_lo * math.exp(2.0 * peak) if peak < 300.0 else math.inf
-    return total + tail, unconverged
-
-
-def _sup_logphi_smalldisk(f, radius: float) -> float:
-    th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    best = -math.inf
-    for rr in (0.0, 0.5 * radius, radius):
-        xs = rr * np.cos(th)
-        ys = rr * np.sin(th)
-        lp, _ = logphi_batch(f, xs, ys, 1)
-        fin = lp[np.isfinite(lp)]
-        if fin.size:
-            best = max(best, float(fin.max()))
-    return best
+    res = _area(f, Region.disk(0.0, r), 1, grid, 4 * grid.base_resolution, log_weight=True)
+    return res.value, res.unconverged
 
 
 def characteristic_sandwich_check(f, r: float, grid: GridSpec = GridSpec()) -> dict:
