@@ -38,7 +38,7 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
     """n steps of f = lam e^z, each on the live rows only (log|z_k| <= 709
     before the last step): the (m, n + 1) table of log|z_k|, NaN once an orbit
     leaves double range; s = log|(f^k)'(z_0)| up to that step or n; the escape
-    steps (all -1 when log_escape is None); the live rows and their z_n."""
+    steps (None when log_escape is None); the live rows and their z_n."""
     x = np.ascontiguousarray(x0, dtype=np.float64)
     y = np.ascontiguousarray(y0, dtype=np.float64)
     m = x.shape[0]
@@ -47,7 +47,7 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
         r2 = x * x + y * y
         table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
         del r2  # one (m,) array fewer at the peak of a 512^2 render
-        escape_step = np.full(m, -1, dtype=np.int64)
+        escape_step = None if log_escape is None else np.full(m, -1, dtype=np.int64)
         s_all, s = np.zeros(m), np.zeros(m)
         live = np.arange(m)
         for k in range(1, n + 1):
@@ -82,7 +82,12 @@ def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
     ll = table[live, n]
     logphi = np.full(s.shape, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        logphi[live] = s[live] - np.where(ll > 350.0, 2.0 * ll, np.log1p(x * x + y * y))
+        den = x * x  # log(1 + |z_n|^2) in one array; 2 log|z_n| where |z_n|^2 may overflow
+        den += y * y
+        np.log1p(den, out=den)
+        big = ll > 350.0
+        den[big] = 2.0 * ll[big]
+        logphi[live] = s[live] - den
     status = np.full(s.shape, STATUS_OVERFLOW, dtype=np.int64)
     status[live] = STATUS_OK
     return logphi, s, table[:, n], status

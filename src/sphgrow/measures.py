@@ -243,24 +243,25 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
     Disk regions integrate on polar cells, rectangles on cartesian cells.
     Every cell contributes its log value; totals combine by log-sum-exp.
     """
-    return _area(f, U, n, grid, grid.base_resolution, log_weight=False)
+    return _area(f, U, n, grid, grid.base_resolution, None)
 
 
-def _cell_logs(lp, inside, u0, u1, v0, v1, polar: bool, weight):
-    """log of (1/pi) (f^n)^#(mid)^2 area, times weight if one is given, per
-    cell: -inf outside U, nan on overflow."""
+def _cell_logs(lp, inside, u0, u1, v0, v1, polar: bool, rho, weight_r):
+    """log of (1/pi) (f^n)^#(mid)^2 area per cell, times log(weight_r/rho) at
+    its midpoint radius rho unless weight_r is None: -inf outside U, nan on
+    overflow."""
     area = 0.5 * (u1 * u1 - u0 * u0) * (v1 - v0) if polar else (u1 - u0) * (v1 - v0)
     logs = 2.0 * lp + np.log(area) - math.log(math.pi)
-    if weight is not None:
-        logs += np.log(weight)
+    if weight_r is not None:
+        logs += np.log(np.log(weight_r / rho))
     return np.where(inside, logs, -np.inf)
 
 
-def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, log_weight: bool) -> AreaResult:
+def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaResult:
     """spherical_area on base_resolution x sectors base cells (sectors along
-    theta for a disk, along y for a rectangle).  With log_weight (a disk) the
-    integrand carries the weight log(R/rho), R the disk's radius and rho the
-    midpoint radius of the cell; rho > 0 at every midpoint."""
+    theta for a disk, along y for a rectangle).  Unless weight_r is None (for
+    a disk, weight_r >= its radius) the integrand carries the weight
+    log(weight_r/rho) at each cell's midpoint radius rho, which is never 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
     res = grid.base_resolution
@@ -315,11 +316,8 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, log_weight: bool) 
                 np.stack([np.where(along_u, v1, vm), v1], axis=1))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if logc is None:
-                logc = _cell_logs(lp[:, 0], inside[:, 0], u0, u1, v0, v1, polar,
-                                  np.log(U.radius / um) if log_weight else None)
-            kid_logs = _cell_logs(lp[:, -2:], inside[:, -2:], *kids, polar,
-                                  np.log(U.radius / mu[:, -2:]) if log_weight else None)
-            del lp, inside, mu
+                logc = _cell_logs(lp[:, 0], inside[:, 0], u0, u1, v0, v1, polar, um, weight_r)
+            kid_logs = _cell_logs(lp[:, -2:], inside[:, -2:], *kids, polar, mu[:, -2:], weight_r)
             l0, l1 = kid_logs.T
             # logf = log(e^l0 + e^l1), the larger finite term factored out
             top = np.where((l0 == -np.inf) | (l1 > l0), l1, l0)
@@ -426,7 +424,7 @@ def ahlfors_shimizu_T0(f, r: float, grid: GridSpec) -> tuple:
     """
     if r < 1.0:
         raise ValueError("r must be >= 1")
-    res = _area(f, Region.disk(0.0, r), 1, grid, 4 * grid.base_resolution, log_weight=True)
+    res = _area(f, Region.disk(0.0, r), 1, grid, 4 * grid.base_resolution, r)
     return res.value, res.unconverged
 
 
