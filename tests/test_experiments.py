@@ -6,6 +6,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from sphgrow import cli
@@ -23,6 +24,56 @@ def test_specfun_check_passes():
     rep = ex.run_specfun_check(seed=0)
     assert rep.verdict == ex.PASS
     assert not rep.violating_rows()
+
+
+def _ml_series_mpc(alpha, zs, terms=400, dps=60):
+    """The series reference as first written: term by term in mpc arithmetic."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        gammas = [mp.gamma(a * n + 1) for n in range(terms)]
+        out = []
+        for z in zs:
+            zz = mp.mpc(z)
+            s = mp.mpc(0)
+            p = mp.mpc(1)
+            for g in gammas:
+                s += p / g
+                p *= zz
+            out.append(complex(s))
+        return out
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def _specfun_series_points():
+    # the 41 points of run_specfun_check's series-vs-asymptotic row
+    half_sector = 0.75 * math.pi / 2.0
+    return [20.0 * complex(math.cos(th), math.sin(th))
+            for th in np.linspace(-half_sector + 0.12, half_sector - 0.12, 41)]
+
+
+def _random_series_points(alpha, radius, count=30):
+    rng = np.random.default_rng(int(10 * alpha))
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
+    th = rng.uniform(0.0, 2.0 * math.pi, count)
+    return [complex(z) for z in r * np.exp(1j * th)] + [
+        0j, complex(-0.6 * radius, 0.0), complex(0.0, 0.4 * radius)]
+
+
+def test_ml_series_highprec_bit_identical_on_specfun_points():
+    zs = _specfun_series_points()
+    assert _bits(ex._ml_series_highprec(0.75, zs)) == _bits(_ml_series_mpc(0.75, zs))
+
+
+# radii keep the 400-term series converged and the cancellation well
+# inside the 60-digit mpc oracle's precision
+@pytest.mark.parametrize("alpha, radius", [(0.5, 5.0), (1.0, 10.0), (1.5, 20.0)])
+def test_ml_series_highprec_bit_identical_on_random_points(alpha, radius):
+    zs = _random_series_points(alpha, radius)
+    assert _bits(ex._ml_series_highprec(alpha, zs)) == _bits(_ml_series_mpc(alpha, zs))
 
 
 def test_classical_suite_passes():

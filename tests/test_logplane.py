@@ -65,11 +65,14 @@ def _schedule_float_operands(x0, n_max):
     return xs, fails
 
 
-@pytest.mark.parametrize("x0, n_max", [(26.0, 7), (1e6, 2000)])
+@pytest.mark.parametrize("x0, n_max", [(26.0, 7), (1e6, 2000), (1e6, 10_000)])
 def test_schedule_bit_identical_to_float_operands(x0, n_max):
-    # mpf operands change no rounding: every float operand converts exactly
+    # mpf operands change no rounding: every float operand converts exactly.
+    # (1e6, 10000) is thm3's tier a at its defaults.
     sched = lp.schedule_build(x0, n_max)
     xs, fails = _schedule_float_operands(x0, n_max)
+    # schedule_growth_statistic and slow_orbit_construct take mpf entries
+    assert all(type(x) is mp.mpf for x in sched.x)
     assert [x._mpf_ for x in sched.x] == [x._mpf_ for x in xs]
     assert sched.invariant_failures == fails
 
