@@ -25,6 +25,8 @@ PASS = "Pass"
 FAIL = "Fail"
 INCONCLUSIVE = "Inconclusive"
 
+_SERIES_BITS = 256  # fraction bits of _ml_series_highprec's fixed-point sum
+
 
 @dataclass
 class ExperimentReport:
@@ -407,6 +409,8 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
     """Two-tier slow-escape verification of the log(1 + lambda) lower bound."""
     if n_tier_a < 1:
         raise ValueError(f"n_tier_a={n_tier_a} must be >= 1")
+    if not math.isfinite(x0_tier_a):
+        raise ValueError(f"x0_tier_a={x0_tier_a} must be finite")
     if not x0_tier_a > lg.X0_FLOOR:
         raise ValueError(f"x0_tier_a={x0_tier_a} must exceed {lg.X0_FLOOR:.6f} (8*pi)")
     target = math.log(1.0 + 1.0)  # lambda(f) = 1 for the exponential family
@@ -610,26 +614,63 @@ def run_specfun_check(seed: int = 0) -> ExperimentReport:
 
 def _ml_series_highprec(alpha: float, zs, terms: int = 400,
                         dps: int = 60) -> list:
-    """Power-series reference at each z in zs, summed in extended precision.
+    """Power-series reference at each z in zs, summed exactly in integers.
 
-    alpha*n must be formed as an mpf product: in doubles its rounding
-    error, scaled by the peak gamma term, wrecks the cancellation.  The
-    gamma values are computed once and shared by every point.
+    The coefficients 1/Gamma(alpha n + 1) come from mpmath at dps digits
+    (alpha*n formed as an mpf product: in doubles its rounding error,
+    scaled by the peak gamma term, wrecks the cancellation).  Each is kept
+    as a P-bit mantissa M_n and a shift s_n, c_n = M_n 2^-s_n with
+    P = _SERIES_BITS; a fixed-point c_n would keep only ~11 digits by
+    n ~ 100.  z^n is carried as a pair of ints with P fraction bits, each
+    term is the exact product z^n M_n shifted down by s_n, and one
+    correctly rounded int division turns the sum into a double.  So the
+    errors are gamma's (~2^-200 relative per coefficient) and one unit of
+    2^-P per shift, which z^n carries forward at most terms times: below
+    ~2^-190 times the sum of c_n max(1, |z|)^n.  At the specfun points
+    (alpha = 0.75, |z| = 20) that sum is ~2e22 and the value above 1e3, so
+    30 digits are exact, against the 17 a double needs.  Plain ints do
+    each step in a few operations where mpc arithmetic wrapped every one
+    in new objects; the doubles out are the same.
+
+    Raises ValueError when a component of z is not a multiple of 2^-P,
+    and when the last term is not below 2^-P of the largest (compared in
+    the 1-norm), that is when terms is too few for the series to converge.
     """
     import mpmath as mp
+    P = _SERIES_BITS
     with mp.workdps(dps):
         a = mp.mpf(alpha)
-        gammas = [mp.gamma(a * n + 1) for n in range(terms)]
-        out = []
-        for z in zs:
-            zz = mp.mpc(z)
-            s = mp.mpc(0)
-            p = mp.mpc(1)
-            for g in gammas:
-                s += p / g
-                p *= zz
-            out.append(complex(s))
-        return out
+        coeffs = []
+        for n in range(terms):
+            _, man, exp, bc = mp.libmp.mpf_div(
+                mp.libmp.fone, mp.gamma(a * n + 1)._mpf_, P, "n")
+            coeffs.append((man << (P - bc), P - bc - exp))
+    one = 1 << P
+    out = []
+    for z in zs:
+        x, y, k = _dyadic(complex(z), P)
+        pr, pi = one, 0                   # z^n, P fraction bits
+        sr = si = peak = 0
+        for m, s in coeffs:
+            tr, ti = (pr * m) >> s, (pi * m) >> s
+            sr += tr
+            si += ti
+            peak = max(peak, abs(tr) + abs(ti))
+            # the P-bit fixed-point product by z, with z's exact numerators
+            pr, pi = (pr * x - pi * y) >> k, (pr * y + pi * x) >> k
+        if (abs(tr) + abs(ti)) << P >= peak:
+            raise ValueError(f"series at z={z} has not converged in {terms} terms")
+        out.append(complex(sr / one, si / one))
+    return out
+
+
+def _dyadic(z: complex, bits: int) -> tuple:
+    """(x, y, k) with z = (x + iy) 2^-k exactly; ValueError if k > bits."""
+    (x, dx), (y, dy) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    k = max(dx, dy).bit_length() - 1
+    if k > bits:
+        raise ValueError(f"z={z} is not a multiple of 2^-{bits}")
+    return x * ((1 << k) // dx), y * ((1 << k) // dy), k
 
 
 # ---------------------------------------------------------------------------

@@ -53,32 +53,44 @@ def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
     Each step also checks the partial-sum inequality.  No step can break
     x_n <= e^(x_{n-1}): it multiplies by at most 2/(1+delta) < 2, and
     2x < e^x for every real x.
+
+    The loop calls mpmath.libmp on raw (sign, man, exp, bc) tuples at
+    96 bits, rounding to nearest, and wraps only the returned x_n as mpf:
+    each operation is the one mpf arithmetic at workprec(96) would make
+    (mp.log of an mpf is mpf_log at the working precision, with no guard
+    bits), so the values are the same bits without the object overhead.
     """
+    if not math.isfinite(x0):
+        raise ValueError(f"x0={x0} must be finite")
     if not x0 > X0_FLOOR:
         raise ValueError(
             f"x0={x0} must exceed {X0_FLOOR:.6f} (binding bound: 8*pi)")
     if n_max < 0:
         raise ValueError(f"n_max={n_max} must be >= 0")
-    # every operand is an mpf: a float operand costs a conversion per use
-    one = mp.mpf(1)
-    lam_low = one  # growth exponent of h(x) = e^x for the exponential family
-    grow = one + lam_low  # the factor 1 + lambda of every step after the first
-    with mp.workprec(96):
-        x = mp.mpf(x0)
-        d = one / mp.log(x)
-        xs = [x]
-        fails = []
-        partial = mp.mpf(0)
-        shave = 1 - mp.mpf(2)**-60
-        for n in range(1, n_max + 1):
-            low, high = lam_low - d, one + d
-            x_n = (low if n == 1 else grow) / high * x
-            partial += low * x
-            if partial < high * x_n * shave:
-                fails.append(f"partial-sum inequality at n={n}")
-            x, d = x_n, one / mp.log(x_n)
-            xs.append(x)
-    return SlowEscapeSchedule(x=xs, invariant_failures=fails)
+    lm = mp.libmp
+    add, sub, mul, div, log = (lm.mpf_add, lm.mpf_sub, lm.mpf_mul, lm.mpf_div,
+                               lm.mpf_log)
+    prec, rnd = 96, "n"
+    one = lm.fone  # lambda = 1: growth exponent of h(x) = e^x for this family
+    grow = lm.from_int(2)  # the factor 1 + lambda of every step after the first
+    shave = lm.from_man_exp((1 << 60) - 1, -60)  # 1 - 2^-60
+    x = mp.mpf(x0, prec=prec, rounding=rnd)._mpf_
+    d = div(one, log(x, prec, rnd), prec, rnd)
+    xs = [x]
+    fails = []
+    partial = lm.fzero
+    for n in range(1, n_max + 1):
+        low, high = sub(one, d, prec, rnd), add(one, d, prec, rnd)
+        x_n = mul(div(low if n == 1 else grow, high, prec, rnd), x, prec, rnd)
+        partial = add(partial, mul(low, x, prec, rnd), prec, rnd)
+        if lm.mpf_lt(partial, mul(mul(high, x_n, prec, rnd), shave, prec, rnd)):
+            fails.append(f"partial-sum inequality at n={n}")
+        x, d = x_n, div(one, log(x_n, prec, rnd), prec, rnd)
+        xs.append(x)
+    # mp.make_mpf wraps a raw tuple as is; mp.mpf(tuple) would round it to
+    # the context precision, 53 bits outside workprec
+    return SlowEscapeSchedule(x=[mp.make_mpf(v) for v in xs],
+                              invariant_failures=fails)
 
 
 def schedule_growth_statistic(schedule: SlowEscapeSchedule, n: int) -> float:

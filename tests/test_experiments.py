@@ -76,6 +76,17 @@ def test_ml_series_highprec_bit_identical_on_random_points(alpha, radius):
     assert _bits(ex._ml_series_highprec(alpha, zs)) == _bits(_ml_series_mpc(alpha, zs))
 
 
+@pytest.mark.parametrize("alpha, z, message", [
+    (0.75, complex(1e-100, 1.0), r"is not a multiple of 2\^-256"),
+    (0.5, 20.0, "has not converged in 400 terms"),
+], ids=["inexact-z", "truncated"])
+def test_ml_series_highprec_refuses_unchecked_sums(alpha, z, message):
+    # a reference it cannot vouch for would turn the specfun row into an
+    # unchecked comparison
+    with pytest.raises(ValueError, match=message):
+        ex._ml_series_highprec(alpha, [z])
+
+
 def test_classical_suite_passes():
     rep = ex.classical_suite(seed=0, samples=2000)
     assert rep.verdict == ex.PASS
@@ -163,6 +174,9 @@ def test_thm3_rejects_zero_lambda(tmp_path):
 @pytest.mark.parametrize("key, value, message", [
     ("n_tier_a", 0, "^n_tier_a=0 must be >= 1$"),
     ("x0_tier_a", 5.0, r"^x0_tier_a=5.0 must exceed 25.132741 \(8\*pi\)$"),
+    pytest.param("x0_tier_a", math.inf, "^x0_tier_a=inf must be finite$",
+                 id="x0_tier_a-inf"),
+    pytest.param("x0", math.inf, "^x0=inf must be finite$", id="x0-inf"),
     pytest.param("x0", 10.0, r"^x0=10.0 must exceed 25.132741 \(binding bound: 8\*pi\)$",
                  id="x0"),
     pytest.param("n_max", -1, "^n_max=-1 must be >= 0$", id="n_max"),
@@ -177,6 +191,16 @@ def test_thm3_rejects_bad_tier_a(tmp_path, key, value, message):
     with pytest.raises(ValueError, match=message):
         cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm3"])
     assert not (tmp_path / "report.json").exists()
+
+
+def test_thm3_rejects_infinite_tier_a_before_tier_b(monkeypatch):
+    # the CLI used to run tier b, then fail to write inf into report.json
+    calls = []
+    monkeypatch.setattr(ex.lg, "slow_orbit_construct",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^x0_tier_a=inf must be finite$"):
+        ex.run_thm3(1.0, 26.0, 3, 256, x0_tier_a=math.inf)
+    assert not calls
 
 
 def test_thm4_small_scan():

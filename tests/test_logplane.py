@@ -39,6 +39,13 @@ def test_schedule_precondition_names_binding_bound():
         lp.schedule_build(10.0, 4)
 
 
+@pytest.mark.parametrize("x0", [math.inf, math.nan])
+def test_schedule_rejects_non_finite_x0(x0):
+    # an infinite start would make an all-inf schedule, not a counterexample
+    with pytest.raises(ValueError, match=f"^x0={x0} must be finite$"):
+        lp.schedule_build(x0, 3)
+
+
 def test_schedule_rejects_negative_n_max():
     with pytest.raises(ValueError, match="n_max=-1"):
         lp.schedule_build(26.0, -1)
