@@ -25,8 +25,6 @@ PASS = "Pass"
 FAIL = "Fail"
 INCONCLUSIVE = "Inconclusive"
 
-_SERIES_BITS = 256  # fraction bits of _ml_series_highprec's fixed-point sum
-
 
 @dataclass
 class ExperimentReport:
@@ -619,25 +617,25 @@ def _ml_series_highprec(alpha: float, zs, terms: int = 400,
     The coefficients 1/Gamma(alpha n + 1) come from mpmath at dps digits
     (alpha*n formed as an mpf product: in doubles its rounding error,
     scaled by the peak gamma term, wrecks the cancellation).  Each is kept
-    as a P-bit mantissa M_n and a shift s_n, c_n = M_n 2^-s_n with
-    P = _SERIES_BITS; a fixed-point c_n would keep only ~11 digits by
-    n ~ 100.  z^n is carried as a pair of ints with P fraction bits, each
-    term is the exact product z^n M_n shifted down by s_n, and one
-    correctly rounded int division turns the sum into a double.  So the
-    errors are gamma's (~2^-200 relative per coefficient) and one unit of
-    2^-P per shift, which z^n carries forward at most terms times: below
-    ~2^-190 times the sum of c_n max(1, |z|)^n.  At the specfun points
-    (alpha = 0.75, |z| = 20) that sum is ~2e22 and the value above 1e3, so
-    30 digits are exact, against the 17 a double needs.  Plain ints do
-    each step in a few operations where mpc arithmetic wrapped every one
-    in new objects; the doubles out are the same.
+    as a P = 256-bit mantissa M_n and a shift s_n, c_n = M_n 2^-s_n; a
+    fixed-point c_n would keep only ~11 digits by n ~ 100.  z^n is carried
+    as a pair of ints with P fraction bits, each term is the exact product
+    z^n M_n shifted down by s_n, and one correctly rounded int division
+    turns the sum into a double.  So the errors are gamma's (~2^-200
+    relative per coefficient) and one unit of 2^-P per shift, which z^n
+    carries forward at most terms times: below ~2^-190 times the sum of
+    c_n max(1, |z|)^n.  At the specfun points (alpha = 0.75, |z| = 20)
+    that sum is ~5e23 and the value above 7e3, so 30 digits are exact,
+    against the 17 a double needs.  Plain ints do each step in a few
+    operations where mpc arithmetic wrapped every one in new objects; the
+    doubles out are the same.
 
     Raises ValueError when a component of z is not a multiple of 2^-P,
     and when the last term is not below 2^-P of the largest (compared in
     the 1-norm), that is when terms is too few for the series to converge.
     """
     import mpmath as mp
-    P = _SERIES_BITS
+    P = 256
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         coeffs = []

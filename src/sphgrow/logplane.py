@@ -68,10 +68,10 @@ def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
     if n_max < 0:
         raise ValueError(f"n_max={n_max} must be >= 0")
     lm = mp.libmp
-    add, sub, mul, div, log = (lm.mpf_add, lm.mpf_sub, lm.mpf_mul, lm.mpf_div,
-                               lm.mpf_log)
+    add, sub, mul, div, log, lt = (lm.mpf_add, lm.mpf_sub, lm.mpf_mul,
+                                   lm.mpf_div, lm.mpf_log, lm.mpf_lt)
     prec, rnd = 96, "n"
-    one = lm.fone  # lambda = 1: growth exponent of h(x) = e^x for this family
+    one = lm.fone  # also lambda, the growth exponent of h(x) = e^x here
     grow = lm.from_int(2)  # the factor 1 + lambda of every step after the first
     shave = lm.from_man_exp((1 << 60) - 1, -60)  # 1 - 2^-60
     x = mp.mpf(x0, prec=prec, rounding=rnd)._mpf_
@@ -83,7 +83,7 @@ def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
         low, high = sub(one, d, prec, rnd), add(one, d, prec, rnd)
         x_n = mul(div(low if n == 1 else grow, high, prec, rnd), x, prec, rnd)
         partial = add(partial, mul(low, x, prec, rnd), prec, rnd)
-        if lm.mpf_lt(partial, mul(mul(high, x_n, prec, rnd), shave, prec, rnd)):
+        if lt(partial, mul(mul(high, x_n, prec, rnd), shave, prec, rnd)):
             fails.append(f"partial-sum inequality at n={n}")
         x, d = x_n, div(one, log(x_n, prec, rnd), prec, rnd)
         xs.append(x)
