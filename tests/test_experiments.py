@@ -194,7 +194,7 @@ def test_thm3_rejects_bad_tier_a(tmp_path, key, value, message):
 
 
 def test_thm3_rejects_infinite_tier_a_before_tier_b(monkeypatch):
-    # the CLI used to run tier b, then fail to write inf into report.json
+    # a bad tier-a start is refused before any tier-b work is done
     calls = []
     monkeypatch.setattr(ex.lg, "slow_orbit_construct",
                         lambda *args: calls.append(args))
