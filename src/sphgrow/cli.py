@@ -28,14 +28,17 @@ REGION: {"kind": "disk", "center": [re, im], "radius": r}
      or {"kind": "rectangle", "center": [re, im],
          "half_width": w, "half_height": h}
 GRID:   {"base_resolution": 32, "max_refinements": 8, "rel_tol": 1e-3}
-thm7 and thm56 take either "n_range" (a list of n, e.g. [1, 2]) or
-n_min/n_max, not both.  Without a region, thm7, thm56 and thm1scan use a
-disk of radius 0.5 around a repelling fixed point of f.
+Region centres and sizes must be finite, and sizes positive.  thm7 and
+thm56 take either "n_range" (a list of n, e.g. [1, 2]) or n_min/n_max, not
+both.  Without a region, thm7, thm56 and thm1scan use a disk of radius 0.5
+around the fixed point of f that Newton's method finds from 1+i; when that
+point is not repelling, they stop with an error that asks for a region.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -51,11 +54,10 @@ DEFAULT_FUNCTION = {"variant": "exp_affine", "lambda": [1.0, 0.0]}
 # the keys each section reads; None marks a leaf, a dict a nested object,
 # _REGION a region, whose keys depend on its kind.  The function object is
 # checked against the JSON of the descriptor it parses to.
-_REGION_KINDS = {"disk": dict.fromkeys(("kind", "center", "radius")),
-                 "rectangle": dict.fromkeys(("kind", "center", "half_width",
-                                             "half_height"))}
-_REGION = {**_REGION_KINDS["disk"], **_REGION_KINDS["rectangle"]}
-_GRID = dict.fromkeys(("base_resolution", "max_refinements", "rel_tol"))
+_REGION_KINDS = {kind: dict.fromkeys(("kind", "center", *sizes))
+                 for kind, sizes in ms.Region.SIZES.items()}
+_REGION = {key: None for keys in _REGION_KINDS.values() for key in keys}
+_GRID = dict.fromkeys(field.name for field in dataclasses.fields(ms.GridSpec))
 _N = dict.fromkeys(("n_range", "n_min", "n_max"))
 CONFIG_KEYS = {
     "function": None,
@@ -91,18 +93,16 @@ def _unknown_keys(obj: dict, known: dict, path: str = "") -> list:
     return out
 
 
-def _region_from_json(obj) -> ms.Region:
-    center = complex(obj["center"][0], obj["center"][1])
-    if obj["kind"] == "disk":
-        return ms.Region.disk(center, obj["radius"])
-    return ms.Region.rectangle(center, obj["half_width"], obj["half_height"])
+def _region(obj: dict, path: str) -> ms.Region:
+    """Region.from_json(obj), its errors named by the object's config path."""
+    try:
+        return ms.Region.from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _grid_from_json(obj) -> ms.GridSpec:
-    obj = obj or {}
-    return ms.GridSpec(base_resolution=obj.get("base_resolution", 32),
-                       max_refinements=obj.get("max_refinements", 8),
-                       rel_tol=obj.get("rel_tol", 1e-3))
+    return ms.GridSpec(**{"max_refinements": 8, **(obj or {})})  # GridSpec's is 24
 
 
 def _load_section(config: dict, name: str) -> dict:
@@ -121,11 +121,16 @@ def _n_values(section: dict, name: str, n_max: int):
     return ns
 
 
-def _resolve_region(section: dict, f) -> ms.Region:
+def _resolve_region(section: dict, name: str, f) -> ms.Region:
     if "region" in section:
-        return _region_from_json(section["region"])
-    # a disk around a repelling fixed point of f
-    return ms.Region.disk(dy.find_periodic_point(f, 1, complex(1.0, 1.0)).location, 0.5)
+        return _region(section["region"], f"{name}.region")
+    # a disk around a repelling fixed point of f, which lies in J(f)
+    p = dy.find_periodic_point(f, 1, complex(1.0, 1.0))
+    if not abs(p.multiplier) > 1.0:
+        raise ValueError(f"{name}.region: the default disk needs a repelling fixed point, "
+                         f"but the one found at {p.location:.6g} has |multiplier| "
+                         f"{abs(p.multiplier):.3g}; give a region that meets J(f)")
+    return ms.Region.disk(p.location, 0.5)
 
 
 def _write_outputs(report, out_dir: str) -> None:
@@ -167,20 +172,20 @@ def main(argv=None) -> int:
     if args.command == "thm7":
         c = _load_section(config, "thm7")
         report = ex.run_thm7(
-            f, _resolve_region(c, f), c.get("R", 5.0), c.get("m", 2),
+            f, _resolve_region(c, "thm7", f), c.get("R", 5.0), c.get("m", 2),
             _n_values(c, "thm7", 4),
             _grid_from_json(c.get("grid")))
     elif args.command == "thm56":
         c = _load_section(config, "thm56")
         report = ex.run_thm5_thm6(
-            f, _resolve_region(c, f), c.get("R_lower", 5.0),
+            f, _resolve_region(c, "thm56", f), c.get("R_lower", 5.0),
             c.get("R_upper", 5.0), c.get("m", 2),
             _n_values(c, "thm56", 3),
             _grid_from_json(c.get("grid")))
     elif args.command == "thm1scan":
         c = _load_section(config, "thm1scan")
         report = ex.run_thm1_growth_scan(
-            f, _resolve_region(c, f), c.get("N", 5), c.get("starts", 20),
+            f, _resolve_region(c, "thm1scan", f), c.get("N", 5), c.get("starts", 20),
             seed=seed, grid=_grid_from_json(c.get("grid")))
     elif args.command == "thm3":
         c = _load_section(config, "thm3")
@@ -203,7 +208,7 @@ def main(argv=None) -> int:
         report = ex.run_specfun_check(seed=seed)
     elif args.command == "render":
         c = _load_section(config, "render")
-        window = _region_from_json(c["window"]) if "window" in c else \
+        window = _region(c["window"], "render.window") if "window" in c else \
             ms.Region.rectangle(complex(1.0, 0.0), 3.0, 3.0)
         os.makedirs(args.out, exist_ok=True)
         ppm = os.path.join(args.out, "escape.ppm")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class ExperimentReport:
                    "verdict": self.verdict,
                    "tolerances": self.tolerances,
                    "notes": self.notes}
-        return json.dumps(payload, sort_keys=True, indent=1,
-                          allow_nan=False, default=_json_scrub)
+        return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
 
     def rows_csv(self) -> str:
         buf = io.StringIO()
@@ -57,16 +56,6 @@ class ExperimentReport:
 
     def violating_rows(self) -> list:
         return [r for r in self.rows if r.get("violates")]
-
-
-def _json_scrub(obj):
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return _json_scrub(obj.item())
-    if isinstance(obj, bool):
-        return obj
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _fmt(v) -> str:
@@ -130,8 +119,8 @@ def run_thm7(f, U: ms.Region, R: float, m: int, n_range,
     return ExperimentReport(
         experiment_id="thm7-sup-metric-vs-tower",
         function=fx.descriptor_to_json(f),
-        parameters={"region": _region_json(U), "R": R, "m": m,
-                    "n_range": ns, "grid": _grid_json(grid),
+        parameters={"region": U.to_json(), "R": R, "m": m,
+                    "n_range": ns, "grid": asdict(grid),
                     "smallest_working_m": best_m},
         rows=rows, verdict=_lower_bound_verdict(rows),
         tolerances={"comparison": "exact tower order"},
@@ -187,10 +176,10 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
     return ExperimentReport(
         experiment_id="thm5-thm6-area-vs-tower",
         function=fx.descriptor_to_json(f),
-        parameters={"region": _region_json(U), "R_lower": R_lower,
+        parameters={"region": U.to_json(), "R_lower": R_lower,
                     "R_upper_initial": R_upper, "R_upper_final": R_up,
                     "upper_doublings": doublings, "m": m, "n_range": ns,
-                    "grid": _grid_json(grid), "upper_witnessed": upper_ok},
+                    "grid": asdict(grid), "upper_witnessed": upper_ok},
         rows=rows, verdict=verdict,
         tolerances={"comparison": "exact tower order",
                     "quadrature_rel_tol": grid.rel_tol},
@@ -239,8 +228,8 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
     if starts == 0:
         return ExperimentReport(
             experiment_id="thm1-growth-scan", function=fx.descriptor_to_json(f),
-            parameters={"region": _region_json(U), "N": N, "starts": 0,
-                        "seed": seed, "grid": _grid_json(grid)},
+            parameters={"region": U.to_json(), "N": N, "starts": 0,
+                        "seed": seed, "grid": asdict(grid)},
             rows=[], verdict=INCONCLUSIVE,
             tolerances={"signature_factor": 2.0}, notes=notes + ["no starts"])
     seq = {}
@@ -260,7 +249,7 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
     rng = np.random.default_rng(seed)
     chis = []
     for _ in range(starts):
-        z0 = _sample_region(U, rng)
+        z0 = U.sample(rng)
         try:
             est = dy.lyapunov_estimate(f, z0, min(N + 10, 40))
             chis.append(est.upper)
@@ -278,8 +267,8 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
             rows[-1]["violates"] = True
     return ExperimentReport(
         experiment_id="thm1-growth-scan", function=fx.descriptor_to_json(f),
-        parameters={"region": _region_json(U), "N": N, "starts": starts,
-                    "seed": seed, "grid": _grid_json(grid),
+        parameters={"region": U.to_json(), "N": N, "starts": starts,
+                    "seed": seed, "grid": asdict(grid),
                     "max_finite_horizon_chi": _clean(max_chi)
                     if max_chi is not None else None},
         rows=rows, verdict=verdict,
@@ -669,32 +658,3 @@ def _dyadic(z: complex, bits: int) -> tuple:
     if k > bits:
         raise ValueError(f"z={z} is not a multiple of 2^-{bits}")
     return x * ((1 << k) // dx), y * ((1 << k) // dy), k
-
-
-# ---------------------------------------------------------------------------
-# shared helpers
-
-
-def _region_json(U: ms.Region) -> dict:
-    out = {"kind": U.kind, "center": [U.center.real, U.center.imag]}
-    if U.kind == "rectangle":
-        out["half_width"] = U.half_width
-        out["half_height"] = U.half_height
-    else:
-        out["radius"] = U.radius
-    return out
-
-
-def _grid_json(grid: ms.GridSpec) -> dict:
-    return {"base_resolution": grid.base_resolution,
-            "max_refinements": grid.max_refinements,
-            "rel_tol": grid.rel_tol}
-
-
-def _sample_region(U: ms.Region, rng) -> complex:
-    if U.kind == "disk":
-        r = U.radius * math.sqrt(rng.uniform(0.0, 1.0))
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        return U.center + complex(r * math.cos(t), r * math.sin(t))
-    return U.center + complex(rng.uniform(-U.half_width, U.half_width),
-                              rng.uniform(-U.half_height, U.half_height))

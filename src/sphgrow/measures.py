@@ -20,21 +20,29 @@ from . import kernels
 
 @dataclass(frozen=True)
 class Region:
+    """A disk or a rectangle: the open set U that the growth theorems measure.
+
+    Its JSON form, bounding box, membership test and sampling rule live here,
+    so no other module branches on its kind.
+    """
     center: complex
     kind: str  # "rectangle" or "disk"
     half_width: float = 0.0
     half_height: float = 0.0
     radius: float = 0.0
 
+    # each kind's size fields, in JSON order
+    SIZES = {"disk": ("radius",), "rectangle": ("half_width", "half_height")}
+
     def __post_init__(self):
-        if self.kind == "rectangle":
-            if self.half_width <= 0.0 or self.half_height <= 0.0:
-                raise ValueError("rectangle needs positive half sizes")
-        elif self.kind == "disk":
-            if self.radius <= 0.0:
-                raise ValueError("disk needs positive radius")
-        else:
+        if self.kind not in Region.SIZES:
             raise ValueError(f"unknown region kind {self.kind!r}")
+        if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
+            raise ValueError(f"{self.kind} center must be finite, not {self.center}")
+        for name in Region.SIZES[self.kind]:
+            size = getattr(self, name)
+            if not 0.0 < size < math.inf:  # NaN fails too
+                raise ValueError(f"{self.kind} {name} must be positive and finite, not {size}")
 
     @staticmethod
     def rectangle(center: complex, half_width: float, half_height: float) -> "Region":
@@ -44,6 +52,45 @@ class Region:
     @staticmethod
     def disk(center: complex, radius: float) -> "Region":
         return Region(complex(center), "disk", radius=float(radius))
+
+    @staticmethod
+    def from_json(obj: dict) -> "Region":
+        """The region {"kind": kind, "center": [re, im]} plus the kind's SIZES."""
+        kind = obj.get("kind")
+        if not isinstance(kind, str) or kind not in Region.SIZES:
+            raise ValueError(f"unknown region kind {kind!r}")
+        missing = [key for key in ("center", *Region.SIZES[kind]) if key not in obj]
+        if missing:
+            raise ValueError(f"{kind} region needs {', '.join(missing)}")
+        return Region(complex(obj["center"][0], obj["center"][1]), kind,
+                      **{key: float(obj[key]) for key in Region.SIZES[kind]})
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "center": [self.center.real, self.center.imag],
+                **{key: getattr(self, key) for key in Region.SIZES[self.kind]}}
+
+    def bounds(self) -> tuple:
+        """(x0, x1, y0, y1), the smallest box that holds the region."""
+        hw, hh = ((self.radius, self.radius) if self.kind == "disk"
+                  else (self.half_width, self.half_height))
+        return (self.center.real - hw, self.center.real + hw,
+                self.center.imag - hh, self.center.imag + hh)
+
+    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Whether each point xs + i ys lies in the closed region."""
+        if self.kind == "rectangle":
+            return (np.abs(xs - self.center.real) <= self.half_width) & \
+                   (np.abs(ys - self.center.imag) <= self.half_height)
+        return (xs - self.center.real) ** 2 + (ys - self.center.imag) ** 2 <= self.radius**2
+
+    def sample(self, rng) -> complex:
+        """A uniform random point of the region, drawn from the numpy Generator rng."""
+        if self.kind == "disk":
+            r = self.radius * math.sqrt(rng.uniform(0.0, 1.0))
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            return self.center + complex(r * math.cos(t), r * math.sin(t))
+        return self.center + complex(rng.uniform(-self.half_width, self.half_width),
+                                     rng.uniform(-self.half_height, self.half_height))
 
 
 @dataclass(frozen=True)
@@ -92,21 +139,6 @@ class MuSupResult:
     overflow_points: int  # of those, the ones inside U whose orbit overflowed
 
 
-def _inside(U: Region, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    if U.kind == "rectangle":
-        return (np.abs(xs - U.center.real) <= U.half_width) & \
-               (np.abs(ys - U.center.imag) <= U.half_height)
-    return (xs - U.center.real) ** 2 + (ys - U.center.imag) ** 2 <= U.radius**2
-
-
-def _bounding_box(U: Region):
-    if U.kind == "rectangle":
-        return (U.center.real - U.half_width, U.center.real + U.half_width,
-                U.center.imag - U.half_height, U.center.imag + U.half_height)
-    return (U.center.real - U.radius, U.center.real + U.radius,
-            U.center.imag - U.radius, U.center.imag + U.radius)
-
-
 # Both refinement engines hold their cells as parallel arrays (u0, u1, v0, v1):
 # x/y edges for rectangle cells, r/theta edges for polar cells.  Each pass makes
 # one logphi_batch call on the points no earlier pass evaluated (mu_sup: 4 edge
@@ -152,13 +184,13 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     """log sup of (f^n)^# over U by corner-spread adaptive refinement."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x0, x1, y0, y1 = _bounding_box(U)
+    x0, x1, y0, y1 = U.bounds()
     res = grid.base_resolution
     gx = np.linspace(x0, x1, res + 1)
     gy = np.linspace(y0, y1, res + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
     lp, st = logphi_batch(f, X.ravel(), Y.ravel(), n)
-    mask = _inside(U, X, Y)
+    mask = U.contains(X, Y)
     lp = np.where(mask, lp.reshape(X.shape), np.nan)
     hot = (st.reshape(X.shape) != kernels.STATUS_OK) & mask  # overflowed inside U
     vals = lp[np.isfinite(lp)]
@@ -184,7 +216,7 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         xs = np.stack([a, mx, mx, mx, b], axis=1).ravel()
         ys = np.stack([my, c, my, d, my], axis=1).ravel()
         lpv, stv = logphi_batch(f, xs, ys, n)
-        inside = _inside(U, xs, ys)
+        inside = U.contains(xs, ys)
         lpv = np.where(inside, lpv, np.nan)
         finite = np.isfinite(lpv)
         if finite.any():  # the corners are in best already
@@ -271,7 +303,7 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
         u0, u1, v0, v1 = _grid_cells(U.radius * np.sqrt(np.linspace(0.0, 1.0, res + 1)),
                                      np.linspace(0.0, 2.0 * math.pi, sectors + 1))
     else:
-        x0, x1, y0, y1 = _bounding_box(U)
+        x0, x1, y0, y1 = U.bounds()
         u0, u1, v0, v1 = _grid_cells(np.linspace(x0, x1, res + 1),
                                      np.linspace(y0, y1, sectors + 1))
     depth = np.zeros(u0.size, dtype=np.int64)
@@ -305,7 +337,7 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
             ys = U.center.imag + mu * np.sin(mv)
         else:
             xs, ys = mu, mv
-        inside = _inside(U, xs, ys)
+        inside = U.contains(xs, ys)
         del mv  # only the new points and their radii stay alive in the kernel
         lp, _ = logphi_batch(f, xs.ravel(), ys.ravel(), n)
         del xs, ys

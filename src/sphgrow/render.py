@@ -36,8 +36,7 @@ def render_escape(f, window: ms.Region, resolution, R: float,
     if not (1 <= width <= MAX_RESOLUTION and 1 <= height <= MAX_RESOLUTION):
         raise ValueError(f"resolution must be within 1..{MAX_RESOLUTION}")
 
-    x0, x1 = window.center.real - window.half_width, window.center.real + window.half_width
-    y0, y1 = window.center.imag - window.half_height, window.center.imag + window.half_height
+    x0, x1, y0, y1 = window.bounds()
     xs = np.linspace(x0, x1, width) if width > 1 else np.array([window.center.real])
     ys = np.linspace(y1, y0, height) if height > 1 else np.array([window.center.imag])
     X, Y = np.meshgrid(xs, ys, indexing="xy")

@@ -145,6 +145,27 @@ def test_no_variant_dispatch_outside_functions(module):
     assert _descriptor_type_checks(SRC / f"{module}.py") == []
 
 
+def _region_field_reads(path: pathlib.Path) -> list:
+    """(field, how) for each attribute read of a Region field in path; how is
+    "refusal" for a `.kind != "rectangle"` test and "read" otherwise."""
+    tree = ast.parse(path.read_text())
+    refusals = {id(node.left) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and [type(op) for op in node.ops] == [ast.NotEq]
+                and getattr(node.comparators[0], "value", None) == "rectangle"}
+    return [(node.attr, "refusal" if id(node) in refusals else "read")
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr in ("kind", "radius", "half_width", "half_height")]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem != "measures"))
+def test_no_region_rules_outside_region(module):
+    # a region's JSON form, box, membership and sampling rule live on
+    # measures.Region; render may only refuse a window that is not a rectangle
+    want = [("kind", "refusal")] if module == "render" else []
+    assert _region_field_reads(SRC / f"{module}.py") == want
+
+
 def _unreached_public_functions() -> list:
     """Public functions and methods of the library that no library module,
     perfbench file or acceptance test names.  A method counts as named only

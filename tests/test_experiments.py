@@ -148,6 +148,16 @@ def test_report_json_seed_sensitivity():
     assert a != b
 
 
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), np.bool_(True)])
+def test_report_json_refuses_numpy_scalars(value):
+    # json writes a float64 (a float subclass) itself; any other numpy scalar
+    # is an error, never a quoted string such as "0.5"
+    report = ex.ExperimentReport(experiment_id="x", function={}, parameters={"v": value},
+                                 rows=[], verdict=ex.PASS, tolerances={})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        report.to_json()
+
+
 def test_thm3_tier_b():
     rep = ex.run_thm3(1.0, 26.0, 7, 256, x0_tier_a=1e6, n_tier_a=1000)
     assert rep.verdict == ex.PASS
@@ -351,4 +361,40 @@ def test_cli_rejects_unknown_region_kind(tmp_path, config, message):
     cfg.write_text(json.dumps(config))
     with pytest.raises(ValueError, match=message):
         cli.main(["--config", str(cfg), "--out", str(tmp_path), "classical"])
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_default_region_needs_a_repelling_fixed_point(tmp_path):
+    # for lambda = 0.3 Newton finds the attracting fixed point 0.489: a disk
+    # around it lies in the Fatou set, where shrinking rows are no counterexample
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": {"variant": "exp_affine", "lambda": [0.3, 0.0]}}))
+    with pytest.raises(ValueError, match=r"thm7\.region: .*repelling.*\|multiplier\| 0\.489"):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm7"])
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub, config, message", [
+    ("thm7", {"thm7": {"region": {"kind": "disk", "center": [0.318, 1.337],
+                                  "radius": math.nan}}},
+     r"thm7\.region: disk radius must be positive and finite, not nan"),
+    ("thm7", {"thm7": {"region": {"kind": "disk", "center": [math.nan, 1.337],
+                                  "radius": 0.5}}},
+     r"thm7\.region: disk center must be finite"),
+    ("thm7", {"thm7": {"region": {"kind": "disk", "center": [0.318, 1.337]}}},
+     r"thm7\.region: disk region needs radius"),
+    ("thm56", {"thm56": {"region": {"kind": "rectangle", "center": [0.3, 1.3],
+                                    "half_width": math.inf, "half_height": 0.5}}},
+     r"thm56\.region: rectangle half_width must be positive and finite, not inf"),
+    ("render", {"render": {"window": {"kind": "rectangle", "center": [1.0, 0.0],
+                                      "half_width": math.nan, "half_height": 3.0},
+                           "resolution": 4}},
+     r"render\.window: rectangle half_width must be positive and finite, not nan"),
+], ids=["nan-radius", "nan-center", "no-radius", "inf-half-width", "render-nan"])
+def test_cli_rejects_bad_region_values(tmp_path, sub, config, message):
+    # json.load accepts NaN and Infinity; the region names the bad value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=message):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), sub])
     assert not (tmp_path / "report.json").exists()

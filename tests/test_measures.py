@@ -126,6 +126,45 @@ def test_region_validation():
         ms.GridSpec(rel_tol=0.5)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "disk", "center": [_NAN, 1.0], "radius": 0.5}, "disk center must be finite"),
+    ({"kind": "disk", "center": [0.3, _INF], "radius": 0.5}, "disk center must be finite"),
+    ({"kind": "disk", "center": [0.3, 1.3], "radius": _NAN}, "disk radius must be positive"),
+    ({"kind": "disk", "center": [0.3, 1.3], "radius": _INF}, "disk radius must be positive"),
+    ({"kind": "rectangle", "center": [1.0, 0.0], "half_width": _INF, "half_height": 1.0},
+     "rectangle half_width must be positive and finite"),
+    ({"kind": "rectangle", "center": [1.0, 0.0], "half_width": 1.0, "half_height": _NAN},
+     "rectangle half_height must be positive and finite"),
+    ({"kind": "rectangle", "center": [1.0, 0.0], "half_width": 0.0, "half_height": 1.0},
+     "rectangle half_width must be positive and finite"),
+    ({"kind": "disk", "center": [0.3, 1.3]}, "disk region needs radius"),
+    ({"kind": "rectangle", "half_width": 1.0}, "rectangle region needs center, half_height"),
+    ({"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}, "unknown region kind 'circle'"),
+    ({"center": [0.0, 0.0], "radius": 1.0}, "unknown region kind None"),
+], ids=["nan-center", "inf-center", "nan-radius", "inf-radius", "inf-half-width",
+        "nan-half-height", "zero-half-width", "no-radius", "no-center", "unknown-kind",
+        "no-kind"])
+def test_region_rejects_non_finite_and_missing_values(obj, message):
+    # NaN fails every comparison, so a bare `size <= 0` check let it through
+    with pytest.raises(ValueError, match=message):
+        ms.Region.from_json(obj)
+
+
+@pytest.mark.parametrize("U", [ms.Region.disk(0.318 + 1.337j, 0.5),
+                               ms.Region.rectangle(1.0 - 0.25j, 3.0, 0.125)])
+def test_region_owns_its_rules(U):
+    assert ms.Region.from_json(U.to_json()) == U
+    x0, x1, y0, y1 = U.bounds()
+    assert x0 < U.center.real < x1 and y0 < U.center.imag < y1
+    rng = np.random.default_rng(3)
+    pts = np.array([U.sample(rng) for _ in range(200)])
+    assert U.contains(pts.real, pts.imag).all()
+    assert not U.contains(np.array([x0 - 1e-9, x1 + 1e-9]), np.full(2, U.center.imag)).any()
+
+
 # Decisions of the refinement engine on fixed inputs: evaluation and cell
 # counts and depths are exact, log_mu is bit-exact; log_value may differ in
 # the last bits where numpy's vectorised exp/log and summation order differ
@@ -214,7 +253,7 @@ def _corner_test_rows(corners, threshold):
 
 
 def _mu_sup_full_blocks(f, U, n, grid):
-    x0, x1, y0, y1 = ms._bounding_box(U)
+    x0, x1, y0, y1 = U.bounds()
     res = grid.base_resolution
     gx = np.linspace(x0, x1, res + 1)
     gy = np.linspace(y0, y1, res + 1)
@@ -222,7 +261,7 @@ def _mu_sup_full_blocks(f, U, n, grid):
     lp, st = ms.logphi_batch(f, X.ravel(), Y.ravel(), n)
     lp = lp.reshape(X.shape)
     st = st.reshape(X.shape)
-    mask = ms._inside(U, X, Y)
+    mask = U.contains(X, Y)
     lp = np.where(mask, lp, np.nan)
     vals = lp[np.isfinite(lp)]
     overflow = int(((st != 0) & mask).sum())
@@ -243,7 +282,7 @@ def _mu_sup_full_blocks(f, U, n, grid):
         xs = np.repeat(np.stack([a, mx, b], axis=1), 3, axis=1).ravel()
         ys = np.tile(np.stack([c, my, d], axis=1), 3).ravel()
         lpv, stv = ms.logphi_batch(f, xs, ys, n)
-        inside = ms._inside(U, xs, ys)
+        inside = U.contains(xs, ys)
         lpv = np.where(inside, lpv, np.nan)
         finite = np.isfinite(lpv)
         overflow += int(((stv != 0) & inside).sum())
@@ -270,7 +309,7 @@ def _area_three_points(f, U, n, grid):
         u0, u1, v0, v1 = ms._grid_cells(U.radius * np.sqrt(np.linspace(0.0, 1.0, res + 1)),
                                         np.linspace(0.0, 2.0 * math.pi, res + 1))
     else:
-        x0, x1, y0, y1 = ms._bounding_box(U)
+        x0, x1, y0, y1 = U.bounds()
         u0, u1, v0, v1 = ms._grid_cells(np.linspace(x0, x1, res + 1),
                                         np.linspace(y0, y1, res + 1))
     depth = np.zeros(u0.size, dtype=np.int64)
@@ -298,7 +337,7 @@ def _area_three_points(f, U, n, grid):
             area = (cu1 - cu0) * (cv1 - cv0)
         lp, _ = ms.logphi_batch(f, xs.ravel(), ys.ravel(), n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            contrib = np.where(ms._inside(U, xs, ys),
+            contrib = np.where(U.contains(xs, ys),
                                2.0 * lp.reshape(-1, 3) + np.log(area) - math.log(math.pi),
                                -np.inf)
             logc, l0, l1 = contrib.T

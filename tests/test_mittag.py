@@ -9,6 +9,7 @@ term mid-cancellation gives the wrong sum.
 """
 
 import cmath
+import functools
 import math
 
 import mpmath as mp
@@ -18,14 +19,22 @@ import pytest
 from sphgrow import mittag
 
 
-def _ml_oracle(alpha, z, terms=400, dps=60):
+@functools.lru_cache(maxsize=None)
+def _oracle_gammas(alpha, terms, dps):
+    """Gamma(alpha n + 1) for n < terms, each as the oracle computes it."""
     with mp.workdps(dps):
         a = mp.mpf(alpha)
+        return tuple(mp.gamma(a * n + 1) for n in range(terms))
+
+
+def _ml_oracle(alpha, z, terms=400, dps=60):
+    gammas = _oracle_gammas(alpha, terms, dps)
+    with mp.workdps(dps):
         zz = mp.mpc(z)
         s = mp.mpc(0)
         p = mp.mpc(1)
-        for n in range(terms):
-            s += p / mp.gamma(a * n + 1)
+        for g_n in gammas:
+            s += p / g_n
             p *= zz
         return complex(s)
 
