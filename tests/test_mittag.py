@@ -176,3 +176,173 @@ def test_series_bit_identical_to_per_term_gamma(alpha):
             break
     assert e.tobytes() == want_e.tobytes()
     assert de.tobytes() == want_de.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracle of the sector expansion and its derivative, as they were
+# written with one function per half (the series half is the per-term oracle
+# above)
+
+
+def _old_tail(alpha, z, derivative):
+    inv = 1.0 / z
+    total = 0.0 + 0.0j
+    prev_mag = math.inf
+    zk = inv
+    for k in range(1, 121):
+        g = 1.0 - alpha * k
+        if g <= 0.0 and abs(g - round(g)) < 1e-12:
+            coeff = 0.0
+        else:
+            coeff = 1.0 / math.gamma(g)
+        if derivative:
+            term = k * coeff * zk * inv
+        else:
+            term = -coeff * zk
+        mag = abs(term)
+        if mag > prev_mag:
+            break
+        total += term
+        prev_mag = mag
+        zk *= inv
+        if mag < 1e-300:
+            break
+    return total
+
+
+def _old_sector(alpha, z):
+    edge = alpha * math.pi / 2.0 + 0.05 * math.pi
+    a = abs(cmath.phase(z))
+    if abs(a - edge) < 0.02 * math.pi and abs(z) ** (1.0 / alpha) < 690.0:
+        return "boundary"
+    return "growth" if a <= edge else "decay"
+
+
+def _old_asymptotic(alpha, z):
+    if alpha == 2.0:
+        return cmath.cosh(cmath.sqrt(z))
+    if alpha == 1.0:
+        if z.real > 700.0:
+            raise OverflowError("E_alpha overflows double range")
+        return cmath.exp(z)
+    sector = _old_sector(alpha, z)
+    if sector == "boundary":
+        return _series_per_term(alpha, z)
+    tail = _old_tail(alpha, z, derivative=False)
+    if sector == "decay":
+        return tail
+    p = 1.0 / alpha
+    zp = cmath.exp(p * cmath.log(z))
+    if zp.real > 700.0:
+        raise OverflowError("E_alpha overflows double range")
+    return p * cmath.exp(zp) + tail
+
+
+def _old_asymptotic_derivative(alpha, z):
+    if alpha == 2.0:
+        s = cmath.sqrt(z)
+        if abs(s) < 1e-8:
+            return 0.5 + z / 12.0
+        return cmath.sinh(s) / (2.0 * s)
+    if alpha == 1.0:
+        if z.real > 700.0:
+            raise OverflowError("E_alpha' overflows double range")
+        return cmath.exp(z)
+    sector = _old_sector(alpha, z)
+    if sector == "boundary":
+        return _series_derivative_per_term(alpha, z)
+    tail = _old_tail(alpha, z, derivative=True)
+    if sector == "decay":
+        return tail
+    p = 1.0 / alpha
+    zp = cmath.exp(p * cmath.log(z))
+    if zp.real > 700.0:
+        raise OverflowError("E_alpha' overflows double range")
+    return p * p * cmath.exp((p - 1.0) * cmath.log(z)) * cmath.exp(zp) + tail
+
+
+OVERFLOW = "overflow"
+
+
+def _outcome(fn, *args):
+    """float.hex of both parts of fn(*args), or OVERFLOW if it raises."""
+    try:
+        v = fn(*args)
+    except OverflowError:
+        return OVERFLOW
+    return v.real.hex(), v.imag.hex()
+
+
+def _oracle_outcomes(alpha, z):
+    if abs(z) <= mittag.switch_radius(alpha):
+        return (_outcome(_series_per_term, alpha, z),
+                _outcome(_series_derivative_per_term, alpha, z))
+    return (_outcome(_old_asymptotic, alpha, z),
+            _outcome(_old_asymptotic_derivative, alpha, z))
+
+
+def _library_outcomes(alpha, z):
+    return (_outcome(mittag.ml_eval, alpha, z),
+            _outcome(mittag.ml_derivative, alpha, z))
+
+
+def _ulp_steps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+def _regime_points(alpha, rng):
+    """Series, boundary-layer, growth and decay points for one alpha."""
+    r_sw = mittag.switch_radius(alpha)
+    edge = alpha * math.pi / 2.0 + mittag.SECTOR_DELTA
+    layer = mittag.BOUNDARY_LAYER
+    polar = []
+    for t in rng.uniform(0.0, 1.0, 12):
+        polar.append((t * r_sw, rng.uniform(-math.pi, math.pi)))
+    polar += [(r_sw, 0.0), (r_sw, math.pi)]
+    for _ in range(12):  # |z|^p up to 600, inside the boundary layer
+        r = rng.uniform(r_sw, max(1.01 * r_sw, 600.0 ** alpha))
+        polar.append((r, rng.choice([-1, 1]) * (edge + rng.uniform(-0.9, 0.9) * layer)))
+    for _ in range(16):  # growth sector, below the overflow edge
+        th = rng.uniform(-1.0, 1.0) * max(edge - 1.1 * layer, 0.0)
+        polar.append((rng.uniform(r_sw, r_sw + 400.0 ** alpha), th))
+    for _ in range(16 if edge + 1.1 * layer < math.pi else 0):  # decay, to |z| = 1e8
+        th = rng.choice([-1, 1]) * rng.uniform(edge + 1.1 * layer, math.pi)
+        polar.append((r_sw * 10.0 ** rng.uniform(0.0, 8.0 - math.log10(r_sw)), th))
+    return [cmath.rect(r, th) for r, th in polar]
+
+
+def _overflow_edge_points(alpha):
+    """Points a few ulps either side of where E_alpha leaves double range."""
+    zs = []
+    steps = [-64, -8, -2, -1, 0, 1, 2, 8, 64]
+    if alpha == 1.0:
+        for y in (0.0, 3.0, -250.0, 1e4):
+            zs += [complex(_ulp_steps(700.0, k), y) for k in steps]
+    elif alpha == 2.0:
+        # cosh(s) leaves double range at Re s ~ 710.4758600739439
+        for b in (0.0, 1.0, -40.0, 300.0):
+            zs += [complex(_ulp_steps(710.4758600739439, k), b) ** 2 for k in steps]
+    else:
+        p = 1.0 / alpha
+        for th in np.linspace(-0.9, 0.9, 7) * alpha * math.pi / 2.0:
+            r = (700.0 / math.cos(p * th)) ** alpha
+            zs += [cmath.rect(_ulp_steps(r, k), th) for k in steps]
+    return zs
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5, 2.0])
+def test_evaluator_bit_identical_to_split_oracle(alpha):
+    # E_alpha and E_alpha' on every regime of the evaluator match the
+    # one-function-per-half oracle bit for bit
+    rng = np.random.default_rng(14)
+    for z in _regime_points(alpha, rng):
+        assert _library_outcomes(alpha, z) == _oracle_outcomes(alpha, z), z
+    # at the overflow edge each half raises exactly where the oracle's does
+    seen = set()
+    for z in _overflow_edge_points(alpha):
+        want = _oracle_outcomes(alpha, z)
+        assert _library_outcomes(alpha, z) == want, z
+        seen.add((want[0] == OVERFLOW, want[1] == OVERFLOW))
+    assert (True, True) in seen and (False, False) in seen, seen
