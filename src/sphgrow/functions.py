@@ -326,10 +326,9 @@ class MittagLeffler(Descriptor):
         return self._checked(z, derivative=True)
 
     def _checked(self, z: complex, derivative: bool) -> complex:
-        fn = mittag.ml_derivative if derivative else mittag.ml_eval
         log_scale = math.log(self.eta)
         try:
-            v = fn(self.alpha, z)
+            v = mittag.ml_eval(self.alpha, z)[derivative]
         except OverflowError:
             p = 1.0 / self.alpha
             zp = cmath.exp(p * cmath.log(z))
@@ -365,7 +364,8 @@ def choose_eta(alpha: float) -> float:
     ring = np.exp(1j * theta)
     peak = 0.0
     for z in ring:
-        peak = max(peak, abs(mittag.ml_eval(alpha, z)), abs(mittag.ml_derivative(alpha, z)))
+        e, de = mittag.ml_eval(alpha, z)
+        peak = max(peak, abs(e), abs(de))
     eta = 0.5
     while eta * peak >= 0.99:
         eta *= 0.5

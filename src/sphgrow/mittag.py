@@ -1,5 +1,11 @@
 """Mittag-Leffler function E_a(z) = sum z^n / Gamma(a n + 1), 0 < a <= 2.
 
+`ml_eval(a, z)` returns the pair (E_a(z), E_a'(z)): a chain-rule step
+needs both at the same point, so every path below computes them in one
+pass.  Each half keeps its own term recurrence and stopping rule.  The
+last (a, z) is memoised, so a value asked for right after the derivative
+at the same point costs no second pass.
+
 Evaluation strategy: the power series in the zone where double-precision
 summation keeps full accuracy, and the sector expansion outside it.  With
 p = 1/a the expansion is
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,10 +69,10 @@ def switch_radius(alpha: float) -> float:
     Scanned per alpha: the first radius where the double-precision
     cancellation bound eps * max_term crosses _SERIES_TRUST.
     """
-    _check_alpha(alpha)
     cached = _switch_cache.get(alpha)
     if cached is not None:
         return cached
+    _check_alpha(alpha)
     threshold = math.log(_SERIES_TRUST / _EPS)
     r = 1.0
     while _log_max_term(alpha, r) <= threshold:
@@ -93,41 +100,40 @@ def _series_ratios(alpha: float) -> list:
     return _ratio_cache[alpha]
 
 
-def ml_series(alpha: float, z: complex) -> complex:
-    """Truncated power series; accurate while |z|**(1/alpha) is moderate."""
-    _check_alpha(alpha)
+def ml_series(alpha: float, z: complex) -> tuple:
+    """(E_alpha(z), E_alpha'(z)) by the truncated power series and its
+    term-wise derivative sum n z^(n-1) / Gamma(alpha n + 1); accurate while
+    |z|**(1/alpha) is moderate."""
     c = _series_ratios(alpha)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    biggest = 1.0
-    for n in range(1, MAX_SERIES_TERMS):
-        term *= z * c[n]
-        total += term
-        mag = abs(term)
-        if mag > biggest:
-            biggest = mag
-        if mag < _SERIES_STOP * biggest and n > 3:
-            break
-    return total
-
-
-def ml_series_derivative(alpha: float, z: complex) -> complex:
-    """Term-wise derivative sum n z^(n-1) / Gamma(alpha n + 1)."""
-    _check_alpha(alpha)
-    c = _series_ratios(alpha)
-    # term_n = n z^(n-1) / Gamma(alpha n + 1)
-    total = 1.0 / math.gamma(alpha + 1.0) + 0.0j
-    term = total
-    biggest = abs(total)
+    total = term = 1.0 + 0.0j
+    term *= z * c[1]  # the n = 1 term of E; that of E' seeds d_total
+    total += term
+    biggest = max(1.0, abs(term))
+    d_total = d_term = 1.0 / math.gamma(alpha + 1.0) + 0.0j
+    d_biggest = abs(d_total)
+    live = d_live = True
     for n in range(2, MAX_SERIES_TERMS):
-        term *= z * (n / (n - 1)) * c[n]
-        total += term
-        mag = abs(term)
-        if mag > biggest:
-            biggest = mag
-        if mag < _SERIES_STOP * biggest and n > 3:
-            break
-    return total
+        if live:
+            term *= z * c[n]
+            total += term
+            mag = abs(term)
+            if mag > biggest:
+                biggest = mag
+            elif mag < _SERIES_STOP * biggest and n > 3:
+                live = False
+                if not d_live:
+                    break
+        if d_live:
+            d_term *= z * (n / (n - 1)) * c[n]
+            d_total += d_term
+            mag = abs(d_term)
+            if mag > d_biggest:
+                d_biggest = mag
+            elif mag < _SERIES_STOP * d_biggest and n > 3:
+                d_live = False
+                if not live:
+                    break
+    return total, d_total
 
 
 def ml_series_vec(alpha: float, z: np.ndarray) -> tuple:
@@ -146,15 +152,17 @@ def ml_series_vec(alpha: float, z: np.ndarray) -> tuple:
     return e, de
 
 
-def _algebraic_tail(alpha: float, z: complex, derivative: bool) -> complex:
-    """-sum_k z^(-k)/Gamma(1-a k), truncated at its smallest term.
+def _algebraic_tail(alpha: float, z: complex) -> tuple:
+    """-sum_k z^(-k)/Gamma(1-a k) and its derivative, each truncated at its
+    smallest term.
 
     The tail is an asymptotic (divergent) series; optimal truncation stops
     once terms start growing again.
     """
     inv = 1.0 / z
-    total = 0.0 + 0.0j
-    prev_mag = math.inf
+    total = d_total = 0.0 + 0.0j
+    prev_mag = d_prev_mag = math.inf
+    live = d_live = True
     zk = inv
     for k in range(1, 121):
         g = 1.0 - alpha * k
@@ -163,19 +171,28 @@ def _algebraic_tail(alpha: float, z: complex, derivative: bool) -> complex:
             coeff = 0.0
         else:
             coeff = 1.0 / math.gamma(g)
-        if derivative:
-            term = k * coeff * zk * inv
-        else:
+        if live:
             term = -coeff * zk
-        mag = abs(term)
-        if mag > prev_mag:
+            mag = abs(term)
+            if mag > prev_mag:
+                live = False
+            else:
+                total += term
+                prev_mag = mag
+                live = not mag < 1e-300
+        if d_live:
+            term = k * coeff * zk * inv
+            mag = abs(term)
+            if mag > d_prev_mag:
+                d_live = False
+            else:
+                d_total += term
+                d_prev_mag = mag
+                d_live = not mag < 1e-300
+        if not (live or d_live):
             break
-        total += term
-        prev_mag = mag
         zk *= inv
-        if mag < 1e-300:
-            break
-    return total
+    return total, d_total
 
 
 def ml_tail_vec(alpha: float, z: np.ndarray) -> tuple:
@@ -216,66 +233,47 @@ def _sector(alpha: float, z: complex) -> str:
     return "growth" if a <= edge else "decay"
 
 
-def ml_asymptotic(alpha: float, z: complex) -> complex:
-    """Sector expansion, valid for |z| beyond the switch radius."""
-    _check_alpha(alpha)
+def ml_asymptotic(alpha: float, z: complex) -> tuple:
+    """(E_alpha(z), E_alpha'(z)) by the sector expansion, valid for |z|
+    beyond the switch radius; OverflowError when E_alpha leaves double
+    range, which is where E_alpha' does too."""
     if alpha == 2.0:
-        return cmath.cosh(cmath.sqrt(z))
+        s = cmath.sqrt(z)
+        return cmath.cosh(s), cmath.sinh(s) / (2.0 * s)
     if alpha == 1.0:
         if z.real > 700.0:
             raise OverflowError("E_alpha overflows double range")
-        return cmath.exp(z)
+        e = cmath.exp(z)
+        return e, e
     sector = _sector(alpha, z)
     if sector == "boundary":
         return ml_series(alpha, z)
-    tail = _algebraic_tail(alpha, z, derivative=False)
     if sector == "decay":
-        return tail
+        return _algebraic_tail(alpha, z)
     p = 1.0 / alpha
-    zp = cmath.exp(p * cmath.log(z))
+    log_z = cmath.log(z)
+    zp = cmath.exp(p * log_z)
     if zp.real > 700.0:
         raise OverflowError("E_alpha overflows double range")
-    return p * cmath.exp(zp) + tail
+    tail, d_tail = _algebraic_tail(alpha, z)
+    lead = cmath.exp(zp)
+    return p * lead + tail, p * p * cmath.exp((p - 1.0) * log_z) * lead + d_tail
 
 
-def ml_asymptotic_derivative(alpha: float, z: complex) -> complex:
-    _check_alpha(alpha)
-    if alpha == 2.0:
-        s = cmath.sqrt(z)
-        if abs(s) < 1e-8:
-            return 0.5 + z / 12.0
-        return cmath.sinh(s) / (2.0 * s)
-    if alpha == 1.0:
-        if z.real > 700.0:
-            raise OverflowError("E_alpha' overflows double range")
-        return cmath.exp(z)
-    sector = _sector(alpha, z)
-    if sector == "boundary":
-        return ml_series_derivative(alpha, z)
-    tail = _algebraic_tail(alpha, z, derivative=True)
-    if sector == "decay":
-        return tail
-    p = 1.0 / alpha
-    zp = cmath.exp(p * cmath.log(z))
-    if zp.real > 700.0:
-        raise OverflowError("E_alpha' overflows double range")
-    return p * p * cmath.exp((p - 1.0) * cmath.log(z)) * cmath.exp(zp) + tail
-
-
-def ml_eval(alpha: float, z: complex) -> complex:
-    _check_alpha(alpha)
+def ml_eval(alpha: float, z: complex) -> tuple:
+    """(E_alpha(z), E_alpha'(z)); the last (alpha, z) is memoised."""
     z = complex(z)
+    # z and its signed-zero twin compare equal but can lie on opposite
+    # sides of the branch cut of log z, so the signs are part of the key
+    return _ml_pair(alpha, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+
+
+@lru_cache(maxsize=1)
+def _ml_pair(alpha: float, z: complex, re_sign: float, im_sign: float) -> tuple:
+    _check_alpha(alpha)
     if abs(z) <= switch_radius(alpha):
         return ml_series(alpha, z)
     return ml_asymptotic(alpha, z)
-
-
-def ml_derivative(alpha: float, z: complex) -> complex:
-    _check_alpha(alpha)
-    z = complex(z)
-    if abs(z) <= switch_radius(alpha):
-        return ml_series_derivative(alpha, z)
-    return ml_asymptotic_derivative(alpha, z)
 
 
 def ml_log_abs(alpha: float, x: float) -> float:
@@ -284,7 +282,7 @@ def ml_log_abs(alpha: float, x: float) -> float:
     if x < 0.0:
         raise ValueError("positive axis only")
     if x <= switch_radius(alpha):
-        return math.log(abs(ml_series(alpha, x)))
+        return math.log(abs(ml_series(alpha, x)[0]))
     p = 1.0 / alpha
     xp = p * math.log(x)
     if alpha == 2.0:
@@ -294,6 +292,6 @@ def ml_log_abs(alpha: float, x: float) -> float:
     # p e^{x^p} dominates; fold in the O(1/x) tail while it is visible
     lead = math.exp(xp)
     if lead < 600.0:
-        tail = _algebraic_tail(alpha, complex(x), derivative=False)
+        tail = _algebraic_tail(alpha, complex(x))[0]
         return lead + math.log(p) + math.log1p(tail.real * math.exp(-lead) / p)
     return lead + math.log(p)

@@ -40,11 +40,11 @@ def _ml_oracle(alpha, z, terms=400, dps=60):
 
 
 def test_alpha1_is_exp():
-    assert abs(mittag.ml_eval(1.0, 1.0 + 0j) - math.e) <= 1e-12 * math.e
+    assert abs(mittag.ml_eval(1.0, 1.0 + 0j)[0] - math.e) <= 1e-12 * math.e
     rng = np.random.default_rng(0)
     for _ in range(100):
         z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        got = mittag.ml_eval(1.0, z)
+        got = mittag.ml_eval(1.0, z)[0]
         want = cmath.exp(z)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -53,7 +53,7 @@ def test_alpha2_is_cosh_sqrt():
     rng = np.random.default_rng(1)
     for _ in range(100):
         z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        got = mittag.ml_eval(2.0, z)
+        got = mittag.ml_eval(2.0, z)[0]
         want = cmath.cosh(cmath.sqrt(z))
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -64,7 +64,7 @@ def test_series_region_vs_oracle():
     rng = np.random.default_rng(2)
     for _ in range(50):
         z = r * rng.uniform(0.1, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        got = mittag.ml_eval(alpha, z)
+        got = mittag.ml_eval(alpha, z)[0]
         want = _ml_oracle(alpha, z)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -74,14 +74,14 @@ def test_asymptotic_vs_oracle_growth_sector():
     half_sector = alpha * math.pi / 2.0
     for theta in np.linspace(-half_sector + 0.12, half_sector - 0.12, 21):
         z = 20.0 * cmath.exp(1j * theta)
-        got = mittag.ml_asymptotic(alpha, z)
+        got = mittag.ml_asymptotic(alpha, z)[0]
         want = _ml_oracle(alpha, z)
         assert abs(got - want) <= 1e-4 * abs(want)
 
 
 def test_decay_sector_bound():
     for x in [50.0, 100.0, 500.0, 1e4]:
-        assert abs(mittag.ml_eval(0.75, -x)) <= 10.0 / x
+        assert abs(mittag.ml_eval(0.75, -x)[0]) <= 10.0 / x
 
 
 def test_derivative_finite_difference():
@@ -90,8 +90,8 @@ def test_derivative_finite_difference():
     rng = np.random.default_rng(3)
     for _ in range(30):
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        got = mittag.ml_derivative(alpha, z)
-        fd = (mittag.ml_eval(alpha, z + h) - mittag.ml_eval(alpha, z - h)) / (2 * h)
+        got = mittag.ml_eval(alpha, z)[1]
+        fd = (mittag.ml_eval(alpha, z + h)[0] - mittag.ml_eval(alpha, z - h)[0]) / (2 * h)
         assert abs(got - fd) <= 1e-6 * max(1.0, abs(got))
 
 
@@ -99,8 +99,8 @@ def test_switch_radius_sane():
     r = mittag.switch_radius(0.75)
     assert 2.0 < r < 20.0
     # at the switch radius both branches agree on the positive axis
-    got_s = mittag.ml_series(0.75, complex(r, 0.0))
-    got_a = mittag.ml_asymptotic(0.75, complex(r, 0.0))
+    got_s = mittag.ml_series(0.75, complex(r, 0.0))[0]
+    got_a = mittag.ml_asymptotic(0.75, complex(r, 0.0))[0]
     assert abs(got_s - got_a) <= 1e-6 * abs(got_s)
 
 
@@ -157,9 +157,9 @@ def test_series_bit_identical_to_per_term_gamma(alpha):
     zs = [complex(t * math.cos(a), t * math.sin(a)) for t, a in zip(radii, angles)]
     zs += [complex(r, 0.0), complex(-r, 0.0), complex(0.0, r)]
     for z in zs:
-        assert mittag.ml_series(alpha, z) == _series_per_term(alpha, z), z
-        assert mittag.ml_series_derivative(alpha, z) == \
-            _series_derivative_per_term(alpha, z), z
+        e, de = mittag.ml_series(alpha, z)
+        assert e == _series_per_term(alpha, z), z
+        assert de == _series_derivative_per_term(alpha, z), z
     # the vectorized series reads the same table, so it keeps its bits too
     zv = np.array(zs[1:21])  # z = 0 is left out: the derivative divides by z
     e, de = mittag.ml_series_vec(alpha, zv)
@@ -282,8 +282,11 @@ def _oracle_outcomes(alpha, z):
 
 
 def _library_outcomes(alpha, z):
-    return (_outcome(mittag.ml_eval, alpha, z),
-            _outcome(mittag.ml_derivative, alpha, z))
+    try:
+        pair = mittag.ml_eval(alpha, z)
+    except OverflowError:
+        return OVERFLOW, OVERFLOW
+    return tuple((v.real.hex(), v.imag.hex()) for v in pair)
 
 
 def _ulp_steps(x, k):
@@ -346,3 +349,28 @@ def test_evaluator_bit_identical_to_split_oracle(alpha):
         assert _library_outcomes(alpha, z) == want, z
         seen.add((want[0] == OVERFLOW, want[1] == OVERFLOW))
     assert (True, True) in seen and (False, False) in seen, seen
+
+
+def test_orbit_step_makes_one_series_pass(monkeypatch):
+    # iterate_orbit asks for f'(z_k) and then f(z_k): the memoised pair
+    # answers the second from the first pass
+    from sphgrow import dynamics, functions
+
+    mittag.ml_eval(1.0, 0.0)  # the memo holds a point off the orbit
+    calls = []
+    for name in dir(mittag):  # every scalar series loop
+        if name.startswith("ml_series") and name != "ml_series_vec":
+            fn = getattr(mittag, name)
+            monkeypatch.setattr(mittag, name, lambda a, z, fn=fn: calls.append(z) or fn(a, z))
+    orbit = dynamics.iterate_orbit(functions.MittagLeffler(1.0, 0.1), 0.3 + 0.2j, 25)
+    assert orbit.status == dynamics.COMPLETE and len(orbit.points) == 26
+    assert calls == orbit.points[:25]
+
+
+def test_memo_keeps_signed_zero_twins_apart():
+    # -500 +- 0j compare equal but lie on either side of the cut of log z,
+    # where the growth sector of E_1.95 gives conjugate values
+    above = mittag.ml_eval(1.95, complex(-500.0, 0.0))
+    below = mittag.ml_eval(1.95, complex(-500.0, -0.0))
+    assert above[0].imag != 0.0
+    assert below == tuple(v.conjugate() for v in above)
