@@ -76,12 +76,14 @@ CONFIG_KEYS = {
 
 def _unknown_keys(obj: dict, known: dict, path: str = "") -> list:
     """Dotted paths of the keys in obj that nothing reads."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path[:-1]}: expected a JSON object, not {obj!r}")
     out = []
     for key, value in obj.items():
         if key not in known:
             out.append(path + key)
         elif known[key] is _REGION:
-            kind = value.get("kind")
+            kind = value.get("kind") if isinstance(value, dict) else None
             keys = _REGION_KINDS.get(kind) if isinstance(kind, str) else None
             bad = _unknown_keys(value, keys or _REGION, f"{path}{key}.")
             if keys is None and not bad:
@@ -89,24 +91,29 @@ def _unknown_keys(obj: dict, known: dict, path: str = "") -> list:
                                  f"({', '.join(_REGION_KINDS)})")
             out += bad
         elif known[key] is not None:
-            out += _unknown_keys(value or {}, known[key], f"{path}{key}.")
+            out += _unknown_keys({} if value is None else value, known[key], f"{path}{key}.")
     return out
 
 
-def _region(obj: dict, path: str) -> ms.Region:
-    """Region.from_json(obj), its errors named by the object's config path."""
+def _named(path: str, build):
+    """build(), its ValueError named by the config path it reads."""
     try:
-        return ms.Region.from_json(obj)
+        return build()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _grid_from_json(obj) -> ms.GridSpec:
-    return ms.GridSpec(**{"max_refinements": 8, **(obj or {})})  # GridSpec's is 24
+def _region(obj: dict, path: str) -> ms.Region:
+    return _named(path, lambda: ms.Region.from_json(obj))
+
+
+def _grid(section: dict, name: str) -> ms.GridSpec:
+    obj = {"max_refinements": 8, **(section.get("grid") or {})}  # GridSpec's is 24
+    return _named(f"{name}.grid", lambda: ms.GridSpec(**obj))
 
 
 def _load_section(config: dict, name: str) -> dict:
-    return dict(config.get(name, {}))
+    return dict(config.get(name) or {})
 
 
 def _n_values(section: dict, name: str, n_max: int):
@@ -174,19 +181,19 @@ def main(argv=None) -> int:
         report = ex.run_thm7(
             f, _resolve_region(c, "thm7", f), c.get("R", 5.0), c.get("m", 2),
             _n_values(c, "thm7", 4),
-            _grid_from_json(c.get("grid")))
+            _grid(c, "thm7"))
     elif args.command == "thm56":
         c = _load_section(config, "thm56")
         report = ex.run_thm5_thm6(
             f, _resolve_region(c, "thm56", f), c.get("R_lower", 5.0),
             c.get("R_upper", 5.0), c.get("m", 2),
             _n_values(c, "thm56", 3),
-            _grid_from_json(c.get("grid")))
+            _grid(c, "thm56"))
     elif args.command == "thm1scan":
         c = _load_section(config, "thm1scan")
         report = ex.run_thm1_growth_scan(
             f, _resolve_region(c, "thm1scan", f), c.get("N", 5), c.get("starts", 20),
-            seed=seed, grid=_grid_from_json(c.get("grid")))
+            seed=seed, grid=_grid(c, "thm1scan"))
     elif args.command == "thm3":
         c = _load_section(config, "thm3")
         report = ex.run_thm3(

@@ -9,6 +9,7 @@ log-sum-exp instead of overflowing.  Reduction orders are fixed
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,11 @@ import numpy as np
 from . import dynamics as dy
 from . import functions as fx
 from . import kernels
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is a number of that kind; a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,14 @@ class Region:
         missing = [key for key in ("center", *Region.SIZES[kind]) if key not in obj]
         if missing:
             raise ValueError(f"{kind} region needs {', '.join(missing)}")
-        return Region(complex(obj["center"][0], obj["center"][1]), kind,
+        center = obj["center"]
+        if not (isinstance(center, (list, tuple)) and len(center) == 2
+                and all(map(_is_number, center))):
+            raise ValueError(f"{kind} center must be [re, im], not {center!r}")
+        for key in Region.SIZES[kind]:
+            if not _is_number(obj[key]):
+                raise ValueError(f"{kind} {key} must be a number, not {obj[key]!r}")
+        return Region(complex(center[0], center[1]), kind,
                       **{key: float(obj[key]) for key in Region.SIZES[kind]})
 
     def to_json(self) -> dict:
@@ -103,6 +116,10 @@ class GridSpec:
     rel_tol: float = 1e-3
 
     def __post_init__(self):
+        for name in ("base_resolution", "max_refinements"):
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.base_resolution < 16:
             raise ValueError("base_resolution must be >= 16")
         if not 0.0 < self.rel_tol <= 0.1:

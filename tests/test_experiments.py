@@ -390,7 +390,16 @@ def test_cli_default_region_needs_a_repelling_fixed_point(tmp_path):
                                       "half_width": math.nan, "half_height": 3.0},
                            "resolution": 4}},
      r"render\.window: rectangle half_width must be positive and finite, not nan"),
-], ids=["nan-radius", "nan-center", "no-radius", "inf-half-width", "render-nan"])
+    ("thm7", {"thm7": {"region": 5}}, r"thm7\.region: expected a JSON object, not 5"),
+    ("thm7", {"thm7": {"region": {"kind": "disk", "center": 0.5, "radius": 0.5}}},
+     r"thm7\.region: disk center must be \[re, im\], not 0\.5"),
+    ("render", {"render": {"window": [1.0, 0.0]}},
+     r"render\.window: expected a JSON object, not \[1\.0, 0\.0\]"),
+    ("thm56", {"thm56": {"region": {"kind": "rectangle", "center": [0.3, 1.3],
+                                    "half_width": "1", "half_height": 0.5}}},
+     r"thm56\.region: rectangle half_width must be a number, not '1'"),
+], ids=["nan-radius", "nan-center", "no-radius", "inf-half-width", "render-nan",
+        "scalar-region", "scalar-center", "list-window", "string-half-width"])
 def test_cli_rejects_bad_region_values(tmp_path, sub, config, message):
     # json.load accepts NaN and Infinity; the region names the bad value
     cfg = tmp_path / "cfg.json"
@@ -398,3 +407,32 @@ def test_cli_rejects_bad_region_values(tmp_path, sub, config, message):
     with pytest.raises(ValueError, match=message):
         cli.main(["--config", str(cfg), "--out", str(tmp_path), sub])
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub, config, message", [
+    ("thm7", {"thm7": {"n_range": [1, 2], "grid": {"max_refinements": math.nan,
+                                                   "rel_tol": 0.01}}},
+     r"thm7\.grid: max_refinements must be an integer, not nan"),
+    ("thm7", {"thm7": {"n_range": [1, 2], "grid": {"base_resolution": math.nan}}},
+     r"thm7\.grid: base_resolution must be an integer, not nan"),
+    ("thm56", {"thm56": {"grid": {"base_resolution": 16.5}}},
+     r"thm56\.grid: base_resolution must be an integer, not 16\.5"),
+    ("thm1scan", {"thm1scan": {"grid": {"max_refinements": True}}},
+     r"thm1scan\.grid: max_refinements must be an integer, not True"),
+    ("thm7", {"thm7": {"grid": 3}}, r"thm7\.grid: expected a JSON object, not 3"),
+], ids=["nan-max-refinements", "nan-base-resolution", "fractional", "bool", "scalar-grid"])
+def test_cli_rejects_bad_grid_values(tmp_path, sub, config, message):
+    # before, a NaN max_refinements ran the experiment and then failed
+    # writing report.json; a NaN base_resolution failed inside np.linspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=message):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), sub])
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_null_section_reads_as_empty(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"classical": None}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "classical"]) == 0
+    assert (tmp_path / "report.json").exists()

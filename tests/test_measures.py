@@ -144,13 +144,31 @@ _NAN, _INF = float("nan"), float("inf")
     ({"kind": "rectangle", "half_width": 1.0}, "rectangle region needs center, half_height"),
     ({"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}, "unknown region kind 'circle'"),
     ({"center": [0.0, 0.0], "radius": 1.0}, "unknown region kind None"),
+    ({"kind": "disk", "center": 0.5, "radius": 1.0}, r"disk center must be \[re, im\], not 0.5"),
+    ({"kind": "disk", "center": [0.5], "radius": 1.0}, r"disk center must be \[re, im\]"),
+    ({"kind": "disk", "center": ["0", 1.0], "radius": 1.0}, r"disk center must be \[re, im\]"),
+    ({"kind": "disk", "center": [0.3, 1.3], "radius": "1"}, "disk radius must be a number, not '1'"),
+    ({"kind": "rectangle", "center": [1.0, 0.0], "half_width": True, "half_height": 1.0},
+     "rectangle half_width must be a number, not True"),
 ], ids=["nan-center", "inf-center", "nan-radius", "inf-radius", "inf-half-width",
         "nan-half-height", "zero-half-width", "no-radius", "no-center", "unknown-kind",
-        "no-kind"])
+        "no-kind", "scalar-center", "short-center", "string-center", "string-radius",
+        "bool-half-width"])
 def test_region_rejects_non_finite_and_missing_values(obj, message):
     # NaN fails every comparison, so a bare `size <= 0` check let it through
     with pytest.raises(ValueError, match=message):
         ms.Region.from_json(obj)
+
+
+@pytest.mark.parametrize("field", ["base_resolution", "max_refinements"])
+@pytest.mark.parametrize("value", [_NAN, 32.0, 16.5, True, "32", None],
+                         ids=["nan", "float", "fraction", "bool", "string", "none"])
+def test_grid_counts_must_be_integers(field, value):
+    # a NaN max_refinements used to skip refinement and fail at report.json;
+    # a NaN or fractional base_resolution failed inside np.linspace
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
+        ms.GridSpec(**{field: value})
+    assert ms.GridSpec(**{field: np.int64(20)}) == ms.GridSpec(**{field: 20})
 
 
 @pytest.mark.parametrize("U", [ms.Region.disk(0.318 + 1.337j, 0.5),
