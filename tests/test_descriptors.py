@@ -15,6 +15,8 @@ import ast
 import hashlib
 import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +197,15 @@ def test_every_public_function_has_a_caller():
     # a function only its own unit test calls checks nothing the CLI,
     # the experiments or the benchmark reports
     assert _unreached_public_functions() == []
+
+
+def test_benchmark_tracer_selftest_passes():
+    # the benchmark's tracer wraps library functions by name, so renaming or
+    # deleting one must leave its own self-test passing
+    selftest = pathlib.Path(__file__).parents[1] / "perfbench" / "selftest.py"
+    done = subprocess.run([sys.executable, str(selftest)], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 if __name__ == "__main__":
