@@ -1,10 +1,7 @@
 """Mittag-Leffler function E_a(z) = sum z^n / Gamma(a n + 1), 0 < a <= 2.
 
-`ml_eval(a, z)` returns the pair (E_a(z), E_a'(z)): a chain-rule step
-needs both at the same point, so every path below computes them in one
-pass.  Each half keeps its own term recurrence and stopping rule.  The
-last (a, z) is memoised, so a value asked for right after the derivative
-at the same point costs no second pass.
+`ml_eval(a, z)` gives (E_a(z), E_a'(z)) from one pass, each half with its own
+term recurrence and stopping rule; the last (a, z) is memoised.
 
 Evaluation strategy: the power series in the zone where double-precision
 summation keeps full accuracy, and the sector expansion outside it.  With
@@ -44,10 +41,6 @@ BOUNDARY_LAYER = 0.02 * math.pi
 _SERIES_TRUST = 1e-12
 _EPS = 2.2e-16
 
-_switch_cache: dict[float, float] = {}
-_ratio_cache: dict[float, list] = {}
-
-
 def _log_max_term(alpha: float, r: float) -> float:
     """log of the largest series term magnitude at |z| = r."""
     lr = math.log(r)
@@ -63,15 +56,13 @@ def _log_max_term(alpha: float, r: float) -> float:
     return best
 
 
+@lru_cache(maxsize=None)
 def switch_radius(alpha: float) -> float:
     """Smallest |z| beyond which eval uses the sector expansion.
 
-    Scanned per alpha: the first radius where the double-precision
+    Scanned once per alpha: the first radius where the double-precision
     cancellation bound eps * max_term crosses _SERIES_TRUST.
     """
-    cached = _switch_cache.get(alpha)
-    if cached is not None:
-        return cached
     _check_alpha(alpha)
     threshold = math.log(_SERIES_TRUST / _EPS)
     r = 1.0
@@ -79,7 +70,6 @@ def switch_radius(alpha: float) -> float:
         r *= 1.05
         if r > 1e6:  # pragma: no cover - unreachable for alpha <= 2
             break
-    _switch_cache[alpha] = r
     return r
 
 
@@ -88,16 +78,14 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
 
 
+@lru_cache(maxsize=None)
 def _series_ratios(alpha: float) -> list:
     """c[n] = Gamma(alpha (n-1) + 1) / Gamma(alpha n + 1), n >= 1; c[0] unused.
 
     Term n of the series is term n-1 times z * c[n].  Computed once per alpha.
     """
-    if alpha not in _ratio_cache:
-        lg = [math.lgamma(alpha * n + 1.0) for n in range(MAX_SERIES_TERMS)]
-        _ratio_cache[alpha] = [math.nan] + [math.exp(lg[n - 1] - lg[n])
-                                            for n in range(1, MAX_SERIES_TERMS)]
-    return _ratio_cache[alpha]
+    lg = [math.lgamma(alpha * n + 1.0) for n in range(MAX_SERIES_TERMS)]
+    return [math.nan] + [math.exp(lg[n - 1] - lg[n]) for n in range(1, MAX_SERIES_TERMS)]
 
 
 def ml_series(alpha: float, z: complex) -> tuple:
@@ -174,18 +162,16 @@ def _algebraic_tail(alpha: float, z: complex) -> tuple:
         if live:
             term = -coeff * zk
             mag = abs(term)
-            if mag > prev_mag:
-                live = False
-            else:
+            live = not mag > prev_mag
+            if live:
                 total += term
                 prev_mag = mag
                 live = not mag < 1e-300
         if d_live:
             term = k * coeff * zk * inv
             mag = abs(term)
-            if mag > d_prev_mag:
-                d_live = False
-            else:
+            d_live = not mag > d_prev_mag
+            if d_live:
                 d_total += term
                 d_prev_mag = mag
                 d_live = not mag < 1e-300
@@ -260,18 +246,11 @@ def ml_asymptotic(alpha: float, z: complex) -> tuple:
     return p * lead + tail, p * p * cmath.exp((p - 1.0) * log_z) * lead + d_tail
 
 
+@lru_cache(maxsize=1)
 def ml_eval(alpha: float, z: complex) -> tuple:
     """(E_alpha(z), E_alpha'(z)); the last (alpha, z) is memoised."""
-    z = complex(z)
-    # z and its signed-zero twin compare equal but can lie on opposite
-    # sides of the branch cut of log z, so the signs are part of the key
-    return _ml_pair(alpha, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
-
-
-@lru_cache(maxsize=1)
-def _ml_pair(alpha: float, z: complex, re_sign: float, im_sign: float) -> tuple:
-    _check_alpha(alpha)
-    if abs(z) <= switch_radius(alpha):
+    z = complex(z) + 0.0  # -0.0 parts read as +0.0, so equal z give equal values
+    if abs(z) <= switch_radius(alpha):  # which rejects a bad alpha
         return ml_series(alpha, z)
     return ml_asymptotic(alpha, z)
 
