@@ -103,10 +103,6 @@ def _named(path: str, build):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _region(obj: dict, path: str) -> ms.Region:
-    return _named(path, lambda: ms.Region.from_json(obj))
-
-
 def _grid(section: dict, name: str) -> ms.GridSpec:
     obj = {"max_refinements": 8, **(section.get("grid") or {})}  # GridSpec's is 24
     return _named(f"{name}.grid", lambda: ms.GridSpec(**obj))
@@ -130,7 +126,7 @@ def _n_values(section: dict, name: str, n_max: int):
 
 def _resolve_region(section: dict, name: str, f) -> ms.Region:
     if "region" in section:
-        return _region(section["region"], f"{name}.region")
+        return _named(f"{name}.region", lambda: ms.Region.from_json(section["region"]))
     # a disk around a repelling fixed point of f, which lies in J(f)
     p = dy.find_periodic_point(f, 1, complex(1.0, 1.0))
     if not abs(p.multiplier) > 1.0:
@@ -215,8 +211,8 @@ def main(argv=None) -> int:
         report = ex.run_specfun_check(seed=seed)
     elif args.command == "render":
         c = _load_section(config, "render")
-        window = _region(c["window"], "render.window") if "window" in c else \
-            ms.Region.rectangle(complex(1.0, 0.0), 3.0, 3.0)
+        window = (_named("render.window", lambda: ms.Region.from_json(c["window"]))
+                  if "window" in c else ms.Region.rectangle(complex(1.0, 0.0), 3.0, 3.0))
         os.makedirs(args.out, exist_ok=True)
         ppm = os.path.join(args.out, "escape.ppm")
         stats = rd.render_escape(

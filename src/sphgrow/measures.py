@@ -116,16 +116,12 @@ class GridSpec:
     rel_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("base_resolution", "max_refinements"):
+        for name, least in (("base_resolution", 16), ("max_refinements", 0)):
             value = getattr(self, name)
-            if not _is_number(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.base_resolution < 16:
-            raise ValueError("base_resolution must be >= 16")
+            if not (_is_number(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
         if not 0.0 < self.rel_tol <= 0.1:
             raise ValueError("rel_tol must be in (0, 0.1]")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be >= 0")
 
 
 # ---------------------------------------------------------------------------

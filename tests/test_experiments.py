@@ -412,13 +412,13 @@ def test_cli_rejects_bad_region_values(tmp_path, sub, config, message):
 @pytest.mark.parametrize("sub, config, message", [
     ("thm7", {"thm7": {"n_range": [1, 2], "grid": {"max_refinements": math.nan,
                                                    "rel_tol": 0.01}}},
-     r"thm7\.grid: max_refinements must be an integer, not nan"),
+     r"thm7\.grid: max_refinements must be an integer >= 0, not nan"),
     ("thm7", {"thm7": {"n_range": [1, 2], "grid": {"base_resolution": math.nan}}},
-     r"thm7\.grid: base_resolution must be an integer, not nan"),
+     r"thm7\.grid: base_resolution must be an integer >= 16, not nan"),
     ("thm56", {"thm56": {"grid": {"base_resolution": 16.5}}},
-     r"thm56\.grid: base_resolution must be an integer, not 16\.5"),
+     r"thm56\.grid: base_resolution must be an integer >= 16, not 16\.5"),
     ("thm1scan", {"thm1scan": {"grid": {"max_refinements": True}}},
-     r"thm1scan\.grid: max_refinements must be an integer, not True"),
+     r"thm1scan\.grid: max_refinements must be an integer >= 0, not True"),
     ("thm7", {"thm7": {"grid": 3}}, r"thm7\.grid: expected a JSON object, not 3"),
 ], ids=["nan-max-refinements", "nan-base-resolution", "fractional", "bool", "scalar-grid"])
 def test_cli_rejects_bad_grid_values(tmp_path, sub, config, message):

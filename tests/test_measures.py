@@ -120,7 +120,7 @@ def test_exp_characteristics_closed_forms():
 def test_region_validation():
     with pytest.raises(ValueError):
         ms.Region.rectangle(0j, -1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^base_resolution must be an integer >= 16, not 8$"):
         ms.GridSpec(base_resolution=8)
     with pytest.raises(ValueError):
         ms.GridSpec(rel_tol=0.5)
@@ -166,7 +166,8 @@ def test_region_rejects_non_finite_and_missing_values(obj, message):
 def test_grid_counts_must_be_integers(field, value):
     # a NaN max_refinements used to skip refinement and fail at report.json;
     # a NaN or fractional base_resolution failed inside np.linspace
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
+    least = {"base_resolution": 16, "max_refinements": 0}[field]
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}, not {value!r}$"):
         ms.GridSpec(**{field: value})
     assert ms.GridSpec(**{field: np.int64(20)}) == ms.GridSpec(**{field: 20})
 
