@@ -163,8 +163,10 @@ def main(argv=None) -> int:
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config: expected a JSON object, not {config!r}")
     function = config.get("function", DEFAULT_FUNCTION)
-    f = fx.descriptor_from_json(function)
+    f = _named("function", lambda: fx.descriptor_from_json(function))
     read = fx.descriptor_to_json(f)  # holds every key the variant reads
     unknown = _unknown_keys(config, CONFIG_KEYS) + [
         f"function.{key}" for key in function if key not in read]

@@ -4,8 +4,9 @@ Variants: Polynomial, ExpAffine (lambda * e^z), CoshSqrt (cosh sqrt z,
 the alpha=2 Mittag-Leffler) and MittagLeffler (eta * E_alpha; eta < 1
 small enough that |f|, |f'| < 1 on the unit circle gives the scaled
 family of the growth scans).  Each variant owns its rules: pointwise
-values and derivatives, the log-polar continuation, log M(r, f) and its
-tower form, its JSON form and, where one exists, its batch kernel.  The
+values and derivatives, the log-polar continuation (also on a whole
+circle of angles at once), log M(r, f) and its tower form, its JSON form
+and, where one exists, its batch kernel.  The
 module-level functions below are the entry points callers use.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,6 +76,10 @@ class Descriptor:
         if v == 0:
             raise OrbitOverflow("zero value has no log-polar form")
         return (math.log(abs(v)), cmath.phase(v))
+
+    def log_abs_on_circle(self, log_r: float, thetas: np.ndarray) -> np.ndarray:
+        """log|f| at z = e^(log_r + i theta) for each angle theta of thetas."""
+        return np.array([self.log_eval(log_r, float(t))[0] for t in thetas])
 
     def log_abs_derivative_underflow(self, z: complex) -> float:
         """log|f'(z)| where f'(z) rounded to 0 in doubles."""
@@ -233,6 +239,11 @@ class ExpAffine(Descriptor):
         return (r * math.cos(arg) + math.log(abs(self.lam)),
                 math.remainder(r * math.sin(arg) + cmath.phase(self.lam), 2.0 * math.pi))
 
+    def log_abs_on_circle(self, log_r, thetas):
+        if log_r > 709.0:
+            raise OrbitOverflow("ExpAffine input beyond double magnitude")
+        return math.exp(log_r) * np.cos(thetas) + math.log(abs(self.lam))
+
     def log_abs_derivative_polar(self, log_mag: float, arg: float) -> float:
         if log_mag > 709.0:
             raise OrbitOverflow("Re z not recoverable")
@@ -314,6 +325,10 @@ class MittagLeffler(Descriptor):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
         object.__setattr__(self, "eta", float(self.eta))
+        # _checked's scale, once per descriptor: e^(log eta), which may differ
+        # from eta in the last bit
+        object.__setattr__(self, "_log_scale", math.log(self.eta))
+        object.__setattr__(self, "_scale", math.exp(self._log_scale))
 
     @property
     def order(self) -> float:
@@ -326,18 +341,17 @@ class MittagLeffler(Descriptor):
         return self._checked(z, derivative=True)
 
     def _checked(self, z: complex, derivative: bool) -> complex:
-        log_scale = math.log(self.eta)
         try:
             v = mittag.ml_eval(self.alpha, z)[derivative]
         except OverflowError:
             p = 1.0 / self.alpha
             zp = cmath.exp(p * cmath.log(z))
-            lm = zp.real + math.log(p) + log_scale
+            lm = zp.real + math.log(p) + self._log_scale
             if derivative:
                 lm += math.log(p) + (p - 1.0) * math.log(abs(z))
             raise EvalOverflow(lm, math.remainder(zp.imag, 2.0 * math.pi)) from None
-        if log_scale != 0.0:
-            v *= math.exp(log_scale)
+        if self._log_scale != 0.0:
+            v *= self._scale
         return v
 
     def log_max_modulus(self, r: float) -> float:
@@ -513,26 +527,52 @@ def _ratio_block_max(alpha: float, p: float, z: np.ndarray) -> float:
 # JSON interface
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is a number of that kind; a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def is_pair(value) -> bool:
+    """Whether value is [re, im], the JSON form of a complex number."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_number, value))
+
+
 def descriptor_from_json(obj) -> Descriptor:
-    """Parse {"variant": ..., ...} (dict or JSON string) to a descriptor."""
+    """Parse {"variant": ..., ...} (dict or JSON string) to a descriptor.
+
+    A value that is not an object, an unknown variant and a missing or
+    mistyped key each raise a ValueError that names it.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    variant = obj["variant"]
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {obj!r}")
+    variant = obj.get("variant")
+
+    def read(key, check, form):
+        if key not in obj:
+            raise ValueError(f"{variant} needs {key}")
+        if not check(obj[key]):
+            raise ValueError(f"{variant} {key} must be {form}, not {obj[key]!r}")
+        return obj[key]
+
     if variant == "polynomial":
-        return Polynomial(tuple(complex(re, im) for re, im in obj["coefficients"]))
+        coeffs = read("coefficients",
+                      lambda v: isinstance(v, (list, tuple)) and all(map(is_pair, v)),
+                      "a list of [re, im]")
+        return Polynomial(tuple(complex(re, im) for re, im in coeffs))
     if variant == "exp_affine":
-        re, im = obj["lambda"]
+        re, im = read("lambda", is_pair, "[re, im]")
         return ExpAffine(complex(re, im))
     if variant == "cosh_sqrt":
         return CoshSqrt()
     if variant == "mittag_leffler":
-        return MittagLeffler(float(obj["alpha"]))
+        return MittagLeffler(float(read("alpha", is_number, "a number")))
     if variant == "scaled_mittag_leffler":
-        alpha = float(obj["alpha"])
+        alpha = float(read("alpha", is_number, "a number"))
         # default: largest halving value passing the unit-circle scan
-        eta = obj.get("eta")
-        if eta is None:
-            eta = choose_eta(alpha)
+        eta = (choose_eta(alpha) if obj.get("eta") is None
+               else read("eta", is_number, "a number"))
         if not 0.0 < eta < 1.0:
             raise ValueError("eta must be in (0, 1)")
         return MittagLeffler(alpha, eta)

@@ -19,11 +19,6 @@ from . import functions as fx
 from . import kernels
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    """Whether value is a number of that kind; a bool is not one."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Region:
     """A disk or a rectangle: the open set U that the growth theorems measure.
@@ -69,11 +64,10 @@ class Region:
         if missing:
             raise ValueError(f"{kind} region needs {', '.join(missing)}")
         center = obj["center"]
-        if not (isinstance(center, (list, tuple)) and len(center) == 2
-                and all(map(_is_number, center))):
+        if not fx.is_pair(center):
             raise ValueError(f"{kind} center must be [re, im], not {center!r}")
         for key in Region.SIZES[kind]:
-            if not _is_number(obj[key]):
+            if not fx.is_number(obj[key]):
                 raise ValueError(f"{kind} {key} must be a number, not {obj[key]!r}")
         return Region(complex(center[0], center[1]), kind,
                       **{key: float(obj[key]) for key in Region.SIZES[kind]})
@@ -118,7 +112,7 @@ class GridSpec:
     def __post_init__(self):
         for name, least in (("base_resolution", 16), ("max_refinements", 0)):
             value = getattr(self, name)
-            if not (_is_number(value, numbers.Integral) and value >= least):
+            if not (fx.is_number(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
         if not 0.0 < self.rel_tol <= 0.1:
             raise ValueError("rel_tol must be in (0, 0.1]")
@@ -154,9 +148,10 @@ class MuSupResult:
 
 # Both refinement engines hold their cells as parallel arrays (u0, u1, v0, v1):
 # x/y edges for rectangle cells, r/theta edges for polar cells.  Each pass makes
-# one logphi_batch call on the points no earlier pass evaluated (mu_sup: 4 edge
-# midpoints and the centre per cell; spherical_area: 2 child midpoints) and
-# decides every cell with array operations, keeping cells in order.
+# one logphi_batch call on the points no earlier pass evaluated (mu_sup: those of
+# the 4 edge midpoints and the centre per cell that lie inside U, and no call when
+# none does; spherical_area: 2 child midpoints) and decides every cell with array
+# operations, keeping cells in order.
 
 
 def _grid_cells(us: np.ndarray, vs: np.ndarray):
@@ -193,6 +188,25 @@ def _block(corners: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.insert(new.reshape(-1, 5), [0, 1, 4, 5], corners.T, axis=1).reshape(-1, 3, 3)
 
 
+def _logphi_inside(f, xs: np.ndarray, ys: np.ndarray, inside: np.ndarray, n: int):
+    """logphi_batch on the points where inside holds, and nowhere else: log
+    (f^n)^# there and NaN elsewhere, and whether each of those orbits overflowed."""
+    lp = np.full(xs.shape, np.nan)
+    hot = np.zeros(xs.shape, dtype=bool)
+    if inside.any():
+        lpi, sti = logphi_batch(f, xs[inside], ys[inside], n)
+        lp[inside] = lpi
+        hot[inside] = sti != kernels.STATUS_OK
+    return lp, hot
+
+
+def _subcell_corners(blocks: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """The columns sub of _cell_corners(blocks) for (N, 3, 3) blocks, built
+    for those subcells alone: subcell 4i + 2p + q has corners blocks[i, p:p+2, q:q+2]."""
+    first = 9 * (sub // 4) + 3 * (sub // 2 % 2) + sub % 2
+    return blocks.reshape(-1)[first + np.array([[0], [1], [3], [4]])]
+
+
 def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     """log sup of (f^n)^# over U by corner-spread adaptive refinement."""
     if n < 1:
@@ -202,10 +216,7 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     gx = np.linspace(x0, x1, res + 1)
     gy = np.linspace(y0, y1, res + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
-    lp, st = logphi_batch(f, X.ravel(), Y.ravel(), n)
-    mask = U.contains(X, Y)
-    lp = np.where(mask, lp.reshape(X.shape), np.nan)
-    hot = (st.reshape(X.shape) != kernels.STATUS_OK) & mask  # overflowed inside U
+    lp, hot = _logphi_inside(f, X, Y, U.contains(X, Y), n)  # hot: overflowed inside U
     vals = lp[np.isfinite(lp)]
     overflow = int(hot.sum())
     evals = X.size
@@ -228,14 +239,12 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         # the 5 points of each cell's 3x3 block that are not its corners
         xs = np.stack([a, mx, mx, mx, b], axis=1).ravel()
         ys = np.stack([my, c, my, d, my], axis=1).ravel()
-        lpv, stv = logphi_batch(f, xs, ys, n)
-        inside = U.contains(xs, ys)
-        lpv = np.where(inside, lpv, np.nan)
+        lpv, hotv = _logphi_inside(f, xs, ys, U.contains(xs, ys), n)
         finite = np.isfinite(lpv)
         if finite.any():  # the corners are in best already
             best = max(best, float(lpv[finite].max()))
         block = _block(lpc, lpv)
-        hot = _block(hotc, (stv != kernels.STATUS_OK) & inside)
+        hot = _block(hotc, hotv)
         overflow += int(hot.sum())
         evals += block.size
         if rounds == grid.max_refinements:
@@ -251,7 +260,7 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         # refine only the most promising cells (the widest first) to bound the work
         keep = np.argsort(-(sub[1] - sub[0]), kind="stable")[:4096]
         a, b, c, d = (e[keep] for e in sub)
-        lpc, hotc = corners[:, idx[keep]], _cell_corners(hot)[:, idx[keep]]
+        lpc, hotc = corners[:, idx[keep]], _subcell_corners(hot, idx[keep])
     return MuSupResult(log_mu=best, evaluations=evals, refinements=rounds,
                        overflow_points=overflow)
 
@@ -430,18 +439,15 @@ def nevanlinna_T(f, r: float) -> float:
         return lm
 
     thetas = np.linspace(0.0, 2.0 * math.pi, panels + 1)
-    vals = np.array([g(t) for t in thetas])
-    total = 0.0
-    for i in range(panels):
+    vals = f.log_abs_on_circle(logr, thetas)
+    va, vb = vals[:-1], vals[1:]
+    zero = (va <= 0.0) & (vb <= 0.0)  # log+ |f| vanishes on the panel
+    whole = ~zero & (va >= 0.0) & (vb >= 0.0)
+    parts = np.where(whole, 0.5 * (va + vb) * np.diff(thetas), 0.0)  # each panel's share
+    for i in np.flatnonzero(~zero & ~whole):
         a, b = thetas[i], thetas[i + 1]
-        va, vb = vals[i], vals[i + 1]
-        if va <= 0.0 and vb <= 0.0:
-            continue
-        if va >= 0.0 and vb >= 0.0:
-            total += 0.5 * (va + vb) * (b - a)
-            continue
         # kink inside the panel: bisection on g to 1e-12
-        lo, hi = (a, b) if va < 0.0 else (b, a)
+        lo, hi = (a, b) if va[i] < 0.0 else (b, a)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if g(mid) < 0.0:
@@ -451,10 +457,11 @@ def nevanlinna_T(f, r: float) -> float:
             if abs(hi - lo) < 1e-12:
                 break
         t_star = 0.5 * (lo + hi)
-        if va > 0.0:
-            total += 0.5 * va * abs(t_star - a)
+        if va[i] > 0.0:
+            parts[i] = 0.5 * va[i] * abs(t_star - a)
         else:
-            total += 0.5 * vb * abs(b - t_star)
+            parts[i] = 0.5 * vb[i] * abs(b - t_star)
+    total = np.add.accumulate(parts)[-1]  # summed left to right, panel by panel
     return total / (2.0 * math.pi)
 
 

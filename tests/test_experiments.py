@@ -431,6 +431,28 @@ def test_cli_rejects_bad_grid_values(tmp_path, sub, config, message):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ([1], r"^config: expected a JSON object, not \[1\]$"),
+    ({"function": 5}, r"^function: expected a JSON object, not 5$"),
+    ({"function": {}}, r"^function: unknown variant: None$"),
+    ({"function": {"variant": "exp_affine"}}, r"^function: exp_affine needs lambda$"),
+    ({"function": {"variant": "exp_affine", "lambda": 2.0}},
+     r"^function: exp_affine lambda must be \[re, im\], not 2\.0$"),
+    ({"function": {"variant": "polynomial", "coefficients": [[0, 0], [1]]}},
+     r"^function: polynomial coefficients must be a list of \[re, im\]"),
+    ({"function": {"variant": "mittag_leffler", "alpha": "1"}},
+     r"^function: mittag_leffler alpha must be a number, not '1'$"),
+], ids=["list-config", "scalar-function", "no-variant", "no-lambda", "scalar-lambda",
+        "short-coefficient", "string-alpha"])
+def test_cli_rejects_malformed_config_shapes(tmp_path, config, message):
+    # each of these once escaped as a bare AttributeError, TypeError or KeyError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=message):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "classical"])
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_null_section_reads_as_empty(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"classical": None}))

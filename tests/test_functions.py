@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sphgrow import functions as fx
+from sphgrow import mittag
 from sphgrow.towers import TowerReal, tower_compare
 
 ALL_VARIANTS = [
@@ -47,6 +48,41 @@ def test_log_eval_matches_direct():
         w = fx.eval_f(f, z)
         assert math.isclose(lm, math.log(abs(w)), rel_tol=0, abs_tol=1e-10)
         assert abs(cmath.exp(1j * arg) - w / abs(w)) < 1e-9
+
+
+@pytest.mark.parametrize("f", ALL_VARIANTS, ids=VARIANT_IDS)
+def test_log_abs_on_circle_matches_log_eval(f):
+    # ExpAffine computes the circle in one array operation; it must give the
+    # scalar log_eval's bits, as every other variant's loop does
+    thetas = np.linspace(0.0, 2.0 * math.pi, 257)
+    for log_r in (-1.0, 0.0, 1.0, math.log(10.0)):
+        want = np.array([f.log_eval(log_r, float(t))[0] for t in thetas])
+        assert f.log_abs_on_circle(log_r, thetas).tobytes() == want.tobytes(), log_r
+
+
+def test_log_abs_on_circle_beyond_double_range():
+    with pytest.raises(fx.OrbitOverflow):
+        fx.ExpAffine(1.0).log_abs_on_circle(710.0, np.zeros(3))
+
+
+def test_mittag_leffler_scale_computed_once(monkeypatch):
+    # eval and derivative multiply by e^(log eta), formed when the descriptor
+    # is built: no math call per evaluation, and the same bits as before
+    f = fx.MittagLeffler(1.0, 0.1)
+    zs = (0.3 + 0.1j, -1.2j, 2.0)
+    names = []
+
+    class Counted:
+        def __getattr__(self, name):
+            names.append(name)
+            return getattr(math, name)
+
+    monkeypatch.setattr(fx, "math", Counted())
+    got = [(f.eval(z), f.derivative(z)) for z in zs]
+    assert names == []
+    scale = math.exp(math.log(0.1))
+    assert scale != 0.1
+    assert got == [tuple(v * scale for v in mittag.ml_eval(1.0, z)) for z in zs]
 
 
 def test_log_eval_large_argument():

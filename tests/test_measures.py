@@ -90,6 +90,51 @@ def test_nevanlinna_T_poly():
     assert abs(got - 2.0 * math.log(1e4)) < 0.01
 
 
+def _nevanlinna_T_scalar(f, r):
+    """nevanlinna_T as first written: one scalar log_eval per angle and the
+    panel shares added to a running total."""
+    logr = math.log(r)
+
+    def g(theta):
+        return fx.log_eval(f, (logr, theta))[0]
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, 4097)
+    vals = np.array([g(t) for t in thetas])
+    total = 0.0
+    for i in range(4096):
+        a, b = thetas[i], thetas[i + 1]
+        va, vb = vals[i], vals[i + 1]
+        if va <= 0.0 and vb <= 0.0:
+            continue
+        if va >= 0.0 and vb >= 0.0:
+            total += 0.5 * (va + vb) * (b - a)
+            continue
+        lo, hi = (a, b) if va < 0.0 else (b, a)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if g(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if abs(hi - lo) < 1e-12:
+                break
+        t_star = 0.5 * (lo + hi)
+        if va > 0.0:
+            total += 0.5 * va * abs(t_star - a)
+        else:
+            total += 0.5 * vb * abs(b - t_star)
+    return total / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("f, r", [
+    (EXP, math.e), (EXP, math.e ** 2), (EXP, 10.0), (EXP, math.pi), (EXP, 0.5),
+    (fx.ExpAffine(0.3 - 0.2j), 3.0), (SQUARE, 1e4), (fx.Polynomial((0.5, 0, 1)), 0.8),
+    (fx.CoshSqrt(), 20.0),
+], ids=["e", "e2", "10", "pi", "half", "exp-complex", "square", "poly-kinks", "coshsqrt"])
+def test_nevanlinna_T_bit_identical_to_scalar_loop(f, r):
+    assert float(ms.nevanlinna_T(f, r)).hex() == float(_nevanlinna_T_scalar(f, r)).hex()
+
+
 def test_sandwich_exp():
     out = ms.characteristic_sandwich_check(EXP, math.e, GRID)
     assert out["passed"]
@@ -403,6 +448,11 @@ def _area_three_points(f, U, n, grid):
 
 _ORACLE_MU = {f"exp-pin-n{n}": (EXP, _PIN_DISK, n, GRID) for n in _PIN_MU}
 _ORACLE_MU.update({name: case[:4] for name, case in _PIN_CASES.items()})
+_ORACLE_MU.update({  # no refinement round, one round, and a U that holds every block point
+    "exp-pin-rounds0": (EXP, _PIN_DISK, 2, ms.GridSpec(max_refinements=0)),
+    "exp-pin-rounds1": (EXP, _PIN_DISK, 2, ms.GridSpec(max_refinements=1)),
+    "exp-rect": (EXP, ms.Region.rectangle(complex(0.318, 1.337), 0.5, 0.5), 2, GRID),
+})
 _ORACLE_AREA = {f"area-pin-{i}": (f, U, n, GRID) for i, (f, U, n, *_) in enumerate(_PIN_AREA)}
 _ORACLE_AREA.update({name: case[:4] for name, case in _PIN_CASES.items()})
 
@@ -443,36 +493,56 @@ def test_corner_test_columns_match_rows():
         assert got[1].tobytes() == want[1].tobytes()
 
 
-def _count_kernel_points(monkeypatch):
-    sizes = []
+def test_subcell_corners_match_cell_corners():
+    rng = np.random.default_rng(11)
+    blocks = rng.normal(size=(300, 3, 3))
+    sub = rng.choice(4 * 300, 500, replace=False)
+    assert ms._subcell_corners(blocks, sub).tobytes() == \
+        ms._cell_corners(blocks)[:, sub].tobytes()
+
+
+def _kernel_points(monkeypatch):
+    """The (x0, y0) arrays of every kernels.expaffine_logphi call, in order."""
+    calls = []
     kernel = kernels.expaffine_logphi
 
-    def counted(x0, y0, *args):
-        sizes.append(np.size(x0))
+    def recorded(x0, y0, *args):
+        calls.append((np.array(x0), np.array(y0)))
         return kernel(x0, y0, *args)
 
-    monkeypatch.setattr(kernels, "expaffine_logphi", counted)
-    return sizes
+    monkeypatch.setattr(kernels, "expaffine_logphi", recorded)
+    return calls
 
 
 def test_mu_sup_evaluates_each_block_point_once(monkeypatch):
-    # the grid once, then per refined cell its 4 edge midpoints and centre;
-    # its 4 corners come from the block that evaluated them
-    sizes = _count_kernel_points(monkeypatch)
-    res = ms.mu_sup(EXP, _PIN_DISK, 4, GRID)
-    grid_points = (GRID.base_resolution + 1) ** 2
-    assert len(sizes) == res.refinements + 1
-    assert sum(sizes) == grid_points + 5 * (res.evaluations - grid_points) // 9
+    # the grid points inside U once, then per refined cell those of its 4
+    # edge midpoints and centre that lie inside U; its 4 corners come from
+    # the block that evaluated them.  The full-block engine hands the kernel
+    # every grid point and then whole 3x3 blocks, x outer: recount from those.
+    calls = _kernel_points(monkeypatch)
+    want = _mu_sup_full_blocks(EXP, _PIN_DISK, 4, GRID)
+    (gx, gy), *blocks = calls
+    not_corners = [1, 3, 4, 5, 7]
+    inside = [int(_PIN_DISK.contains(gx, gy).sum())] + [
+        int(_PIN_DISK.contains(xs, ys).reshape(-1, 9)[:, not_corners].sum())
+        for xs, ys in blocks]
+    assert len(blocks) == want.refinements and 0 < inside[-1] < 5 * blocks[-1][0].size // 9
+    calls.clear()
+    got = ms.mu_sup(EXP, _PIN_DISK, 4, GRID)
+    assert got.evaluations == want.evaluations
+    assert all(_PIN_DISK.contains(xs, ys).all() for xs, ys in calls)
+    assert [xs.size for xs, _ in calls] == [k for k in inside if k]
 
 
 def test_area_evaluates_each_midpoint_once(monkeypatch):
     # 3 points per cell on the first pass (its midpoint and its 2 children's),
     # then 2: a cell's own midpoint was a child midpoint of the pass before
-    sizes = _count_kernel_points(monkeypatch)
+    calls = _kernel_points(monkeypatch)
     want = _area_three_points(EXP, _PIN_DISK, 3, GRID)
-    three_point_sizes = list(sizes)
-    sizes.clear()
+    three_point_sizes = [xs.size for xs, _ in calls]
+    calls.clear()
     got = ms.spherical_area(EXP, _PIN_DISK, 3, GRID)
+    sizes = [xs.size for xs, _ in calls]
     assert got.cells == want.cells
     assert len(sizes) == len(three_point_sizes) > 1
     assert sizes[0] == three_point_sizes[0] == 3 * GRID.base_resolution ** 2
