@@ -189,14 +189,14 @@ def _block(corners: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 
 def _logphi_inside(f, xs: np.ndarray, ys: np.ndarray, inside: np.ndarray, n: int):
-    """logphi_batch on the points where inside holds, and nowhere else: log
-    (f^n)^# there and NaN elsewhere, and whether each of those orbits overflowed."""
-    lp = np.full(xs.shape, np.nan)
-    hot = np.zeros(xs.shape, dtype=bool)
-    if inside.any():
-        lpi, sti = logphi_batch(f, xs[inside], ys[inside], n)
-        lp[inside] = lpi
-        hot[inside] = sti != kernels.STATUS_OK
+    """(log (f^n)^#, overflowed) laid out on the mask inside, from the points
+    xs + i ys where it holds: NaN and False elsewhere, and no kernel call
+    when it holds nowhere."""
+    lpi, sti = logphi_batch(f, xs, ys, n) if xs.size else (np.nan, kernels.STATUS_OK)
+    lp = np.full(inside.shape, np.nan)
+    lp[inside] = lpi
+    hot = np.zeros(inside.shape, dtype=bool)
+    hot[inside] = sti != kernels.STATUS_OK
     return lp, hot
 
 
@@ -216,7 +216,8 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     gx = np.linspace(x0, x1, res + 1)
     gy = np.linspace(y0, y1, res + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
-    lp, hot = _logphi_inside(f, X, Y, U.contains(X, Y), n)  # hot: overflowed inside U
+    mask = U.contains(X, Y)
+    lp, hot = _logphi_inside(f, X[mask], Y[mask], mask, n)  # hot: overflowed inside U
     vals = lp[np.isfinite(lp)]
     overflow = int(hot.sum())
     evals = X.size
@@ -239,7 +240,9 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         # the 5 points of each cell's 3x3 block that are not its corners
         xs = np.stack([a, mx, mx, mx, b], axis=1).ravel()
         ys = np.stack([my, c, my, d, my], axis=1).ravel()
-        lpv, hotv = _logphi_inside(f, xs, ys, U.contains(xs, ys), n)
+        inside = U.contains(xs, ys)
+        xs, ys = xs[inside], ys[inside]  # only the points in U stay alive in the kernel
+        lpv, hotv = _logphi_inside(f, xs, ys, inside, n)
         finite = np.isfinite(lpv)
         if finite.any():  # the corners are in best already
             best = max(best, float(lpv[finite].max()))
