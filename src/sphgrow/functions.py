@@ -6,8 +6,8 @@ small enough that |f|, |f'| < 1 on the unit circle gives the scaled
 family of the growth scans).  Each variant owns its rules: pointwise
 values and derivatives, the log-polar continuation (also on a whole
 circle of angles at once), log M(r, f) and its tower form, its JSON form
-and, where one exists, its batch kernel.  The
-module-level functions below are the entry points callers use.
+and, where one exists, its batch kernel.  The module-level functions
+below are the entry points callers use.
 """
 
 from __future__ import annotations
