@@ -120,17 +120,32 @@ def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
                        escalated_at=escalated_at, overflow_at=overflow_at)
 
 
-def orbit_table(f, xs, ys, n: int):
-    """(log|z_k| table, log (f^n)^#) over start points, one iterate_orbit each;
-    NaN past an orbit's end, and for log (f^n)^# where the orbit ends first."""
-    table = np.full((xs.size, n + 1), np.nan)
-    logphi = np.full(xs.size, np.nan)
-    for i in range(xs.size):
+@dataclass
+class OrbitTable:
+    """The orbits of a batch of start points, one row each, as iterate_orbit
+    records them."""
+
+    log_mag: np.ndarray  # (m, n + 1): log|z_k|, NaN past the orbit's end
+    log_deriv: np.ndarray  # (m, n + 1): log|(f^k)'(z_0)|, NaN past the orbit's end
+    length: np.ndarray  # (m,): entries known per row, OrbitRecord.length()
+    logphi: np.ndarray  # (m,): log (f^n)^#(z_0), NaN where the orbit ends before n
+
+
+def orbit_table(f, xs, ys, n: int) -> OrbitTable:
+    """The orbits of the start points xs + i ys for n steps, one iterate_orbit each."""
+    m = xs.size
+    log_mag = np.full((m, n + 1), np.nan)
+    log_deriv = np.full((m, n + 1), np.nan)
+    length = np.zeros(m, dtype=np.int64)
+    logphi = np.full(m, np.nan)
+    for i in range(m):
         orbit = iterate_orbit(f, complex(xs[i], ys[i]), n)
-        table[i, :orbit.length()] = [orbit.log_mag(k) for k in range(orbit.length())]
-        if orbit.length() > n:
+        length[i] = orbit.length()
+        log_mag[i, :length[i]] = [orbit.log_mag(k) for k in range(length[i])]
+        log_deriv[i, :length[i]] = orbit.log_deriv_prefix
+        if length[i] > n:
             logphi[i] = log_spherical_derivative(orbit, n)
-    return table, logphi
+    return OrbitTable(log_mag, log_deriv, length, logphi)
 
 
 def log_spherical_derivative(orbit: OrbitRecord, n: int) -> float:

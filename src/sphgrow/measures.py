@@ -130,7 +130,7 @@ def logphi_batch(f, xs: np.ndarray, ys: np.ndarray, n: int):
     if batch is not None:
         return batch
     # scalar fallback for variants without a batch kernel
-    lp = dy.orbit_table(f, xs.ravel(), ys.ravel(), n)[1].reshape(xs.shape)
+    lp = dy.orbit_table(f, xs.ravel(), ys.ravel(), n).logphi.reshape(xs.shape)
     return lp, np.where(np.isnan(lp), kernels.STATUS_OVERFLOW, kernels.STATUS_OK)
 
 

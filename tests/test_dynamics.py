@@ -3,10 +3,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
+from sphgrow import mittag
 
 EXP = fx.ExpAffine(1.0)
 SQUARE = fx.Polynomial((0, 0, 1))
@@ -115,3 +117,69 @@ def test_orbit_ends_when_no_value_is_representable():
     assert orbit.overflow_at == 3
     assert orbit.length() == len(orbit.log_deriv_prefix) == 4
     assert orbit.log_mag(3) > 200.0
+
+
+# ---------------------------------------------------------------------------
+# orbit_table against one iterate_orbit per start
+
+
+def _thm4_starts():
+    """The 1,000 starts of run_thm4_scan at seed 0, drawn the same way."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(1000):
+        r = math.sqrt(rng.uniform(0.0, 1.0)) * 20.0
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        out.append(complex(r * math.cos(th), r * math.sin(th)))
+    return out
+
+
+# z0 = 0 and its signed-zero twins, other -0.0 parts, and large starts: 300
+# escalates E_1, 1e5 escalates cosh sqrt z, 1e200 overflows E_0.2 and E_0.5
+# with no log-polar value
+_EDGE_STARTS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                complex(-0.0, 0.3), complex(0.5, -0.0), complex(-1.5, -0.0),
+                300.0 + 0j, 1e5 + 0j, 1e200 + 0j, -1e200 + 0j]
+
+
+def _orbit_rows_per_start(f, starts, n):
+    """The parent's orbit_table, one iterate_orbit per start, and how each orbit ended."""
+    m = len(starts)
+    log_mag, log_deriv = np.full((m, n + 1), np.nan), np.full((m, n + 1), np.nan)
+    length, logphi = np.zeros(m, dtype=np.int64), np.full(m, np.nan)
+    ends = set()
+    for i, z0 in enumerate(starts):
+        orbit = dy.iterate_orbit(f, z0, n)
+        length[i] = orbit.length()
+        log_mag[i, :length[i]] = [orbit.log_mag(k) for k in range(length[i])]
+        log_deriv[i, :length[i]] = orbit.log_deriv_prefix
+        if length[i] > n:
+            logphi[i] = dy.log_spherical_derivative(orbit, n)
+        if orbit.escalated_at >= 0:
+            # an EvalOverflow value is past double range; an escalated one is not
+            ends.add("eval_overflow" if orbit.log_points[0][0] > 709.8 else "escalation")
+        elif orbit.status == dy.OVERFLOW:
+            ends.add("overflow_error")
+    return log_mag, log_deriv, length, logphi, ends
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["eta1", "eta_auto"])
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.75, 1.0, 1.5, 2.0])
+def test_orbit_table_bit_identical_to_iterate_orbit(alpha, scaled):
+    f = fx.MittagLeffler(alpha, fx.choose_eta(alpha) if scaled else 1.0)
+    rs = mittag.switch_radius(alpha)
+    beyond = [1.01 * rs * cmath.exp(1j * t) for t in (0.0, 1.0, 2.5, math.pi)]
+    starts = _thm4_starts() + _EDGE_STARTS + beyond
+    n = 25
+    xs = np.array([z.real for z in starts])
+    ys = np.array([z.imag for z in starts])
+    tab = dy.orbit_table(f, xs, ys, n)
+    *want, ends = _orbit_rows_per_start(f, starts, n)
+    for got, exp in zip((tab.log_mag, tab.log_deriv, tab.length, tab.logphi), want):
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+    # each way an orbit can end is in the table; E_alpha's log-polar value
+    # only overflows where (1e200)^(1/alpha) leaves double range
+    assert {"eval_overflow", "escalation"} <= ends
+    assert ("overflow_error" in ends) == (alpha <= 0.5)
+    # the contracting eta leaves orbits that run all n steps
+    assert not scaled or (tab.length == n + 1).any()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sphgrow import cli
+from sphgrow import dynamics as dy
 from sphgrow import experiments as ex
 from sphgrow import functions as fx
 from sphgrow import measures as ms
@@ -218,6 +219,117 @@ def test_thm4_small_scan():
     rep = ex.run_thm4_scan(f, N=15, starts=50, seed=0)
     assert rep.verdict == ex.PASS
     assert not rep.violating_rows()
+
+
+# run_thm4_scan as it was with one iterate_orbit per start: the oracle of
+# the batched scan, kept with the two checks it called
+
+
+def _thm4_scan_per_start(f, N, starts, seed):
+    ex._check_unit_disk_contraction(f)
+    rho = f.order
+    C = fx.growth_constant(f.alpha)
+    log_C = math.log(C)
+    margin = 0.1
+    rng = np.random.default_rng(seed)
+    rows = []
+    all_ok = True
+    retained = 0
+    shrinking = 0
+    for idx in range(starts):
+        r = math.sqrt(rng.uniform(0.0, 1.0)) * 20.0
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        z0 = complex(r * math.cos(th), r * math.sin(th))
+        orbit = dy.iterate_orbit(f, z0, N)
+        horizon = orbit.length() - 1
+        t = [orbit.log_mag(k) for k in range(horizon + 1)]
+        entered = next((k for k, tk in enumerate(t) if tk <= 0.0), None)
+        if entered is not None:
+            ok = _shrinking_tail_per_start(orbit, entered)
+            shrinking += 1
+            all_ok &= ok
+            if not ok:
+                rows.append({"n": idx, "lhs_tower": "", "rhs_tower": "",
+                             "margin_log": None, "violates": True,
+                             "kind": "unit-disk-tail"})
+            continue
+        if horizon < 3:
+            continue
+        retained += 1
+        ok, worst_stat, events = _growth_chain_per_start(
+            orbit, t, horizon, rho, log_C, margin)
+        all_ok &= ok
+        rows.append({"n": idx,
+                     "lhs_tower": f"E^0({ex._fmt(worst_stat)})",
+                     "rhs_tower": f"E^0({ex._fmt(math.log(1.0 + rho) + margin)})",
+                     "margin_log": ex._clean(math.log(1.0 + rho) + margin - worst_stat),
+                     "retained_horizon": horizon, "growth_cap_events": events,
+                     "violates": not ok, "kind": "retained"})
+    verdict = ex.PASS if all_ok and retained > 0 else (
+        ex.INCONCLUSIVE if retained == 0 else ex.FAIL)
+    return ex.ExperimentReport(
+        experiment_id="thm4-ml-upper-growth", function=fx.descriptor_to_json(f),
+        parameters={"N": N, "starts": starts, "seed": seed, "rho": rho,
+                    "growth_constant": C, "retained": retained,
+                    "unit_disk_orbits": shrinking},
+        rows=rows, verdict=verdict,
+        tolerances={"loglog_margin": margin})
+
+
+def _shrinking_tail_per_start(orbit, entered):
+    horizon = orbit.length() - 1
+    prev = None
+    for n in range(max(entered, 1), horizon + 1):
+        cur = dy.log_spherical_derivative(orbit, n)
+        if prev is not None and cur > prev + 1e-9:
+            return False
+        prev = cur
+    return True
+
+
+def _growth_chain_per_start(orbit, t, horizon, rho, log_C, margin):
+    ok = True
+    worst_stat = -math.inf
+    events = 0
+    partial = [t[0]]
+    for k in range(1, horizon + 1):
+        partial.append(partial[-1] + t[k])
+    n0 = next((k for k in range(1, horizon + 1)
+               if t[k] <= rho * partial[k - 1]), None)
+    c0 = None
+    if n0 is not None:
+        c0 = (1.0 + rho) ** (-n0 + 1) * partial[n0 - 1]
+    chain_alive = n0 is not None
+    for n in range(1, horizon + 1):
+        log_sharp = dy.log_spherical_derivative(orbit, n)
+        if t[n] > rho * partial[n - 1]:
+            if n >= n0 if n0 is not None else True:
+                chain_alive = False
+            events += 1
+            if log_sharp > n * log_C + 1e-9:
+                ok = False
+        elif chain_alive and n0 is not None and n >= n0 - 1:
+            if partial[n] > c0 * (1.0 + rho) ** n * (1.0 + 1e-12):
+                ok = False
+        if n >= 3 and log_sharp > 1.0:
+            stat = math.log(log_sharp) / n
+            worst_stat = max(worst_stat, stat)
+            if stat > math.log(1.0 + rho) + margin:
+                ok = False
+    return ok, worst_stat, events
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0])
+def test_thm4_scan_bit_identical_to_per_start_scan(alpha):
+    f = fx.MittagLeffler(alpha, fx.choose_eta(alpha))
+    got = ex.run_thm4_scan(f, N=25, starts=500, seed=3)
+    want = _thm4_scan_per_start(f, 25, 500, 3)
+    assert got.to_json() == want.to_json()
+    assert got.rows_csv() == want.rows_csv()
+    # the unit-disk check runs at every alpha; at 0.5, 0.75 and 2 no orbit
+    # outside the disk lasts the 3 steps the growth chain needs
+    assert got.parameters["unit_disk_orbits"] > 0
+    assert (got.parameters["retained"] > 0) == (alpha == 1.5)
 
 
 def test_thm1_scan_signature():
