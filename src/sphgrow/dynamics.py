@@ -4,6 +4,9 @@ Orbits run in rectangular coordinates while representable, then escalate
 to log-polar continuation (exact for the exponential family, leading-term
 for polynomials).  The chain rule is tracked as a running sum of
 log|f'(z_j)| so that log (f^n)^# stays finite far past double overflow.
+`orbit_table` steps a batch of orbits together, in arrays where the variant
+evaluates as arrays (`eval_arrays`), and gives each start the bits of its
+`iterate_orbit`.
 """
 
 from __future__ import annotations
@@ -49,9 +52,12 @@ class OrbitRecord:
     def log_mag(self, n: int) -> float:
         """log|z_n|; defined for n < length()."""
         if n < len(self.points):
-            z = self.points[n]
-            return math.log(abs(z)) if z != 0 else -math.inf
+            return _log_abs_point(self.points[n])
         return self.log_points[n - len(self.points)][0]
+
+
+def _log_abs_point(z: complex) -> float:
+    return math.log(abs(z)) if z != 0 else -math.inf
 
 
 def _log_abs_derivative(f, z: complex) -> float:
@@ -62,6 +68,30 @@ def _log_abs_derivative(f, z: complex) -> float:
     if d == 0:
         return f.log_abs_derivative_underflow(z)
     return math.log(abs(d))
+
+
+def _orbit_step(f, z: complex, z_lp):
+    """One orbit step from z, or from z_lp = (log|z|, arg z) once the orbit
+    has escalated: (log|f'(z)|, f(z), None) while |f(z)| <= ESCALATION_THRESHOLD,
+    else (log|f'(z)|, None, (log|f(z)|, arg f(z))); None when f(z) has no
+    value, not even a log-polar one."""
+    try:
+        if z_lp is None:
+            logd = _log_abs_derivative(f, z)
+            try:
+                nxt, nxt_lp = fx.eval_f(f, z), None
+            except fx.EvalOverflow as e:
+                nxt, nxt_lp = None, (e.log_mag, e.arg)
+        else:
+            logd = f.log_abs_derivative_polar(*z_lp)
+            nxt, nxt_lp = None, fx.log_eval(f, z_lp)
+    except (OverflowError, fx.OrbitOverflow):
+        return None
+    if nxt is not None and abs(nxt) <= ESCALATION_THRESHOLD:
+        return logd, nxt, None
+    if nxt is not None:
+        nxt_lp = (math.log(abs(nxt)), cmath.phase(nxt))
+    return logd, None, nxt_lp
 
 
 def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
@@ -75,38 +105,24 @@ def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
     status = COMPLETE
     escalated_at = -1
     overflow_at = -1
-    mode_rect = True
     cur = z0
     cur_lp = None
     for n in range(n_max):
-        nxt = None
-        try:
-            if mode_rect:
-                logd = _log_abs_derivative(f, cur)
-                try:
-                    nxt = fx.eval_f(f, cur)
-                except fx.EvalOverflow as e:
-                    nxt_lp = (e.log_mag, e.arg)
-            else:
-                logd = f.log_abs_derivative_polar(*cur_lp)
-                nxt_lp = fx.log_eval(f, cur_lp)
-        except (OverflowError, fx.OrbitOverflow):
+        step = _orbit_step(f, cur, cur_lp)
+        if step is None:
             # no value, not even a log-polar one: the orbit ends here
             status = OVERFLOW
             overflow_at = n
             break
+        logd, nxt, nxt_lp = step
         prefix.append(prefix[-1] + logd)
-        if nxt is not None and abs(nxt) <= ESCALATION_THRESHOLD:
+        if nxt is not None:
             points.append(nxt)
             cur = nxt
             continue
-        if nxt is not None:
-            nxt_lp = (math.log(abs(nxt)), cmath.phase(nxt))
         log_points.append(nxt_lp)
-        cur_lp = nxt_lp
-        if mode_rect:
+        if cur_lp is None:
             # escalate to log-polar continuation
-            mode_rect = False
             escalated_at = n + 1
             status = ESCALATED
             if not f.log_continuation:
@@ -115,6 +131,7 @@ def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
                     status = OVERFLOW
                     overflow_at = n + 1
                 break
+        cur_lp = nxt_lp
     return OrbitRecord(start=z0, points=points, log_points=log_points,
                        log_deriv_prefix=prefix, status=status,
                        escalated_at=escalated_at, overflow_at=overflow_at)
@@ -131,35 +148,98 @@ class OrbitTable:
     logphi: np.ndarray  # (m,): log (f^n)^#(z_0), NaN where the orbit ends before n
 
 
+def _log_abs(mags: np.ndarray) -> list:
+    """_log_abs_point from |z|, for each of mags; math.log, since np.log
+    differs from it in the last bit on some."""
+    return [math.log(v) if v else -math.inf for v in mags.tolist()]
+
+
 def orbit_table(f, xs, ys, n: int) -> OrbitTable:
-    """The orbits of the start points xs + i ys for n steps, one iterate_orbit each."""
-    m = xs.size
+    """The orbits of the start points xs + i ys for n steps, all rows a step
+    at a time, each row bit for bit its iterate_orbit.
+
+    At each step the rows in rectangular form that f.eval_arrays evaluates
+    step together in arrays; every other row, and each one whose step is not
+    the common case (f'(z) = 0, or |f(z)| past ESCALATION_THRESHOLD), takes
+    _orbit_step.  np.hypot gives abs(complex) bit for bit.
+    """
+    if n < 1:
+        raise ValueError("n_max must be >= 1")
+    x = np.array(xs, dtype=np.float64)
+    y = np.array(ys, dtype=np.float64)
+    m = x.size
     log_mag = np.full((m, n + 1), np.nan)
     log_deriv = np.full((m, n + 1), np.nan)
-    length = np.zeros(m, dtype=np.int64)
+    log_mag[:, 0] = _log_abs(np.hypot(x, y))
+    log_deriv[:, 0] = 0.0
+    length = np.ones(m, dtype=np.int64)
+    rect = np.arange(m)  # rows still iterating in rectangular form
+    polar = {}  # rows iterating in log-polar form: row -> (log|z|, arg z)
+    for k in range(n):
+        for i, z_lp in list(polar.items()):
+            step = _orbit_step(f, None, z_lp)
+            if step is None:
+                del polar[i]
+                continue
+            logd, _, polar[i] = step
+            log_deriv[i, k + 1] = log_deriv[i, k] + logd
+            log_mag[i, k + 1] = polar[i][0]
+            length[i] += 1
+        scalar = np.ones(rect.size, dtype=bool)
+        batch = f.eval_arrays(x[rect], y[rect]) if rect.size else None
+        if batch is not None:
+            sub, er, ei, dr, di = batch
+            dmag, vmag = np.hypot(dr, di), np.hypot(er, ei)
+            common = (dmag > 0.0) & (vmag <= ESCALATION_THRESHOLD)
+            sub = sub[common]
+            rows = rect[sub]
+            log_deriv[rows, k + 1] = log_deriv[rows, k] + _log_abs(dmag[common])
+            log_mag[rows, k + 1] = _log_abs(vmag[common])
+            x[rows], y[rows] = er[common], ei[common]
+            length[rows] += 1
+            scalar[sub] = False
+        stay = np.ones(rect.size, dtype=bool)
+        for j in np.flatnonzero(scalar).tolist():
+            i = int(rect[j])
+            step = _orbit_step(f, complex(x[i], y[i]), None)
+            stay[j] = step is not None and step[1] is not None
+            if step is None:
+                continue
+            logd, nxt, nxt_lp = step
+            log_deriv[i, k + 1] = log_deriv[i, k] + logd
+            length[i] += 1
+            if nxt is not None:
+                log_mag[i, k + 1] = _log_abs_point(nxt)
+                x[i], y[i] = nxt.real, nxt.imag
+            else:
+                log_mag[i, k + 1] = nxt_lp[0]
+                if f.log_continuation:
+                    polar[i] = nxt_lp
+        rect = rect[stay]
     logphi = np.full(m, np.nan)
-    for i in range(m):
-        orbit = iterate_orbit(f, complex(xs[i], ys[i]), n)
-        length[i] = orbit.length()
-        log_mag[i, :length[i]] = [orbit.log_mag(k) for k in range(length[i])]
-        log_deriv[i, :length[i]] = orbit.log_deriv_prefix
-        if length[i] > n:
-            logphi[i] = log_spherical_derivative(orbit, n)
+    done = np.flatnonzero(length > n)
+    logphi[done] = [log_spherical(d, lm) for d, lm in
+                    zip(log_deriv[done, n].tolist(), log_mag[done, n].tolist())]
     return OrbitTable(log_mag, log_deriv, length, logphi)
 
 
-def log_spherical_derivative(orbit: OrbitRecord, n: int) -> float:
-    """log (f^n)^#(z_0) = log|(f^n)'| - log(1 + |z_n|^2)."""
-    if n >= len(orbit.log_deriv_prefix) or n >= orbit.length():
-        raise IndexError(f"orbit data ends before n={n}")
-    lm = orbit.log_mag(n)
-    if lm > 350.0:
-        den = 2.0 * lm
-    elif lm == -math.inf:
+def log_spherical(log_deriv: float, log_mag: float) -> float:
+    """log (f^n)^#(z_0) = log|(f^n)'(z_0)| - log(1 + |z_n|^2) from log_deriv
+    and log_mag = log|z_n|, finite where |z_n|^2 overflows."""
+    if log_mag > 350.0:
+        den = 2.0 * log_mag
+    elif log_mag == -math.inf:
         den = 0.0
     else:
-        den = math.log1p(math.exp(2.0 * lm))
-    return orbit.log_deriv_prefix[n] - den
+        den = math.log1p(math.exp(2.0 * log_mag))
+    return log_deriv - den
+
+
+def log_spherical_derivative(orbit: OrbitRecord, n: int) -> float:
+    """log (f^n)^# along a recorded orbit."""
+    if n >= len(orbit.log_deriv_prefix) or n >= orbit.length():
+        raise IndexError(f"orbit data ends before n={n}")
+    return log_spherical(orbit.log_deriv_prefix[n], orbit.log_mag(n))
 
 
 @dataclass

@@ -6,8 +6,8 @@ small enough that |f|, |f'| < 1 on the unit circle gives the scaled
 family of the growth scans).  Each variant owns its rules: pointwise
 values and derivatives, the log-polar continuation (also on a whole
 circle of angles at once), log M(r, f) and its tower form, its JSON form
-and, where one exists, its batch kernel.  The module-level functions
-below are the entry points callers use.
+and, where one exists, its batch kernel or its array evaluation.  The
+module-level functions below are the entry points callers use.
 """
 
 from __future__ import annotations
@@ -88,6 +88,12 @@ class Descriptor:
     def orbit_follows_max_modulus(self, z0: complex) -> bool:
         """True when |f^n(z0)| = M^n(|z0|, f) exactly for every n."""
         return False
+
+    def eval_arrays(self, x: np.ndarray, y: np.ndarray):
+        """(rows, Re f, Im f, Re f', Im f') at the points x + iy of the rows it
+        evaluates as arrays, bit for bit what eval and derivative return;
+        None when it has no array rule."""
+        return None
 
     def logphi(self, xs: np.ndarray, ys: np.ndarray, n: int):
         """(logphi, status) from a batch kernel; None when there is none."""
@@ -353,6 +359,15 @@ class MittagLeffler(Descriptor):
         if self._log_scale != 0.0:
             v *= self._scale
         return v
+
+    def eval_arrays(self, x, y):
+        """Where ml_eval sums the series: rows with |z| <= switch_radius(alpha)."""
+        rows, er, ei, dr, di = mittag.ml_eval_arrays(self.alpha, x, y)
+        if self._log_scale != 0.0:
+            # _checked's v *= self._scale, a complex * float product
+            er, ei = mittag.cmul(er, ei, self._scale, 0.0)
+            dr, di = mittag.cmul(dr, di, self._scale, 0.0)
+        return rows, er, ei, dr, di
 
     def log_max_modulus(self, r: float) -> float:
         return mittag.ml_log_abs(self.alpha, r) + math.log(self.eta)

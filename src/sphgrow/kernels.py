@@ -6,7 +6,7 @@ scans) and orbit log-magnitude tables for rendering.  There is one numpy
 orbit loop per orbit family: for lam e^z, `_exp_orbit` steps only the
 orbits still in double range, and `expaffine_logphi` and
 `expaffine_logmags` read its table.  The escape index has one rule
-(`escape_index`), shared with the scalar fallback of the render.
+(`escape_index`), shared with the orbit-table path of the render.
 
 Status codes: 0 = reached step n; 1 = orbit left double range earlier.
 """
@@ -37,8 +37,9 @@ _LOG_BIG = 1e300
 def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
     """n steps of f = lam e^z, each on the live rows only (log|z_k| <= 709
     before the last step): the (m, n + 1) table of log|z_k|, NaN once an orbit
-    leaves double range; s = log|(f^k)'(z_0)| up to that step or n; the escape
-    steps (None when log_escape is None); the live rows and their z_n."""
+    leaves double range; s = log|(f^k)'(z_0)| up to that step or n, the live
+    rows and their z_n when log_escape is None; else the escape steps, with
+    None for the three that expaffine_logmags does not read."""
     x = np.ascontiguousarray(x0, dtype=np.float64)
     y = np.ascontiguousarray(y0, dtype=np.float64)
     m = x.shape[0]
@@ -47,23 +48,30 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
         r2 = x * x + y * y
         table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
         del r2  # one (m,) array fewer at the peak of a 512^2 render
-        escape_step = None if log_escape is None else np.full(m, -1, dtype=np.int64)
-        s_all, s = np.zeros(m), np.zeros(m)
+        if log_escape is None:
+            s_all, s = np.zeros(m), np.zeros(m)
+        else:
+            escape_step = np.full(m, -1, dtype=np.int64)
         live = np.arange(m)
         for k in range(1, n + 1):
             ll = x + loglam
             # a strided copy, not a scatter, while every row is live
             table[live if live.size < m else slice(None), k] = ll
-            if log_escape is not None:
+            if log_escape is None:
+                s += x  # (s + x) + loglam, in place: the full-width loop's rounding
+                s += loglam
+            else:
                 _mark_escapes(escape_step, live, ll, k, log_escape)
-            s += x  # (s + x) + loglam, in place: the full-width loop's rounding
-            s += loglam
+                if k == n:
+                    break
             # z_k exceeds doubles: the orbit ends, unless this is the last step
             drop = ll > _EXP_LIMIT
             if k < n and drop.any():
-                s_all[live[drop]] = s[drop]
                 keep = ~drop
-                live, ll, y, s = live[keep], ll[keep], y[keep], s[keep]
+                if log_escape is None:
+                    s_all[live[drop]] = s[drop]
+                    s = s[keep]
+                live, ll, y = live[keep], ll[keep], y[keep]
             # z_k = e^ll (cos a + i sin a), formed in place to hold fewer (m,) arrays
             a = y + arglam
             r = np.exp(ll)
@@ -71,8 +79,10 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
             x *= r
             y = np.sin(a, out=a)
             y *= r
+        if log_escape is not None:
+            return table, None, escape_step, None, None, None
         s_all[live] = s
-    return table, s_all, escape_step, live, x, y
+    return table, s_all, None, live, x, y
 
 
 def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):

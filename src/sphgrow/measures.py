@@ -129,7 +129,7 @@ def logphi_batch(f, xs: np.ndarray, ys: np.ndarray, n: int):
     batch = f.logphi(xs, ys, n)
     if batch is not None:
         return batch
-    # scalar fallback for variants without a batch kernel
+    # the orbit table for variants without a batch kernel
     lp = dy.orbit_table(f, xs.ravel(), ys.ravel(), n).logphi.reshape(xs.shape)
     return lp, np.where(np.isnan(lp), kernels.STATUS_OVERFLOW, kernels.STATUS_OK)
 

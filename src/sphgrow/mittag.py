@@ -2,6 +2,8 @@
 
 `ml_eval(a, z)` gives (E_a(z), E_a'(z)) from one pass, each half with its own
 term recurrence and stopping rule; the last (a, z) is memoised.
+`ml_eval_arrays` gives the same bits over arrays of points in the series
+zone, with complex products written out on real arrays (`cmul`).
 
 Evaluation strategy: the power series in the zone where double-precision
 summation keeps full accuracy, and the sector expansion outside it.  With
@@ -122,6 +124,60 @@ def ml_series(alpha: float, z: complex) -> tuple:
                 if not live:
                     break
     return total, d_total
+
+
+def cmul(ar, ai, br, bi) -> tuple:
+    """(ar + i ai) * (br + i bi) on real arrays, rounded as Python's complex
+    product rounds it; complex * float is the full product with bi = 0.0."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _series_sums(x, y, total, term, biggest, factor) -> tuple:
+    """Continue ml_series's sum from its n = 1 term over the points x + iy:
+    term n is term n-1 times factor(n, x, y), and each point stops by the
+    scalar rule (past n = 3, a term below _SERIES_STOP times the largest)."""
+    out_r, out_i = np.empty(x.shape), np.empty(x.shape)
+    rows = np.arange(x.shape[0])
+    (sr, si), (tr, ti) = total, term
+    for n in range(2, MAX_SERIES_TERMS):
+        if not rows.size:
+            break
+        tr, ti = cmul(tr, ti, *factor(n, x, y))
+        sr, si = sr + tr, si + ti
+        mag = np.hypot(tr, ti)
+        grow = mag > biggest
+        biggest = np.where(grow, mag, biggest)
+        if n > 3:
+            done = ~grow & (mag < _SERIES_STOP * biggest)
+            if done.any():
+                out_r[rows[done]], out_i[rows[done]] = sr[done], si[done]
+                keep = ~done
+                rows, x, y, tr, ti, sr, si, biggest = (
+                    a[keep] for a in (rows, x, y, tr, ti, sr, si, biggest))
+    out_r[rows], out_i[rows] = sr, si
+    return out_r, out_i
+
+
+def ml_eval_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> tuple:
+    """ml_eval at the points x + iy it sums by the series, bit for bit:
+    (rows, Re E, Im E, Re E', Im E') for the rows of x, y with |z| at most the
+    switch radius.  Both sums follow ml_series term for term, in the real and
+    imaginary arrays of cmul; np.hypot is abs(complex)."""
+    x, y = x + 0.0, y + 0.0  # as ml_eval reads z
+    rows = np.flatnonzero(np.hypot(x, y) <= switch_radius(alpha))
+    x, y = x[rows], y[rows]
+    c = _series_ratios(alpha)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        tr, ti = cmul(1.0, 0.0, *cmul(x, y, c[1], 0.0))
+        mag = np.hypot(tr, ti)
+        er, ei = _series_sums(x, y, (1.0 + tr, 0.0 + ti), (tr, ti),
+                              np.where(mag > 1.0, mag, 1.0),
+                              lambda n, x, y: cmul(x, y, c[n], 0.0))
+        g = 1.0 / math.gamma(alpha + 1.0)
+        seed = (np.full(x.shape, g), np.zeros(x.shape))
+        dr, di = _series_sums(x, y, seed, seed, abs(complex(g, 0.0)),
+                              lambda n, x, y: cmul(*cmul(x, y, n / (n - 1), 0.0), c[n], 0.0))
+    return rows, er, ei, dr, di
 
 
 def ml_series_vec(alpha: float, z: np.ndarray) -> tuple:

@@ -67,7 +67,7 @@ def _orbit_logmags(f, xs, ys, n_max, log_escape):
     batch = f.logmags(xs, ys, n_max, log_escape)
     if batch is not None:
         return batch
-    # scalar fallback for variants without a batch kernel
+    # the orbit table for variants without a batch kernel
     table = dy.orbit_table(f, xs, ys, n_max).log_mag
     return table, kernels.escape_index(table, log_escape)
 

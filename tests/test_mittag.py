@@ -380,3 +380,74 @@ def test_signed_zero_twins_share_one_value():
     mittag.ml_eval(1.95, 1.0)  # the memo holds another point
     assert _library_outcomes(1.95, z.conjugate()) == above == _oracle_outcomes(1.95, z)
     assert mittag.ml_eval(1.95, z)[0].imag != 0.0
+
+
+def _mixed_magnitudes(rng, size):
+    """Signed doubles from 1e-320 (subnormal) to 1e300 (products overflow),
+    with signed zeros."""
+    v = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-320.0, 300.0, size)
+    v[rng.random(size) < 0.05] = 0.0
+    v[rng.random(size) < 0.05] = -0.0
+    return v
+
+
+def test_platform_rounds_complex_products_as_python():
+    # orbit_table's array rows rest on these: cmul rounds as Python's
+    # complex * complex and complex * float (a product with a 0.0 imaginary
+    # part), and np.hypot is abs(complex).  A build that fuses the products
+    # or rounds hypot differently must fail here, not move orbits silently.
+    rng = np.random.default_rng(16)
+    for mixed in (False, True):
+        ar, ai, br, bi = (_mixed_magnitudes(rng, 20_000) if mixed else rng.normal(size=20_000)
+                          for _ in range(4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pr, pi = mittag.cmul(ar, ai, br, bi)
+            fr, fi = mittag.cmul(ar, ai, br, 0.0)
+            hyp = np.hypot(ar, ai)
+        a = [complex(*p) for p in zip(ar.tolist(), ai.tolist())]
+        prod = [u * complex(*v) for u, v in zip(a, zip(br.tolist(), bi.tolist()))]
+        scaled = [u * v for u, v in zip(a, br.tolist())]
+        for got, want in (((pr, pi), prod), ((fr, fi), scaled)):
+            assert got[0].tobytes() == np.array([w.real for w in want]).tobytes()
+            assert got[1].tobytes() == np.array([w.imag for w in want]).tobytes()
+        for u, h in zip(a, hyp.tolist()):
+            try:
+                assert float.hex(abs(u)) == float.hex(h), u
+            except OverflowError:  # abs(complex) raises where hypot overflows
+                assert h == math.inf
+    # the mixed draw reached overflow, and subnormal results
+    assert np.isinf(pr).any() and np.isnan(pr).any()
+    assert ((pr != 0.0) & (np.abs(pr) < 2.2250738585072014e-308)).any()
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.75, 1.0, 1.5, 1.95, 2.0])
+def test_eval_arrays_bit_identical_to_ml_eval(alpha):
+    rs = mittag.switch_radius(alpha)
+    rng = np.random.default_rng(17)
+    r = rs * np.sqrt(rng.uniform(0.0, 1.1, 3000))
+    th = rng.uniform(-math.pi, math.pi, 3000)
+    x, y = r * np.cos(th), r * np.sin(th)
+    x[:40:2], y[1:40:2] = -0.0, -0.0  # on the axes, with signed zeros
+    x[40:50], y[40:50] = 0.0, 0.0
+    rows, er, ei, dr, di = mittag.ml_eval_arrays(alpha, x, y)
+    inside = [i for i in range(x.size) if abs(complex(x[i], y[i]) + 0.0) <= rs]
+    assert rows.tolist() == inside and 0 < len(inside) < x.size
+    want = [mittag.ml_eval(alpha, complex(x[i], y[i])) for i in inside]
+    for got, part in ((er, lambda v: v[0].real), (ei, lambda v: v[0].imag),
+                      (dr, lambda v: v[1].real), (di, lambda v: v[1].imag)):
+        assert got.tobytes() == np.array([part(v) for v in want]).tobytes()
+
+
+def test_descriptor_eval_arrays_applies_the_scale():
+    from sphgrow import functions as fx
+
+    rng = np.random.default_rng(18)
+    x, y = rng.uniform(-3.0, 3.0, (2, 500))
+    for f in (fx.MittagLeffler(0.75), fx.MittagLeffler(0.75, 0.1), fx.MittagLeffler(0.5, 0.3)):
+        rows, er, ei, dr, di = f.eval_arrays(x, y)
+        zs = [complex(x[i], y[i]) for i in rows.tolist()]
+        for (re, im), g in (((er, ei), f.eval), ((dr, di), f.derivative)):
+            vals = [g(z) for z in zs]
+            assert re.tobytes() == np.array([v.real for v in vals]).tobytes()
+            assert im.tobytes() == np.array([v.imag for v in vals]).tobytes()
+    assert fx.CoshSqrt().eval_arrays(x, y) is None
