@@ -283,6 +283,8 @@ def run_thm4_scan(f, N: int, starts: int, seed: int = 0) -> ExperimentReport:
     """Scan eta*E_alpha orbits for the log(1+rho) upper growth law."""
     if not isinstance(f, fx.MittagLeffler):
         raise ValueError("run_thm4_scan expects a MittagLeffler eta * E_alpha")
+    if starts < 0:
+        raise ValueError(f"starts={starts} must be >= 0")
     _check_unit_disk_contraction(f)
     rho = f.order
     C = fx.growth_constant(f.alpha)

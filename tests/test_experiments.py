@@ -332,6 +332,11 @@ def test_thm4_scan_bit_identical_to_per_start_scan(alpha):
     assert (got.parameters["retained"] > 0) == (alpha == 1.5)
 
 
+def test_thm4_scan_rejects_negative_starts():
+    with pytest.raises(ValueError, match="^starts=-1 must be >= 0$"):
+        ex.run_thm4_scan(fx.MittagLeffler(1.0, 0.1), N=25, starts=-1)
+
+
 def test_thm1_scan_signature():
     U = ms.Region.disk(complex(0.318, 1.337), 0.5)
     rep = ex.run_thm1_growth_scan(EXP, U, N=5, starts=5, seed=0, grid=FAST_GRID)
