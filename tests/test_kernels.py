@@ -259,3 +259,121 @@ def test_logphi_bit_identical_to_full_width(lam, n):
     assert (~ok).sum() >= 9 * (n > 1)
     assert (want[2][ok] > 709.0).sum() >= 9
     assert (want[2][ok] < 5.0).any()
+
+
+def _poly_logphi_masked(x0, y0, n, coefficients):
+    """poly_logphi as it was first written: full-width alive/polar masks and
+    a fancy-indexed Horner step on the rectangular rows at every step."""
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    y0 = np.ascontiguousarray(y0, dtype=np.float64)
+    coeffs = np.asarray(coefficients, dtype=np.complex128)
+    d = coeffs.shape[0] - 1
+    lead = coeffs[d]
+    esc_log = min(230.25850929940457, 690.0 / d - 10.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = x0 + 1j * y0
+        s = np.zeros(z.shape)
+        polar = np.zeros(z.shape, dtype=bool)
+        ll = np.zeros(z.shape)
+        alive = np.ones(z.shape, dtype=bool)
+        for _ in range(n):
+            pol = alive & polar
+            rect = alive & ~polar
+            if rect.any():
+                zr = z[rect]
+                dv = np.zeros(zr.shape, dtype=np.complex128)
+                for j in range(d, 0, -1):
+                    dv = dv * zr + j * coeffs[j]
+                sv = np.zeros(zr.shape, dtype=np.complex128)
+                for j in range(d, -1, -1):
+                    sv = sv * zr + coeffs[j]
+                s[rect] += np.log(np.abs(dv))
+                z[rect] = sv
+                mag = np.abs(sv)
+                esc = (mag > 0.0) & (np.log(np.maximum(mag, 1e-323)) > esc_log)
+                if esc.any():
+                    idx = np.flatnonzero(rect)[esc]
+                    polar[idx] = True
+                    ll[idx] = np.log(mag[esc])
+            if pol.any():
+                s[pol] += math.log(float(d)) + math.log(abs(lead)) + (d - 1.0) * ll[pol]
+                ll[pol] = d * ll[pol] + math.log(abs(lead))
+                dead = pol & (ll > 1e300)
+                alive &= ~dead
+        rect_mag = np.abs(z)
+        ll = np.where(polar, ll, np.log(np.maximum(rect_mag, 1e-323)))
+        den = np.where(polar | (ll > 350.0), 2.0 * ll,
+                       np.log1p(np.where(polar, 0.0, rect_mag * rect_mag)))
+        logphi = np.where(alive, s - den, np.nan)
+    status = np.where(alive, kernels.STATUS_OK, kernels.STATUS_OVERFLOW).astype(np.int64)
+    return logphi, s, ll, status
+
+
+def _deep_area_calls():
+    """The (xs, ys, n) of every poly_logphi call that the criterion-4 areas
+    S(rectangle(1, 0.25, 0.25), z^n), n = 6..10, make."""
+    from sphgrow import measures as ms
+
+    calls = []
+    real = kernels.poly_logphi
+
+    def record(xs, ys, n, coefficients):
+        calls.append((np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), n))
+        return real(xs, ys, n, coefficients)
+
+    square = fx.Polynomial((0, 0, 1))
+    rect = ms.Region.rectangle(1.0 + 0j, 0.25, 0.25)
+    kernels.poly_logphi = record
+    try:
+        for n in range(6, 11):
+            ms.spherical_area(square, rect, n, ms.GridSpec())
+    finally:
+        kernels.poly_logphi = real
+    return calls
+
+
+def _poly_oracle_cases():
+    """(name, xs, ys, n, coefficients) for the bit-identity oracle."""
+    cases = []
+    square = (0.0, 0.0, 1.0)
+    for i, (xs, ys, n) in enumerate(_deep_area_calls()):
+        cases.append((f"deep-area-{i}-n{n}", xs, ys, n, square))
+    rng = np.random.default_rng(5)
+    r, t = 0.4 * np.sqrt(rng.uniform(0, 1, 2000)), rng.uniform(0, 2 * np.pi, 2000)
+    cases.append(("disk-n6", 0.5 + r * np.cos(t), 0.5 + r * np.sin(t), 6, (0.1, 0.0, 1.0)))
+    xs, ys = _grid(1)
+    cases.append(("cubic-n10", xs, ys, 10, (0.1 + 0.2j, -1.0, 0.0, 0.5)))
+    # z_0 = 0 (so (f^k)'(z_0) = 0 and log 0 = -inf) and signed zeros
+    xs = np.array([0.0, -0.0, 0.0, -0.0, 0.5, -0.0, 0.7, -0.7])
+    ys = np.array([0.0, 0.0, -0.0, -0.0, -0.0, 0.7, 0.0, -0.0])
+    for n in (0, 1, 3):
+        cases.append((f"zeros-n{n}", xs, ys, n, square))
+        cases.append((f"zeros-c-n{n}", xs, ys, n, (0.1, 0.0, 1.0)))
+    # rows that die in polar mode (log|z| > 1e300) after about 996 steps,
+    # next to rows that never escalate and rows that escalate and survive
+    xs = np.array([10.0, 0.0, -7.0, 3.0, 0.5, 1.0, 0.0, 1.0001])
+    ys = np.array([0.0, 10.0, 7.0, 0.0, 0.5, 0.0, 0.2, 0.0])
+    for n in (990, 996, 1000):
+        cases.append((f"die-n{n}", xs, ys, n, square))
+    cases.append(("empty", np.array([]), np.array([]), 5, square))
+    return cases
+
+
+def test_poly_logphi_bit_identical_to_parent_loop():
+    want = {}
+    for name, xs, ys, n, coeffs in _poly_oracle_cases():
+        got = kernels.poly_logphi(xs, ys, n, coeffs)
+        want[name] = _poly_logphi_masked(xs, ys, n, coeffs)
+        for k in range(4):
+            assert got[k].dtype == want[name][k].dtype, (name, k)
+            assert got[k].tobytes() == want[name][k].tobytes(), (name, k)
+    # the cases reach what a live-row loop changes: rows that escalate to
+    # polar mode at the last step or midway, rows that die in polar mode at
+    # different steps, and -inf derivatives
+    deep = {name: out[2] for name, out in want.items() if name.startswith("deep-area")}
+    assert any((ll > 230.0).any() for name, ll in deep.items() if name.endswith("n10"))
+    assert all((ll < 230.0).all() for name, ll in deep.items() if not name.endswith("n10"))
+    assert (want["cubic-n10"][2] > 230.0).sum() > 100
+    dead = [(want[f"die-n{n}"][3] == kernels.STATUS_OVERFLOW).sum() for n in (990, 996, 1000)]
+    assert dead == [0, 3, 4]
+    assert np.isneginf(want["zeros-n1"][1]).sum() == 4
