@@ -3,9 +3,12 @@
 The kernels compute log spherical derivatives of iterates over batches of
 start points (the inner loop of the measure quadratures and the theorem
 scans) and orbit log-magnitude tables for rendering.  There is one numpy
-orbit loop per orbit family: for lam e^z, `_exp_orbit` steps only the
-orbits still in double range, and `expaffine_logphi` and
-`expaffine_logmags` read its table.  The escape index has one rule
+live-row orbit loop per orbit family, each stepping only the rows that
+still need its step, with the floating-point ops of a full-width loop:
+for lam e^z, `_exp_orbit` steps the orbits still in double range, and
+`expaffine_logphi` and `expaffine_logmags` read its table; for
+polynomials, `poly_logphi` steps the rectangular rows by Horner in place
+and the log-polar rows on log|z| alone.  The escape index has one rule
 (`escape_index`), shared with the orbit-table path of the render.
 
 Status codes: 0 = reached step n; 1 = orbit left double range earlier.
@@ -127,54 +130,115 @@ def escape_index(table, log_escape: float):
 
 
 # ---------------------------------------------------------------------------
-# polynomial p(z) = sum c_k z^k, continued on log|z| alone once |z| > 1e100
+# polynomial p(z) = sum c_k z^k, continued on log|z| alone once log|z|
+# passes _escalate_log(d)
+
+
+def _escalate_log(d: int) -> float:
+    """log|z| above which a degree-d orbit takes leading-term steps: at most
+    log 1e100, low enough that z^d and the Horner intermediates of the next
+    step stay in double range, and (for d > 65, where 690/d - 10 < 40/d)
+    high enough that |z^d| > e^40 dwarfs the constant term."""
+    return min(_POLAR_ESCALATE, max(690.0 / d - 10.0, 40.0 / d))
 
 
 def poly_logphi(x0, y0, n: int, coefficients):
-    """Same outputs for a polynomial given by its coefficient list."""
+    """Same outputs for a polynomial given by its coefficient list.
+
+    The rectangular rows sit in contiguous arrays and step by Horner in
+    place, on the whole batch until a row escalates; the log-polar rows
+    take leading-term steps.  The row sets change only when a row escalates
+    (its first log-polar step is the next one) or dies."""
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     y0 = np.ascontiguousarray(y0, dtype=np.float64)
     coeffs = np.asarray(coefficients, dtype=np.complex128)
     d = coeffs.shape[0] - 1
-    lead = coeffs[d]
-    # escalate before z^d (and the Horner intermediates) can overflow
-    esc_log = min(_POLAR_ESCALATE, 690.0 / d - 10.0)
+    loglead = math.log(abs(coeffs[d]))
+    logd_lead = math.log(float(d)) + loglead
+    dcoeffs = [j * coeffs[j] for j in range(d, 0, -1)]  # p'(z) by Horner
+    esc_log = _escalate_log(d)
+    # |z| <= near means log|z| <= esc_log whatever the last bits of log
+    near = math.exp(esc_log) * (1.0 - 1e-9)
+    abs_coeffs = [abs(coeffs[j]) for j in range(d, -1, -1)]
+
+    def bound(r):
+        """An upper bound on |p(z)| as computed, for every |z| <= r."""
+        acc = abs_coeffs[0]
+        for a in abs_coeffs[1:]:
+            acc = acc * r + a
+        return acc * (1.0 + 1e-9)
+
+    m = x0.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = x0 + 1j * y0
-        s = np.zeros(z.shape)
-        polar = np.zeros(z.shape, dtype=bool)
-        ll = np.zeros(z.shape)
-        alive = np.ones(z.shape, dtype=bool)
+        s = np.zeros(m)  # log|(f^k)'(z_0)| and log|z_k|, filled in as
+        ll = np.zeros(m)  # rows die and at the end
+        alive = np.ones(m, dtype=bool)
+        # rectangular rows (None: all of them), z_k, s and |z_k|
+        rows, z, sr, mag = None, x0 + 1j * y0, np.zeros(m), np.empty(m)
+        dv, zn = np.empty_like(z), np.empty_like(z)
+        zero = np.complex128(0.0)
+        r = math.inf  # a bound on |z_k| over the rectangular rows
+        # log-polar rows, their s and log|z_k|
+        prows, ps, pl = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
         for _ in range(n):
-            pol = alive & polar
-            rect = alive & ~polar
-            if rect.any():
-                # p'(z) and p(z) by Horner
-                zr = z[rect]
-                dv = np.zeros(zr.shape, dtype=np.complex128)
-                for j in range(d, 0, -1):
-                    dv = dv * zr + j * coeffs[j]
-                sv = np.zeros(zr.shape, dtype=np.complex128)
-                for j in range(d, -1, -1):
-                    sv = sv * zr + coeffs[j]
-                s[rect] += np.log(np.abs(dv))
-                z[rect] = sv
-                mag = np.abs(sv)
-                esc = (mag > 0.0) & (np.log(np.maximum(mag, 1e-323)) > esc_log)
-                if esc.any():
-                    idx = np.flatnonzero(rect)[esc]
-                    polar[idx] = True
-                    ll[idx] = np.log(mag[esc])
-            if pol.any():
+            if prows.size:
                 # leading-term step: |p'| ~ d |a_d| r^(d-1), p ~ a_d z^d
-                s[pol] += math.log(float(d)) + math.log(abs(lead)) + (d - 1.0) * ll[pol]
-                ll[pol] = d * ll[pol] + math.log(abs(lead))
-                dead = pol & (ll > _LOG_BIG)
-                alive &= ~dead
-        rect_mag = np.abs(z)
-        ll = np.where(polar, ll, np.log(np.maximum(rect_mag, 1e-323)))
-        den = np.where(polar | (ll > 350.0), 2.0 * ll,
-                       np.log1p(np.where(polar, 0.0, rect_mag * rect_mag)))
-        logphi = np.where(alive, s - den, np.nan)
+                ps += logd_lead + (d - 1.0) * pl
+                pl = d * pl + loglead
+                dead = pl > _LOG_BIG
+                if dead.any():
+                    gone = prows[dead]
+                    s[gone], ll[gone], alive[gone] = ps[dead], pl[dead], False
+                    keep = ~dead
+                    prows, ps, pl = prows[keep], ps[keep], pl[keep]
+            if not z.size:
+                continue
+            # p'(z) and p(z) by Horner, both from 0 * z
+            np.multiply(zero, z, out=zn)
+            np.add(zn, dcoeffs[0], out=dv)
+            for c in dcoeffs[1:]:
+                np.multiply(dv, z, out=dv)
+                np.add(dv, c, out=dv)
+            np.add(zn, coeffs[d], out=zn)
+            for j in range(d - 1, -1, -1):
+                np.multiply(zn, z, out=zn)
+                np.add(zn, coeffs[j], out=zn)
+            np.abs(dv, out=mag)
+            sr += np.log(mag, out=mag)
+            z, zn = zn, z
+            r = bound(r)
+            if r <= near:
+                continue  # no row can pass esc_log at this step
+            # escalate the rows with log|z_k| > esc_log; their first
+            # leading-term step is the next one
+            np.abs(z, out=mag)
+            cand = np.flatnonzero(mag > near)
+            logmag = np.log(mag[cand])
+            up = logmag > esc_log
+            new = cand[up]
+            if new.size:
+                prows = np.concatenate([prows, new if rows is None else rows[new]])
+                ps = np.concatenate([ps, sr[new]])
+                pl = np.concatenate([pl, logmag[up]])
+                keep = np.ones(z.size, dtype=bool)
+                keep[new] = False
+                rows = np.flatnonzero(keep) if rows is None else rows[keep]
+                z, sr, mag = z[keep], sr[keep], mag[keep]
+                dv, zn = dv[:z.size], zn[:z.size]
+            r = float(mag.max()) if mag.size else 0.0
+        np.abs(z, out=mag)
+        lm = np.log(np.maximum(mag, 1e-323))
+        rect = slice(None) if rows is None else rows
+        s[rect], ll[rect] = sr, lm
+        s[prows], ll[prows] = ps, pl
+        # log(1 + |z_n|^2), or 2 log|z_n| where |z_n|^2 may overflow; from
+        # log|z_n| alone on the log-polar rows
+        den = np.multiply(mag, mag, out=mag)
+        np.log1p(den, out=den)
+        far = lm > 350.0
+        den[far] = 2.0 * lm[far]
+        logphi = np.full(m, np.nan)
+        logphi[rect] = np.subtract(sr, den, out=den)
+        logphi[prows] = ps - (2.0 * pl + np.log1p(np.exp(-2.0 * pl)))
     status = np.where(alive, STATUS_OK, STATUS_OVERFLOW).astype(np.int64)
     return logphi, s, ll, status

@@ -8,7 +8,9 @@ and the resulting certified lower bounds on log (f^n)^#.
 Everything precision-critical runs through mpmath: once a target x_j
 exceeds ~36 the quantity e^{x_j} cannot be reduced mod 2*pi in doubles,
 and the backward-constructed base point needs on the order of
-1.45 * sum(x_j) mantissa bits to survive forward verification.
+1.45 * sum(x_j) mantissa bits to survive forward verification.  The
+functions that use mpmath import it themselves, so that importing this
+module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 LOG_96PI = math.log(96.0 * math.pi)
@@ -60,6 +61,8 @@ def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
     (mp.log of an mpf is mpf_log at the working precision, with no guard
     bits), so the values are the same bits without the object overhead.
     """
+    import mpmath as mp
+
     if not math.isfinite(x0):
         raise ValueError(f"x0={x0} must be finite")
     if not x0 > X0_FLOOR:
@@ -99,6 +102,8 @@ def schedule_growth_statistic(schedule: SlowEscapeSchedule, n: int) -> float:
     Uses the pessimistic product bound: log |(F^n)'| >= sum x_j - n*(4*pi
     + log(96*pi)); then subtracts log 2, log|z| ~ x_0, and Re F^n ~ x_n.
     """
+    import mpmath as mp
+
     if not 1 <= n < len(schedule.x):
         raise ValueError("n out of schedule range")
     with mp.workprec(96):
@@ -126,6 +131,8 @@ class SlowOrbitTrace:
         return len(self.steps)
 
     def to_json(self) -> str:
+        import mpmath as mp
+
         return json.dumps({
             "precision_bits": self.precision_bits,
             "u": [mp.nstr(self.u.real, 30), mp.nstr(self.u.imag, 30)],
@@ -140,6 +147,8 @@ def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule,
     branch fixed to the positive-imaginary side of strip 0.  The base point
     is then verified forward at twice the working precision.
     """
+    import mpmath as mp
+
     if lam == 0:
         raise ValueError("lam must be nonzero")
     if precision_bits < 53:

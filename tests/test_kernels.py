@@ -85,6 +85,44 @@ def test_poly_kernel_vs_scalar_orbit():
     got = kernels.poly_logphi(xs, ys, 10, np.array(coeffs, dtype=np.complex128))
     _assert_grid_matches_orbits(fx.Polynomial(coeffs), xs, ys, 10, got,
                                 min_pairs=500)
+    # z^2 from |z_0| in [1.27, 3]: the rows pass 1e100 at steps 7 to 10, so
+    # the kernel takes log-polar steps from step 9, 10 or not at all
+    square = fx.Polynomial((0, 0, 1))
+    rng = np.random.default_rng(3)
+    r, t = rng.uniform(1.27, 3.0, 300), rng.uniform(0.0, 2.0 * np.pi, 300)
+    xs, ys = r * np.cos(t), r * np.sin(t)
+    got = kernels.poly_logphi(xs, ys, 10, square.coefficients)
+    _assert_grid_matches_orbits(square, xs, ys, 10, got, min_pairs=300)
+    polar_steps = 10 - np.ceil(np.log2(kernels._POLAR_ESCALATE / np.log(r)))
+    assert {0, 1, 2} <= set(polar_steps.tolist())
+    # z_0 = 10 under z^2: log|z_k| = 2^k log 10 passes 1e300 at k = 996,
+    # where the kernel ends the row with the scalar orbit's values
+    xs, ys = np.array([10.0, 1.0]), np.array([0.0, 0.0])
+    logphi, logderiv, loglast, status = kernels.poly_logphi(xs, ys, 1000, square.coefficients)
+    orbit = dy.iterate_orbit(square, 10.0, 1000)
+    k = next(k for k in range(orbit.length()) if orbit.log_mag(k) > 1e300)
+    assert k == 996
+    assert status.tolist() == [kernels.STATUS_OVERFLOW, kernels.STATUS_OK]
+    assert np.isnan(logphi[0]) and math.isfinite(logphi[1])
+    assert math.isclose(loglast[0], orbit.log_mag(k), rel_tol=1e-10)
+    assert math.isclose(logderiv[0], orbit.log_deriv_prefix[k], rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("d", [70, 80, 100])
+def test_poly_kernel_high_degree_vs_scalar_orbit(d):
+    # z^d + 0.3: below |z| = e^(40/d) the kernel keeps Horner steps, where the
+    # constant term still counts.  The starts with |z_0| > 1 run two steps
+    # and keep d log|z_1| < 700: past that the scalar orbit's Horner
+    # derivative overflows doubles, and it continues z_1^d through
+    # Polynomial.log_eval, whose lower-order correction is not exact.
+    f = fx.Polynomial((0.3,) + (0.0,) * (d - 1) + (1.0,))
+    inside = [0.5 + 0.1j, 0.9, -0.7j, 0.99 + 0.05j, 0.3 - 0.8j]
+    outside = [1.02, 1.01 + 0.05j, -1.03j, -1.02 + 0.01j]
+    for n, starts in ((1, inside + outside), (2, inside + outside), (3, inside)):
+        xs = np.array([z.real for z in starts])
+        ys = np.array([z.imag for z in starts])
+        got = kernels.poly_logphi(xs, ys, n, f.coefficients)
+        _assert_grid_matches_orbits(f, xs, ys, n, got, min_pairs=len(starts))
 
 
 def test_overflow_status():
@@ -263,7 +301,9 @@ def test_logphi_bit_identical_to_full_width(lam, n):
 
 def _poly_logphi_masked(x0, y0, n, coefficients):
     """poly_logphi as it was first written: full-width alive/polar masks and
-    a fancy-indexed Horner step on the rectangular rows at every step."""
+    a fancy-indexed Horner step on the rectangular rows at every step.  Its
+    escalation ceiling and its 2 log|z_n| for log-polar rows are still the
+    kernel's below degree 24."""
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     y0 = np.ascontiguousarray(y0, dtype=np.float64)
     coeffs = np.asarray(coefficients, dtype=np.complex128)

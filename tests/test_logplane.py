@@ -2,6 +2,10 @@
 orbit construction."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -119,3 +123,17 @@ def test_harnack():
     rep = lp.harnack_check(samples=2000, seed=3)
     assert rep["passed"]
     assert rep["axis_equality_gap"] <= 1e-9
+
+
+def test_cli_import_does_not_load_mpmath():
+    # every CLI start pays for the modules it imports; mpmath loads only
+    # when a logplane function runs
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, sphgrow.cli, sphgrow.experiments; "
+            "print('mpmath' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
