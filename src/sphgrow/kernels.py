@@ -157,7 +157,7 @@ def poly_logphi(x0, y0, n: int, coefficients):
     logd_lead = math.log(float(d)) + loglead
     dcoeffs = [j * coeffs[j] for j in range(d, 0, -1)]  # p'(z) by Horner
     esc_log = _escalate_log(d)
-    # |z| <= near means log|z| <= esc_log whatever the last bits of log
+    # |z| <= near means log|z| <= esc_log, whatever the last bits of log
     near = math.exp(esc_log) * (1.0 - 1e-9)
     abs_coeffs = [abs(coeffs[j]) for j in range(d, -1, -1)]
 
@@ -177,7 +177,8 @@ def poly_logphi(x0, y0, n: int, coefficients):
         rows, z, sr, mag = None, x0 + 1j * y0, np.zeros(m), np.empty(m)
         dv, zn = np.empty_like(z), np.empty_like(z)
         zero = np.complex128(0.0)
-        r = math.inf  # a bound on |z_k| over the rectangular rows
+        # a bound on |z_k| over the rectangular rows (NaN: none known)
+        r = float(np.abs(z).max()) if m else 0.0
         # log-polar rows, their s and log|z_k|
         prows, ps, pl = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
         for _ in range(n):
@@ -212,14 +213,12 @@ def poly_logphi(x0, y0, n: int, coefficients):
             # escalate the rows with log|z_k| > esc_log; their first
             # leading-term step is the next one
             np.abs(z, out=mag)
-            cand = np.flatnonzero(mag > near)
-            logmag = np.log(mag[cand])
-            up = logmag > esc_log
-            new = cand[up]
+            logmag = np.log(mag)
+            new = np.flatnonzero(logmag > esc_log)
             if new.size:
                 prows = np.concatenate([prows, new if rows is None else rows[new]])
                 ps = np.concatenate([ps, sr[new]])
-                pl = np.concatenate([pl, logmag[up]])
+                pl = np.concatenate([pl, logmag[new]])
                 keep = np.ones(z.size, dtype=bool)
                 keep[new] = False
                 rows = np.flatnonzero(keep) if rows is None else rows[keep]

@@ -8,9 +8,8 @@ and the resulting certified lower bounds on log (f^n)^#.
 Everything precision-critical runs through mpmath: once a target x_j
 exceeds ~36 the quantity e^{x_j} cannot be reduced mod 2*pi in doubles,
 and the backward-constructed base point needs on the order of
-1.45 * sum(x_j) mantissa bits to survive forward verification.  The
-functions that use mpmath import it themselves, so that importing this
-module (and the CLI) does not load it.
+1.45 * sum(x_j) mantissa bits to survive forward verification.  Each
+function imports mpmath itself, so importing the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
     bits), so the values are the same bits without the object overhead.
     """
     import mpmath as mp
-
     if not math.isfinite(x0):
         raise ValueError(f"x0={x0} must be finite")
     if not x0 > X0_FLOOR:
@@ -103,7 +101,6 @@ def schedule_growth_statistic(schedule: SlowEscapeSchedule, n: int) -> float:
     + log(96*pi)); then subtracts log 2, log|z| ~ x_0, and Re F^n ~ x_n.
     """
     import mpmath as mp
-
     if not 1 <= n < len(schedule.x):
         raise ValueError("n out of schedule range")
     with mp.workprec(96):
@@ -132,7 +129,6 @@ class SlowOrbitTrace:
 
     def to_json(self) -> str:
         import mpmath as mp
-
         return json.dumps({
             "precision_bits": self.precision_bits,
             "u": [mp.nstr(self.u.real, 30), mp.nstr(self.u.imag, 30)],
@@ -148,7 +144,6 @@ def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule,
     is then verified forward at twice the working precision.
     """
     import mpmath as mp
-
     if lam == 0:
         raise ValueError("lam must be nonzero")
     if precision_bits < 53:

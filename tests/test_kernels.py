@@ -395,6 +395,12 @@ def _poly_oracle_cases():
     ys = np.array([0.0, 10.0, 7.0, 0.0, 0.5, 0.0, 0.2, 0.0])
     for n in (990, 996, 1000):
         cases.append((f"die-n{n}", xs, ys, n, square))
+    # -0.0 coefficient parts and starts off the finite plane, where Horner's
+    # 0 * z and its signed zeros show
+    xs = np.array([np.inf, -np.inf, np.nan, 1.0, 0.0, -0.0, 0.3, -0.4])
+    ys = np.array([0.0, 1.0, 0.0, np.inf, -0.0, -0.0, -0.0, 0.2])
+    for n in (1, 2):
+        cases.append((f"signed-n{n}", xs, ys, n, (-0.0, complex(0.5, -0.0), complex(1.0, -0.0))))
     cases.append(("empty", np.array([]), np.array([]), 5, square))
     return cases
 
