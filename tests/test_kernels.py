@@ -302,8 +302,8 @@ def test_logphi_bit_identical_to_full_width(lam, n):
 def _poly_logphi_masked(x0, y0, n, coefficients):
     """poly_logphi as it was first written: full-width alive/polar masks and
     a fancy-indexed Horner step on the rectangular rows at every step.  Its
-    escalation ceiling and its 2 log|z_n| for log-polar rows are still the
-    kernel's below degree 24."""
+    escalation ceiling and its 2 log|z_n| for log-polar rows give the
+    kernel's bits below degree 26 (log-polar rows end past log|z| = 16.7)."""
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     y0 = np.ascontiguousarray(y0, dtype=np.float64)
     coeffs = np.asarray(coefficients, dtype=np.complex128)
