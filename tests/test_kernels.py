@@ -85,7 +85,7 @@ def test_poly_kernel_vs_scalar_orbit():
     got = kernels.poly_logphi(xs, ys, 10, np.array(coeffs, dtype=np.complex128))
     _assert_grid_matches_orbits(fx.Polynomial(coeffs), xs, ys, 10, got,
                                 min_pairs=500)
-    # z^2 from |z_0| in [1.27, 3]: the rows pass 1e100 at steps 7 to 10, so
+    # z^2 from |z_0| in [1.27, 3]: the rows pass 1e100 at steps 8 to 10, so
     # the kernel takes log-polar steps from step 9, 10 or not at all
     square = fx.Polynomial((0, 0, 1))
     rng = np.random.default_rng(3)
