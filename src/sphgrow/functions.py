@@ -99,9 +99,9 @@ class Descriptor:
         """(logphi, status) from a batch kernel; None when there is none."""
         return None
 
-    def logmags(self, xs: np.ndarray, ys: np.ndarray, n_max: int, log_escape: float):
-        """(log|z_k| table, escape step) from a batch kernel; None when there is none."""
-        return None
+    def logmag_steps(self, xs: np.ndarray, ys: np.ndarray, n_max: int, visit) -> bool:
+        """Feeds visit(log|z_k| on the live rows, those rows) from a batch kernel, or False."""
+        return False
 
 
 @dataclass(frozen=True)
@@ -274,10 +274,10 @@ class ExpAffine(Descriptor):
             xs, ys, n, math.log(abs(self.lam)), math.atan2(self.lam.imag, self.lam.real))
         return lp, st
 
-    def logmags(self, xs, ys, n_max, log_escape):
-        return kernels.expaffine_logmags(
-            xs, ys, math.log(abs(self.lam)), math.atan2(self.lam.imag, self.lam.real),
-            n_max, log_escape)
+    def logmag_steps(self, xs, ys, n_max, visit):
+        kernels.expaffine_logmag_steps(xs, ys, n_max, math.log(abs(self.lam)),
+                                       math.atan2(self.lam.imag, self.lam.real), visit)
+        return True
 
     def to_json(self) -> dict:
         return {"variant": "exp_affine", "lambda": [self.lam.real, self.lam.imag]}

@@ -2,14 +2,13 @@
 
 The kernels compute log spherical derivatives of iterates over batches of
 start points (the inner loop of the measure quadratures and the theorem
-scans) and orbit log-magnitude tables for rendering.  There is one numpy
-live-row orbit loop per orbit family, each stepping only the rows that
-still need its step, with the floating-point ops of a full-width loop:
-for lam e^z, `_exp_orbit` steps the orbits still in double range, and
-`expaffine_logphi` and `expaffine_logmags` read its table; for
-polynomials, `poly_logphi` steps the rectangular rows by Horner in place
-and the log-polar rows on log|z| alone.  The escape index has one rule
-(`escape_index`), shared with the orbit-table path of the render.
+scans), and the render's orbit log-magnitudes a step at a time.  There is
+one numpy live-row orbit loop per orbit family, each stepping only the rows
+that still need its step, with the floating-point ops of a full-width loop:
+`_exp_orbit` for lam e^z keeps no table (`expaffine_logphi` reads its last
+step, `expaffine_logmag_steps` gets each log|z_k| as it is formed), and
+`poly_logphi` steps the rectangular rows by Horner in place and the
+log-polar rows on log|z| alone.
 
 Status codes: 0 = reached step n; 1 = orbit left double range earlier.
 """
@@ -37,63 +36,63 @@ _LOG_BIG = 1e300
 # exp-affine family f(z) = lam * e^z: one live-row orbit loop, two readers
 
 
-def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
+def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, visit):
     """n steps of f = lam e^z, each on the live rows only (log|z_k| <= 709
-    before the last step): the (m, n + 1) table of log|z_k|, NaN once an orbit
-    leaves double range; s = log|(f^k)'(z_0)| up to that step or n, the live
-    rows and their z_n when log_escape is None; else the escape steps, with
-    None for the three that expaffine_logmags does not read."""
+    before the last step).  With visit, each log|z_k| (k = 0..n) goes to
+    visit(ll, live) as it is formed and nothing is kept (nor z_n formed).
+    Without, returns s = log|(f^k)'(z_0)| up to the step where the orbit
+    left double range or n, and the live rows with log|z_n| and z_n."""
     x = np.ascontiguousarray(x0, dtype=np.float64)
     y = np.ascontiguousarray(y0, dtype=np.float64)
     m = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = np.full((m, n + 1), np.nan)
         r2 = x * x + y * y
-        table[:, 0] = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
-        del r2  # one (m,) array fewer at the peak of a 512^2 render
-        if log_escape is None:
+        ll = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
+        del r2
+        live = np.arange(m)
+        if visit is None:
             s_all, s = np.zeros(m), np.zeros(m)
         else:
-            escape_step = np.full(m, -1, dtype=np.int64)
-        live = np.arange(m)
+            visit(ll, live)
         for k in range(1, n + 1):
             ll = x + loglam
-            # a strided copy, not a scatter, while every row is live
-            table[live if live.size < m else slice(None), k] = ll
-            if log_escape is None:
+            if visit is None:
                 s += x  # (s + x) + loglam, in place: the full-width loop's rounding
                 s += loglam
             else:
-                _mark_escapes(escape_step, live, ll, k, log_escape)
+                visit(ll, live)
                 if k == n:
                     break
             # z_k exceeds doubles: the orbit ends, unless this is the last step
             drop = ll > _EXP_LIMIT
             if k < n and drop.any():
                 keep = ~drop
-                if log_escape is None:
+                if visit is None:
                     s_all[live[drop]] = s[drop]
                     s = s[keep]
                 live, ll, y = live[keep], ll[keep], y[keep]
             # z_k = e^ll (cos a + i sin a), formed in place to hold fewer (m,) arrays
             a = y + arglam
-            r = np.exp(ll)
             x = np.cos(a)
+            r = np.exp(ll)
             x *= r
-            y = np.sin(a, out=a)
-            y *= r
-        if log_escape is not None:
-            return table, None, escape_step, None, None, None
+            if visit is None or k < n - 1:  # Im z_(n-1) only forms z_n
+                y = np.sin(a, out=a)
+                y *= r
+            del r
+        if visit is not None:
+            return None
         s_all[live] = s
-    return table, s_all, None, live, x, y
+    return s_all, live, ll, x, y
 
 
 def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
     """log (f^n)^#, log|(f^n)'|, log|z_n| (NaN where the orbit left double
     range before step n), status for f = lam e^z."""
-    table, s, _, live, x, y = _exp_orbit(x0, y0, n, loglam, arglam, None)
-    ll = table[live, n]
+    s, live, ll, x, y = _exp_orbit(x0, y0, n, loglam, arglam, None)
     logphi = np.full(s.shape, np.nan)
+    last = np.full(s.shape, np.nan)
+    last[live] = ll
     with np.errstate(over="ignore", invalid="ignore"):
         den = x * x  # log(1 + |z_n|^2) in one array; 2 log|z_n| where |z_n|^2 may overflow
         den += y * y
@@ -103,30 +102,12 @@ def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
         logphi[live] = s[live] - den
     status = np.full(s.shape, STATUS_OVERFLOW, dtype=np.int64)
     status[live] = STATUS_OK
-    return logphi, s, table[:, n], status
+    return logphi, s, last, status
 
 
-def expaffine_logmags(x0, y0, loglam: float, arglam: float, n_max: int, log_escape: float):
-    """Orbit table of log|z_k| (nan past double overflow) and first-escape index."""
-    table, _, escape_step, *_ = _exp_orbit(x0, y0, n_max, loglam, arglam, log_escape)
-    return table, escape_step
-
-
-# the escape rule: the first step k >= 1 with log|z_k| > log_escape, or -1
-
-
-def _mark_escapes(escape_step, rows, ll, k: int, log_escape: float):
-    """Step k of the rule for the rows whose log|z_k| is ll."""
-    newly = (ll > log_escape) & (escape_step[rows] < 0)
-    escape_step[rows[newly]] = k
-
-
-def escape_index(table, log_escape: float):
-    """The escape step of every row of a log|z_k| table."""
-    escape_step = np.full(table.shape[0], -1, dtype=np.int64)
-    for k in range(1, table.shape[1]):
-        _mark_escapes(escape_step, np.arange(table.shape[0]), table[:, k], k, log_escape)
-    return escape_step
+def expaffine_logmag_steps(x0, y0, n_max: int, loglam: float, arglam: float, visit):
+    """Feeds visit(ll, live), ll = log|z_k| on the rows live, for k = 0..n_max."""
+    _exp_orbit(x0, y0, n_max, loglam, arglam, visit)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Escape-time rendering with fast-escaping overlay, written as binary PPM.
 
 Pixels are colored by first-escape index; on top of that each pixel is
-classified with the fast-escape test, read off the same orbit table that
-gives the escape index.  Array comparisons in doubles decide almost every
-entry; only near-ties and levels past double range pay for a tower
-comparison.
+classified with the fast-escape test.  Both rules read the orbits one step
+at a time, so the e^z render keeps no orbit table and its memory does not
+grow with n_max.  Array comparisons in doubles decide almost every entry;
+only near-ties and levels past double range pay for a tower comparison.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from . import dynamics as dy
 from . import functions as fx
-from . import kernels
 from . import measures as ms
 from .towers import TowerReal
 
@@ -43,11 +42,7 @@ def render_escape(f, window: ms.Region, resolution, R: float,
     flat_x = X.ravel()
     flat_y = Y.ravel()
 
-    log_escape = math.log(max(R, 10.0))
-    logmags, escape_step = _orbit_logmags(f, flat_x, flat_y, n_max, log_escape)
-
-    table = fx.iterated_max_modulus(f, R, n_max)
-    fast = _classify_fast(logmags, table, l_max, n_max)
+    escape_step, fast = _escape_and_fast(f, flat_x, flat_y, R, l_max, n_max)
 
     rgb = _colorize(escape_step, fast, n_max).reshape(height, width, 3)
     with open(out_path, "wb") as fh:
@@ -63,56 +58,80 @@ def render_escape(f, window: ms.Region, resolution, R: float,
             "fast_fraction": members / total}
 
 
-def _orbit_logmags(f, xs, ys, n_max, log_escape):
-    batch = f.logmags(xs, ys, n_max, log_escape)
-    if batch is not None:
-        return batch
-    # the orbit table for variants without a batch kernel
-    table = dy.orbit_table(f, xs, ys, n_max).log_mag
-    return table, kernels.escape_index(table, log_escape)
+def _escape_and_fast(f, xs, ys, R, l_max, n_max):
+    """Escape steps and fast mask, the orbits fed to the rules a step at a time."""
+    rules = _StepRules(xs.size, math.log(max(R, 10.0)),
+                       fx.iterated_max_modulus(f, R, n_max), l_max)
+    if not f.logmag_steps(xs, ys, n_max, rules.step):
+        for col in dy.orbit_table(f, xs, ys, n_max).log_mag.T:
+            rules.step(col)
+    return rules.escape_step, rules.fast()
 
 
-def _classify_fast(logmags, table, l_max, n_max):
-    """Fast-escape membership for the overlay, read off the orbit table.
+class _StepRules:
+    """The escape and fast-escape rules, fed log|z_n| for n = 0, 1, ...
 
-    A pixel is a member when for some l <= l_max, |z_n| > M^(n-l)(R)
-    strictly for every l <= n <= n_max.  Floats decide a comparison whose
-    two sides are finite and clearly apart; exact tower arithmetic decides
-    near-ties and levels past double range.  A NaN entry marks an orbit
-    that grew out of log-polar range (past e^(e^709)); it is treated as
-    keeping pace for the remaining steps.  That optimistic continuation is
-    what makes off-axis pixels classifiable at all, and it only upgrades
-    orbits that already beat every decidable comparison.
+    Escape step: the first n >= 1 with log|z_n| > log_escape, or -1.  Fast
+    escape: for some l <= l_max, |z_n| > M^(n-l)(R) strictly for every
+    l <= n <= n_max; each l keeps an index array of the pixels still in the
+    running, and only those are compared.  Floats decide a comparison whose
+    sides are finite and clearly apart, exact tower arithmetic near-ties and
+    levels past double range.  A NaN entry marks an orbit that grew out of
+    range: it keeps pace for the remaining steps, an optimistic continuation
+    that makes off-axis pixels classifiable at all and only upgrades orbits
+    that already beat every decidable comparison.
     """
-    # float view of the tower table: log M^k where it fits, else +inf
-    log_M = [t.log().value() for t in table.log_levels]
-    fast = np.zeros(logmags.shape[0], dtype=bool)
-    for l in range(l_max + 1):
-        run = np.flatnonzero(~fast)  # the pixels still in the running for l
-        for n in range(l, n_max + 1):
-            col, v = logmags[run, n], log_M[n - l]
-            beats = np.isnan(col) | (col > v)
-            # floats cannot be trusted within the gap; it is absolute below
-            # |v| = 1, where a tower holds e^v rather than v
-            gap = _TIE_REL * np.maximum(np.maximum(np.abs(col), abs(v)), 1.0)
-            near = np.isfinite(col) & ~(np.abs(col - v) > gap)
-            for i in np.flatnonzero(near):
-                beats[i] = TowerReal.from_log(col[i]) > table.log_levels[n - l]
-            run = run[beats]
-        fast[run] = True
-    return fast
+
+    def __init__(self, m, log_escape, table, l_max):
+        self.log_escape, self.levels, self.l_max = log_escape, table.log_levels, l_max
+        # float view of the tower table: log M^k where it fits, else +inf
+        self.log_M = [t.log().value() for t in self.levels]
+        self.escape_step = np.full(m, -1, dtype=np.int64)
+        self.runs, self.n = [], 0  # for each l <= n: the pixels still in the running
+
+    def step(self, ll, live=None):
+        """Step n's log|z_n| on the rows live (None: all, NaN past an orbit's end)."""
+        col, n = ll, self.n
+        if live is not None and live.size < self.escape_step.size:
+            col = np.full(self.escape_step.size, np.nan)
+            col[live] = ll
+        if n:
+            self.escape_step[(col > self.log_escape) & (self.escape_step < 0)] = n
+        if n <= self.l_max:
+            self.runs.append(None)  # None: every pixel
+        self.runs = [self._beating(run, col, n - l) for l, run in enumerate(self.runs)]
+        self.n += 1
+
+    def _beating(self, run, col, k):
+        """The pixels of run with |z_n| > M^k(R)."""
+        c = col if run is None else col[run]
+        v = self.log_M[k]
+        beats = np.isnan(c) | (c > v)
+        # floats cannot be trusted within the gap; it is absolute below
+        # |v| = 1, where a tower holds e^v rather than v
+        gap = _TIE_REL * np.maximum(np.maximum(np.abs(c), abs(v)), 1.0)
+        near = np.isfinite(c) & ~(np.abs(c - v) > gap)
+        for i in np.flatnonzero(near):
+            beats[i] = TowerReal.from_log(c[i]) > self.levels[k]
+        return np.flatnonzero(beats) if run is None else run[beats]
+
+    def fast(self):
+        """The members; an l past the last step has nothing to beat."""
+        fast = np.full(self.escape_step.size, self.l_max >= len(self.runs))
+        for run in self.runs:
+            fast[run] = True
+        return fast
 
 
 def _colorize(escape_step, fast, n_max):
     """Bounded: near-black blue; escaping: orbit-index gradient; A(f): white-hot."""
-    m = escape_step.size
-    rgb = np.zeros((m, 3), dtype=np.float64)
+    rgb = np.zeros((escape_step.size, 3), dtype=np.float64)
     bounded = escape_step < 0
     rgb[bounded] = (10.0, 10.0, 40.0)
     esc = ~bounded
-    t = np.clip(escape_step[esc] / max(n_max, 1), 0.0, 1.0)
+    t = escape_step[esc] / max(n_max, 1)  # in (0, 1]: escapes happen at steps 1..n_max
     rgb[esc, 0] = 60.0 + 170.0 * (1.0 - t)
     rgb[esc, 1] = 30.0 + 120.0 * (1.0 - t) ** 2
     rgb[esc, 2] = 90.0 * t
     rgb[fast] = (255.0, 244.0, 214.0)
-    return np.clip(rgb, 0.0, 255.0)
+    return rgb  # every entry is in [0, 255]

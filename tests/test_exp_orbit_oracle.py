@@ -146,17 +146,15 @@ def _reference_rules(f, xs, ys, R, l_max, n_max):
 
 def _rules(f, xs, ys, R, l_max, n_max):
     """Escape steps and fast mask as the render computes them."""
-    log_escape = math.log(max(R, 10.0))
-    logmags, escape_step = rd._orbit_logmags(f, xs, ys, n_max, log_escape)
-    fast = rd._classify_fast(logmags, fx.iterated_max_modulus(f, R, n_max), l_max, n_max)
-    return escape_step, fast
+    return rd._escape_and_fast(f, xs, ys, R, l_max, n_max)
 
 
 def _rules_from_columns(logmags, log_escape, towers, l_max):
     """The same two rules fed a given log|z_k| table, column by column."""
-    n_max = logmags.shape[1] - 1
-    return (kernels.escape_index(logmags, log_escape),
-            rd._classify_fast(logmags, towers, l_max, n_max))
+    rules = rd._StepRules(logmags.shape[0], log_escape, towers, l_max)
+    for col in logmags.T:
+        rules.step(col)
+    return rules.escape_step, rules.fast()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
 from sphgrow import kernels
+from sphgrow import render as rd
 
 # log of the smallest normal double: below it |z| is subnormal and carries
 # fewer than 53 significant bits
@@ -132,10 +133,30 @@ def test_overflow_status():
     assert status[0] == kernels.STATUS_OVERFLOW
 
 
+def _streamed(x0, y0, loglam, arglam, n_max, log_escape):
+    """The log|z_k| table assembled from expaffine_logmag_steps (NaN past an
+    orbit's end) and the escape steps the render's rule reads off the same
+    steps."""
+    m = np.size(x0)
+    table = np.full((m, n_max + 1), np.nan)
+    towers = fx.iterated_max_modulus(fx.ExpAffine(1.0), 5.0, n_max)
+    rules = rd._StepRules(m, log_escape, towers, -1)  # l_max = -1: no fast rule
+    steps = []
+
+    def visit(ll, live):
+        table[live, len(steps)] = ll
+        steps.append(live.size)
+        rules.step(ll, live)
+
+    kernels.expaffine_logmag_steps(x0, y0, n_max, loglam, arglam, visit)
+    assert len(steps) == n_max + 1 and steps[0] == m
+    return table, rules.escape_step
+
+
 def test_logmags_escape_index():
     xs = np.array([10.0, 0.0])
     ys = np.array([0.0, 0.0])
-    table, escape = kernels.expaffine_logmags(xs, ys, 0.0, 0.0, 10, math.log(5.0))
+    table, escape = _streamed(xs, ys, 0.0, 0.0, 10, math.log(5.0))
     assert escape[0] == 1          # |z_1| = e^10 > 5
     assert math.isclose(table[0, 1], 10.0, rel_tol=1e-12)   # log|e^10|
     assert escape[1] == 3          # 0 -> 1 -> e -> e^e, first |z_k| > 5
@@ -149,7 +170,7 @@ def test_logmags_escape_index():
     f = fx.ExpAffine(1.0)
     n_max = 20
     xs, ys = _grid(2, lo=-1.0, hi=3.0)
-    table, escape = kernels.expaffine_logmags(xs, ys, 0.0, 0.0, n_max, math.log(5.0))
+    table, escape = _streamed(xs, ys, 0.0, 0.0, n_max, math.log(5.0))
     pairs = 0
     for i in range(xs.size):
         orbit = dy.iterate_orbit(f, complex(xs[i], ys[i]), n_max)
@@ -168,7 +189,8 @@ def test_logmags_escape_index():
 
 
 def _logmags_full_width(x0, y0, loglam, arglam, n_max, log_escape):
-    """expaffine_logmags as it was first written: every step over every orbit."""
+    """The render's orbit table as it was first written: every step over
+    every orbit, with the escape index filled in along the way."""
     x = np.ascontiguousarray(x0, dtype=np.float64)
     y = np.ascontiguousarray(y0, dtype=np.float64)
     m = x.shape[0]
@@ -195,7 +217,7 @@ def _logmags_full_width(x0, y0, loglam, arglam, n_max, log_escape):
 
 @pytest.mark.parametrize("lam", [1.0, 0.3 - 0.2j])
 def test_logmags_bit_identical_to_full_width(lam):
-    # the live-row kernel must reproduce every bit, NaN tails included
+    # the live-row kernel's steps must reproduce every bit, NaN tails included
     n_max = 12
     side = np.linspace(-3.0, 3.0, 200)
     X, Y = np.meshgrid(side + 1.0, side)
@@ -211,7 +233,7 @@ def test_logmags_bit_identical_to_full_width(lam):
     xs = np.concatenate([X.ravel(), [z.real for z in starts]])
     ys = np.concatenate([Y.ravel(), [z.imag for z in starts]])
     args = (xs, ys, math.log(abs(lam)), cmath.phase(lam), n_max, math.log(5.0))
-    table, escape = kernels.expaffine_logmags(*args)
+    table, escape = _streamed(*args)
     want_table, want_escape = _logmags_full_width(*args)
     assert table.tobytes() == want_table.tobytes()
     assert escape.tobytes() == want_escape.tobytes()

@@ -10,6 +10,7 @@ range before n_max counts as keeping pace from there on.
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,10 +81,8 @@ CASES = [
 @pytest.mark.parametrize("l_max", [0, 1, 3])
 def test_classify_fast_matches_scalar_oracle(name, f, window, R, size, n_max, l_max):
     xs, ys = _pixels(window, size)
-    log_escape = math.log(max(R, 10.0))
-    logmags, _ = rd._orbit_logmags(f, xs, ys, n_max, log_escape)
+    _, fast = rd._escape_and_fast(f, xs, ys, R, l_max, n_max)
     table = fx.iterated_max_modulus(f, R, n_max)
-    fast = rd._classify_fast(logmags, table, l_max, n_max)
     expect = [_oracle_orbit(f, complex(x, y), table, l_max, n_max)
               for x, y in zip(xs, ys)]
     assert fast.tolist() == expect
@@ -140,7 +139,10 @@ def test_classify_fast_hand_made_table(l_max, R):
     logmags = _hand_made_table(table, n_max)
     m = logmags.shape[0]
     rows = [[v for v in row if not math.isnan(v)] for row in logmags]
-    fast = rd._classify_fast(logmags, table, l_max, n_max)
+    rules = rd._StepRules(m, math.log(10.0), table, l_max)
+    for col in logmags.T:
+        rules.step(col)
+    fast = rules.fast()
     expect = [_oracle_member(row, table, l_max, n_max) for row in rows]
     assert fast.tolist() == expect
     assert 0 < sum(expect) < m
@@ -159,6 +161,29 @@ def test_exp_render_runs_no_scalar_orbits(tmp_path, monkeypatch):
                              64, 5.0, 3, 12, str(tmp_path / "img.ppm"))
     assert stats["fast_members"] > 0
     assert calls == []
+
+
+def _render_peak_bytes(tmp_path, size, n_max):
+    """tracemalloc's peak over one e^z render of the default window."""
+    tracemalloc.start()
+    try:
+        rd.render_escape(fx.ExpAffine(1.0), ms.Region.rectangle(1.0 + 0j, 3.0, 3.0),
+                         size, 5.0, 3, n_max, str(tmp_path / f"{size}-{n_max}.ppm"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exp_render_memory_does_not_grow_with_n_max(tmp_path):
+    # the orbits stream into the two rules a step at a time: the peak stays
+    # below the (n_max + 1) m doubles an orbit table would take, and a
+    # deeper render takes no more memory
+    _render_peak_bytes(tmp_path, 8, 12)  # lazy set-up outside the measured calls
+    m = 256 * 256
+    peak_12 = _render_peak_bytes(tmp_path, 256, 12)
+    peak_36 = _render_peak_bytes(tmp_path, 256, 36)
+    assert peak_12 < (12 + 1) * m * 8
+    assert peak_36 <= 1.1 * peak_12
 
 
 def _orbit_logmags_per_point(f, xs, ys, n_max, log_escape):
@@ -183,7 +208,8 @@ def _orbit_logmags_per_point(f, xs, ys, n_max, log_escape):
 def test_logmags_fallback_bit_identical_to_per_point(name, f, window, R, n_max):
     xs, ys = _pixels(window, 11)
     log_escape = math.log(max(R, 10.0))
-    table, esc = rd._orbit_logmags(f, xs, ys, n_max, log_escape)
+    table = dy.orbit_table(f, xs, ys, n_max).log_mag
+    esc, _ = rd._escape_and_fast(f, xs, ys, R, 0, n_max)
     want_table, want_esc = _orbit_logmags_per_point(f, xs, ys, n_max, log_escape)
     assert table.tobytes() == want_table.tobytes()
     # the two rules agree on every start inside the escape radius
@@ -196,16 +222,18 @@ def test_logmags_fallback_bit_identical_to_per_point(name, f, window, R, n_max):
 def test_fallback_escape_rule_matches_kernel(monkeypatch):
     # one rule on both paths: the first step k >= 1 with |z_k| > the escape
     # radius, so a start beyond it does not escape at step 0
-    xs, ys, log_escape = np.array([30.0, -30.0]), np.zeros(2), math.log(10.0)
-    assert rd._orbit_logmags(fx.Polynomial((0, 0, 1)), xs, ys, 6, log_escape)[1].tolist() == [1, 1]
-    assert rd._orbit_logmags(fx.CoshSqrt(), xs, ys, 6, log_escape)[1].tolist() == [1, -1]
+    # (R = 10: log_escape = log 10)
+    xs, ys = np.array([30.0, -30.0]), np.zeros(2)
+    assert rd._escape_and_fast(fx.Polynomial((0, 0, 1)), xs, ys, 10.0, 0, 6)[0].tolist() == [1, 1]
+    assert rd._escape_and_fast(fx.CoshSqrt(), xs, ys, 10.0, 0, 6)[0].tolist() == [1, -1]
     f = fx.ExpAffine(1.0)
     xs = np.concatenate([xs, np.linspace(-3.0, 3.0, 25)])
     ys = np.concatenate([ys, np.linspace(2.0, -2.0, 25)])
-    kernel = rd._orbit_logmags(f, xs, ys, 8, log_escape)
-    monkeypatch.setattr(fx.ExpAffine, "logmags", fx.Descriptor.logmags)
-    fallback = rd._orbit_logmags(f, xs, ys, 8, log_escape)
-    assert kernel[1].tolist()[:2] == [1, 4]
+    kernel = rd._escape_and_fast(f, xs, ys, 10.0, 3, 8)
+    monkeypatch.setattr(fx.ExpAffine, "logmag_steps", fx.Descriptor.logmag_steps)
+    fallback = rd._escape_and_fast(f, xs, ys, 10.0, 3, 8)
+    assert kernel[0].tolist()[:2] == [1, 4]
+    assert fallback[0].tobytes() == kernel[0].tobytes()
     assert fallback[1].tobytes() == kernel[1].tobytes()
 
 
