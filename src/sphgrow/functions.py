@@ -155,7 +155,7 @@ class Polynomial(Descriptor):
         if log_mag < 700.0:
             z = cmath.exp(complex(log_mag, arg))
             corr = 0.0 + 0.0j
-            for k in range(d - 1, -1, -1):
+            for k in range(d):  # Horner in 1/z: sum (c_k / a_d) z^(k - d)
                 corr = corr / z + self.coefficients[k] / lead
             corr /= z
             if abs(corr) < 0.999:

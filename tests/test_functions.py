@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sphgrow import dynamics as dy
 from sphgrow import functions as fx
 from sphgrow import mittag
 from sphgrow.towers import TowerReal, tower_compare
@@ -94,6 +95,21 @@ def test_log_eval_large_argument():
     # beyond double magnitude the rectangular part of z is unrecoverable
     with pytest.raises(fx.OrbitOverflow):
         fx.log_eval(f, (800.0, 0.0))
+
+
+def test_polynomial_log_eval_correction_high_degree():
+    # z^100 + 0.3 from z_0 = 1.1i: z_1 = 1.1^100 + 0.3 in doubles, and
+    # log|z_2| = log|z_1^100 + 0.3| = 953.1039749910308 (mpmath, 50 digits)
+    # is past double range, so it comes from Polynomial.log_eval, whose
+    # correction must be 0.3 / z_1^100, not 0.3 / z_1
+    f = fx.Polynomial((0.3,) + (0.0,) * 99 + (1.0,))
+    orbit = dy.iterate_orbit(f, 1.1j, 2)
+    assert orbit.length() == 3
+    assert math.isclose(orbit.log_mag(2), 953.10397499103077, rel_tol=1e-12)
+    # z^100 + z^99 at z = e^8: the correction is 1/z, not 1/z^100
+    lead_and_next = fx.Polynomial((0.0,) * 99 + (1.0, 1.0))
+    lm, _ = lead_and_next.log_eval(8.0, 0.0)
+    assert math.isclose(lm, 800.0 + math.log1p(math.exp(-8.0)), rel_tol=1e-15)
 
 
 def test_log_max_modulus_exp():

@@ -114,8 +114,7 @@ def test_poly_kernel_high_degree_vs_scalar_orbit(d):
     # z^d + 0.3: below |z| = e^(40/d) the kernel keeps Horner steps, where the
     # constant term still counts.  The starts with |z_0| > 1 run two steps
     # and keep d log|z_1| < 700: past that the scalar orbit's Horner
-    # derivative overflows doubles, and it continues z_1^d through
-    # Polynomial.log_eval, whose lower-order correction is not exact.
+    # derivative overflows doubles and its log|(f^k)'| turns NaN.
     f = fx.Polynomial((0.3,) + (0.0,) * (d - 1) + (1.0,))
     inside = [0.5 + 0.1j, 0.9, -0.7j, 0.99 + 0.05j, 0.3 - 0.8j]
     outside = [1.02, 1.01 + 0.05j, -1.03j, -1.02 + 0.01j]
