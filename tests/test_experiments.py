@@ -332,6 +332,21 @@ def test_thm4_scan_bit_identical_to_per_start_scan(alpha):
     assert (got.parameters["retained"] > 0) == (alpha == 1.5)
 
 
+@pytest.mark.parametrize("error", ["PrecisionExhausted", "ScheduleInfeasible"])
+def test_thm3_inconclusive_when_construction_cannot_run(monkeypatch, error):
+    # no tier-b row was checked: that is no counterexample, so no Fail
+    def fails(*args):
+        raise getattr(ex.lg, error)("cannot resolve the branch at step 3")
+
+    monkeypatch.setattr(ex.lg, "slow_orbit_construct", fails)
+    rep = ex.run_thm3(1.0, 26.0, 7, 256, x0_tier_a=1e6, n_tier_a=1000)
+    assert rep.verdict == ex.INCONCLUSIVE
+    assert [row["tier"] for row in rep.rows] == ["a", "a", "a"]
+    assert not any(row["violates"] for row in rep.rows)
+    assert any("construction failed at n=0: cannot resolve the branch at step 3" in note
+               for note in rep.notes)
+
+
 def test_thm4_scan_rejects_negative_starts():
     with pytest.raises(ValueError, match="^starts=-1 must be >= 0$"):
         ex.run_thm4_scan(fx.MittagLeffler(1.0, 0.1), N=25, starts=-1)
@@ -341,6 +356,21 @@ def test_thm1_scan_signature():
     U = ms.Region.disk(complex(0.318, 1.337), 0.5)
     rep = ex.run_thm1_growth_scan(EXP, U, N=5, starts=5, seed=0, grid=FAST_GRID)
     assert rep.verdict in (ex.PASS, ex.INCONCLUSIVE)
+
+
+@pytest.mark.parametrize("lam", [[0, 3], [-3, 0]])
+def test_thm1_scan_without_signature_is_inconclusive(tmp_path, lam):
+    # on the default region (a disk around a repelling fixed point) the per-n
+    # log mu at n = 2 is negative, so there is no doubling signature; a
+    # finite scan cannot refute unbounded growth, so this is no Fail
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": {"variant": "exp_affine", "lambda": lam}}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm1scan"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verdict"] == "Inconclusive"
+    assert report["rows"][0]["n"] == 2 and report["rows"][0]["per_n_log_mu"] < 0
+    assert not any(row["violates"] for row in report["rows"])
+    assert any("cannot refute unbounded growth" in note for note in report["notes"])
 
 
 def test_render_ppm(tmp_path):
