@@ -192,21 +192,27 @@ def test_default_render_bit_identical(tmp_path):
     assert stats["fast_members"] == int(fast.sum()) == 25672
 
 
-def _backward_starts(lam, n_max):
-    """A 200^2 grid with Re z_0 in [-2, 4], and backward orbits that reach
-    Re z = t (so log|z| > 709 one step later) at step k: principal branches
+def _backward_orbits(lam, ks):
+    """Starts whose orbits reach Re z = t in [720, 1500] (so log|z| > 709 one
+    step later) at step k, for each k of ks: principal branches
     z_(j-1) = log(z_j / lam)."""
-    side = np.linspace(-3.0, 3.0, 200)
-    X, Y = np.meshgrid(side + 1.0, side)
     starts = []
-    for k in (n_max - 1, n_max - 2, n_max - 6):
+    for k in ks:
         for t in np.linspace(720.0, 1500.0, 9):
             z = complex(t)
             for _ in range(k):
                 z = cmath.log(z / lam)
             starts.append(z)
-    return (np.concatenate([X.ravel(), [z.real for z in starts]]),
-            np.concatenate([Y.ravel(), [z.imag for z in starts]]))
+    return np.array([z.real for z in starts]), np.array([z.imag for z in starts])
+
+
+def _backward_starts(lam, n_max):
+    """A 200^2 grid with Re z_0 in [-2, 4], and backward orbits that pass
+    e^709 at the last step (n_max), one step before it and midway."""
+    side = np.linspace(-3.0, 3.0, 200)
+    X, Y = np.meshgrid(side + 1.0, side)
+    bx, by = _backward_orbits(lam, (n_max - 1, n_max - 2, n_max - 6))
+    return np.concatenate([X.ravel(), bx]), np.concatenate([Y.ravel(), by])
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.3 - 0.2j])
@@ -258,15 +264,14 @@ def _criterion_5_points():
 
 def _overflow_rows(lam, n):
     """Rows at and around x0 = 740, past e^709 already at z_0, and backward
-    orbits as in `_backward_starts` that pass it at step n (the last step),
-    at step n - 4 (midway) and after step n."""
+    orbits that pass it after step n, at step n (the last step) and at
+    step n - 4 (midway)."""
     rng = np.random.default_rng(17)
-    bx, by = _backward_starts(lam, n + 1)
-    tail = bx.size - 27
+    bx, by = _backward_orbits(lam, (n, n - 1, n - 5))
     return (np.concatenate([[740.0, 740.0, 740.0, 708.9, 709.0, 709.1],
-                            rng.uniform(700.0, 760.0, 300), bx[tail:]]),
+                            rng.uniform(700.0, 760.0, 300), bx]),
             np.concatenate([[0.0, 1.0, -3.0, 0.0, 0.5, 0.0],
-                            rng.uniform(-4.0, 4.0, 300), by[tail:]]))
+                            rng.uniform(-4.0, 4.0, 300), by]))
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.3 - 0.2j])
