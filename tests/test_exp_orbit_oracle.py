@@ -140,6 +140,24 @@ def _reference_rules(f, xs, ys, R, l_max, n_max):
     return escape_step, fast
 
 
+def _colorize(escape_step, fast, n_max):
+    rgb = np.zeros((escape_step.size, 3), dtype=np.float64)
+    bounded = escape_step < 0
+    rgb[bounded] = (10.0, 10.0, 40.0)
+    esc = ~bounded
+    t = escape_step[esc] / max(n_max, 1)  # in (0, 1]: escapes happen at steps 1..n_max
+    rgb[esc, 0] = 60.0 + 170.0 * (1.0 - t)
+    rgb[esc, 1] = 30.0 + 120.0 * (1.0 - t) ** 2
+    rgb[esc, 2] = 90.0 * t
+    rgb[fast] = (255.0, 244.0, 214.0)
+    return rgb  # every entry is in [0, 255]
+
+
+def _ppm_pixels(rgb):
+    """The pixel bytes render_escape writes for a colorize result."""
+    return rgb.astype(np.uint8).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the code under test
 
@@ -186,8 +204,7 @@ def test_default_render_bit_identical(tmp_path):
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     escape_step, fast = _reference_rules(f, X.ravel(), Y.ravel(), R, l_max, n_max)
     _assert_same(_rules(f, X.ravel(), Y.ravel(), R, l_max, n_max), (escape_step, fast))
-    rgb = rd._colorize(escape_step, fast, n_max).reshape(512, 512, 3)
-    want = b"P6\n512 512\n255\n" + rgb.astype(np.uint8).tobytes()
+    want = b"P6\n512 512\n255\n" + _ppm_pixels(_colorize(escape_step, fast, n_max))
     assert out.read_bytes() == want
     assert stats["fast_members"] == int(fast.sum()) == 25672
 
@@ -227,6 +244,27 @@ def test_rules_bit_identical_on_backward_orbits(lam, l_max):
                                   n_max, math.log(R))
     assert np.isnan(table[:, -1]).sum() >= 18 and (table[:, -1] > 709.0).sum() >= 9
     assert want[1].any() == (l_max > 0) and (want[0] < 0).any()
+
+
+# l_max in {0, 1, 3} and past n_max, each with n_max in {1, l_max, 12}
+_L_N = [(l_max, n_max) for l_max in (0, 1, 3, 12, 13)
+        for n_max in sorted({1, l_max, 12})]
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3 - 0.2j])
+@pytest.mark.parametrize("l_max, n_max", _L_N, ids=[f"l{l}-n{n}" for l, n in _L_N])
+def test_rules_and_pixels_bit_identical_on_backward_orbits(lam, l_max, n_max):
+    # the grid and the backward orbits that pass e^709 near the last step,
+    # with l_max below, at and past n_max (every l >= n_max is decided by
+    # few or no comparisons)
+    f, R = fx.ExpAffine(lam), 5.0
+    xs, ys = _backward_starts(lam, n_max)
+    want = _reference_rules(f, xs, ys, R, l_max, n_max)
+    got = _rules(f, xs, ys, R, l_max, n_max)
+    _assert_same(got, want)
+    assert (_ppm_pixels(rd._colorize(*got, n_max))
+            == _ppm_pixels(_colorize(*want, n_max)))
+    assert (want[0] < 0).any() and (n_max == 0 or (want[0] >= 1).any())
 
 
 @pytest.mark.parametrize("l_max, R", [(0, 5.0), (1, 5.0), (3, 5.0), (0, 1.0), (1, 1.0)])

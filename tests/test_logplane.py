@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from sphgrow import logplane as lp
@@ -86,6 +87,65 @@ def test_schedule_bit_identical_to_float_operands(x0, n_max):
     assert all(type(x) is mp.mpf for x in sched.x)
     assert [x._mpf_ for x in sched.x] == [x._mpf_ for x in xs]
     assert sched.invariant_failures == fails
+
+
+def _schedule_libmp(x0, n_max):
+    """schedule_build's loop on mpmath.libmp tuples, verbatim: one libmp
+    call per operation at 96 bits, rounding to nearest."""
+    lm = mp.libmp
+    add, sub, mul, div, log, lt = (lm.mpf_add, lm.mpf_sub, lm.mpf_mul,
+                                   lm.mpf_div, lm.mpf_log, lm.mpf_lt)
+    prec, rnd = 96, "n"
+    one = lm.fone  # also lambda, the growth exponent of h(x) = e^x here
+    grow = lm.from_int(2)  # the factor 1 + lambda of every step after the first
+    shave = lm.from_man_exp((1 << 60) - 1, -60)  # 1 - 2^-60
+    x = mp.mpf(x0, prec=prec, rounding=rnd)._mpf_
+    d = div(one, log(x, prec, rnd), prec, rnd)
+    xs = [x]
+    fails = []
+    partial = lm.fzero
+    for n in range(1, n_max + 1):
+        low, high = sub(one, d, prec, rnd), add(one, d, prec, rnd)
+        x_n = mul(div(low if n == 1 else grow, high, prec, rnd), x, prec, rnd)
+        partial = add(partial, mul(low, x, prec, rnd), prec, rnd)
+        if lt(partial, mul(mul(high, x_n, prec, rnd), shave, prec, rnd)):
+            fails.append(f"partial-sum inequality at n={n}")
+        x, d = x_n, div(one, log(x_n, prec, rnd), prec, rnd)
+        xs.append(x)
+    return xs, fails
+
+
+def _assert_schedule_matches_libmp(x0, n_max):
+    sched = lp.schedule_build(x0, n_max)
+    xs, fails = _schedule_libmp(x0, n_max)
+    assert all(type(x) is mp.mpf for x in sched.x)
+    assert [x._mpf_ for x in sched.x] == xs
+    assert sched.invariant_failures == fails
+
+
+# just above the floor, the tests' own starts, a power of two and 1e300,
+# whose schedule leaves double range after about 30 steps
+_ORACLE_X0 = [lp.X0_FLOOR * (1 + 2.0**-52), 25.2, 26.0, 30.5, 1e6, 1e15,
+              2.0**70, 1e300]
+
+
+@pytest.mark.parametrize("x0", _ORACLE_X0)
+def test_schedule_bit_identical_to_libmp_loop(x0):
+    assert x0 > lp.X0_FLOOR
+    for n_max in (0, 1, 2, 7, 300, 3000):
+        _assert_schedule_matches_libmp(x0, n_max)
+
+
+def test_schedule_bit_identical_to_libmp_loop_at_thm3_default():
+    _assert_schedule_matches_libmp(1e6, 10_000)
+
+
+def test_schedule_bit_identical_to_libmp_loop_random():
+    rng = np.random.default_rng(1919)
+    lo, hi = math.log(lp.X0_FLOOR), math.log(1e300)
+    for _ in range(200):
+        x0 = max(math.exp(rng.uniform(lo, hi)), math.nextafter(lp.X0_FLOOR, math.inf))
+        _assert_schedule_matches_libmp(x0, int(rng.integers(0, 200)))
 
 
 def test_growth_statistic_tends_to_log2():
