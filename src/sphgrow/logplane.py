@@ -46,6 +46,26 @@ class SlowEscapeSchedule:
         return len(self.x)
 
 
+def _round96(man: int, exp: int) -> tuple:
+    """man * 2^exp (man > 0) rounded to 96 bits, to nearest with ties to even."""
+    shift = man.bit_length() - 96
+    if shift <= 0:
+        return man, exp
+    half = 1 << (shift - 1)
+    rest, man = man & (2 * half - 1), man >> shift
+    if rest > half or (rest == half and man & 1):
+        man += 1  # a carry to 2^96 is still exact
+    return man, exp + shift
+
+
+def _div96(am: int, ae: int, bm: int, be: int) -> tuple:
+    """(am 2^ae) / (bm 2^be) rounded as _round96 rounds: a quotient of at
+    least 98 bits whose last bit is set when the division is inexact."""
+    shift = max(0, 98 + bm.bit_length() - am.bit_length())
+    q, r = divmod(am << shift, bm)
+    return _round96(q | (r != 0), ae - be - shift)
+
+
 def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
     """Targets x_{n+1} = (1+lambda) x_n / (1 + delta(x_n)), delta = 1/log x.
 
@@ -54,11 +74,12 @@ def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
     x_n <= e^(x_{n-1}): it multiplies by at most 2/(1+delta) < 2, and
     2x < e^x for every real x.
 
-    The loop calls mpmath.libmp on raw (sign, man, exp, bc) tuples at
-    96 bits, rounding to nearest, and wraps only the returned x_n as mpf:
-    each operation is the one mpf arithmetic at workprec(96) would make
-    (mp.log of an mpf is mpf_log at the working precision, with no guard
-    bits), so the values are the same bits without the object overhead.
+    Values are positive (man, exp) Python ints, man * 2^exp, and every
+    operation rounds its exact result once to 96 bits, to nearest: the
+    bits of mpf arithmetic at workprec(96), which rounds correctly.  Only
+    the logarithm is mpmath's (mpf_log at 96 bits, as mp.log of an mpf
+    makes it), fed the canonical (0, man, exp, bc) tuple of x_n that the
+    returned mpf wraps.
     """
     import mpmath as mp
     if not math.isfinite(x0):
@@ -68,30 +89,36 @@ def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
             f"x0={x0} must exceed {X0_FLOOR:.6f} (binding bound: 8*pi)")
     if n_max < 0:
         raise ValueError(f"n_max={n_max} must be >= 0")
-    lm = mp.libmp
-    add, sub, mul, div, log, lt = (lm.mpf_add, lm.mpf_sub, lm.mpf_mul,
-                                   lm.mpf_div, lm.mpf_log, lm.mpf_lt)
-    prec, rnd = 96, "n"
-    one = lm.fone  # also lambda, the growth exponent of h(x) = e^x here
-    grow = lm.from_int(2)  # the factor 1 + lambda of every step after the first
-    shave = lm.from_man_exp((1 << 60) - 1, -60)  # 1 - 2^-60
-    x = mp.mpf(x0, prec=prec, rounding=rnd)._mpf_
-    d = div(one, log(x, prec, rnd), prec, rnd)
-    xs = [x]
-    fails = []
-    partial = lm.fzero
+
+    def recip_log(t):
+        return _div96(1, 0, *mp.libmp.mpf_log(t, 96, "n")[1:3])
+
+    t = mp.mpf(x0, prec=96, rounding="n")._mpf_
+    _, xm, xe, _ = t
+    dm, de = recip_log(t)
+    # mp.make_mpf wraps a tuple as is; mp.mpf(tuple) would round it to the
+    # context precision, 53 bits outside workprec
+    xs, fails, pm, pe = [mp.make_mpf(t)], [], 0, 0  # pm 2^pe: the partial sum
     for n in range(1, n_max + 1):
-        low, high = sub(one, d, prec, rnd), add(one, d, prec, rnd)
-        x_n = mul(div(low if n == 1 else grow, high, prec, rnd), x, prec, rnd)
-        partial = add(partial, mul(low, x, prec, rnd), prec, rnd)
-        if lt(partial, mul(mul(high, x_n, prec, rnd), shave, prec, rnd)):
+        one = 1 << -de  # d = 1/log x < 1/3, so de < 0
+        (lm, le), (hm, he) = _round96(one - dm, de), _round96(one + dm, de)
+        # lambda = 1: the first step grows by lambda - d, the rest by 1 + lambda
+        qm, qe = _div96(lm, le, hm, he) if n == 1 else _div96(2, 0, hm, he)
+        nm, ne = _round96(qm * xm, qe + xe)
+        am, ae = _round96(lm * xm, le + xe)
+        e = min(pe, ae)
+        pm, pe = _round96((pm << (pe - e)) + (am << (ae - e)), e)
+        bm, be = _round96(hm * nm, he + ne)
+        bm, be = _round96(bm * ((1 << 60) - 1), be - 60)  # times 1 - 2^-60
+        e = min(pe, be)
+        if pm << (pe - e) < bm << (be - e):
             fails.append(f"partial-sum inequality at n={n}")
-        x, d = x_n, div(one, log(x_n, prec, rnd), prec, rnd)
-        xs.append(x)
-    # mp.make_mpf wraps a raw tuple as is; mp.mpf(tuple) would round it to
-    # the context precision, 53 bits outside workprec
-    return SlowEscapeSchedule(x=[mp.make_mpf(v) for v in xs],
-                              invariant_failures=fails)
+        z = (nm & -nm).bit_length() - 1  # canonical: an odd mantissa
+        xm, xe = nm >> z, ne + z
+        t = (0, xm, xe, xm.bit_length())
+        dm, de = recip_log(t)
+        xs.append(mp.make_mpf(t))
+    return SlowEscapeSchedule(x=xs, invariant_failures=fails)
 
 
 def schedule_growth_statistic(schedule: SlowEscapeSchedule, n: int) -> float:

@@ -148,6 +148,53 @@ def test_schedule_bit_identical_to_libmp_loop_random():
         _assert_schedule_matches_libmp(x0, int(rng.integers(0, 200)))
 
 
+def _normal(man, exp):
+    """The mpf tuple of man * 2^exp, exact."""
+    return mp.libmp.from_man_exp(man, exp)
+
+
+def test_round96_matches_mpmath_rounding():
+    lm, top = mp.libmp, 1 << 95
+    cases = [
+        ((top + 2) << 5 | 1 << 4, -7),     # a tie, even quotient: stays
+        ((top + 3) << 5 | 1 << 4, 3),      # a tie, odd quotient: rounds up
+        ((top + 3) << 1 | 1, 0),           # a one-bit tie
+        ((top + 2) << 5 | 1 << 4 | 1, 0),  # just past a tie
+        ((top + 3) << 5 | (1 << 4) - 1, 9),  # just short of a tie
+        (((1 << 96) - 1) << 3 | 4, -200),  # a tie that carries to 2^96
+        (((1 << 96) - 1) << 7 | 127, 50),  # a carry past a tie
+        ((1 << 96) - 1, 1),                # 96 bits: exact
+        (1, -3), (12345, 7), (1 << 200, -5),  # under 96 bits, a power of two
+    ]
+    rng = np.random.default_rng(96)
+    for bits in (1, 53, 95, 96, 97, 98, 150, 400):
+        for _ in range(200):
+            man = int(rng.integers(1, 1 << 62)) | 1 << 62
+            man = (man << max(bits - 63, 0)) + int(rng.integers(0, 1 << 62))
+            cases.append((man >> max(man.bit_length() - bits, 0), int(rng.integers(-99, 99))))
+    for man, exp in cases:
+        got = lp._round96(man, exp)
+        assert got[0].bit_length() <= 96 or got[0] == 1 << 96
+        assert _normal(*got) == lm.from_man_exp(man, exp, 96, "n"), (man, exp)
+
+
+def test_div96_matches_mpf_div():
+    lm = mp.libmp
+    cases = [(1, 0, 3, 0), (3, 0, 1, 0), (1, 0, 1 << 80, -7), (6, 5, 3, 2),
+             ((1 << 96) - 1, 0, 1, 0), ((1 << 96) + 1, 0, 1, 0),  # exact
+             ((1 << 200) + 1, 0, 3, 0), (7, 0, (1 << 150) - 1, 0),
+             (1, 0, lm.mpf_log(lm.from_int(10 ** 6), 96, "n")[1], -93)]
+    rng = np.random.default_rng(98)
+    for _ in range(2000):
+        a, b = (int(rng.integers(1, 1 << 62)) << int(rng.integers(0, 80))
+                | int(rng.integers(1, 1 << 40)) for _ in range(2))
+        cases.append((a, int(rng.integers(-50, 50)), b, int(rng.integers(-50, 50))))
+        cases.append((a * b, 3, b, -4))  # an exact quotient
+    for am, ae, bm, be in cases:
+        want = lm.mpf_div(_normal(am, ae), _normal(bm, be), 96, "n")
+        assert _normal(*lp._div96(am, ae, bm, be)) == want, (am, ae, bm, be)
+
+
 def test_growth_statistic_tends_to_log2():
     sched = lp.schedule_build(1e6, 1200)
     stat = lp.schedule_growth_statistic(sched, 1000)
