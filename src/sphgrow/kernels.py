@@ -39,7 +39,8 @@ _LOG_BIG = 1e300
 def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, visit):
     """n steps of f = lam e^z, each on the live rows only (log|z_k| <= 709
     before the last step).  With visit, each log|z_k| (k = 0..n) goes to
-    visit(ll, live) as it is formed and nothing is kept (nor z_n formed).
+    visit(ll, live) as it is formed and nothing is kept (nor z_n formed); a
+    boolean mask over live that visit returns drops the rows outside it.
     Without, returns s = log|(f^k)'(z_0)| up to the step where the orbit
     left double range or n, and the live rows with log|z_n| and z_n."""
     x = np.ascontiguousarray(x0, dtype=np.float64)
@@ -53,18 +54,23 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, visit):
         if visit is None:
             s_all, s = np.zeros(m), np.zeros(m)
         else:
-            visit(ll, live)
+            wanted = visit(ll, live)
+            if wanted is not None:
+                live, x, y = live[wanted], x[wanted], y[wanted]
         for k in range(1, n + 1):
-            ll = x + loglam
+            ll, wanted = x + loglam, None
             if visit is None:
                 s += x  # (s + x) + loglam, in place: the full-width loop's rounding
                 s += loglam
             else:
-                visit(ll, live)
+                wanted = visit(ll, live)
                 if k == n:
                     break
-            # z_k exceeds doubles: the orbit ends, unless this is the last step
+            # z_k exceeds doubles, or visit reads the row no more: the orbit
+            # ends, unless this is the last step
             drop = ll > _EXP_LIMIT
+            if wanted is not None:
+                drop |= ~wanted
             if k < n and drop.any():
                 keep = ~drop
                 if visit is None:

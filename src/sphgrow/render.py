@@ -47,7 +47,7 @@ def render_escape(f, window: ms.Region, resolution, R: float,
     rgb = _colorize(escape_step, fast, n_max).reshape(height, width, 3)
     with open(out_path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(rgb.astype(np.uint8).tobytes())
+        fh.write(rgb.tobytes())
 
     total = flat_x.size
     escaped = int((escape_step >= 0).sum())
@@ -90,7 +90,9 @@ class _StepRules:
         self.runs, self.n = [], 0  # for each l <= n: the pixels still in the running
 
     def step(self, ll, live=None):
-        """Step n's log|z_n| on the rows live (None: all, NaN past an orbit's end)."""
+        """Step n's log|z_n| on the rows live (None: all, NaN past an orbit's
+        end).  From n = l_max on, returns the mask of the rows that a later
+        step can still change: unescaped, or in some l's run."""
         col, n = ll, self.n
         if live is not None and live.size < self.escape_step.size:
             col = np.full(self.escape_step.size, np.nan)
@@ -101,6 +103,12 @@ class _StepRules:
             self.runs.append(None)  # None: every pixel
         self.runs = [self._beating(run, col, n - l) for l, run in enumerate(self.runs)]
         self.n += 1
+        if n < self.l_max:
+            return None  # an l still to start reads every row
+        wanted = self.escape_step < 0
+        for run in self.runs:
+            wanted[run] = True
+        return wanted if live is None else wanted[live]
 
     def _beating(self, run, col, k):
         """The pixels of run with |z_n| > M^k(R)."""
@@ -125,13 +133,12 @@ class _StepRules:
 
 def _colorize(escape_step, fast, n_max):
     """Bounded: near-black blue; escaping: orbit-index gradient; A(f): white-hot."""
-    rgb = np.zeros((escape_step.size, 3), dtype=np.float64)
-    bounded = escape_step < 0
-    rgb[bounded] = (10.0, 10.0, 40.0)
-    esc = ~bounded
-    t = escape_step[esc] / max(n_max, 1)  # in (0, 1]: escapes happen at steps 1..n_max
-    rgb[esc, 0] = 60.0 + 170.0 * (1.0 - t)
-    rgb[esc, 1] = 30.0 + 120.0 * (1.0 - t) ** 2
-    rgb[esc, 2] = 90.0 * t
-    rgb[fast] = (255.0, 244.0, 214.0)
-    return rgb  # every entry is in [0, 255]
+    palette = np.empty((n_max + 2, 3))  # row escape_step + 1; row 0: bounded
+    palette[0] = (10.0, 10.0, 40.0)
+    t = np.arange(n_max + 1) / max(n_max, 1)  # in (0, 1]: escapes happen at steps 1..n_max
+    palette[1:, 0] = 60.0 + 170.0 * (1.0 - t)
+    palette[1:, 1] = 30.0 + 120.0 * (1.0 - t) ** 2
+    palette[1:, 2] = 90.0 * t
+    rgb = palette.astype(np.uint8)[escape_step + 1]  # truncated once: entries in [0, 255]
+    rgb[fast] = (255, 244, 214)
+    return rgb

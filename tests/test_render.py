@@ -18,6 +18,7 @@ import pytest
 from sphgrow import cli
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
+from sphgrow import kernels
 from sphgrow import measures as ms
 from sphgrow import render as rd
 from sphgrow.towers import TowerReal
@@ -161,6 +162,29 @@ def test_exp_render_runs_no_scalar_orbits(tmp_path, monkeypatch):
                              64, 5.0, 3, 12, str(tmp_path / "img.ppm"))
     assert stats["fast_members"] > 0
     assert calls == []
+
+
+def test_exp_render_steps_no_settled_pixel(tmp_path, monkeypatch):
+    # once every l has started, a pixel that has escaped and left every run
+    # takes no further step: at the 512^2 default the kernel hands the rules
+    # 1,448,604 rows over the 13 steps, not 2,494,724
+    rows = []
+    kernel = kernels.expaffine_logmag_steps
+
+    def counting(*args):
+        *head, visit = args
+
+        def counted(ll, live):
+            rows.append(live.size)
+            return visit(ll, live)
+
+        return kernel(*head, counted)
+
+    monkeypatch.setattr(kernels, "expaffine_logmag_steps", counting)
+    stats = rd.render_escape(fx.ExpAffine(1.0), ms.Region.rectangle(1.0 + 0j, 3.0, 3.0),
+                             512, 5.0, 3, 12, str(tmp_path / "img.ppm"))
+    assert stats["fast_members"] == 25672 and len(rows) == 13
+    assert sum(rows) <= 1_600_000
 
 
 def _render_peak_bytes(tmp_path, size, n_max):
