@@ -67,6 +67,8 @@ def _log_abs_derivative(f, z: complex) -> float:
         return e.log_mag
     if d == 0:
         return f.log_abs_derivative_underflow(z)
+    if not cmath.isfinite(d) and f.log_continuation:  # overflowed before z escalated
+        return f.log_abs_derivative_polar(math.log(abs(z)), cmath.phase(z))
     return math.log(abs(d))
 
 

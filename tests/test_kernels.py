@@ -112,13 +112,15 @@ def test_poly_kernel_vs_scalar_orbit():
 @pytest.mark.parametrize("d", [70, 80, 100])
 def test_poly_kernel_high_degree_vs_scalar_orbit(d):
     # z^d + 0.3: below |z| = e^(40/d) the kernel keeps Horner steps, where the
-    # constant term still counts.  The starts with |z_0| > 1 run two steps
-    # and keep d log|z_1| < 700: past that the scalar orbit's Horner
-    # derivative overflows doubles and its log|(f^k)'| turns NaN.
+    # constant term still counts.  The starts with |z_0| > 1 run three and
+    # four steps: z_2 is still rectangular in the scalar orbit (d log|z_2|
+    # is about 7,000 at d = 70), so its Horner derivative overflows doubles
+    # and log|(f^3)'| comes from the leading term, as in the kernel.
     f = fx.Polynomial((0.3,) + (0.0,) * (d - 1) + (1.0,))
     inside = [0.5 + 0.1j, 0.9, -0.7j, 0.99 + 0.05j, 0.3 - 0.8j]
     outside = [1.02, 1.01 + 0.05j, -1.03j, -1.02 + 0.01j]
-    for n, starts in ((1, inside + outside), (2, inside + outside), (3, inside)):
+    for n, starts in ((1, inside + outside), (2, inside + outside), (3, inside + outside),
+                      (4, outside)):
         xs = np.array([z.real for z in starts])
         ys = np.array([z.imag for z in starts])
         got = kernels.poly_logphi(xs, ys, n, f.coefficients)
