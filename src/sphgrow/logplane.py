@@ -102,7 +102,7 @@ def schedule_build(x0: float, n_max: int) -> SlowEscapeSchedule:
     for n in range(1, n_max + 1):
         one = 1 << -de  # d = 1/log x < 1/3, so de < 0
         (lm, le), (hm, he) = _round96(one - dm, de), _round96(one + dm, de)
-        # lambda = 1: the first step grows by lambda - d, the rest by 1 + lambda
+        # lambda = 1: x_1 = (lambda - d) x_0 / (1 + d), then the factor is (1 + lambda) / (1 + d)
         qm, qe = _div96(lm, le, hm, he) if n == 1 else _div96(2, 0, hm, he)
         nm, ne = _round96(qm * xm, qe + xe)
         am, ae = _round96(lm * xm, le + xe)

@@ -4,6 +4,7 @@ orbit construction."""
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -166,12 +167,10 @@ def test_round96_matches_mpmath_rounding():
         ((1 << 96) - 1, 1),                # 96 bits: exact
         (1, -3), (12345, 7), (1 << 200, -5),  # under 96 bits, a power of two
     ]
-    rng = np.random.default_rng(96)
+    rng = random.Random(96)
     for bits in (1, 53, 95, 96, 97, 98, 150, 400):
         for _ in range(200):
-            man = int(rng.integers(1, 1 << 62)) | 1 << 62
-            man = (man << max(bits - 63, 0)) + int(rng.integers(0, 1 << 62))
-            cases.append((man >> max(man.bit_length() - bits, 0), int(rng.integers(-99, 99))))
+            cases.append((rng.getrandbits(bits) | 1 << (bits - 1), rng.randint(-99, 99)))
     for man, exp in cases:
         got = lp._round96(man, exp)
         assert got[0].bit_length() <= 96 or got[0] == 1 << 96
@@ -184,11 +183,10 @@ def test_div96_matches_mpf_div():
              ((1 << 96) - 1, 0, 1, 0), ((1 << 96) + 1, 0, 1, 0),  # exact
              ((1 << 200) + 1, 0, 3, 0), (7, 0, (1 << 150) - 1, 0),
              (1, 0, lm.mpf_log(lm.from_int(10 ** 6), 96, "n")[1], -93)]
-    rng = np.random.default_rng(98)
+    rng = random.Random(98)
     for _ in range(2000):
-        a, b = (int(rng.integers(1, 1 << 62)) << int(rng.integers(0, 80))
-                | int(rng.integers(1, 1 << 40)) for _ in range(2))
-        cases.append((a, int(rng.integers(-50, 50)), b, int(rng.integers(-50, 50))))
+        a, b = (rng.getrandbits(rng.randint(1, 150)) | 1 for _ in range(2))
+        cases.append((a, rng.randint(-50, 50), b, rng.randint(-50, 50)))
         cases.append((a * b, 3, b, -4))  # an exact quotient
     for am, ae, bm, be in cases:
         want = lm.mpf_div(_normal(am, ae), _normal(bm, be), 96, "n")
