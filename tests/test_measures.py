@@ -452,6 +452,9 @@ _ORACLE_MU.update({  # no refinement round, one round, and a U that holds every 
     "exp-pin-rounds0": (EXP, _PIN_DISK, 2, ms.GridSpec(max_refinements=0)),
     "exp-pin-rounds1": (EXP, _PIN_DISK, 2, ms.GridSpec(max_refinements=1)),
     "exp-rect": (EXP, ms.Region.rectangle(complex(0.318, 1.337), 0.5, 0.5), 2, GRID),
+    # grids that hold the critical point 0 of z^2, so some corners are -inf
+    "square-crit-rect": (SQUARE, ms.Region.rectangle(0j, 0.5, 0.25), 3, GRID),
+    "square-crit-disk": (SQUARE, ms.Region.disk(0j, 0.5), 2, GRID),
 })
 _ORACLE_AREA = {f"area-pin-{i}": (f, U, n, GRID) for i, (f, U, n, *_) in enumerate(_PIN_AREA)}
 _ORACLE_AREA.update({name: case[:4] for name, case in _PIN_CASES.items()})
