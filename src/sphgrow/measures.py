@@ -151,7 +151,10 @@ class MuSupResult:
 # one logphi_batch call on the points no earlier pass evaluated (mu_sup: those of
 # the 4 edge midpoints and the centre per cell that lie inside U, and no call when
 # none does; spherical_area: 2 child midpoints) and decides every cell with array
-# operations, keeping cells in order.
+# operations, keeping cells in order.  mu_sup holds x and y edges with midpoints
+# as (3, N) arrays and 3x3 blocks as (9, N): block position (x outer) on the rows,
+# cells along the contiguous axis; _ROWS puts 4 corners and 5 new points in place.
+_ROWS = [0, 4, 1, 5, 6, 7, 2, 8, 3]
 
 
 def _grid_cells(us: np.ndarray, vs: np.ndarray):
@@ -161,31 +164,30 @@ def _grid_cells(us: np.ndarray, vs: np.ndarray):
     return u0.ravel(), u1.ravel(), v0.ravel(), v1.ravel()
 
 
-def _cell_corners(g: np.ndarray) -> np.ndarray:
-    """Corner values of every cell of the point grid(s) g, x and y on the last
-    two axes: rows (x0, y0), (x0, y1), (x1, y0), (x1, y1), cells row-major."""
-    w = np.lib.stride_tricks.sliding_window_view(g, (2, 2), axis=(-2, -1))
-    return np.moveaxis(w, (-2, -1), (0, 1)).reshape(4, -1)
-
-
-def _corner_test(corners: np.ndarray, threshold: float):
-    """Per cell, from its 4 corner columns (the rows of corners), combined
-    elementwise: (refine?, largest finite corner).
+def _window_test(g: np.ndarray, threshold: float):
+    """Per 2x2 cell of the point grid g, x and y on its first two axes (cells
+    laid out as g is, one shorter on both): (refine?, largest finite corner).
 
     A cell is refined when some corner is finite and either the finite
     corners spread by more than threshold or a corner is missing.
     """
-    fin = np.isfinite(corners)
-    count = fin.sum(axis=0)
-    top = np.where(fin, corners, -np.inf).max(axis=0)
-    spread = np.where(count > 1, top - np.where(fin, corners, np.inf).min(axis=0), np.inf)
+    fin = np.isfinite(g)
+    count = fin.view(np.int8)
+    count = count[:, :-1] + count[:, 1:]
+    count = count[:-1] + count[1:]
+    top = np.where(fin, g, -np.inf)
+    top = np.maximum(top[:, :-1], top[:, 1:])
+    top = np.maximum(top[:-1], top[1:])
+    low = np.minimum(g[:, :-1], g[:, 1:])
+    low = np.minimum(low[:-1], low[1:])
+    with np.errstate(invalid="ignore"):
+        spread = top - low  # that of the finite corners wherever all 4 are
     return (count > 0) & ((spread > threshold) | (count < 4)), top
 
 
-def _block(corners: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Each cell's 3x3 block, x outer, from its corner rows (as _cell_corners
-    gives them) and its 5 other points (x0, ym), (xm, y0), (xm, ym), (xm, y1), (x1, ym)."""
-    return np.insert(new.reshape(-1, 5), [0, 1, 4, 5], corners.T, axis=1).reshape(-1, 3, 3)
+def _edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows lo, (lo + hi) / 2, hi."""
+    return np.stack([lo, (lo + hi) / 2, hi])
 
 
 def _logphi_inside(f, xs: np.ndarray, ys: np.ndarray, inside: np.ndarray, n: int):
@@ -200,11 +202,21 @@ def _logphi_inside(f, xs: np.ndarray, ys: np.ndarray, inside: np.ndarray, n: int
     return lp, hot
 
 
-def _subcell_corners(blocks: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """The columns sub of _cell_corners(blocks) for (N, 3, 3) blocks, built
-    for those subcells alone: subcell 4i + 2p + q has corners blocks[i, p:p+2, q:q+2]."""
-    first = 9 * (sub // 4) + 3 * (sub // 2 % 2) + sub % 2
-    return blocks.reshape(-1)[first + np.array([[0], [1], [3], [4]])]
+def _subcells(xe, ye, block, hot, threshold: float, floor: float):
+    """(x edges, y edges, corner values, corner flags) of the subcells to refine
+    next: those the window test marks whose top corner is above floor, at most
+    4096, the widest first and in the order 4i + 2p + q among equal widths."""
+    m = xe.shape[1]
+    # subcell (p, q) of cell i, x half p outer, has corners block[p:p+2, q:q+2, i]
+    refine, top = _window_test(block.reshape(3, 3, m), threshold)
+    refine &= top > floor
+    sub = np.flatnonzero(refine.reshape(4, m).T)  # 4i + 2p + q
+    keep = np.argsort(-(xe[1:] - xe[:-1])[sub >> 1 & 1, sub >> 2], kind="stable")[:4096]
+    sub = sub[keep]
+    i, p, q = sub >> 2, sub >> 1 & 1, sub & 1
+    corner = (3 * p + q) * m + i + np.array([[0], [m], [3 * m], [4 * m]])
+    return (_edges(xe[p, i], xe[p + 1, i]), _edges(ye[q, i], ye[q + 1, i]),
+            block.reshape(-1)[corner], hot.reshape(-1)[corner])
 
 
 def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
@@ -227,43 +239,30 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     spread_ref = float(vals.max() - vals.min()) if vals.size > 1 else 0.0
     threshold = grid.rel_tol * max(spread_ref, 1.0)
 
-    corners = _cell_corners(lp)
-    refine, _ = _corner_test(corners, threshold)
-    a, b, c, d = (e[refine] for e in _grid_cells(gx, gy))
+    u, v = np.divmod(np.flatnonzero(_window_test(lp, threshold)[0]), res)
+    xe, ye = _edges(gx[u], gx[u + 1]), _edges(gy[v], gy[v + 1])
     # each cell's corner values and overflow flags, from the pass that evaluated them
-    lpc, hotc = corners[:, refine], _cell_corners(hot)[:, refine]
+    corner = u * (res + 1) + v + np.array([[0], [1], [res + 1], [res + 2]])
+    lpc, hotc = lp.reshape(-1)[corner], hot.reshape(-1)[corner]
     rounds = 0
-    while a.size and rounds < grid.max_refinements:
+    while xe.shape[1] and rounds < grid.max_refinements:
         rounds += 1
-        mx = (a + b) / 2
-        my = (c + d) / 2
-        # the 5 points of each cell's 3x3 block that are not its corners
-        xs = np.stack([a, mx, mx, mx, b], axis=1).ravel()
-        ys = np.stack([my, c, my, d, my], axis=1).ravel()
+        # the new points, rows 1, 3, 4, 5, 7: (x0, ym), (xm, y0), (xm, ym), (xm, y1), (x1, ym)
+        xs = xe[[0, 1, 1, 1, 2]].reshape(-1)
+        ys = ye[[1, 0, 1, 2, 1]].reshape(-1)
         inside = U.contains(xs, ys)
         xs, ys = xs[inside], ys[inside]  # only the points in U stay alive in the kernel
-        lpv, hotv = _logphi_inside(f, xs, ys, inside, n)
-        finite = np.isfinite(lpv)
-        if finite.any():  # the corners are in best already
-            best = max(best, float(lpv[finite].max()))
-        block = _block(lpc, lpv)
-        hot = _block(hotc, hotv)
+        lpv, hotv = _logphi_inside(f, xs, ys, inside.reshape(5, -1), n)
+        # the corners are in best already
+        best = max(best, float(np.where(np.isfinite(lpv), lpv, -np.inf).max()))
+        block, hot = np.concatenate((lpc, lpv))[_ROWS], np.concatenate((hotc, hotv))[_ROWS]
         overflow += int(hot.sum())
         evals += block.size
         if rounds == grid.max_refinements:
             break  # nothing reads the subcells of the last permitted round
-        # subcells (p, q) of each cell, x half p outer; their corners are
-        # block[p:p+2, q:q+2]
-        corners = _cell_corners(block)
-        refine, top = _corner_test(corners, threshold)
-        refine &= top > best - 3.0 * max(spread_ref, 1.0)  # near the top
-        idx = np.flatnonzero(refine)
-        sub = [np.stack(e, axis=1).ravel()[idx] for e in
-               ((a, a, mx, mx), (mx, mx, b, b), (c, my, c, my), (my, d, my, d))]
-        # refine only the most promising cells (the widest first) to bound the work
-        keep = np.argsort(-(sub[1] - sub[0]), kind="stable")[:4096]
-        a, b, c, d = (e[keep] for e in sub)
-        lpc, hotc = corners[:, idx[keep]], _subcell_corners(hot, idx[keep])
+        xe, ye, lpc, hotc = _subcells(xe, ye, block, hot, threshold,
+                                      best - 3.0 * max(spread_ref, 1.0))  # near the top
+        del block, hot, lpv, hotv  # not alive in the next kernel call
     return MuSupResult(log_mu=best, evaluations=evals, refinements=rounds,
                        overflow_points=overflow)
 

@@ -3,6 +3,7 @@ closed forms and dense-grid oracles."""
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -479,7 +480,8 @@ def test_area_bit_identical_to_three_points(name):
         assert getattr(got, field) == getattr(want, field), field
 
 
-def test_corner_test_columns_match_rows():
+def _seeded_corner_rows():
+    """(4000, 4) corner rows: NaN, +-inf, every corner missing and no spread."""
     rng = np.random.default_rng(5)
     rows = rng.normal(0.0, 3.0, (4000, 4))
     pick = rng.random(rows.shape)
@@ -489,19 +491,87 @@ def test_corner_test_columns_match_rows():
     rows[:50] = np.nan                            # every corner missing
     rows[50:60] = [np.inf, -np.inf, np.nan, np.inf]
     rows[60:70] = 1.25                            # no spread at all
+    return rows
+
+
+def _window_rows(g):
+    """The corner rows (x0, y0), (x0, y1), (x1, y0), (x1, y1) of every 2x2
+    cell of the point grid g, cells laid out as _window_test gives them."""
+    return np.stack([g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:]], axis=-1).reshape(-1, 4)
+
+
+def test_corner_test_columns_match_rows():
+    rows = _seeded_corner_rows()
+    # the rows as (2, 2, N) point grids, and as subcell (p, q) of (3, 3, N)
+    # blocks whose other points come from the rows shifted by one
+    grids = [rows.T.reshape(2, 2, -1)]
+    for p in (0, 1):
+        for q in (0, 1):
+            blocks = np.roll(rows, 1, axis=0).T.reshape(2, 2, -1)
+            blocks = np.concatenate([blocks, blocks[:1]], axis=0)
+            blocks = np.concatenate([blocks, blocks[:, :1]], axis=1)
+            blocks[p:p + 2, q:q + 2] = rows.T.reshape(2, 2, -1)
+            grids.append(blocks)
     for threshold in (1e-3, 0.5, 4.0):
-        got = ms._corner_test(rows.T, threshold)
-        want = _corner_test_rows(rows, threshold)
+        for g in grids:
+            got = ms._window_test(g, threshold)
+            want = _corner_test_rows(_window_rows(g), threshold)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        for (p, q), g in zip([(0, 0), (0, 1), (1, 0), (1, 1)], grids[1:]):
+            got = ms._window_test(g, threshold)
+            want = _corner_test_rows(rows, threshold)
+            assert got[0][p, q].tobytes() == want[0].tobytes()
+            assert got[1][p, q].tobytes() == want[1].tobytes()
+
+
+def test_window_test_on_point_grid():
+    # a base-resolution grid of log values, holed with NaN and +-inf
+    rng = np.random.default_rng(7)
+    g = rng.normal(0.0, 3.0, (33, 33))
+    pick = rng.random(g.shape)
+    g[pick < 0.1] = np.nan
+    g[(pick >= 0.1) & (pick < 0.15)] = np.inf
+    g[(pick >= 0.15) & (pick < 0.2)] = -np.inf
+    for threshold in (1e-3, 0.5, 4.0):
+        got = ms._window_test(g, threshold)
+        want = _corner_test_rows(_window_rows(g), threshold)
+        assert got[0].shape == (32, 32)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_subcell_corners_match_cell_corners():
+    # the subcells _subcells picks, their edges and corner rows, against the
+    # (N, 3, 3) block engine: stacked corners per subcell 4i + 2p + q, masked,
+    # then the stable widest-first cap
     rng = np.random.default_rng(11)
-    blocks = rng.normal(size=(300, 3, 3))
-    sub = rng.choice(4 * 300, 500, replace=False)
-    assert ms._subcell_corners(blocks, sub).tobytes() == \
-        ms._cell_corners(blocks)[:, sub].tobytes()
+    m = 1500
+    blocks = rng.normal(size=(m, 3, 3))
+    hot = rng.random((m, 3, 3)) < 0.2
+    a = rng.normal(size=m)
+    b = a + rng.choice([0.5, 1.0, 2.0], m)
+    c = rng.normal(size=m)
+    d = c + 1.0
+    mx, my = (a + b) / 2, (c + d) / 2
+    threshold, floor = 0.5, -1.0
+    corners = np.stack([blocks[:, p:p + 2, q:q + 2].reshape(-1, 4)
+                        for p in (0, 1) for q in (0, 1)], axis=1).reshape(-1, 4)
+    hotc = np.stack([hot[:, p:p + 2, q:q + 2].reshape(-1, 4)
+                     for p in (0, 1) for q in (0, 1)], axis=1).reshape(-1, 4)
+    refine, top = _corner_test_rows(corners, threshold)
+    refine &= top > floor
+    sub = [np.stack(e, axis=1).ravel()[refine] for e in
+           ((a, a, mx, mx), (mx, mx, b, b), (c, my, c, my), (my, d, my, d))]
+    keep = np.argsort(-(sub[1] - sub[0]), kind="stable")[:4096]
+    assert 4096 < refine.sum() and np.unique(sub[1] - sub[0]).size > 1
+    xe, ye, lpc, hotg = ms._subcells(ms._edges(a, b), ms._edges(c, d),
+                                     blocks.reshape(m, 9).T.copy(),
+                                     hot.reshape(m, 9).T.copy(), threshold, floor)
+    for got, want in zip((xe[0], xe[2], ye[0], ye[2]), sub):
+        assert got.tobytes() == want[keep].tobytes()
+    assert lpc.tobytes() == corners[refine][keep].T.tobytes()
+    assert hotg.tobytes() == hotc[refine][keep].T.tobytes()
 
 
 def _kernel_points(monkeypatch):
@@ -535,6 +605,18 @@ def test_mu_sup_evaluates_each_block_point_once(monkeypatch):
     assert got.evaluations == want.evaluations
     assert all(_PIN_DISK.contains(xs, ys).all() for xs, ys in calls)
     assert [xs.size for xs, _ in calls] == [k for k in inside if k]
+
+
+def test_mu_sup_heap_peak():
+    # while the kernel runs, a pass holds its cells' edges and corners and its
+    # new points in U, not the blocks and subcell indices of the pass before
+    tracemalloc.start()
+    try:
+        ms.mu_sup(EXP, _PIN_DISK, 4, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_area_evaluates_each_midpoint_once(monkeypatch):
