@@ -153,7 +153,7 @@ class MuSupResult:
 # none does; spherical_area: 2 child midpoints) and decides every cell with array
 # operations, keeping cells in order.  mu_sup holds x and y edges with midpoints
 # as (3, N) arrays and 3x3 blocks as (9, N): block position (x outer) on the rows,
-# cells along the contiguous axis; _ROWS puts 4 corners and 5 new points in place.
+# cells along the contiguous axis; row r is row _ROWS[r] of 4 corners over 5 new points.
 _ROWS = [0, 4, 1, 5, 6, 7, 2, 8, 3]
 
 

@@ -502,25 +502,23 @@ def _window_rows(g):
 
 def test_corner_test_columns_match_rows():
     rows = _seeded_corner_rows()
-    # the rows as (2, 2, N) point grids, and as subcell (p, q) of (3, 3, N)
-    # blocks whose other points come from the rows shifted by one
-    grids = [rows.T.reshape(2, 2, -1)]
+    cells = rows.T.reshape(2, 2, -1)  # the rows as (2, 2, N) point grids
+    # and as subcell (p, q) of (3, 3, N) blocks whose other points are the rows shifted by one
+    placed = {}
     for p in (0, 1):
         for q in (0, 1):
-            blocks = np.roll(rows, 1, axis=0).T.reshape(2, 2, -1)
-            blocks = np.concatenate([blocks, blocks[:1]], axis=0)
-            blocks = np.concatenate([blocks, blocks[:, :1]], axis=1)
-            blocks[p:p + 2, q:q + 2] = rows.T.reshape(2, 2, -1)
-            grids.append(blocks)
+            blocks = np.pad(np.roll(cells, 1, axis=-1), ((0, 1), (0, 1), (0, 0)), mode="wrap")
+            blocks[p:p + 2, q:q + 2] = cells
+            placed[p, q] = blocks
     for threshold in (1e-3, 0.5, 4.0):
-        for g in grids:
+        for g in [cells, *placed.values()]:
             got = ms._window_test(g, threshold)
             want = _corner_test_rows(_window_rows(g), threshold)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
-        for (p, q), g in zip([(0, 0), (0, 1), (1, 0), (1, 1)], grids[1:]):
+        want = _corner_test_rows(rows, threshold)
+        for (p, q), g in placed.items():
             got = ms._window_test(g, threshold)
-            want = _corner_test_rows(rows, threshold)
             assert got[0][p, q].tobytes() == want[0].tobytes()
             assert got[1][p, q].tobytes() == want[1].tobytes()
 
