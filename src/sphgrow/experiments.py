@@ -222,6 +222,8 @@ def _vacuous_notes(rows, m: int) -> list:
 def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
                          seed: int = 0, grid: ms.GridSpec = None) -> ExperimentReport:
     """Probe for unbounded per-iterate growth of (1/n) log mu(U, f^n)."""
+    if starts < 0:
+        raise ValueError(f"starts={starts} must be >= 0")
     grid = grid or ms.GridSpec()
     notes = ["evidence-grade probe: density of chi = infinity points is "
              "not falsifiable at finite horizon"]

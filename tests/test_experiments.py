@@ -1,10 +1,16 @@
 """Experiment harness: verdicts, report serialization, determinism, render
 output, and the CLI entry point."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import pathlib
+import re
+import subprocess
+import sys
+import tomllib
 
 import numpy as np
 import pytest
@@ -352,6 +358,18 @@ def test_thm4_scan_rejects_negative_starts():
         ex.run_thm4_scan(fx.MittagLeffler(1.0, 0.1), N=25, starts=-1)
 
 
+def test_thm1_scan_rejects_negative_starts(tmp_path):
+    # before, a negative count ran the scan and reported it with no starts
+    U = ms.Region.disk(complex(0.318, 1.337), 0.5)
+    with pytest.raises(ValueError, match="^starts=-3 must be >= 0$"):
+        ex.run_thm1_growth_scan(EXP, U, N=5, starts=-3, grid=FAST_GRID)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thm1scan": {"starts": -3}}))
+    with pytest.raises(ValueError, match="^starts=-3 must be >= 0$"):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm1scan"])
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_thm1_scan_signature():
     U = ms.Region.disk(complex(0.318, 1.337), 0.5)
     rep = ex.run_thm1_growth_scan(EXP, U, N=5, starts=5, seed=0, grid=FAST_GRID)
@@ -605,3 +623,132 @@ def test_cli_null_section_reads_as_empty(tmp_path):
     cfg.write_text(json.dumps({"classical": None}))
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "classical"]) == 0
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value, rule", [
+    ("thm7", "R", "abc", "a number"),
+    ("thm7", "m", True, "an integer"),
+    ("thm7", "n_max", 4.0, "an integer"),
+    ("thm56", "R_lower", True, "a number"),
+    ("thm56", "R_upper", "5", "a number"),
+    ("thm56", "m", 2.0, "an integer"),
+    ("thm1scan", "N", "5", "an integer"),
+    ("thm1scan", "starts", False, "an integer"),
+    ("thm1scan", "starts", 20.0, "an integer"),
+    ("thm3", "x0", "26", "a number"),
+    ("thm3", "lambda", False, "a number"),
+    ("thm3", "precision_bits", 256.0, "an integer"),
+    ("thm4scan", "alpha", True, "a number"),
+    ("thm4scan", "eta", "0.1", "a number or null"),
+    ("thm4scan", "starts", 1000.0, "an integer"),
+    ("classical", "samples", "many", "an integer"),
+    ("classical", "samples", True, "an integer"),
+    ("classical", "samples", 600.0, "an integer"),
+    ("render", "R", "5", "a number"),
+    ("render", "l_max", True, "an integer"),
+    ("render", "n_max", 12.0, "an integer"),
+    ("render", "resolution", "big", "an integer or [w, h]"),
+    ("render", "resolution", [64], "an integer or [w, h]"),
+    ("render", "resolution", [64, True], "an integer or [w, h]"),
+])
+def test_cli_rejects_mistyped_values(tmp_path, section, key, value, rule):
+    # a value takes its default's type; before, "abc" for thm7.R ended in a
+    # bare TypeError, true for thm7.m ran as m = 1, and 256.0 for
+    # thm3.precision_bits ran
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    message = f"^{section}.{key} must be {re.escape(rule)}, not {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), section])
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub, n_range", [("thm7", [1, True]), ("thm56", [True]),
+                                          ("thm7", 2), ("thm56", "12")])
+def test_cli_rejects_mistyped_n_range(tmp_path, sub, n_range):
+    # a bool is no n, and a number or a string no list
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({sub: {"n_range": n_range}}))
+    with pytest.raises(ValueError, match=f"^{sub}.n_range must be a non-empty list of integers$"):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), sub])
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_null_n_range_reads_as_n_min_n_max(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thm7": {"n_range": None, "n_max": 2,
+                                        "grid": {"rel_tol": 0.01}}}))
+    cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm7"])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["parameters"]["n_range"] == [1, 2]
+
+
+def test_cli_null_eta_is_chosen_from_alpha(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thm4scan": {"eta": None, "N": 5, "starts": 10}}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm4scan"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["function"]["eta"] == fx.choose_eta(1.0)
+
+
+@pytest.mark.parametrize("section, key", [("thm7", "R"), ("thm56", "R_lower"),
+                                          ("render", "R")])
+def test_cli_names_a_non_escalating_radius(tmp_path, section, key):
+    # M(5) = cosh sqrt 5 < 5, so no tower table starts from R = 5; before,
+    # this ended in a bare NonEscalatingError traceback
+    window = {"kind": "rectangle", "center": [10.0, 0.0], "half_width": 1.0,
+              "half_height": 1.0}
+    given = ({"window": window, "resolution": 4} if section == "render" else
+             {"region": {"kind": "disk", "center": [10.0, 0.0], "radius": 0.5}})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": {"variant": "cosh_sqrt"}, section: given}))
+    with pytest.raises(ValueError, match=rf"^{section}\.{key}: M\(R,f\) <= R at R=5\.0"):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), section])
+    assert not (tmp_path / "report.json").exists()
+
+
+def _sphgrow(args, tmp_path):
+    """The sphgrow command in a fresh interpreter, as a shell would run it."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "sphgrow.cli", "--out", str(tmp_path), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_console_exit_codes(tmp_path):
+    # a rejected input exits 2 with one line on stderr; 1 stays a Fail verdict
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thm7": {"bogus": 1}}))
+    done = _sphgrow(["--config", str(cfg), "thm7"], tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == "sphgrow: unknown config keys: thm7.bogus\n"
+    assert not (tmp_path / "report.json").exists()
+    # criterion 5's thm7 config: a certified violation at m = 2
+    cfg.write_text(json.dumps({"thm7": {
+        "region": {"kind": "disk", "center": [0.318, 1.337], "radius": 0.5}, "R": 5.0,
+        "m": 2, "n_min": 1, "n_max": 4, "grid": {"max_refinements": 24}}}))
+    done = _sphgrow(["--config", str(cfg), "thm7"], tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "Fail"
+
+
+def test_console_is_the_installed_command():
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"sphgrow": "sphgrow.cli:console"}
+
+
+def test_cli_docstring_schema_matches_sections():
+    # the schema a user reads is the table the CLI reads: the same sections,
+    # keys, order and defaults, each default of the same JSON type
+    doc = cli.__doc__
+    block = doc[doc.index("\n{\n") + 1:doc.index("\n}\n") + 2]
+    schema = json.loads(re.sub(r"\b(REGION|GRID)\b", "null", block))
+    assert schema.pop("function") == cli.DEFAULT_FUNCTION
+    table = {name: {key: None if isinstance(default, dict) else default
+                    for key, default in section.items()}
+             for name, section in cli.SECTIONS.items()}
+    assert json.dumps(schema) == json.dumps(table)
+    grid = json.loads(re.search(r"^GRID: +(\{.*\})$", doc, re.M).group(1))
+    assert grid == dataclasses.asdict(cli._grid({}, "thm7"))
