@@ -215,9 +215,10 @@ def main(argv=None) -> int:
             rows=[], verdict=ex.PASS, tolerances={})
 
     os.makedirs(args.out, exist_ok=True)
-    for name, text in (("report.json", report.to_json()), ("rows.csv", report.rows_csv())):
-        with open(os.path.join(args.out, name), "wb") as fh:
-            fh.write(text.encode("utf-8"))
+    with open(os.path.join(args.out, "report.json"), "wb") as fh:
+        fh.write(report.to_json().encode("utf-8"))
+    with open(os.path.join(args.out, "rows.csv"), "wb") as fh:
+        fh.write(report.rows_csv().encode("utf-8"))
     print(f"{report.experiment_id}: {report.verdict} (report.json, rows.csv in {args.out})")
     return 0 if report.verdict != ex.FAIL else 1
 
