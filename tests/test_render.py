@@ -34,6 +34,30 @@ def test_default_render_ppm_pinned(tmp_path):
     assert stats["fast_members"] == 25672
 
 
+@pytest.mark.parametrize("f, window, R, l_max, n_max, resolution", [
+    # 700 x 97 = 67,900 pixels: two blocks of 46 rows and a last one of 5
+    (fx.ExpAffine(1.0), ms.Region.rectangle(1.0 + 0j, 3.0, 3.0), 5.0, 3, 12, [700, 97]),
+    # 331 x 100 = 33,100 pixels: a block of 98 rows and one of 2 (the
+    # polynomial takes dynamics.orbit_table's scalar steps, hence the size)
+    (fx.Polynomial((-1, 0, 1)), ms.Region.rectangle(0j, 2.0, 1.5), 2.0, 1, 3, [331, 100]),
+], ids=["exp", "poly"])
+def test_render_matches_unblocked_reference(tmp_path, f, window, R, l_max, n_max, resolution):
+    # the image and stats are those of the rules run on every pixel at once
+    out = tmp_path / "img.ppm"
+    stats = rd.render_escape(f, window, resolution, R, l_max, n_max, str(out))
+    width, height = resolution
+    x0, x1, y0, y1 = window.bounds()
+    X, Y = np.meshgrid(np.linspace(x0, x1, width), np.linspace(y1, y0, height), indexing="xy")
+    escape_step, fast = rd._escape_and_fast(f, X.ravel(), Y.ravel(), R, l_max, n_max)
+    rgb = rd._colorize(escape_step, fast, n_max)
+    assert out.read_bytes() == f"P6\n{width} {height}\n255\n".encode("ascii") + rgb.tobytes()
+    escaped, members = int((escape_step >= 0).sum()), int(fast.sum())
+    assert stats == {"path": str(out), "pixels": width * height, "escaped": escaped,
+                     "fast_members": members, "bounded": width * height - escaped,
+                     "fast_fraction": members / (width * height)}
+    assert 0 < members < escaped < width * height
+
+
 def _oracle_member(log_mags, table, l_max, n_max) -> bool:
     """log_mags: log|z_k| for the known part of the orbit (-inf for z_k = 0)."""
     avail = len(log_mags)
