@@ -1,10 +1,13 @@
 """Escape-time rendering with fast-escaping overlay, written as binary PPM.
 
 Pixels are colored by first-escape index; on top of that each pixel is
-classified with the fast-escape test.  Both rules read the orbits one step
-at a time, so the e^z render keeps no orbit table and its memory does not
-grow with n_max.  Array comparisons in doubles decide almost every entry;
-only near-ties and levels past double range pay for a tower comparison.
+classified with the fast-escape test.  The image is computed and written a
+fixed block of whole rows at a time, and both rules read a block's orbits
+one step at a time, so the e^z render keeps no orbit table and its memory
+grows with neither the resolution nor n_max.  Every rule is per pixel, so
+the blocks give the bytes of one pass over all pixels.  Array comparisons
+in doubles decide almost every entry; only near-ties and levels past double
+range pay for a tower comparison.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from . import measures as ms
 from .towers import TowerReal
 
 MAX_RESOLUTION = 8192
+# pixels in one block of whole rows, the unit the image is computed and
+# written in: at least 4 rows, since a row holds at most MAX_RESOLUTION
+_BLOCK_PIXELS = 1 << 15
 # relative gap below which a float comparison is left to tower arithmetic
 _TIE_REL = 1e-12
 
@@ -38,30 +44,32 @@ def render_escape(f, window: ms.Region, resolution, R: float,
     x0, x1, y0, y1 = window.bounds()
     xs = np.linspace(x0, x1, width) if width > 1 else np.array([window.center.real])
     ys = np.linspace(y1, y0, height) if height > 1 else np.array([window.center.imag])
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    flat_x = X.ravel()
-    flat_y = Y.ravel()
-
-    escape_step, fast = _escape_and_fast(f, flat_x, flat_y, R, l_max, n_max)
-
-    rgb = _colorize(escape_step, fast, n_max).reshape(height, width, 3)
+    table = fx.iterated_max_modulus(f, R, n_max)
+    rows = _BLOCK_PIXELS // width
+    escaped = members = 0
     with open(out_path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+        for r0 in range(0, height, rows):
+            X, Y = np.meshgrid(xs, ys[r0:r0 + rows], indexing="xy")
+            escape_step, fast = _escape_and_fast(f, X.ravel(), Y.ravel(), R, l_max, n_max,
+                                                 table)
+            fh.write(_colorize(escape_step, fast, n_max).tobytes())
+            escaped += int((escape_step >= 0).sum())
+            members += int(fast.sum())
 
-    total = flat_x.size
-    escaped = int((escape_step >= 0).sum())
-    members = int(fast.sum())
+    total = width * height
     return {"path": out_path, "pixels": total,
             "escaped": escaped, "fast_members": members,
             "bounded": total - escaped,
             "fast_fraction": members / total}
 
 
-def _escape_and_fast(f, xs, ys, R, l_max, n_max):
-    """Escape steps and fast mask, the orbits fed to the rules a step at a time."""
-    rules = _StepRules(xs.size, math.log(max(R, 10.0)),
-                       fx.iterated_max_modulus(f, R, n_max), l_max)
+def _escape_and_fast(f, xs, ys, R, l_max, n_max, table=None):
+    """Escape steps and fast mask, the orbits fed to the rules a step at a
+    time; table is iterated_max_modulus(f, R, n_max), built when not given."""
+    if table is None:
+        table = fx.iterated_max_modulus(f, R, n_max)
+    rules = _StepRules(xs.size, math.log(max(R, 10.0)), table, l_max)
     if not f.logmag_steps(xs, ys, n_max, rules.step):
         for col in dy.orbit_table(f, xs, ys, n_max).log_mag.T:
             rules.step(col)

@@ -191,12 +191,14 @@ def test_exp_render_runs_no_scalar_orbits(tmp_path, monkeypatch):
 def test_exp_render_steps_no_settled_pixel(tmp_path, monkeypatch):
     # once every l has started, a pixel that has escaped and left every run
     # takes no further step: at the 512^2 default the kernel hands the rules
-    # 1,448,604 rows over the 13 steps, not 2,494,724
-    rows = []
+    # 1,448,604 rows over the 13 steps of each block, not 2,494,724
+    calls = []
     kernel = kernels.expaffine_logmag_steps
 
     def counting(*args):
         *head, visit = args
+        rows = []
+        calls.append(rows)
 
         def counted(ll, live):
             rows.append(live.size)
@@ -207,8 +209,10 @@ def test_exp_render_steps_no_settled_pixel(tmp_path, monkeypatch):
     monkeypatch.setattr(kernels, "expaffine_logmag_steps", counting)
     stats = rd.render_escape(fx.ExpAffine(1.0), ms.Region.rectangle(1.0 + 0j, 3.0, 3.0),
                              512, 5.0, 3, 12, str(tmp_path / "img.ppm"))
-    assert stats["fast_members"] == 25672 and len(rows) == 13
-    assert sum(rows) <= 1_600_000
+    assert stats["fast_members"] == 25672
+    assert len(calls) == 512 * 512 // rd._BLOCK_PIXELS
+    assert all(len(rows) == 13 for rows in calls)
+    assert sum(map(sum, calls)) == 1_448_604
 
 
 def _render_peak_bytes(tmp_path, size, n_max):
@@ -232,6 +236,17 @@ def test_exp_render_memory_does_not_grow_with_n_max(tmp_path):
     peak_36 = _render_peak_bytes(tmp_path, 256, 36)
     assert peak_12 < (12 + 1) * m * 8
     assert peak_36 <= 1.1 * peak_12
+
+
+def test_exp_render_memory_does_not_grow_with_resolution(tmp_path):
+    # the image is computed and written a block of rows at a time: 16 times
+    # the pixels take no more memory, and the 512^2 default stays far below
+    # its 21.9 MB peak when every pixel's arrays were held at once
+    _render_peak_bytes(tmp_path, 8, 12)  # lazy set-up outside the measured calls
+    peak_256 = _render_peak_bytes(tmp_path, 256, 12)
+    peak_1024 = _render_peak_bytes(tmp_path, 1024, 12)
+    assert peak_1024 <= 1.1 * peak_256
+    assert _render_peak_bytes(tmp_path, 512, 12) < 6_000_000
 
 
 def _orbit_logmags_per_point(f, xs, ys, n_max, log_escape):
