@@ -147,7 +147,8 @@ def _resolve_region(given: dict, name: str, f) -> ms.Region:
     return ms.Region.disk(p.location, 0.5)
 
 
-def main(argv=None) -> int:
+def _parse_args(argv):
+    """The command line, parsed; the parser goes with this call's frame."""
     parser = argparse.ArgumentParser(
         prog="sphgrow", description="Numerical laboratory for spherical-derivative "
                                     "growth of entire functions under iteration.")
@@ -157,12 +158,19 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*SECTIONS, "specfun-check"):
         sub.add_parser(name)
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
 
     config = {}
     if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"--config: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError(f"config: expected a JSON object, not {config!r}")
     function = config.get("function", DEFAULT_FUNCTION)

@@ -2,6 +2,7 @@
 output, and the CLI entry point."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -730,6 +731,16 @@ def test_console_exit_codes(tmp_path):
     done = _sphgrow(["--config", str(cfg), "thm7"], tmp_path)
     assert done.returncode == 1, done.stderr
     assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "Fail"
+
+
+def test_console_config_file_not_read(tmp_path, capsys):
+    # a config file that cannot be opened is a rejected input: exit 2, one line
+    for path, code in ((tmp_path / "missing.json", errno.ENOENT), (tmp_path, errno.EISDIR)):
+        assert cli.console(["--config", str(path), "--out", str(tmp_path), "thm7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"sphgrow: --config: [Errno {code}] {os.strerror(code)}: '{path}'\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_console_is_the_installed_command():
