@@ -35,7 +35,8 @@ def test_default_render_ppm_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("f, window, R, l_max, n_max, resolution", [
-    # 700 x 97 = 67,900 pixels: two blocks of 46 rows and a last one of 5
+    # 700 x 97 = 67,900 pixels: at 2^15 pixels a block, two blocks of 46 rows
+    # and a last one of 5
     (fx.ExpAffine(1.0), ms.Region.rectangle(1.0 + 0j, 3.0, 3.0), 5.0, 3, 12, [700, 97]),
     # 331 x 100 = 33,100 pixels: a block of 98 rows and one of 2 (the
     # polynomial takes dynamics.orbit_table's scalar steps, hence the size)
@@ -241,7 +242,7 @@ def test_exp_render_memory_does_not_grow_with_n_max(tmp_path):
 def test_exp_render_memory_does_not_grow_with_resolution(tmp_path):
     # the image is computed and written a block of rows at a time: 16 times
     # the pixels take no more memory, and the 512^2 default stays far below
-    # its 21.9 MB peak when every pixel's arrays were held at once
+    # the 23 MB it took with every pixel's arrays held at once
     _render_peak_bytes(tmp_path, 8, 12)  # lazy set-up outside the measured calls
     peak_256 = _render_peak_bytes(tmp_path, 256, 12)
     peak_1024 = _render_peak_bytes(tmp_path, 1024, 12)
