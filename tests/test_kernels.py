@@ -424,6 +424,20 @@ def _poly_oracle_cases():
     ys = np.array([0.0, 1.0, 0.0, np.inf, -0.0, -0.0, -0.0, 0.2])
     for n in (1, 2):
         cases.append((f"signed-n{n}", xs, ys, n, (-0.0, complex(0.5, -0.0), complex(1.0, -0.0))))
+    # the coefficient patterns that Horner from the leading coefficient
+    # branches on: a complex and a real lead other than 1, a monic
+    # polynomial with c_(d-1) != 0, a sparse one and degree 1; from starts
+    # that stay bounded, escalate or die, and from the starts above
+    patterns = (("lead-complex", 4, (1, 0, 0, 0, 0, 2 - 1j)),
+                ("lead-real", 10, (0.3, 0.0, -1.5)),
+                ("monic-z2+z", 9, (0.0, 1.0, 1.0)),
+                ("sparse-z5+0.3", 4, (0.3, 0, 0, 0, 0, 1.0)),
+                ("degree-1", 520, (0.2 - 0.1j, 1.5 + 0.5j)),
+                ("degree-1-real", 3, (0.5, 2.0)))
+    rx, ry = _grid(6, m=360, lo=-1.3, hi=1.3)
+    for name, n, coeffs in patterns:
+        cases.append((name, rx, ry, n, coeffs))
+        cases.append((f"{name}-signed", xs, ys, 2, coeffs))
     cases.append(("empty", np.array([]), np.array([]), 5, square))
     return cases
 
