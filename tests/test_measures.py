@@ -480,6 +480,145 @@ def test_area_bit_identical_to_three_points(name):
         assert getattr(got, field) == getattr(want, field), field
 
 
+# The spherical_area engine as it was with stacked passes: a pass's points
+# and its children's edges sit in (N, 2) and (N, 3) arrays, every live
+# cell's children are gathered as 2-D rows, and the logs of both children
+# come from one call on stacked edges.  Same cells, same order, same bits.
+
+
+def _cell_logs_stacked(lp, inside, u0, u1, v0, v1, polar, rho, weight_r):
+    area = 0.5 * (u1 * u1 - u0 * u0) * (v1 - v0) if polar else (u1 - u0) * (v1 - v0)
+    logs = 2.0 * lp + np.log(area) - math.log(math.pi)
+    if weight_r is not None:
+        logs += np.log(np.log(weight_r / rho))
+    return np.where(inside, logs, -np.inf)
+
+
+def _area_stacked(f, U, n, grid, sectors, weight_r):
+    res = grid.base_resolution
+    polar = U.kind == "disk"
+    if polar:
+        us = U.radius * np.sqrt(np.linspace(0.0, 1.0, res + 1))
+        vs = np.linspace(0.0, 2.0 * math.pi, sectors + 1)
+    else:
+        x0, x1, y0, y1 = U.bounds()
+        us, vs = np.linspace(x0, x1, res + 1), np.linspace(y0, y1, sectors + 1)
+    u0, v0 = (a.ravel() for a in np.meshgrid(us[:-1], vs[:-1], indexing="ij"))
+    u1, v1 = (a.ravel() for a in np.meshgrid(us[1:], vs[1:], indexing="ij"))
+    depth = np.zeros(u0.size, dtype=np.int64)
+    log_tol = math.log(grid.rel_tol)
+    total_logs, err_logs = [], []
+    overflow_cells = n_cells = refinements = 0
+    running_max = -math.inf
+    force_bank = False
+    logc = None
+    while u0.size:
+        um = 0.5 * (u0 + u1)
+        vm = 0.5 * (v0 + v1)
+        along_u = u1 - u0 >= (um * (v1 - v0) if polar else v1 - v0)
+        mu = np.stack([np.where(along_u, 0.5 * (u0 + um), um),
+                       np.where(along_u, 0.5 * (um + u1), um)], axis=1)
+        mv = np.stack([np.where(along_u, vm, 0.5 * (v0 + vm)),
+                       np.where(along_u, vm, 0.5 * (vm + v1))], axis=1)
+        if logc is None:
+            mu, mv = np.column_stack([um, mu]), np.column_stack([vm, mv])
+        if polar:
+            xs = U.center.real + mu * np.cos(mv)
+            ys = U.center.imag + mu * np.sin(mv)
+        else:
+            xs, ys = mu, mv
+        inside = U.contains(xs, ys)
+        lp = ms.logphi_batch(f, xs.ravel(), ys.ravel(), n)[0].reshape(mu.shape)
+        kids = (np.stack([u0, np.where(along_u, um, u0)], axis=1),
+                np.stack([np.where(along_u, um, u1), u1], axis=1),
+                np.stack([v0, np.where(along_u, v0, vm)], axis=1),
+                np.stack([np.where(along_u, v1, vm), v1], axis=1))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if logc is None:
+                logc = _cell_logs_stacked(lp[:, 0], inside[:, 0], u0, u1, v0, v1, polar,
+                                          um, weight_r)
+            kid_logs = _cell_logs_stacked(lp[:, -2:], inside[:, -2:], *kids, polar,
+                                          mu[:, -2:], weight_r)
+            l0, l1 = kid_logs.T
+            top = np.where((l0 == -np.inf) | (l1 > l0), l1, l0)
+            logf = np.where(np.isfinite(top),
+                            top + np.log(np.exp(l0 - top) + np.exp(l1 - top)), top)
+            empty = (logc == -np.inf) & (logf == -np.inf)
+            bad = ~empty & (np.isnan(logc) | np.isnan(logf))
+            live = np.flatnonzero(~empty & ~bad)
+            logc, logf, dep = logc[live], logf[live], depth[live]
+            hi = np.maximum(logf, logc)
+            diff = np.where(logf == logc, -np.inf,
+                            hi + np.log1p(-np.exp(np.minimum(logf, logc) - hi)))
+            run = np.maximum.accumulate(np.concatenate(([running_max], logf)))
+            running_max = float(run[-1])
+            run = run[1:]
+            done = (force_bank
+                    | (logf < run - 45.0)
+                    | (diff - logf <= log_tol)
+                    | (diff < run + log_tol - 9.2)
+                    | (dep >= grid.max_refinements))
+            fc = logc[done] - logf[done]
+            total_logs.append(np.where(fc > math.log(4.0) - 1e-12, logf[done],
+                                       logf[done] + np.log((4.0 - np.exp(fc)) / 3.0)))
+            err_logs.append(diff[done] - math.log(3.0))
+        overflow_cells += int(bad.sum())
+        n_cells += int(empty.sum()) + int(bad.sum()) + int(done.sum())
+        grow = ~done
+        if grow.any():
+            refinements = max(refinements, int(dep[grow].max()) + 1)
+        u0, u1, v0, v1 = (k[live[grow]].ravel() for k in kids)
+        depth = np.repeat(dep[grow] + 1, 2)
+        logc = kid_logs[live[grow]].ravel()
+        force_bank = u0.size > 200_000
+    log_value = ms._logsumexp(np.concatenate(total_logs))
+    log_err = ms._logsumexp(np.concatenate(err_logs))
+    unconverged = (log_err != -math.inf and log_value != -math.inf
+                   and log_err > math.log(10.0 * grid.rel_tol) + log_value)
+    value = math.exp(log_value) if log_value < 700.0 else math.inf
+    return ms.AreaResult(value=value, log_value=log_value, log_error=log_err,
+                         unconverged=unconverged or overflow_cells > 0,
+                         cells=n_cells, refinements=refinements,
+                         overflow_cells=overflow_cells)
+
+
+_T0_GRID = ms.GridSpec(rel_tol=1e-2)  # the characteristic sandwich's grid
+_DEEP_RECT = ms.Region.rectangle(1.0, 0.25, 0.25)
+_ORACLE_STACKED = {  # name: (f, U, n, grid, sectors, weight_r); sectors None: base_resolution
+    "deep-disk-1e6": (SQUARE, ms.Region.disk(0j, 1e6), 1, GRID, None, None),
+    **{f"deep-rect-n{n}": (SQUARE, _DEEP_RECT, n, GRID, None, None) for n in range(6, 11)},
+    **{f"T0-r{r:.4g}": (EXP, ms.Region.disk(0j, r), 1, _T0_GRID, 4 * _T0_GRID.base_resolution, r)
+       for r in (1.0, math.e, 100.0)},
+    **{f"exp-crit5-n{n}": (EXP, _PIN_DISK, n, GRID, None, None) for n in range(1, 5)},
+    "poly-disk-n6": (*_PIN_CASES["poly-disk"][:4], None, None),
+    "ml075-no-kernel": (fx.MittagLeffler(0.75), ms.Region.disk(0.5 + 0j, 2.0), 3, _SMALL_GRID,
+                        None, None),
+    "exp-overflow": (*_PIN_CASES["exp-overflow"][:4], None, None),
+    "exp-rounds2": (EXP, _PIN_DISK, 3, ms.GridSpec(max_refinements=2), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_STACKED))
+def test_area_bit_identical_to_stacked_passes(name):
+    f, U, n, grid, sectors, weight_r = _ORACLE_STACKED[name]
+    want = _area_stacked(f, U, n, grid, sectors or grid.base_resolution, weight_r)
+    if weight_r is None:
+        got = ms.spherical_area(f, U, n, grid)
+    else:
+        got = ms._area(f, U, n, grid, sectors, weight_r)
+        assert ms.ahlfors_shimizu_T0(f, weight_r, grid) == (want.value, want.unconverged)
+    for field in ("value", "log_value", "log_error"):
+        assert getattr(got, field).hex() == getattr(want, field).hex(), field
+    for field in ("unconverged", "cells", "refinements", "overflow_cells"):
+        assert getattr(got, field) == getattr(want, field), field
+    # the cases reach overflow cells, the refinement cap and the orbit table
+    assert (want.overflow_cells > 0) == (name == "exp-overflow")
+    if name == "exp-rounds2":  # 6 refinements without the cap
+        assert want.refinements == grid.max_refinements == 2
+    if name == "ml075-no-kernel":
+        assert f.logphi(np.zeros(1), np.zeros(1), n) is None
+
+
 def _seeded_corner_rows():
     """(4000, 4) corner rows: NaN, +-inf, every corner missing and no spread."""
     rng = np.random.default_rng(5)
