@@ -129,6 +129,32 @@ def _escalate_log(d: int) -> float:
     return min(_POLAR_ESCALATE, max(690.0 / d - 10.0, 40.0 / d))
 
 
+def _horner(z, coeffs, out):
+    """p(z) into out, coeffs highest first, by Horner from the leading
+    coefficient c: the first product is z itself when c = 1, z times the
+    real c when c is real, else c filled into out times z (the array x array
+    product, as a scalar c may round differently), and a zero coefficient
+    gets no add.  A constant is 0 * z + c, NaN where z is."""
+    lead, *rest = coeffs
+    if not rest:
+        np.add(np.multiply(0.0, z, out=out), lead, out=out)
+        return
+    if lead == 1.0:
+        acc = z
+    elif lead.imag == 0.0:
+        acc = np.multiply(z, lead.real, out=out)
+    else:
+        out.fill(lead)
+        acc = np.multiply(out, z, out=out)
+    for j, c in enumerate(rest):
+        if j:
+            acc = np.multiply(acc, z, out=out)
+        if c != 0.0:
+            acc = np.add(acc, c, out=out)
+    if acc is z:  # p(z) = z
+        np.copyto(out, z)
+
+
 def poly_logphi(x0, y0, n: int, coefficients):
     """Same outputs for a polynomial given by its coefficient list.
 
@@ -142,7 +168,8 @@ def poly_logphi(x0, y0, n: int, coefficients):
     d = coeffs.shape[0] - 1
     loglead = math.log(abs(coeffs[d]))
     logd_lead = math.log(float(d)) + loglead
-    dcoeffs = [j * coeffs[j] for j in range(d, 0, -1)]  # p'(z) by Horner
+    pcoeffs = coeffs[::-1]  # p and p', highest first
+    dcoeffs = [j * coeffs[j] for j in range(d, 0, -1)]
     esc_log = _escalate_log(d)
     # |z| <= near means log|z| <= esc_log, whatever the last bits of log
     near = math.exp(esc_log) * (1.0 - 1e-9)
@@ -163,9 +190,14 @@ def poly_logphi(x0, y0, n: int, coefficients):
         # rectangular rows (None: all of them), z_k, s and |z_k|
         rows, z, sr, mag = None, x0 + 1j * y0, np.zeros(m), np.empty(m)
         dv, zn = np.empty_like(z), np.empty_like(z)
-        zero = np.complex128(0.0)
         # a bound on |z_k| over the rectangular rows (NaN: none known)
         r = float(np.abs(z).max()) if m else 0.0
+        if not math.isfinite(r):
+            # starts off the finite plane: Horner from 0 * z made these rows
+            # NaN at their first product; start them there, so the NaNs that
+            # leave them keep their bytes
+            off = ~np.isfinite(z)
+            z[off] = np.multiply(np.complex128(0.0), z[off])
         # log-polar rows, their s and log|z_k|
         prows, ps, pl = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
         for _ in range(n):
@@ -181,16 +213,8 @@ def poly_logphi(x0, y0, n: int, coefficients):
                     prows, ps, pl = prows[keep], ps[keep], pl[keep]
             if not z.size:
                 continue
-            # p'(z) and p(z) by Horner, both from 0 * z
-            np.multiply(zero, z, out=zn)
-            np.add(zn, dcoeffs[0], out=dv)
-            for c in dcoeffs[1:]:
-                np.multiply(dv, z, out=dv)
-                np.add(dv, c, out=dv)
-            np.add(zn, coeffs[d], out=zn)
-            for j in range(d - 1, -1, -1):
-                np.multiply(zn, z, out=zn)
-                np.add(zn, coeffs[j], out=zn)
+            _horner(z, dcoeffs, dv)
+            _horner(z, pcoeffs, zn)
             np.abs(dv, out=mag)
             sr += np.log(mag, out=mag)
             z, zn = zn, z

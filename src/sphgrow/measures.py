@@ -313,6 +313,14 @@ def _cell_logs(lp, inside, u0, u1, v0, v1, polar: bool, rho, weight_r):
     return np.where(inside, logs, -np.inf)
 
 
+def _pairs(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows] and b[rows] interleaved: a[rows[0]], b[rows[0]], a[rows[1]], ..."""
+    out = np.empty(2 * rows.size, dtype=a.dtype)
+    out[0::2] = a[rows]
+    out[1::2] = b[rows]
+    return out
+
+
 def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaResult:
     """spherical_area on base_resolution x sectors base cells (sectors along
     theta for a disk, along y for a rectangle).  Unless weight_r is None (for
@@ -344,18 +352,21 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
     # iterative deepening: each pass integrates active cells at midpoint
     # and their 2 children; converged cells bank the Richardson value
     while u0.size:
+        m = u0.size
         um = 0.5 * (u0 + u1)
         vm = 0.5 * (v0 + v1)
         # bisect the longer side (radially or angularly for polar cells)
         along_u = u1 - u0 >= (um * (v1 - v0) if polar else v1 - v0)
-        # the midpoints of child 0 and child 1, and on the first pass the
-        # cell's own: after that it was a child's the pass before
-        mu = np.stack([np.where(along_u, 0.5 * (u0 + um), um),
-                       np.where(along_u, 0.5 * (um + u1), um)], axis=1)
-        mv = np.stack([np.where(along_u, vm, 0.5 * (v0 + vm)),
-                       np.where(along_u, vm, 0.5 * (vm + v1))], axis=1)
-        if logc is None:
-            mu, mv = np.column_stack([um, mu]), np.column_stack([vm, mv])
+        # the new midpoints in blocks: on the first pass the cells' own, then
+        # every child 0's, then every child 1's (after the first pass a cell's
+        # own midpoint was a child's the pass before)
+        own = m if logc is None else 0  # points ahead of the children's
+        mu = np.concatenate(([um] if own else [])
+                            + [np.where(along_u, 0.5 * (u0 + um), um),
+                               np.where(along_u, 0.5 * (um + u1), um)])
+        mv = np.concatenate(([vm] if own else [])
+                            + [np.where(along_u, vm, 0.5 * (v0 + vm)),
+                               np.where(along_u, vm, 0.5 * (vm + v1))])
         if polar:
             xs = U.center.real + mu * np.cos(mv)
             ys = U.center.imag + mu * np.sin(mv)
@@ -363,18 +374,18 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
             xs, ys = mu, mv
         inside = U.contains(xs, ys)
         del mv  # only the new points and their radii stay alive in the kernel
-        lp, _ = logphi_batch(f, xs.ravel(), ys.ravel(), n)
+        lp, _ = logphi_batch(f, xs, ys, n)
         del xs, ys
-        lp = lp.reshape(mu.shape)
-        kids = (np.stack([u0, np.where(along_u, um, u0)], axis=1),
-                np.stack([np.where(along_u, um, u1), u1], axis=1),
-                np.stack([v0, np.where(along_u, v0, vm)], axis=1),
-                np.stack([np.where(along_u, v1, vm), v1], axis=1))
+        k0, k1 = slice(own, own + m), slice(own + m, None)
+        # child 0 is [u0, cu1] x [v0, cv1], child 1 is [cu0, u1] x [cv0, v1]
+        cu0, cu1 = np.where(along_u, um, u0), np.where(along_u, um, u1)
+        cv0, cv1 = np.where(along_u, v0, vm), np.where(along_u, v1, vm)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if logc is None:
-                logc = _cell_logs(lp[:, 0], inside[:, 0], u0, u1, v0, v1, polar, um, weight_r)
-            kid_logs = _cell_logs(lp[:, -2:], inside[:, -2:], *kids, polar, mu[:, -2:], weight_r)
-            l0, l1 = kid_logs.T
+            if own:
+                logc = _cell_logs(lp[:m], inside[:m], u0, u1, v0, v1, polar, um, weight_r)
+            l0 = _cell_logs(lp[k0], inside[k0], u0, cu1, v0, cv1, polar, mu[k0], weight_r)
+            l1 = _cell_logs(lp[k1], inside[k1], cu0, u1, cv0, v1, polar, mu[k1], weight_r)
+            del lp, inside, mu, um, vm, along_u
             # logf = log(e^l0 + e^l1), the larger finite term factored out
             top = np.where((l0 == -np.inf) | (l1 > l0), l1, l0)
             logf = np.where(np.isfinite(top),
@@ -407,10 +418,15 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
         grow = ~done
         if grow.any():
             refinements = max(refinements, int(dep[grow].max()) + 1)
-        u0, u1, v0, v1 = (k[live[grow]].ravel() for k in kids)
+        # the growing cells' children, child 0 then child 1 of each, in cell order
+        rows = live[grow]
+        u0, u1, v0, v1, logc = (_pairs(a, b, rows) for a, b in (
+            (u0, cu0), (cu1, u1), (v0, cv0), (cv1, v1), (l0, l1)))
         depth = np.repeat(dep[grow] + 1, 2)
-        logc = kid_logs[live[grow]].ravel()
         force_bank = u0.size > 200_000  # runaway guard: bank everything next pass
+        # none of this pass's arrays is alive in the next kernel call
+        del cu0, cu1, cv0, cv1, l0, l1, top, logf, empty, bad, live, dep, hi, diff
+        del run, done, fc, grow, rows
 
     log_value = _logsumexp(np.concatenate(total_logs))
     log_err = _logsumexp(np.concatenate(err_logs))
