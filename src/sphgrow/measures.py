@@ -151,9 +151,13 @@ class MuSupResult:
 # one logphi_batch call on the points no earlier pass evaluated (mu_sup: those of
 # the 4 edge midpoints and the centre per cell that lie inside U, and no call when
 # none does; spherical_area: 2 child midpoints) and decides every cell with array
-# operations, keeping cells in order.  mu_sup holds x and y edges with midpoints
-# as (3, N) arrays and 3x3 blocks as (9, N): block position (x outer) on the rows,
-# cells along the contiguous axis; row r is row _ROWS[r] of 4 corners over 5 new points.
+# operations, keeping cells in order.  spherical_area's passes are flat 1-D
+# arrays: a pass's points go to the kernel in blocks (on the first pass the cells'
+# own midpoints, then every child 0's, then every child 1's), and the next pass's
+# cells are the growing cells' children, child 0 then child 1 of each.  mu_sup
+# holds x and y edges with midpoints as (3, N) arrays and 3x3 blocks as (9, N):
+# block position (x outer) on the rows, cells along the contiguous axis; row r is
+# row _ROWS[r] of 4 corners over 5 new points.
 _ROWS = [0, 4, 1, 5, 6, 7, 2, 8, 3]
 
 
@@ -353,8 +357,7 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
     # and their 2 children; converged cells bank the Richardson value
     while u0.size:
         m = u0.size
-        um = 0.5 * (u0 + u1)
-        vm = 0.5 * (v0 + v1)
+        um, vm = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
         # bisect the longer side (radially or angularly for polar cells)
         along_u = u1 - u0 >= (um * (v1 - v0) if polar else v1 - v0)
         # the new midpoints in blocks: on the first pass the cells' own, then
@@ -373,9 +376,11 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
         else:
             xs, ys = mu, mv
         inside = U.contains(xs, ys)
-        del mv  # only the new points and their radii stay alive in the kernel
+        # only the new points and their radii stay alive in the kernel
+        del mv, um, vm
         lp, _ = logphi_batch(f, xs, ys, n)
         del xs, ys
+        um, vm = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
         k0, k1 = slice(own, own + m), slice(own + m, None)
         # child 0 is [u0, cu1] x [v0, cv1], child 1 is [cu0, u1] x [cv0, v1]
         cu0, cu1 = np.where(along_u, um, u0), np.where(along_u, um, u1)
@@ -447,8 +452,8 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
 
 def nevanlinna_T(f, r: float) -> float:
     """(1/2pi) circle mean of log+ |f|; kink-splitting trapezoid rule."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    if not 0.0 < r < math.inf:  # NaN fails too
+        raise ValueError(f"r must be positive and finite, not {r}")
     logr = math.log(r)
     panels = 4096
 

@@ -175,6 +175,13 @@ def test_region_validation():
 _NAN, _INF = float("nan"), float("inf")
 
 
+@pytest.mark.parametrize("r", [_NAN, _INF, -_INF, 0.0, -1.0])
+def test_nevanlinna_T_rejects_r_by_name(r):
+    # NaN once bisected all 4,096 panels and returned nan; inf ended in OrbitOverflow
+    with pytest.raises(ValueError, match=f"^r must be positive and finite, not {r}$"):
+        ms.nevanlinna_T(EXP, r)
+
+
 @pytest.mark.parametrize("obj, message", [
     ({"kind": "disk", "center": [_NAN, 1.0], "radius": 0.5}, "disk center must be finite"),
     ({"kind": "disk", "center": [0.3, _INF], "radius": 0.5}, "disk center must be finite"),
@@ -740,6 +747,27 @@ def test_mu_sup_heap_peak():
     finally:
         tracemalloc.stop()
     assert peak < 3.5e6
+
+
+def _heap_peak(run):
+    run()  # caches filled before tracing
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_area_heap_peak():
+    # while the kernel runs, a pass holds its cells' edges, its new points
+    # and their radii, not its children's edges (formed after the kernel
+    # returns) nor any array of the pass before.  The stacked-pass engine
+    # peaked at 5.40 MB on the deep rectangle and 1.54 MB on T0(100).
+    deep = _heap_peak(lambda: ms.spherical_area(SQUARE, _DEEP_RECT, 10, GRID))
+    t0 = _heap_peak(lambda: ms.ahlfors_shimizu_T0(EXP, 100.0, _T0_GRID))
+    assert deep < 4.6e6
+    assert t0 <= 1.54e6
 
 
 def test_area_evaluates_each_midpoint_once(monkeypatch):
