@@ -8,11 +8,9 @@ that still need its step, with the floating-point ops of a full-width loop:
 `_exp_orbit` for lam e^z keeps no table (`expaffine_logphi` reads its last
 step, `expaffine_logmag_steps` gets each log|z_k| as it is formed), and
 `poly_logphi` steps the rectangular rows by Horner in place and the
-log-polar rows on log|z| alone.  Its Horner starts from the leading
-coefficient and skips zero coefficients, so z^2 takes 2 complex multiplies
-per step; next to Horner from 0 * z this drops only operations that change
-the signs of zeros, and only magnitudes leave the kernel, so its outputs
-keep their bits.
+log-polar rows on log|z| alone; its Horner starts from the leading
+coefficient and skips zero ones (z^2: 2 complex multiplies per step), with
+the output bits of Horner from 0 * z.
 
 Status codes: 0 = reached step n; 1 = orbit left double range earlier.
 """
@@ -167,12 +165,10 @@ def poly_logphi(x0, y0, n: int, coefficients):
     take leading-term steps.  The row sets change only when a row escalates
     (its first log-polar step is the next one) or dies.
 
-    p and p' are evaluated by Horner from the leading coefficient (see
-    _horner).  Horner from 0 * z, with a multiply by a leading 1 and an add
-    of every zero coefficient, gives the same values up to the signs of
-    zeros, which no magnitude sees, except where z is not finite: there
-    0 * z is NaN.  So rows that start off the finite plane start from 0 * z,
-    and a constant p' is 0 * z + c."""
+    Horner from 0 * z, with a multiply by a leading 1 and an add of every
+    zero coefficient, gives the values of _horner up to the signs of zeros,
+    which no magnitude sees, except where z is not finite and 0 * z is NaN:
+    so rows that start off the finite plane start from 0 * z."""
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     y0 = np.ascontiguousarray(y0, dtype=np.float64)
     coeffs = np.asarray(coefficients, dtype=np.complex128)
