@@ -148,9 +148,11 @@ def test_non_escalating_rejected():
 
 
 def test_growth_constant():
-    c = fx.growth_constant(1.0)
-    assert math.isclose(c, 1.05, rel_tol=1e-9)
-    assert fx.growth_constant(0.75) >= 1.05
+    # 1.05 x the sampled ratio max; E_1 = e^z has the ratio identically 1
+    assert math.isclose(fx.growth_constant(1.0), 1.05, rel_tol=1e-9)
+    for alpha, want in ((0.5, 2.6024105722517175), (0.75, 1.5004665524558058),
+                        (1.5, 0.8367863911693967), (2.0, 0.7424397189503502)):
+        assert math.isclose(fx.growth_constant(alpha), want, rel_tol=1e-12), alpha
 
 
 def test_choose_eta():
