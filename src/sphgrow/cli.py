@@ -30,8 +30,9 @@ REGION: {"kind": "disk", "center": [re, im], "radius": r}
      or {"kind": "rectangle", "center": [re, im],
          "half_width": w, "half_height": h}
 GRID:   {"base_resolution": 32, "max_refinements": 8, "rel_tol": 1e-3}
-An integer default asks for an integer; thm4scan.eta may also be null
-(chosen from alpha), and render.resolution [w, h].  Region centres and
+An integer default asks for an integer and a number default for a finite
+number; thm4scan.eta may also be null (chosen from alpha), and
+render.resolution [w, h].  Region centres and
 sizes must be finite, and sizes positive.  thm7 and thm56 take either
 "n_range" (a list of n, e.g. [1, 2]) or n_min/n_max, not both.  Without a
 region, thm7, thm56 and thm1scan use a disk of radius 0.5 around the fixed
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import numbers
 import os
 import sys
@@ -185,6 +187,8 @@ def main(argv=None) -> int:
             rule = _RULES.get(f"{name}.{key}") or _RULES.get(type(section[key]))
             if rule and not rule[1](value):
                 raise ValueError(f"{name}.{key} must be {rule[0]}, not {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):  # JSON's NaN, Infinity
+                raise ValueError(f"{name}.{key} must be a finite number, not {value!r}")
     cmd, seed, given = args.command, args.seed, config.get(args.command) or {}
     c = {**SECTIONS.get(cmd, {}), **given}
 

@@ -205,6 +205,8 @@ def test_thm3_rejects_bad_tier_a(tmp_path, key, value, message):
         ex.run_thm3(**args)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"thm3": {key: value}}))
+    if value == math.inf:  # the CLI rejects JSON's Infinity for any number key
+        message = f"^thm3.{key} must be a finite number, not inf$"
     with pytest.raises(ValueError, match=message):
         cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm3"])
     assert not (tmp_path / "report.json").exists()
@@ -650,11 +652,18 @@ def test_cli_null_section_reads_as_empty(tmp_path):
     ("render", "resolution", "big", "an integer or [w, h]"),
     ("render", "resolution", [64], "an integer or [w, h]"),
     ("render", "resolution", [64, True], "an integer or [w, h]"),
+    ("thm7", "R", math.nan, "a finite number"),
+    ("thm7", "R", math.inf, "a finite number"),
+    ("thm56", "R_upper", -math.inf, "a finite number"),
+    ("thm4scan", "alpha", math.nan, "a finite number"),
+    ("thm4scan", "eta", math.nan, "a finite number"),
+    ("render", "R", math.inf, "a finite number"),
 ])
 def test_cli_rejects_mistyped_values(tmp_path, section, key, value, rule):
     # a value takes its default's type; before, "abc" for thm7.R ended in a
     # bare TypeError, true for thm7.m ran as m = 1, and 256.0 for
-    # thm3.precision_bits ran
+    # thm3.precision_bits ran.  JSON's NaN and Infinity once passed as
+    # numbers and failed later with errors that named no key
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}))
     message = f"^{section}.{key} must be {re.escape(rule)}, not {re.escape(repr(value))}$"
