@@ -361,7 +361,8 @@ class MittagLeffler(Descriptor):
         return v
 
     def eval_arrays(self, x, y):
-        """Where ml_eval sums the series: rows with |z| <= switch_radius(alpha)."""
+        """Every row where ml_eval returns, so all but those where E_alpha
+        leaves double range."""
         rows, er, ei, dr, di = mittag.ml_eval_arrays(self.alpha, x, y)
         if self._log_scale != 0.0:
             # _checked's v *= self._scale, a complex * float product
@@ -487,55 +488,20 @@ def growth_constant(alpha: float) -> float:
         return 1.05  # E_1 = e^z: the ratio is identically 1
     rng = np.random.default_rng(_C_SEED)
     p = 1.0 / alpha
+    edge = alpha * math.pi / 2.0 + mittag.SECTOR_DELTA
     best = 0.0
     for _ in range(_C_SAMPLES // 50_000):
         r = np.exp(rng.uniform(0.0, math.log(1e4), 50_000))
         th = rng.uniform(-math.pi, math.pi, 50_000)
-        z = r * np.exp(1j * th)
-        best = max(best, _ratio_block_max(alpha, p, z))
-    return 1.05 * best
-
-
-def _ratio_block_max(alpha: float, p: float, z: np.ndarray) -> float:
-    """max |E'|/(|z|^(p-1)|E|) over the block, restricted to |E| >= 1."""
-    r = np.abs(z)
-    rs = mittag.switch_radius(alpha)
-    edge = alpha * math.pi / 2.0 + mittag.SECTOR_DELTA
-    out = np.zeros(z.shape)
-
-    small = r <= rs
-    if small.any():
-        e, de = mittag.ml_series_vec(alpha, z[small])
-        ok = np.abs(e) >= 1.0
-        vals = np.zeros(e.shape)
-        vals[ok] = np.abs(de[ok]) / (r[small][ok] ** (p - 1.0) * np.abs(e[ok]))
-        out[small] = vals
-
-    large = ~small
-    if large.any():
-        zl = z[large]
-        rl = r[large]
-        zp = np.exp(p * np.log(zl))
-        growth = np.abs(np.angle(zl)) <= edge
-        # deep growth zone: the ratio collapses to p exactly
-        deep = growth & (zp.real > 45.0)
-        vals = np.zeros(zl.shape)
-        vals[deep] = p
-        mid = ~deep
-        if mid.any():
-            t, dt = mittag.ml_tail_vec(alpha, zl[mid])
-            e = t.copy()
-            de = dt.copy()
-            g = growth[mid] & (zp[mid].real <= 45.0)
-            ez = np.exp(np.where(g, zp[mid], 0.0))
-            e = np.where(g, p * ez + t, e)
-            de = np.where(g, p * p * zl[mid] ** (p - 1.0) * ez + dt, de)
-            ok = np.abs(e) >= 1.0
-            mv = np.zeros(e.shape)
-            mv[ok] = np.abs(de[ok]) / (rl[mid][ok] ** (p - 1.0) * np.abs(e[ok]))
-            vals[mid] = mv
-        out[large] = vals
-    return float(out.max()) if out.size else 0.0
+        # deep in the growth sector, Re z^p > 45, the ratio is p to within e^-45
+        deep = (np.abs(th) <= edge) & (r ** p * np.cos(p * th) > 45.0)
+        r, th = r[~deep], th[~deep]
+        rows, er, ei, dr, di = mittag.ml_eval_arrays(alpha, r * np.cos(th), r * np.sin(th))
+        e = np.hypot(er, ei)
+        ok = e >= 1.0  # only |E| >= 1 is sampled
+        ratio = np.hypot(dr, di)[ok] / (r[rows[ok]] ** (p - 1.0) * e[ok])
+        best = max(best, p if deep.any() else 0.0, ratio.max(initial=0.0))
+    return 1.05 * float(best)
 
 
 # ---------------------------------------------------------------------------

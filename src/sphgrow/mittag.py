@@ -2,8 +2,8 @@
 
 `ml_eval(a, z)` gives (E_a(z), E_a'(z)) from one pass, each half with its own
 term recurrence and stopping rule; the last (a, z) is memoised.
-`ml_eval_arrays` gives the same bits over arrays of points in the series
-zone, with complex products written out on real arrays (`cmul`).
+`ml_eval_arrays` gives the same bits over arrays of points anywhere in the
+plane, with complex products written out on real arrays (`cmul`).
 
 Evaluation strategy: the power series in the zone where double-precision
 summation keeps full accuracy, and the sector expansion outside it.  With
@@ -13,8 +13,9 @@ p = 1/a the expansion is
 
 where the exponential term carries the growth sector |arg z| <= a*pi/2
 and decays (relatively) elsewhere; the algebraic tail gives the O(1/|z|)
-behaviour on the remaining sector.  a = 2 is handled through the identity
-E_2(z) = cosh(sqrt(z)), whose algebraic tail vanishes identically.
+behaviour on the remaining sector.  a = 1 and a = 2 are handled through
+E_1(z) = exp(z) and E_2(z) = cosh(sqrt(z)), whose algebraic tails vanish
+identically.
 
 The series/asymptotics switch radius is set by cancellation: the largest
 series term is ~exp(|z|^p) while the summed value can be O(1), so double
@@ -33,11 +34,9 @@ import numpy as np
 MAX_SERIES_TERMS = 2000
 _SERIES_STOP = 1e-18
 
-# growth sector half-angle is alpha*pi/2 + SECTOR_DELTA; inputs within
-# BOUNDARY_LAYER of that edge go back to the (extended) series, since the
-# expansion degrades near the sector boundary
+# past the switch radius the expansion keeps its exponential term where
+# |arg z| <= alpha*pi/2 + SECTOR_DELTA, and is the algebraic tail alone beyond
 SECTOR_DELTA = 0.05 * math.pi
-BOUNDARY_LAYER = 0.02 * math.pi
 
 # eps * max_term must stay below this for the series to be trusted
 _SERIES_TRUST = 1e-12
@@ -132,68 +131,54 @@ def cmul(ar, ai, br, bi) -> tuple:
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _series_sums(x, y, total, term, biggest, factor) -> tuple:
+def _row_sums(ks, state, step) -> np.ndarray:
+    """(Re, Im) of each row's sum where it stops: for k in ks, step(k, *state)
+    gives the next state, whose first two arrays are the running sum, and the
+    rows that stop there and leave the state."""
+    out = np.empty((2, state[0].size))
+    rows = np.arange(state[0].size)
+    for k in ks:
+        if not rows.size:
+            break
+        state, done = step(k, *state)
+        if np.any(done):
+            out[:, rows[done]] = state[0][done], state[1][done]
+            keep = ~done
+            rows, state = rows[keep], tuple(a[keep] for a in state)
+    out[:, rows] = state[:2]
+    return out
+
+
+def _series_sums(x, y, total, term, biggest, factor) -> np.ndarray:
     """Continue ml_series's sum from its n = 1 term over the points x + iy:
     term n is term n-1 times factor(n, x, y), and each point stops by the
     scalar rule (past n = 3, a term below _SERIES_STOP times the largest)."""
-    out_r, out_i = np.empty(x.shape), np.empty(x.shape)
-    rows = np.arange(x.shape[0])
-    (sr, si), (tr, ti) = total, term
-    for n in range(2, MAX_SERIES_TERMS):
-        if not rows.size:
-            break
+    def step(n, sr, si, tr, ti, biggest, x, y):
         tr, ti = cmul(tr, ti, *factor(n, x, y))
-        sr, si = sr + tr, si + ti
         mag = np.hypot(tr, ti)
-        grow = mag > biggest
-        biggest = np.where(grow, mag, biggest)
-        if n > 3:
-            done = ~grow & (mag < _SERIES_STOP * biggest)
-            if done.any():
-                out_r[rows[done]], out_i[rows[done]] = sr[done], si[done]
-                keep = ~done
-                rows, x, y, tr, ti, sr, si, biggest = (
-                    a[keep] for a in (rows, x, y, tr, ti, sr, si, biggest))
-    out_r[rows], out_i[rows] = sr, si
-    return out_r, out_i
+        biggest = np.fmax(biggest, mag)  # a NaN term leaves it, as in ml_series
+        # a term that just set biggest is not below _SERIES_STOP times it
+        return (sr + tr, si + ti, tr, ti, biggest, x, y), n > 3 and mag < _SERIES_STOP * biggest
+
+    return _row_sums(range(2, MAX_SERIES_TERMS), (*total, *term, biggest, x, y), step)
 
 
-def ml_eval_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> tuple:
-    """ml_eval at the points x + iy it sums by the series, bit for bit:
-    (rows, Re E, Im E, Re E', Im E') for the rows of x, y with |z| at most the
-    switch radius.  Both sums follow ml_series term for term, in the real and
-    imaginary arrays of cmul; np.hypot is abs(complex)."""
-    x, y = x + 0.0, y + 0.0  # as ml_eval reads z
-    rows = np.flatnonzero(np.hypot(x, y) <= switch_radius(alpha))
-    x, y = x[rows], y[rows]
+def _series_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> tuple:
+    """ml_series at the points x + iy: both sums follow it term for term."""
     c = _series_ratios(alpha)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        tr, ti = cmul(1.0, 0.0, *cmul(x, y, c[1], 0.0))
-        mag = np.hypot(tr, ti)
-        er, ei = _series_sums(x, y, (1.0 + tr, 0.0 + ti), (tr, ti),
-                              np.where(mag > 1.0, mag, 1.0),
-                              lambda n, x, y: cmul(x, y, c[n], 0.0))
-        g = 1.0 / math.gamma(alpha + 1.0)
-        seed = (np.full(x.shape, g), np.zeros(x.shape))
-        dr, di = _series_sums(x, y, seed, seed, abs(complex(g, 0.0)),
-                              lambda n, x, y: cmul(*cmul(x, y, n / (n - 1), 0.0), c[n], 0.0))
-    return rows, er, ei, dr, di
+    tr, ti = cmul(1.0, 0.0, *cmul(x, y, c[1], 0.0))
+    g = np.full(x.shape, 1.0 / math.gamma(alpha + 1.0)), np.zeros(x.shape)
+    return (*_series_sums(x, y, (1.0 + tr, 0.0 + ti), (tr, ti), np.fmax(np.hypot(tr, ti), 1.0),
+                          lambda n, x, y: cmul(x, y, c[n], 0.0)),
+            *_series_sums(x, y, g, g, np.abs(g[0]),
+                          lambda n, x, y: cmul(*cmul(x, y, n / (n - 1), 0.0), c[n], 0.0)))
 
 
-def ml_series_vec(alpha: float, z: np.ndarray) -> tuple:
-    """Vectorized (E_alpha, E_alpha') by the power series; |z| moderate."""
-    c = _series_ratios(alpha)
-    e = np.ones(z.shape, dtype=np.complex128)
-    de = np.full(z.shape, 1.0 / math.gamma(alpha + 1.0), dtype=np.complex128)
-    term = np.ones(z.shape, dtype=np.complex128)
-    for n in range(1, 400):
-        term = term * z * c[n]
-        e += term
-        if n > 1:  # the n=1 derivative term seeds de above
-            de += n * term / z
-        if float(np.abs(term).max()) < 1e-18:
-            break
-    return e, de
+def _tail_coeff(alpha: float, k: int) -> float:
+    """1/Gamma(1 - alpha k), the coefficient of -z^(-k) in the tail; zero at
+    the poles of Gamma (1 - alpha k a nonpositive integer)."""
+    g = 1.0 - alpha * k
+    return 0.0 if g <= 0.0 and abs(g - round(g)) < 1e-12 else 1.0 / math.gamma(g)
 
 
 def _algebraic_tail(alpha: float, z: complex) -> tuple:
@@ -209,12 +194,7 @@ def _algebraic_tail(alpha: float, z: complex) -> tuple:
     live = d_live = True
     zk = inv
     for k in range(1, 121):
-        g = 1.0 - alpha * k
-        # 1/Gamma at the poles of Gamma (g a nonpositive integer) is zero
-        if g <= 0.0 and abs(g - round(g)) < 1e-12:
-            coeff = 0.0
-        else:
-            coeff = 1.0 / math.gamma(g)
+        coeff = _tail_coeff(alpha, k)
         if live:
             term = -coeff * zk
             mag = abs(term)
@@ -237,42 +217,52 @@ def _algebraic_tail(alpha: float, z: complex) -> tuple:
     return total, d_total
 
 
-def ml_tail_vec(alpha: float, z: np.ndarray) -> tuple:
-    """Vectorized algebraic tail (-sum z^-k / Gamma(1 - alpha k)) and its
-    derivative, truncated where terms start growing."""
-    inv = 1.0 / z
-    t = np.zeros(z.shape, dtype=np.complex128)
-    dt = np.zeros(z.shape, dtype=np.complex128)
-    zk = inv.copy()
-    prev = np.full(z.shape, np.inf)
-    alive = np.ones(z.shape, dtype=bool)
-    for k in range(1, 80):
-        g = 1.0 - alpha * k
-        if g <= 0.0 and abs(g - round(g)) < 1e-12:
-            coeff = 0.0
-        else:
-            coeff = 1.0 / math.gamma(g)
-        term = -coeff * zk
-        mag = np.abs(term)
-        alive &= mag <= prev
-        if not alive.any():
-            break
-        t = np.where(alive, t + term, t)
-        dt = np.where(alive, dt + k * coeff * zk * inv, dt)
-        prev = mag
-        zk = zk * inv
-    return t, dt
+def _recip(x, y) -> tuple:
+    """1.0 / complex(x, y) on real arrays, as Python divides (Smith's method)."""
+    big = np.abs(x) >= np.abs(y)
+    r = np.where(big, y / x, x / y)
+    d = np.where(big, x + y * r, x * r + y)
+    return (np.where(big, 1.0 + 0.0 * r, 1.0 * r + 0.0) / d,
+            np.where(big, 0.0 - 1.0 * r, 0.0 * r - 1.0) / d)
 
 
-def _sector(alpha: float, z: complex) -> str:
-    """'growth', 'decay', or 'boundary' position of arg z."""
+def _tail_sums(alpha: float, ir, ii, derivative: bool) -> np.ndarray:
+    """_algebraic_tail's sum, or its derivative's, over the points with
+    1/z = ir + i ii; each point stops by the scalar rule (before a term larger
+    than the last, after one below 1e-300)."""
+    def step(k, sr, si, prev, zr, zi, ir, ii):
+        c = _tail_coeff(alpha, k)
+        tr, ti = cmul(*cmul(k * c, 0.0, zr, zi), ir, ii) if derivative else cmul(-c, 0.0, zr, zi)
+        mag = np.hypot(tr, ti)
+        take = ~(mag > prev)
+        sr, si = np.where(take, sr + tr, sr), np.where(take, si + ti, si)
+        return (sr, si, mag, *cmul(zr, zi, ir, ii), ir, ii), ~take | (mag < 1e-300)
+
+    zero = np.zeros(ir.shape)
+    return _row_sums(range(1, 121), (zero, zero, zero + np.inf, ir, ii, ir, ii), step)
+
+
+def _growth_terms(alpha: float, z: complex) -> tuple:
+    """p exp(z^p) and its derivative, the terms the growth sector adds to the
+    tail; OverflowError when E_alpha leaves double range."""
+    p = 1.0 / alpha
+    log_z = cmath.log(z)
+    zp = cmath.exp(p * log_z)
+    if zp.real > 700.0:
+        raise OverflowError("E_alpha overflows double range")
+    lead = cmath.exp(zp)
+    return p * lead, p * p * cmath.exp((p - 1.0) * log_z) * lead
+
+
+def _growth_sector(alpha: float, x, y) -> np.ndarray:
+    """|arg z| <= alpha*pi/2 + SECTOR_DELTA at the points x + iy, as
+    abs(cmath.phase(z)) decides it; np.arctan2 may differ from cmath.phase in
+    the last bits, so points within 1e-12 of the edge ask cmath.phase."""
     edge = alpha * math.pi / 2.0 + SECTOR_DELTA
-    a = abs(cmath.phase(z))
-    if abs(a - edge) < BOUNDARY_LAYER and abs(z) ** (1.0 / alpha) < 690.0:
-        # near the sector edge the expansion is unreliable; the extended
-        # series is usable as long as its terms fit doubles
-        return "boundary"
-    return "growth" if a <= edge else "decay"
+    a = np.abs(np.arctan2(y, x))
+    for i in np.flatnonzero(np.abs(a - edge) < 1e-12).tolist():
+        a[i] = abs(cmath.phase(complex(x[i], y[i])))
+    return a <= edge
 
 
 def ml_asymptotic(alpha: float, z: complex) -> tuple:
@@ -287,19 +277,58 @@ def ml_asymptotic(alpha: float, z: complex) -> tuple:
             raise OverflowError("E_alpha overflows double range")
         e = cmath.exp(z)
         return e, e
-    sector = _sector(alpha, z)
-    if sector == "boundary":
-        return ml_series(alpha, z)
-    if sector == "decay":
-        return _algebraic_tail(alpha, z)
-    p = 1.0 / alpha
-    log_z = cmath.log(z)
-    zp = cmath.exp(p * log_z)
-    if zp.real > 700.0:
-        raise OverflowError("E_alpha overflows double range")
     tail, d_tail = _algebraic_tail(alpha, z)
-    lead = cmath.exp(zp)
-    return p * lead + tail, p * p * cmath.exp((p - 1.0) * log_z) * lead + d_tail
+    if abs(cmath.phase(z)) > alpha * math.pi / 2.0 + SECTOR_DELTA:
+        return tail, d_tail
+    lead, d_lead = _growth_terms(alpha, z)
+    return lead + tail, d_lead + d_tail
+
+
+def _pointwise(fn, alpha: float, x, y) -> tuple:
+    """fn(alpha, z), a pair of complex values, at each point x + iy: ok,
+    False where fn raises OverflowError, and the pairs' parts as (4, n)."""
+    ok = np.ones(x.shape, dtype=bool)
+    out = []
+    for i, z in enumerate(map(complex, x.tolist(), y.tolist())):
+        try:
+            out += fn(alpha, z)
+        except OverflowError:
+            ok[i] = False
+            out += (0j, 0j)
+    return ok, np.array(out, dtype=complex).view(float).reshape(-1, 4).T
+
+
+def _asymptotic_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> tuple:
+    """ml_asymptotic at the points x + iy: ok, False where it raises
+    OverflowError, and (Re E, Im E, Re E', Im E') as (4, n).  The tail sums
+    as arrays; exp and log go point by point through cmath, since numpy's
+    differ from libm's in the last bit."""
+    if alpha in (1.0, 2.0):  # the closed forms
+        return _pointwise(ml_asymptotic, alpha, x, y)
+    ir, ii = _recip(x, y)
+    out = np.concatenate([_tail_sums(alpha, ir, ii, False), _tail_sums(alpha, ir, ii, True)])
+    ok = np.ones(x.shape, dtype=bool)
+    g = np.flatnonzero(_growth_sector(alpha, x, y))
+    ok[g], lead = _pointwise(_growth_terms, alpha, x[g], y[g])
+    out[:, g] = lead + out[:, g]
+    return ok, out
+
+
+def ml_eval_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> tuple:
+    """ml_eval at the points x + iy, bit for bit: (rows, Re E, Im E, Re E',
+    Im E') for the rows where ml_eval returns, which leaves out those where it
+    raises OverflowError.  Both branches follow ml_eval's in the real and
+    imaginary arrays of cmul; np.hypot is abs(complex)."""
+    x, y = x + 0.0, y + 0.0  # as ml_eval reads z
+    near = np.hypot(x, y) <= switch_radius(alpha)
+    out = np.empty((4, x.shape[0]))
+    ok = np.ones(x.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        out[:, near] = _series_arrays(alpha, x[near], y[near])
+        far = ~near
+        ok[far], out[:, far] = _asymptotic_arrays(alpha, x[far], y[far])
+    rows = np.flatnonzero(ok)
+    return rows, *out[:, rows]
 
 
 @lru_cache(maxsize=1)

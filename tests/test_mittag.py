@@ -10,6 +10,7 @@ term mid-cancellation gives the wrong sum.
 
 import cmath
 import functools
+import itertools
 import math
 
 import mpmath as mp
@@ -160,22 +161,6 @@ def test_series_bit_identical_to_per_term_gamma(alpha):
         e, de = mittag.ml_series(alpha, z)
         assert e == _series_per_term(alpha, z), z
         assert de == _series_derivative_per_term(alpha, z), z
-    # the vectorized series reads the same table, so it keeps its bits too
-    zv = np.array(zs[1:21])  # z = 0 is left out: the derivative divides by z
-    e, de = mittag.ml_series_vec(alpha, zv)
-    term = np.ones(zv.shape, dtype=np.complex128)
-    want_e = np.ones(zv.shape, dtype=np.complex128)
-    want_de = np.full(zv.shape, 1.0 / math.gamma(alpha + 1.0), dtype=np.complex128)
-    for n in range(1, 400):
-        term = term * zv * math.exp(math.lgamma(alpha * (n - 1) + 1.0)
-                                    - math.lgamma(alpha * n + 1.0))
-        want_e += term
-        if n > 1:
-            want_de += n * term / zv
-        if float(np.abs(term).max()) < 1e-18:
-            break
-    assert e.tobytes() == want_e.tobytes()
-    assert de.tobytes() == want_de.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +197,7 @@ def _old_tail(alpha, z, derivative):
 
 def _old_sector(alpha, z):
     edge = alpha * math.pi / 2.0 + 0.05 * math.pi
-    a = abs(cmath.phase(z))
-    if abs(a - edge) < 0.02 * math.pi and abs(z) ** (1.0 / alpha) < 690.0:
-        return "boundary"
-    return "growth" if a <= edge else "decay"
+    return "growth" if abs(cmath.phase(z)) <= edge else "decay"
 
 
 def _old_asymptotic(alpha, z):
@@ -226,8 +208,6 @@ def _old_asymptotic(alpha, z):
             raise OverflowError("E_alpha overflows double range")
         return cmath.exp(z)
     sector = _old_sector(alpha, z)
-    if sector == "boundary":
-        return _series_per_term(alpha, z)
     tail = _old_tail(alpha, z, derivative=False)
     if sector == "decay":
         return tail
@@ -249,8 +229,6 @@ def _old_asymptotic_derivative(alpha, z):
             raise OverflowError("E_alpha' overflows double range")
         return cmath.exp(z)
     sector = _old_sector(alpha, z)
-    if sector == "boundary":
-        return _series_derivative_per_term(alpha, z)
     tail = _old_tail(alpha, z, derivative=True)
     if sector == "decay":
         return tail
@@ -300,15 +278,15 @@ def _ulp_steps(x, k):
 
 
 def _regime_points(alpha, rng):
-    """Series, boundary-layer, growth and decay points for one alpha."""
+    """Series, sector-edge, growth and decay points for one alpha."""
     r_sw = mittag.switch_radius(alpha)
     edge = alpha * math.pi / 2.0 + mittag.SECTOR_DELTA
-    layer = mittag.BOUNDARY_LAYER
+    layer = 0.02 * math.pi  # the band about the edge where ml_eval once summed the series
     polar = []
     for t in rng.uniform(0.0, 1.0, 12):
         polar.append((t * r_sw, rng.uniform(-math.pi, math.pi)))
     polar += [(r_sw, 0.0), (r_sw, math.pi)]
-    for _ in range(12):  # |z|^p up to 600, inside the boundary layer
+    for _ in range(12):  # |z|^p up to 600, within layer of the sector edge
         r = rng.uniform(r_sw, max(1.01 * r_sw, 600.0 ** alpha))
         polar.append((r, rng.choice([-1, 1]) * (edge + rng.uniform(-0.9, 0.9) * layer)))
     for _ in range(16):  # growth sector, below the overflow edge
@@ -355,6 +333,27 @@ def test_evaluator_bit_identical_to_split_oracle(alpha):
     assert (True, True) in seen and (False, False) in seen, seen
 
 
+def _layer_oracle(alpha, z):
+    """E_alpha(z) by _ml_oracle with |z|^p / 2.3 + 40 digits, enough for the
+    cancellation (the largest term is about e^(|z|^p)), and the terms run on
+    until they fall below 1e-40."""
+    zp = abs(z) ** (1.0 / alpha)
+    terms = next(n for n in itertools.count(int(zp)) if
+                 n * math.log(abs(z)) - math.lgamma(alpha * n + 1.0) < -92.0)
+    return _ml_oracle(alpha, z, terms=terms, dps=int(zp / 2.3) + 40)
+
+
+def test_sector_edge_vs_extended_series():
+    # just inside the growth sector's edge with |z|^p < 690, ml_eval once
+    # summed the series in doubles, wrong there by up to 1e120; the sector
+    # expansion holds to 1e-2
+    zs = [(0.5, complex(10.83, 13.74)), (1.5, cmath.rect(1000.0, 0.79 * math.pi))]
+    zs += [(0.75, cmath.rect(16.8, t * math.pi)) for t in (0.41, 0.415, 0.42, 0.424)]
+    for alpha, z in zs:
+        want = _layer_oracle(alpha, z)
+        assert abs(mittag.ml_eval(alpha, z)[0] - want) <= 1e-2 * abs(want), (alpha, z)
+
+
 def test_orbit_step_makes_one_series_pass(monkeypatch):
     # iterate_orbit asks for f'(z_k) and then f(z_k): the memoised pair
     # answers the second from the first pass
@@ -363,7 +362,7 @@ def test_orbit_step_makes_one_series_pass(monkeypatch):
     mittag.ml_eval(1.0, 0.0)  # the memo holds a point off the orbit
     calls = []
     for name in dir(mittag):  # every scalar series loop
-        if name.startswith("ml_series") and name != "ml_series_vec":
+        if name.startswith("ml_series"):
             fn = getattr(mittag, name)
             monkeypatch.setattr(mittag, name, lambda a, z, fn=fn: calls.append(z) or fn(a, z))
     orbit = dynamics.iterate_orbit(functions.MittagLeffler(1.0, 0.1), 0.3 + 0.2j, 25)
@@ -422,20 +421,29 @@ def test_platform_rounds_complex_products_as_python():
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.75, 1.0, 1.5, 1.95, 2.0])
 def test_eval_arrays_bit_identical_to_ml_eval(alpha):
+    # the rows are exactly the points where ml_eval returns, on either side
+    # of the switch radius, and each row has its bits
     rs = mittag.switch_radius(alpha)
     rng = np.random.default_rng(17)
     r = rs * np.sqrt(rng.uniform(0.0, 1.1, 3000))
     th = rng.uniform(-math.pi, math.pi, 3000)
-    x, y = r * np.cos(th), r * np.sin(th)
+    zs = [*map(complex, r * np.cos(th), r * np.sin(th)),
+          *_regime_points(alpha, rng), *_overflow_edge_points(alpha)]
+    x, y = np.array([z.real for z in zs]), np.array([z.imag for z in zs])
     x[:40:2], y[1:40:2] = -0.0, -0.0  # on the axes, with signed zeros
     x[40:50], y[40:50] = 0.0, 0.0
     rows, er, ei, dr, di = mittag.ml_eval_arrays(alpha, x, y)
-    inside = [i for i in range(x.size) if abs(complex(x[i], y[i]) + 0.0) <= rs]
-    assert rows.tolist() == inside and 0 < len(inside) < x.size
-    want = [mittag.ml_eval(alpha, complex(x[i], y[i])) for i in inside]
+    want = {}
+    for i in range(x.size):
+        try:
+            want[i] = mittag.ml_eval(alpha, complex(x[i], y[i]))
+        except OverflowError:
+            pass
+    assert rows.tolist() == list(want) and len(want) < x.size
+    assert np.hypot(x[rows], y[rows]).max() > rs
     for got, part in ((er, lambda v: v[0].real), (ei, lambda v: v[0].imag),
                       (dr, lambda v: v[1].real), (di, lambda v: v[1].imag)):
-        assert got.tobytes() == np.array([part(v) for v in want]).tobytes()
+        assert got.tobytes() == np.array([part(v) for v in want.values()]).tobytes()
 
 
 def test_descriptor_eval_arrays_applies_the_scale():
