@@ -498,7 +498,7 @@ def growth_constant(alpha: float) -> float:
         r, th = r[~deep], th[~deep]
         rows, er, ei, dr, di = mittag.ml_eval_arrays(alpha, r * np.cos(th), r * np.sin(th))
         e = np.hypot(er, ei)
-        ok = e >= 1.0  # only |E| >= 1 is sampled
+        ok = e >= 1.0
         ratio = np.hypot(dr, di)[ok] / (r[rows[ok]] ** (p - 1.0) * e[ok])
         best = max(best, p if deep.any() else 0.0, ratio.max(initial=0.0))
     return 1.05 * float(best)

@@ -141,7 +141,7 @@ def _row_sums(ks, state, step) -> np.ndarray:
         if not rows.size:
             break
         state, done = step(k, *state)
-        if np.any(done):
+        if done.any():
             out[:, rows[done]] = state[0][done], state[1][done]
             keep = ~done
             rows, state = rows[keep], tuple(a[keep] for a in state)
@@ -158,7 +158,7 @@ def _series_sums(x, y, total, term, biggest, factor) -> np.ndarray:
         mag = np.hypot(tr, ti)
         biggest = np.fmax(biggest, mag)  # a NaN term leaves it, as in ml_series
         # a term that just set biggest is not below _SERIES_STOP times it
-        return (sr + tr, si + ti, tr, ti, biggest, x, y), n > 3 and mag < _SERIES_STOP * biggest
+        return (sr + tr, si + ti, tr, ti, biggest, x, y), (n > 3) & (mag < _SERIES_STOP * biggest)
 
     return _row_sums(range(2, MAX_SERIES_TERMS), (*total, *term, biggest, x, y), step)
 
