@@ -32,8 +32,8 @@ REGION: {"kind": "disk", "center": [re, im], "radius": r}
 GRID:   {"base_resolution": 32, "max_refinements": 8, "rel_tol": 1e-3}
 An integer default asks for an integer and a number default for a finite
 number; thm4scan.eta may also be null (chosen from alpha), and
-render.resolution [w, h].  Region centres and
-sizes must be finite, and sizes positive.  thm7 and thm56 take either
+render.resolution [w, h].  Region centres and sizes must be finite, and
+sizes positive.  thm7 and thm56 take either
 "n_range" (a list of n, e.g. [1, 2]) or n_min/n_max, not both.  Without a
 region, thm7, thm56 and thm1scan use a disk of radius 0.5 around the fixed
 point of f that Newton's method finds from 1+i; when that point is not
