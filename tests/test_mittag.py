@@ -446,6 +446,19 @@ def test_eval_arrays_bit_identical_to_ml_eval(alpha):
         assert got.tobytes() == np.array([part(v) for v in want.values()]).tobytes()
 
 
+def test_array_sector_test_decides_as_cmath_phase():
+    # np.arctan2 differs from cmath.phase in the last bit on some points; a
+    # point within a few ulps of the sector edge must still fall on the side
+    # that ml_asymptotic's abs(cmath.phase(z)) puts it
+    for alpha in (0.2, 0.5, 0.75, 1.5, 1.95):
+        edge = alpha * math.pi / 2.0 + mittag.SECTOR_DELTA
+        zs = [cmath.rect(r, s * _ulp_steps(edge, k)) for r in np.geomspace(1.0, 1e4, 40)
+              for k in range(-6, 7) for s in (1, -1)]
+        x, y = np.array([z.real for z in zs]), np.array([z.imag for z in zs])
+        want = [abs(cmath.phase(z)) <= edge for z in zs]
+        assert mittag._growth_sector(alpha, x, y).tolist() == want, alpha
+
+
 def test_descriptor_eval_arrays_applies_the_scale():
     from sphgrow import functions as fx
 
