@@ -99,6 +99,22 @@ def test_classical_suite_passes():
     assert rep.verdict == ex.PASS
 
 
+def test_classical_suite_fails_on_one_failed_check(monkeypatch):
+    monkeypatch.setattr(ex.lg, "harnack_check",
+                        lambda samples, seed: {"passed": False, "axis_equality_gap": 1.0})
+    rep = ex.classical_suite(seed=0, samples=200)
+    assert [row["n"] for row in rep.violating_rows()] == ["harnack"]
+    assert rep.verdict == ex.FAIL
+
+
+def test_specfun_check_fails_on_one_failed_check(monkeypatch):
+    # a zero series reference is off by 100% against the sector expansion
+    monkeypatch.setattr(ex, "_ml_series_highprec", lambda alpha, zs: [0j] * len(zs))
+    rep = ex.run_specfun_check(seed=0)
+    assert [row["n"] for row in rep.violating_rows()] == ["E0.75-series-vs-asymptotic"]
+    assert rep.verdict == ex.FAIL
+
+
 def test_negative_control_fails():
     # mu over a region where z^2 is nearly constant cannot reach log M(10);
     # a harness that passes this comparison is broken
@@ -139,6 +155,19 @@ def test_all_vacuous_rows_inconclusive():
     assert r56.parameters["upper_witnessed"]
     assert r56.verdict == ex.INCONCLUSIVE
     assert r56.notes
+
+
+def test_thm56_unconverged_area_is_inconclusive(monkeypatch):
+    # a lower-bound row violated by an area the quadrature did not settle
+    # is no counterexample
+    area = ms.AreaResult(value=math.exp(-5.0), log_value=-5.0, log_error=0.0,
+                         unconverged=True, cells=1, refinements=0, overflow_cells=0)
+    monkeypatch.setattr(ex.ms, "spherical_area", lambda *args: area)
+    U = ms.Region.disk(complex(0.318, 1.337), 0.5)
+    rep = ex.run_thm5_thm6(EXP, U, 5.0, 5.0, 0, [1, 2], grid=FAST_GRID)
+    assert [row["n"] for row in rep.violating_rows()] == [1, 2]
+    assert rep.parameters["upper_witnessed"]
+    assert rep.verdict == ex.INCONCLUSIVE
 
 
 def test_report_json_deterministic():
@@ -340,6 +369,20 @@ def test_thm4_scan_bit_identical_to_per_start_scan(alpha):
     assert (got.parameters["retained"] > 0) == (alpha == 1.5)
 
 
+def test_thm4_scan_without_retained_orbits_is_inconclusive(monkeypatch):
+    # at the thm4scan golden's config no orbit is retained: a failed
+    # unit-disk tail is reported as a row, but the scan checked no growth
+    # chain, so it is no Fail
+    monkeypatch.setattr(ex, "_check_shrinking_tail", lambda t, d, entered: False)
+    rep = ex.run_thm4_scan(fx.MittagLeffler(1.0, 0.1), N=10, starts=30, seed=99)
+    assert rep.parameters["retained"] == 0
+    tails = rep.violating_rows()
+    assert len(tails) == rep.parameters["unit_disk_orbits"] == 28
+    assert all(row["kind"] == "unit-disk-tail" and row["margin_log"] is None
+               for row in tails)
+    assert rep.verdict == ex.INCONCLUSIVE
+
+
 @pytest.mark.parametrize("error", ["PrecisionExhausted", "ScheduleInfeasible"])
 def test_thm3_inconclusive_when_construction_cannot_run(monkeypatch, error):
     # no tier-b row was checked: that is no counterexample, so no Fail
@@ -353,6 +396,14 @@ def test_thm3_inconclusive_when_construction_cannot_run(monkeypatch, error):
     assert not any(row["violates"] for row in rep.rows)
     assert any("construction failed at n=0: cannot resolve the branch at step 3" in note
                for note in rep.notes)
+
+
+def test_thm3_tier_a_row_below_floor_fails(monkeypatch):
+    # the floors at n = 10 and 100 are log 2 - 3 log(n)/n > 0
+    monkeypatch.setattr(ex.lg, "schedule_growth_statistic", lambda sched, n: 0.0)
+    rep = ex.run_thm3(1.0, 26.0, 7, 256, x0_tier_a=1e6, n_tier_a=100)
+    assert [(row["tier"], row["n"]) for row in rep.violating_rows()] == [("a", 10), ("a", 100)]
+    assert rep.verdict == ex.FAIL
 
 
 def test_thm4_scan_rejects_negative_starts():
