@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         raise ValueError(f"config: expected a JSON object, not {config!r}")
     function = config.get("function", DEFAULT_FUNCTION)
     f = _named("function", lambda: fx.descriptor_from_json(function))
-    read = fx.descriptor_to_json(f)  # holds every key the variant reads
+    read = f.to_json()  # holds every key the variant reads
     unknown = _unknown_keys(config, CONFIG_KEYS) + [
         f"function.{key}" for key in function if key not in read]
     if unknown:
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
             f, window, c["resolution"], c["R"], c["l_max"], c["n_max"],
             os.path.join(args.out, "escape.ppm")), fx.NonEscalatingError)
         report = ex.ExperimentReport(
-            experiment_id="render-escape", function=fx.descriptor_to_json(f),
+            experiment_id="render-escape", function=f.to_json(),
             parameters={k: v for k, v in stats.items() if k != "path"},
             rows=[], verdict=ex.PASS, tolerances={})
 

@@ -37,14 +37,7 @@ class ExperimentReport:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {"experiment_id": self.experiment_id,
-                   "function": self.function,
-                   "parameters": self.parameters,
-                   "rows": self.rows,
-                   "verdict": self.verdict,
-                   "tolerances": self.tolerances,
-                   "notes": self.notes}
-        return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+        return json.dumps(asdict(self), sort_keys=True, indent=1, allow_nan=False)
 
     def rows_csv(self) -> str:
         buf = io.StringIO()
@@ -73,6 +66,22 @@ def _clean(v):
     if isinstance(v, float) and not math.isfinite(v):
         return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
     return v
+
+
+def _row(n, violates, lhs="", rhs="", margin=None, **extra) -> dict:
+    """The one report row: n, the two sides as tower strings, a signed log
+    margin (None when nothing was compared), whether the row breaks its
+    claim, and the experiment's own keys."""
+    return {"n": n, "lhs_tower": lhs, "rhs_tower": rhs, "margin_log": _clean(margin),
+            "violates": violates, **extra}
+
+
+def _verdict(rows, checked: bool) -> str:
+    """Fail on any violated row, else Pass when something was checked, else
+    Inconclusive."""
+    if any(r["violates"] for r in rows):
+        return FAIL
+    return PASS if checked else INCONCLUSIVE
 
 
 def _safe_log_value(t: TowerReal) -> float:
@@ -114,17 +123,16 @@ def run_thm7(f, U: ms.Region, R: float, m: int, n_range,
     # makes every non-vacuous row hold; a shift that checks nothing is not
     # a working shift
     best_m = next((mm for mm in range(0, min(6, ns[-1]) + 1)
-                   if not any(r["violates"] for r in rows_at(mm))), None)
+                   if _verdict(rows_at(mm), True) == PASS), None)
     rows = rows_at(m)
+    checked, notes = _lower_bound_checked(rows, m)
     return ExperimentReport(
-        experiment_id="thm7-sup-metric-vs-tower",
-        function=fx.descriptor_to_json(f),
+        experiment_id="thm7-sup-metric-vs-tower", function=f.to_json(),
         parameters={"region": U.to_json(), "R": R, "m": m,
                     "n_range": ns, "grid": asdict(grid),
                     "smallest_working_m": best_m},
-        rows=rows, verdict=_lower_bound_verdict(rows),
-        tolerances={"comparison": "exact tower order"},
-        notes=_vacuous_notes(rows, m))
+        rows=rows, verdict=_verdict(rows, checked),
+        tolerances={"comparison": "exact tower order"}, notes=notes)
 
 
 def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
@@ -132,31 +140,27 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
     """log M^(n-m)(R_lower) <= S(U, f^n) <= log M^n(R_upper).
 
     As in run_thm7, a run whose lower-bound rows are all vacuous (n < m)
-    is Inconclusive unless the upper bound fails.
+    is Inconclusive.  Two cases overrule the rows: an unconverged area
+    makes the run Inconclusive, and an upper bound that no radius
+    R_upper 2^k, k <= 20, witnesses makes it Fail.  R_upper_final is the
+    last radius tried.
     """
     grid = grid or ms.GridSpec()
     ns = sorted(n_range)
     low_table = fx.iterated_max_modulus(f, R_lower, max(ns))
-    unconverged = False
-    areas = {}
-    for n in ns:
-        res = ms.spherical_area(f, U, n, grid)
-        unconverged |= res.unconverged
-        areas[n] = res
+    areas = {n: ms.spherical_area(f, U, n, grid) for n in ns}
     # raise R_upper (doubling, <= 20 times) until the upper bound holds
-    doublings = 0
-    upper_ok = False
-    R_up = R_upper
-    while doublings <= 20:
+    R_up, doublings = R_upper, 0
+    while True:
         try:
             up_table = fx.iterated_max_modulus(f, R_up, max(ns))
         except fx.NonEscalatingError:
             up_table = None
-        if up_table is not None and all(
-                tower_compare(TowerReal.from_log(areas[n].log_value),
-                              up_table.log_levels[n].log()) <= 0
-                for n in ns if areas[n].log_value != -math.inf):
-            upper_ok = True
+        upper_ok = up_table is not None and all(
+            tower_compare(TowerReal.from_log(areas[n].log_value),
+                          up_table.log_levels[n].log()) <= 0
+            for n in ns if areas[n].log_value != -math.inf)
+        if upper_ok or doublings == 20:
             break
         R_up *= 2.0
         doublings += 1
@@ -169,50 +173,35 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
             row["upper_margin_log"] = _clean(_tower_margin_log(
                 up, TowerReal.from_log(areas[n].log_value)))
         rows.append(row)
-    if unconverged:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = _lower_bound_verdict(rows, upper_ok)
+    checked, notes = _lower_bound_checked(rows, m)
+    verdict = (INCONCLUSIVE if any(a.unconverged for a in areas.values())
+               else _verdict(rows, checked) if upper_ok else FAIL)
     return ExperimentReport(
-        experiment_id="thm5-thm6-area-vs-tower",
-        function=fx.descriptor_to_json(f),
+        experiment_id="thm5-thm6-area-vs-tower", function=f.to_json(),
         parameters={"region": U.to_json(), "R_lower": R_lower,
                     "R_upper_initial": R_upper, "R_upper_final": R_up,
                     "upper_doublings": doublings, "m": m, "n_range": ns,
                     "grid": asdict(grid), "upper_witnessed": upper_ok},
         rows=rows, verdict=verdict,
         tolerances={"comparison": "exact tower order",
-                    "quadrature_rel_tol": grid.rel_tol},
-        notes=_vacuous_notes(rows, m))
+                    "quadrature_rel_tol": grid.rel_tol}, notes=notes)
 
 
 def _lower_bound_row(n: int, log_lhs: float, table, m: int) -> dict:
     """Row comparing e^log_lhs with level n - m of table; vacuous when n < m."""
     lhs = TowerReal.from_log(log_lhs)
     if n < m:
-        return {"n": n, "lhs_tower": str(lhs), "rhs_tower": "",
-                "margin_log": None, "vacuous": True, "violates": False}
+        return _row(n, False, str(lhs), vacuous=True)
     rhs = table.log_levels[n - m].log()
-    ok = tower_compare(lhs, rhs) >= 0
-    return {"n": n, "lhs_tower": str(lhs), "rhs_tower": str(rhs),
-            "margin_log": _clean(_tower_margin_log(lhs, rhs)),
-            "vacuous": False, "violates": not ok}
+    return _row(n, tower_compare(lhs, rhs) < 0, str(lhs), str(rhs),
+                _tower_margin_log(lhs, rhs), vacuous=False)
 
 
-def _lower_bound_verdict(rows, upper_ok: bool = True) -> str:
-    """Fail on a violated row or a failed upper bound; Pass only when some
-    lower-bound row was actually compared."""
-    if not upper_ok or any(r["violates"] for r in rows):
-        return FAIL
+def _lower_bound_checked(rows, m: int) -> tuple:
+    """(checked, notes): whether some row had n >= m and so was compared."""
     if all(r["vacuous"] for r in rows):
-        return INCONCLUSIVE
-    return PASS
-
-
-def _vacuous_notes(rows, m: int) -> list:
-    if all(r["vacuous"] for r in rows):
-        return [f"every n < m = {m}: no lower-bound row was checked"]
-    return []
+        return False, [f"every n < m = {m}: no lower-bound row was checked"]
+    return True, []
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +218,10 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
              "not falsifiable at finite horizon"]
     if starts == 0:
         return ExperimentReport(
-            experiment_id="thm1-growth-scan", function=fx.descriptor_to_json(f),
+            experiment_id="thm1-growth-scan", function=f.to_json(),
             parameters={"region": U.to_json(), "N": N, "starts": 0,
                         "seed": seed, "grid": asdict(grid)},
-            rows=[], verdict=INCONCLUSIVE,
+            rows=[], verdict=_verdict([], False),
             tolerances={"signature_factor": 2.0}, notes=notes + ["no starts"])
     seq = {}
     deepest = 1
@@ -244,9 +233,8 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
             break
         seq[n] = res.log_mu / n
         deepest = n
-        rows.append({"n": n, "lhs_tower": str(TowerReal.from_log(res.log_mu)),
-                     "rhs_tower": "", "margin_log": _clean(seq[n]),
-                     "per_n_log_mu": _clean(seq[n]), "violates": False})
+        rows.append(_row(n, False, str(TowerReal.from_log(res.log_mu)), margin=seq[n],
+                         per_n_log_mu=_clean(seq[n])))
     # finite-horizon upper Lyapunov statistics over sampled starts
     rng = np.random.default_rng(seed)
     chis = []
@@ -258,22 +246,20 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
         except (ValueError, fx.OrbitOverflow):
             continue
     max_chi = max(chis) if chis else None
-    if 2 not in seq or len(seq) < 2:
-        verdict = INCONCLUSIVE
+    usable = 2 in seq and len(seq) >= 2
+    signature = usable and seq[2] > 0 and any(v >= 2.0 * seq[2] for v in seq.values())
+    if not usable:
         notes.append(f"overflow-dominated; deepest usable n = {deepest}")
-    elif seq[2] > 0 and any(v >= 2.0 * seq[2] for v in seq.values()):
-        verdict = PASS
-    else:
-        verdict = INCONCLUSIVE
+    elif not signature:
         notes.append(f"no doubling signature up to n = {deepest} (n = 2 value "
                      f"{seq[2]:.6g}); a finite scan cannot refute unbounded growth")
     return ExperimentReport(
-        experiment_id="thm1-growth-scan", function=fx.descriptor_to_json(f),
+        experiment_id="thm1-growth-scan", function=f.to_json(),
         parameters={"region": U.to_json(), "N": N, "starts": starts,
                     "seed": seed, "grid": asdict(grid),
                     "max_finite_horizon_chi": _clean(max_chi)
                     if max_chi is not None else None},
-        rows=rows, verdict=verdict,
+        rows=rows, verdict=_verdict(rows, signature),
         tolerances={"signature_factor": 2.0}, notes=notes)
 
 
@@ -282,7 +268,11 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
 
 
 def run_thm4_scan(f, N: int, starts: int, seed: int = 0) -> ExperimentReport:
-    """Scan eta*E_alpha orbits for the log(1+rho) upper growth law."""
+    """Scan eta*E_alpha orbits for the log(1+rho) upper growth law.
+
+    A scan that retained no orbit checked no growth chain, so it is
+    Inconclusive even when a unit-disk tail fails.
+    """
     if not isinstance(f, fx.MittagLeffler):
         raise ValueError("run_thm4_scan expects a MittagLeffler eta * E_alpha")
     if starts < 0:
@@ -299,8 +289,8 @@ def run_thm4_scan(f, N: int, starts: int, seed: int = 0) -> ExperimentReport:
         th = rng.uniform(0.0, 2.0 * math.pi)
         xs[idx], ys[idx] = r * math.cos(th), r * math.sin(th)
     orbits = dy.orbit_table(f, xs, ys, N)
+    cap = math.log(1.0 + rho) + margin
     rows = []
-    all_ok = True
     retained = 0
     shrinking = 0
     for idx in range(starts):
@@ -309,33 +299,23 @@ def run_thm4_scan(f, N: int, starts: int, seed: int = 0) -> ExperimentReport:
         d = orbits.log_deriv[idx, :horizon + 1].tolist()
         entered = next((k for k, tk in enumerate(t) if tk <= 0.0), None)
         if entered is not None:
-            ok = _check_shrinking_tail(t, d, entered)
             shrinking += 1
-            all_ok &= ok
-            if not ok:
-                rows.append({"n": idx, "lhs_tower": "", "rhs_tower": "",
-                             "margin_log": None, "violates": True,
-                             "kind": "unit-disk-tail"})
+            if not _check_shrinking_tail(t, d, entered):
+                rows.append(_row(idx, True, kind="unit-disk-tail"))
             continue
         if horizon < 3:
             continue
         retained += 1
         ok, worst_stat, events = _check_growth_chain(t, d, rho, log_C, margin)
-        all_ok &= ok
-        rows.append({"n": idx,
-                     "lhs_tower": f"E^0({_fmt(worst_stat)})",
-                     "rhs_tower": f"E^0({_fmt(math.log(1.0 + rho) + margin)})",
-                     "margin_log": _clean(math.log(1.0 + rho) + margin - worst_stat),
-                     "retained_horizon": horizon, "growth_cap_events": events,
-                     "violates": not ok, "kind": "retained"})
-    verdict = PASS if all_ok and retained > 0 else (
-        INCONCLUSIVE if retained == 0 else FAIL)
+        rows.append(_row(idx, not ok, f"E^0({_fmt(worst_stat)})", f"E^0({_fmt(cap)})",
+                         cap - worst_stat, retained_horizon=horizon,
+                         growth_cap_events=events, kind="retained"))
     return ExperimentReport(
-        experiment_id="thm4-ml-upper-growth", function=fx.descriptor_to_json(f),
+        experiment_id="thm4-ml-upper-growth", function=f.to_json(),
         parameters={"N": N, "starts": starts, "seed": seed, "rho": rho,
                     "growth_constant": C, "retained": retained,
                     "unit_disk_orbits": shrinking},
-        rows=rows, verdict=verdict,
+        rows=rows, verdict=_verdict(rows, True) if retained else INCONCLUSIVE,
         tolerances={"loglog_margin": margin})
 
 
@@ -416,7 +396,7 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
         notes.append("schedule invariant failures: "
                      + "; ".join(sched.invariant_failures))
     achieved_n = 0
-    tier_b_ok, constructed = True, False
+    constructed = False
     try:
         trace = lg.slow_orbit_construct(lam, sched, precision_bits)
         achieved_n = trace.length()
@@ -424,28 +404,19 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
             bound = lg.log_sph_deriv_from_logplane(trace, n)
             stat = math.log(bound) / n if bound > 1.0 else -math.inf
             ok = (n < n_max) or stat >= target - tol
-            tier_b_ok &= ok
-            rows.append({"n": n, "lhs_tower": f"E^0({_fmt(stat)})",
-                         "rhs_tower": f"E^0({_fmt(target - tol)})",
-                         "margin_log": _clean(stat - (target - tol)),
-                         "tier": "b", "violates": not ok})
+            rows.append(_row(n, not ok, f"E^0({_fmt(stat)})", f"E^0({_fmt(target - tol)})",
+                             stat - (target - tol), tier="b"))
         constructed = True
     except (lg.PrecisionExhausted, lg.ScheduleInfeasible) as exc:
         notes.append(f"construction failed at n={achieved_n}: {exc}; tier b is "
                      "unchecked, so the verdict is at best Inconclusive")
     # tier a: pure schedule arithmetic out to n_tier_a
     sched_a = lg.schedule_build(x0_tier_a, n_tier_a)
-    tier_a_ok = True
     for n in sorted({n for n in (10, 100, 1000, n_tier_a) if n <= n_tier_a}):
         stat = lg.schedule_growth_statistic(sched_a, n)
         floor = target - 3.0 * math.log(n) / n
-        ok = stat >= floor
-        tier_a_ok &= ok
-        rows.append({"n": n, "lhs_tower": f"E^0({_fmt(stat)})",
-                     "rhs_tower": f"E^0({_fmt(floor)})",
-                     "margin_log": _clean(stat - floor),
-                     "tier": "a", "violates": not ok})
-    verdict = FAIL if not (tier_a_ok and tier_b_ok) else PASS if constructed else INCONCLUSIVE
+        rows.append(_row(n, not stat >= floor, f"E^0({_fmt(stat)})", f"E^0({_fmt(floor)})",
+                         stat - floor, tier="a"))
     return ExperimentReport(
         experiment_id="thm3-slow-escape",
         function={"variant": "exp_affine",
@@ -454,7 +425,7 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
                     "precision_bits": precision_bits,
                     "precision_bits_used": achieved_n and trace.precision_bits,
                     "x0_tier_a": x0_tier_a, "n_tier_a": n_tier_a},
-        rows=rows, verdict=verdict,
+        rows=rows, verdict=_verdict(rows, constructed),
         tolerances={"slope_tol": tol, "tier_a_slack": "3 log(n)/n"},
         notes=notes)
 
@@ -467,17 +438,17 @@ def classical_suite(seed: int = 0, samples: int = 10_000) -> ExperimentReport:
     """Koebe distortion/growth/quarter checks plus the Harnack bounds."""
     rng = np.random.default_rng(seed)
     rows = []
-    all_ok = True
 
     rho = rng.uniform(0.01, 0.99, samples)
     th = rng.uniform(0.0, 2.0 * math.pi, samples)
     z = rho * np.exp(1j * th)
 
     def record(name, ok, margin):
-        nonlocal all_ok
-        all_ok &= ok
-        rows.append({"n": name, "lhs_tower": "", "rhs_tower": "",
-                     "margin_log": _clean(float(margin)), "violates": not ok})
+        rows.append(_row(name, not ok, margin=float(margin)))
+
+    def bounded(name, v, lo, hi, eps=1e-12):
+        record(name, bool(np.all((v >= lo * (1 - eps)) & (v <= hi * (1 + eps)))),
+               np.min(np.minimum(v - lo, hi - v)))
 
     # (ka) growth and (kb) derivative bounds for the extremal map z/(1-z)^2
     g = z / (1.0 - z) ** 2
@@ -486,15 +457,8 @@ def classical_suite(seed: int = 0, samples: int = 10_000) -> ExperimentReport:
     ka_hi = rho / (1.0 - rho) ** 2
     kb_lo = (1.0 - rho) / (1.0 + rho) ** 3
     kb_hi = (1.0 + rho) / (1.0 - rho) ** 3
-    eps = 1e-12
-    record("ka-bounds",
-           bool(np.all((np.abs(g) >= ka_lo * (1 - eps))
-                       & (np.abs(g) <= ka_hi * (1 + eps)))),
-           float(np.min(np.minimum(np.abs(g) - ka_lo, ka_hi - np.abs(g)))))
-    record("kb-bounds",
-           bool(np.all((np.abs(gp) >= kb_lo * (1 - eps))
-                       & (np.abs(gp) <= kb_hi * (1 + eps)))),
-           float(np.min(np.minimum(np.abs(gp) - kb_lo, kb_hi - np.abs(gp)))))
+    bounded("ka-bounds", np.abs(g), ka_lo, ka_hi)
+    bounded("kb-bounds", np.abs(gp), kb_lo, kb_hi)
     # equality at real z
     r_eq = 0.73
     gap = abs(abs((r_eq + 0j) / (1.0 - (r_eq + 0j)) ** 2) - r_eq / (1.0 - r_eq) ** 2)
@@ -503,15 +467,9 @@ def classical_suite(seed: int = 0, samples: int = 10_000) -> ExperimentReport:
                 - (1.0 + r_eq) / (1.0 - r_eq) ** 3)
     record("kb-equality-real-axis", gap_d <= 1e-9, 1e-9 - gap_d)
     # identity map sits strictly inside the bounds
-    record("ka-identity",
-           bool(np.all((rho >= ka_lo) & (rho <= ka_hi))),
-           float(np.min(np.minimum(rho - ka_lo, ka_hi - rho))))
+    bounded("ka-identity", rho, ka_lo, ka_hi, eps=0.0)
     # g(z) = z/(1-z) holds with slack
-    h = z / (1.0 - z)
-    record("ka-half-plane-map",
-           bool(np.all((np.abs(h) >= ka_lo * (1 - eps))
-                       & (np.abs(h) <= ka_hi * (1 + eps)))),
-           float(np.min(np.minimum(np.abs(h) - ka_lo, ka_hi - np.abs(h)))))
+    bounded("ka-half-plane-map", np.abs(z / (1.0 - z)), ka_lo, ka_hi)
     # (kc) quarter theorem on 360 rays: w with |w| < 1/4 has a preimage
     for name, inv in (("kc-koebe", _koebe_preimage),
                       ("kc-identity", lambda w: w),
@@ -532,7 +490,7 @@ def classical_suite(seed: int = 0, samples: int = 10_000) -> ExperimentReport:
         experiment_id="classical-inequalities",
         function={"variant": "suite"},
         parameters={"seed": seed, "samples": samples},
-        rows=rows, verdict=PASS if all_ok else FAIL,
+        rows=rows, verdict=_verdict(rows, True),
         tolerances={"equality": 1e-9, "bounds_rel": 1e-12})
 
 
@@ -556,16 +514,10 @@ def run_specfun_check(seed: int = 0) -> ExperimentReport:
     from . import mittag as ml
     rng = np.random.default_rng(seed)
     rows = []
-    all_ok = True
 
     def record(name, err, tol):
-        nonlocal all_ok
-        ok = err <= tol
-        all_ok &= ok
-        rows.append({"n": name, "lhs_tower": "", "rhs_tower": "",
-                     "margin_log": _clean(float(tol - err)),
-                     "error": _clean(float(err)), "tol": tol,
-                     "violates": not ok})
+        rows.append(_row(name, not err <= tol, margin=float(tol - err),
+                         error=_clean(float(err)), tol=tol))
 
     record("E1(1)-equals-e", abs(ml.ml_eval(1.0, 1.0)[0] - math.e) / math.e, 1e-12)
 
@@ -601,7 +553,7 @@ def run_specfun_check(seed: int = 0) -> ExperimentReport:
         experiment_id="specfun-check",
         function={"variant": "mittag_leffler_family"},
         parameters={"seed": seed},
-        rows=rows, verdict=PASS if all_ok else FAIL,
+        rows=rows, verdict=_verdict(rows, True),
         tolerances={"E1": 1e-12, "E2": 1e-10,
                     "series_vs_asymptotic": 1e-4, "decay": "10/x"})
 

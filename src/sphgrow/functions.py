@@ -558,7 +558,3 @@ def descriptor_from_json(obj) -> Descriptor:
             raise ValueError("eta must be in (0, 1)")
         return MittagLeffler(alpha, eta)
     raise ValueError(f"unknown variant: {variant!r}")
-
-
-def descriptor_to_json(f) -> dict:
-    return f.to_json()

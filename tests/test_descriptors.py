@@ -101,7 +101,7 @@ def _render(f, path):
 
 def snapshot(obj, tmp_dir) -> dict:
     f = fx.descriptor_from_json(obj)
-    out = {"json": json.dumps(fx.descriptor_to_json(f))}
+    out = {"json": json.dumps(f.to_json())}
     out["eval"] = [_probe(lambda z=z: _c(fx.eval_f(f, z))) for z in POINTS]
     out["derivative"] = [_probe(lambda z=z: _c(fx.derivative_f(f, z))) for z in POINTS]
     out["log_eval"] = [_probe(lambda p=p: [_h(v) for v in fx.log_eval(f, p)])
@@ -166,6 +166,36 @@ def test_no_region_rules_outside_region(module):
     # measures.Region; render may only refuse a window that is not a rectangle
     want = [("kind", "refusal")] if module == "render" else []
     assert _region_field_reads(SRC / f"{module}.py") == want
+
+
+ROW_FORMAT_OWNERS = {"_row", "_verdict", "rows_csv", "violating_rows"}
+
+
+def _row_key_literals(path: pathlib.Path) -> list:
+    """(function, line) of each "violates" or "margin_log" string literal in
+    path that no function of ROW_FORMAT_OWNERS holds; function is the
+    innermost enclosing one, or None at module level."""
+    hits = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Constant) and node.value in ("violates", "margin_log")
+                and owner not in ROW_FORMAT_OWNERS):
+            hits.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return hits
+
+
+def test_row_format_has_one_owner():
+    # experiments._row writes every report row and experiments._verdict
+    # reads them; a runner that spells a row key itself has its own format
+    hits = {path.stem: found for path in sorted(SRC.glob("*.py"))
+            if (found := _row_key_literals(path))}
+    assert hits == {}
 
 
 def _unreached_public_functions() -> list:

@@ -170,6 +170,24 @@ def test_thm56_unconverged_area_is_inconclusive(monkeypatch):
     assert rep.verdict == ex.INCONCLUSIVE
 
 
+def test_thm56_reports_the_last_radius_tried(monkeypatch):
+    # no tower bounds an area of e^(1e9): the search tries R_upper 2^k for
+    # k = 0..20 and reports the last of them, not one doubling more
+    area = ms.AreaResult(value=math.inf, log_value=1e9, log_error=0.0,
+                         unconverged=False, cells=1, refinements=0, overflow_cells=0)
+    monkeypatch.setattr(ex.ms, "spherical_area", lambda *args: area)
+    tried, tower = [], ex.fx.iterated_max_modulus
+    monkeypatch.setattr(ex.fx, "iterated_max_modulus",
+                        lambda f, R, n: tried.append(R) or tower(f, R, n))
+    U = ms.Region.disk(complex(0.318, 1.337), 0.5)
+    rep = ex.run_thm5_thm6(EXP, U, 5.0, 5.0, 2, [1, 2], grid=FAST_GRID)
+    assert tried[1:] == [5.0 * 2.0 ** k for k in range(21)]
+    assert not rep.parameters["upper_witnessed"]
+    assert rep.parameters["R_upper_final"] == tried[-1] == 5242880.0
+    assert rep.parameters["upper_doublings"] == 20
+    assert rep.verdict == ex.FAIL
+
+
 def test_report_json_deterministic():
     a = ex.classical_suite(seed=7, samples=500).to_json()
     b = ex.classical_suite(seed=7, samples=500).to_json()
@@ -305,7 +323,7 @@ def _thm4_scan_per_start(f, N, starts, seed):
     verdict = ex.PASS if all_ok and retained > 0 else (
         ex.INCONCLUSIVE if retained == 0 else ex.FAIL)
     return ex.ExperimentReport(
-        experiment_id="thm4-ml-upper-growth", function=fx.descriptor_to_json(f),
+        experiment_id="thm4-ml-upper-growth", function=f.to_json(),
         parameters={"N": N, "starts": starts, "seed": seed, "rho": rho,
                     "growth_constant": C, "retained": retained,
                     "unit_disk_orbits": shrinking},

@@ -168,6 +168,6 @@ def test_choose_eta():
 
 def test_descriptor_json_roundtrip():
     for f in ALL_VARIANTS:
-        g = fx.descriptor_from_json(fx.descriptor_to_json(f))
+        g = fx.descriptor_from_json(f.to_json())
         assert type(g) is type(f)
-        assert fx.descriptor_to_json(g) == fx.descriptor_to_json(f)
+        assert g.to_json() == f.to_json()
