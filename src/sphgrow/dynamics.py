@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functions as fx
+from . import kernels
 from .towers import TowerReal
 
 ESCALATION_THRESHOLD = 1e100
@@ -228,7 +229,7 @@ def orbit_table(f, xs, ys, n: int) -> OrbitTable:
 def log_spherical(log_deriv: float, log_mag: float) -> float:
     """log (f^n)^#(z_0) = log|(f^n)'(z_0)| - log(1 + |z_n|^2) from log_deriv
     and log_mag = log|z_n|, finite where |z_n|^2 overflows."""
-    if log_mag > 350.0:
+    if log_mag > kernels.LOG_SQUARE_CUT:
         den = 2.0 * log_mag
     elif log_mag == -math.inf:
         den = 0.0

@@ -5,8 +5,9 @@ start points (the inner loop of the measure quadratures and the theorem
 scans), and the render's orbit log-magnitudes a step at a time.  There is
 one numpy live-row orbit loop per orbit family, each stepping only the rows
 that still need its step, with the floating-point ops of a full-width loop:
-`_exp_orbit` for lam e^z keeps no table (`expaffine_logphi` reads its last
-step, `expaffine_logmag_steps` gets each log|z_k| as it is formed), and
+`_exp_orbit` for lam e^z keeps no table and forms no z_n (`expaffine_logphi`
+takes log(1 + |z_n|^2) from log|z_n| by dynamics.log_spherical's rule,
+`expaffine_logmag_steps` gets each log|z_k| as it is formed), and
 `poly_logphi` steps the rectangular rows by Horner in place and the
 log-polar rows on log|z| alone; its Horner starts from the leading
 coefficient and skips zero ones (z^2: 2 complex multiplies per step), with
@@ -32,6 +33,7 @@ STATUS_OVERFLOW = 1
 _EXP_LIMIT = 709.0
 _POLAR_ESCALATE = 230.25850929940457  # log 1e100
 _LOG_BIG = 1e300
+LOG_SQUARE_CUT = 350.0  # past it, log(1 + |z|^2) is 2 log|z| and |z|^2 may overflow
 
 
 # ---------------------------------------------------------------------------
@@ -40,11 +42,11 @@ _LOG_BIG = 1e300
 
 def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, visit):
     """n steps of f = lam e^z, each on the live rows only (log|z_k| <= 709
-    before the last step).  With visit, each log|z_k| (k = 0..n) goes to
-    visit(ll, live) as it is formed and nothing is kept (nor z_n formed); a
-    boolean mask over live that visit returns drops the rows outside it.
-    Without, returns s = log|(f^k)'(z_0)| up to the step where the orbit
-    left double range or n, and the live rows with log|z_n| and z_n."""
+    before the last step); neither reader forms z_n.  With visit, each
+    log|z_k| (k = 0..n) goes to visit(ll, live) as it is formed and nothing
+    is kept; a boolean mask over live that visit returns drops the rows
+    outside it.  Without, returns s = log|(f^k)'(z_0)| up to the step where
+    the orbit left double range or n, and the live rows with log|z_n|."""
     x = np.ascontiguousarray(x0, dtype=np.float64)
     y = np.ascontiguousarray(y0, dtype=np.float64)
     m = x.shape[0]
@@ -66,14 +68,13 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, visit):
                 s += loglam
             else:
                 wanted = visit(ll, live)
-                if k == n:
-                    break
-            # z_k exceeds doubles, or visit reads the row no more: the orbit
-            # ends, unless this is the last step
+            if k == n:
+                break
+            # z_k exceeds doubles, or visit reads the row no more: the orbit ends
             drop = ll > _EXP_LIMIT
             if wanted is not None:
                 drop |= ~wanted
-            if k < n and drop.any():
+            if drop.any():
                 keep = ~drop
                 if visit is None:
                     s_all[live[drop]] = s[drop]
@@ -84,29 +85,27 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, visit):
             x = np.cos(a)
             r = np.exp(ll)
             x *= r
-            if visit is None or k < n - 1:  # Im z_(n-1) only forms z_n
+            if k < n - 1:  # Im z_(n-1) would only form z_n
                 y = np.sin(a, out=a)
                 y *= r
             del r  # nor held while visit runs
         if visit is not None:
             return None
         s_all[live] = s
-    return s_all, live, ll, x, y
+    return s_all, live, ll
 
 
 def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
     """log (f^n)^#, log|(f^n)'|, log|z_n| (NaN where the orbit left double
     range before step n), status for f = lam e^z."""
-    s, live, ll, x, y = _exp_orbit(x0, y0, n, loglam, arglam, None)
+    s, live, ll = _exp_orbit(x0, y0, n, loglam, arglam, None)
     logphi = np.full(s.shape, np.nan)
     last = np.full(s.shape, np.nan)
     last[live] = ll
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = x * x  # log(1 + |z_n|^2) in one array; 2 log|z_n| where |z_n|^2 may overflow
-        den += y * y
-        np.log1p(den, out=den)
-        big = ll > 350.0
-        den[big] = 2.0 * ll[big]
+    with np.errstate(over="ignore"):
+        # log(1 + |z_n|^2) from log|z_n|: dynamics.log_spherical's rule
+        two = 2.0 * ll
+        den = np.where(ll > LOG_SQUARE_CUT, two, np.log1p(np.exp(two)))
         logphi[live] = s[live] - den
     status = np.full(s.shape, STATUS_OVERFLOW, dtype=np.int64)
     status[live] = STATUS_OK
@@ -252,7 +251,7 @@ def poly_logphi(x0, y0, n: int, coefficients):
         # log|z_n| alone on the log-polar rows
         den = np.multiply(mag, mag, out=mag)
         np.log1p(den, out=den)
-        far = lm > 350.0
+        far = lm > LOG_SQUARE_CUT
         den[far] = 2.0 * lm[far]
         logphi = np.full(m, np.nan)
         logphi[rect] = np.subtract(sr, den, out=den)

@@ -5,7 +5,9 @@ kernel once shared, kept verbatim: `_exp_orbit` filling the (m, n + 1)
 table of log|z_k|, the escape rule (`_mark_escapes`, `escape_index`), the
 render's `_orbit_logmags` and the table-fed `_classify_fast`.  The code
 under test must give the same escape steps, fast mask, PPM bytes and
-`expaffine_logphi` outputs, compared with `tobytes()`.
+`expaffine_logphi` outputs, compared with `tobytes()`; the expected log
+(f^n)^# is formed from the table's log|z_n| by dynamics.log_spherical's
+rule, as the kernel forms it.
 """
 
 import cmath
@@ -22,6 +24,7 @@ from sphgrow import measures as ms
 from sphgrow import render as rd
 from sphgrow.towers import TowerReal
 
+from test_kernels import _log1p_square
 from test_render import CASES, _hand_made_table, _pixels
 
 
@@ -76,16 +79,11 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, log_escape):
 
 
 def _expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
-    table, s, _, live, x, y = _exp_orbit(x0, y0, n, loglam, arglam, None)
+    table, s, _, live, _, _ = _exp_orbit(x0, y0, n, loglam, arglam, None)
     ll = table[live, n]
     logphi = np.full(s.shape, np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = x * x  # log(1 + |z_n|^2) in one array; 2 log|z_n| where |z_n|^2 may overflow
-        den += y * y
-        np.log1p(den, out=den)
-        big = ll > 350.0
-        den[big] = 2.0 * ll[big]
-        logphi[live] = s[live] - den
+    # log(1 + |z_n|^2) from log|z_n|, by dynamics.log_spherical's rule
+    logphi[live] = s[live] - _log1p_square(ll)
     status = np.full(s.shape, kernels.STATUS_OVERFLOW, dtype=np.int64)
     status[live] = kernels.STATUS_OK
     return logphi, s, table[:, n], status

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -248,8 +249,9 @@ def test_logmags_bit_identical_to_full_width(lam):
 
 
 def _logphi_full_width(x0, y0, n, loglam, arglam):
-    """expaffine_logphi as it was first written: every step over every orbit,
-    with the orbits that pass e^709 at the last step kept alive."""
+    """expaffine_logphi's loop as it was first written: every step over every
+    orbit, with the orbits that pass e^709 at the last step kept alive; log
+    (f^n)^# from its log|z_n| by dynamics.log_spherical's rule."""
     x = np.ascontiguousarray(x0, dtype=np.float64)
     y = np.ascontiguousarray(y0, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -273,10 +275,16 @@ def _logphi_full_width(x0, y0, n, loglam, arglam):
             ny = r * np.sin(a)
             x = np.where(alive & ~dead_at_end, nx, x)
             y = np.where(alive & ~dead_at_end, ny, y)
-        den = np.where(ll > 350.0, 2.0 * ll, np.log1p(np.where(dead_at_end, 0.0, x * x + y * y)))
-        logphi = np.where(alive, s - den, np.nan)
+        logphi = np.where(alive, s - _log1p_square(ll), np.nan)
     status = np.where(alive, kernels.STATUS_OK, kernels.STATUS_OVERFLOW).astype(np.int64)
     return logphi, s, ll, status
+
+
+def _log1p_square(ll):
+    """log(1 + |z|^2) from ll = log|z|, by dynamics.log_spherical's rule on
+    arrays: 2 log|z| past log|z| = 350, else log1p(e^(2 log|z|))."""
+    with np.errstate(over="ignore"):
+        return np.where(ll > 350.0, 2.0 * ll, np.log1p(np.exp(2.0 * ll)))
 
 
 def _overflow_starts(lam, n):
@@ -320,6 +328,41 @@ def test_logphi_bit_identical_to_full_width(lam, n):
     assert (~ok).sum() >= 9 * (n > 1)
     assert (want[2][ok] > 709.0).sum() >= 9
     assert (want[2][ok] < 5.0).any()
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3 - 0.2j])
+@pytest.mark.parametrize("n", [1, 2, 4, 12])
+def test_logphi_is_log_spherical_rule_of_its_outputs(lam, n):
+    # log (f^n)^# is log|(f^n)'| - log(1 + |z_n|^2), the second formed from
+    # the log|z_n| the kernel returns, bit for bit, on every row that reaches n
+    xs, ys = _overflow_starts(lam, n)
+    logphi, logderiv, loglast, status = kernels.expaffine_logphi(
+        xs, ys, n, math.log(abs(lam)), cmath.phase(lam))
+    ok = status == kernels.STATUS_OK
+    want = np.where(ok, logderiv - _log1p_square(loglast), np.nan)
+    assert logphi.tobytes() == want.tobytes()
+    # both sides of the cut
+    assert (loglast[ok] > 350.0).sum() >= 9
+    assert (loglast[ok] < 5.0).any()
+
+
+def test_logphi_n1_accuracy_against_mpmath():
+    # at n = 1, log (f)^#(z_0) = x0 + log|lam| - log1p(|lam|^2 e^(2 x0)) is
+    # exact from the start point; 200-bit reference on seeded z_0 on both
+    # sides of the cut.  Forming z_1 and squaring it back gave 5.2e-16 here
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for lam in (1.0, 0.3 - 0.2j):
+        for lo, hi in ((-3.0, 3.0), (-40.0, 40.0), (300.0, 400.0)):
+            xs, ys = rng.uniform(lo, hi, 500), rng.uniform(-4.0, 4.0, 500)
+            logphi = kernels.expaffine_logphi(xs, ys, 1, math.log(abs(lam)), cmath.phase(lam))[0]
+            with mpmath.workprec(200):
+                loglam = mpmath.log(abs(mpmath.mpc(lam)))
+                for x, got in zip(xs.tolist(), logphi.tolist()):
+                    ll = mpmath.mpf(x) + loglam
+                    want = ll - mpmath.log1p(mpmath.exp(2 * ll))
+                    worst = max(worst, float(abs((got - want) / want)))
+    assert worst <= 3.5e-16, worst
 
 
 def _poly_logphi_masked(x0, y0, n, coefficients):
