@@ -102,7 +102,7 @@ def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
     logphi = np.full(s.shape, np.nan)
     last = np.full(s.shape, np.nan)
     last[live] = ll
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         # log(1 + |z_n|^2) from log|z_n|: dynamics.log_spherical's rule
         two = 2.0 * ll
         den = np.where(ll > LOG_SQUARE_CUT, two, np.log1p(np.exp(two)))
