@@ -163,8 +163,9 @@ def orbit_table(f, xs, ys, n: int) -> OrbitTable:
 
     At each step the rows in rectangular form that f.eval_arrays evaluates
     step together in arrays; every other row, and each one whose step is not
-    the common case (f'(z) = 0, or |f(z)| past ESCALATION_THRESHOLD), takes
-    _orbit_step.  np.hypot gives abs(complex) bit for bit.
+    the common case (f'(z) = 0, |f(z)| past ESCALATION_THRESHOLD, or a NaN
+    where f left double range), takes _orbit_step.  np.hypot gives
+    abs(complex) bit for bit.
     """
     if n < 1:
         raise ValueError("n_max must be >= 1")
@@ -191,14 +192,13 @@ def orbit_table(f, xs, ys, n: int) -> OrbitTable:
         scalar = np.ones(rect.size, dtype=bool)
         batch = f.eval_arrays(x[rect], y[rect]) if rect.size else None
         if batch is not None:
-            sub, er, ei, dr, di = batch
+            er, ei, dr, di = batch
             dmag, vmag = np.hypot(dr, di), np.hypot(er, ei)
-            common = (dmag > 0.0) & (vmag <= ESCALATION_THRESHOLD)
-            sub = sub[common]
+            sub = np.flatnonzero((dmag > 0.0) & (vmag <= ESCALATION_THRESHOLD))  # NaN fails
             rows = rect[sub]
-            log_deriv[rows, k + 1] = log_deriv[rows, k] + _log_abs(dmag[common])
-            log_mag[rows, k + 1] = _log_abs(vmag[common])
-            x[rows], y[rows] = er[common], ei[common]
+            log_deriv[rows, k + 1] = log_deriv[rows, k] + _log_abs(dmag[sub])
+            log_mag[rows, k + 1] = _log_abs(vmag[sub])
+            x[rows], y[rows] = er[sub], ei[sub]
             length[rows] += 1
             scalar[sub] = False
         stay = np.ones(rect.size, dtype=bool)

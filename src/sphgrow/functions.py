@@ -90,13 +90,14 @@ class Descriptor:
         return False
 
     def eval_arrays(self, x: np.ndarray, y: np.ndarray):
-        """(rows, Re f, Im f, Re f', Im f') at the points x + iy of the rows it
-        evaluates as arrays, bit for bit what eval and derivative return;
+        """(Re f, Im f, Re f', Im f') at the points x + iy, bit for bit what
+        eval and derivative return and NaN where they raise EvalOverflow;
         None when it has no array rule."""
         return None
 
     def logphi(self, xs: np.ndarray, ys: np.ndarray, n: int):
-        """(logphi, status) from a batch kernel; None when there is none."""
+        """log (f^n)^# from a batch kernel, NaN where the orbit left double
+        range before step n; None when there is no kernel."""
         return None
 
     def logmag_steps(self, xs: np.ndarray, ys: np.ndarray, n_max: int, visit) -> bool:
@@ -207,8 +208,7 @@ class Polynomial(Descriptor):
         return t.pow_const(float(self.degree)).mul_const(abs(self.coefficients[-1]))
 
     def logphi(self, xs, ys, n):
-        lp, _, _, st = kernels.poly_logphi(xs, ys, n, self.coefficients)
-        return lp, st
+        return kernels.poly_logphi(xs, ys, n, self.coefficients)[0]
 
     def to_json(self) -> dict:
         return {"variant": "polynomial",
@@ -270,9 +270,8 @@ class ExpAffine(Descriptor):
         return t.add_const(math.log(abs(self.lam))).exp()
 
     def logphi(self, xs, ys, n):
-        lp, _, _, st = kernels.expaffine_logphi(
-            xs, ys, n, math.log(abs(self.lam)), math.atan2(self.lam.imag, self.lam.real))
-        return lp, st
+        return kernels.expaffine_logphi(
+            xs, ys, n, math.log(abs(self.lam)), math.atan2(self.lam.imag, self.lam.real))[0]
 
     def logmag_steps(self, xs, ys, n_max, visit):
         kernels.expaffine_logmag_steps(xs, ys, n_max, math.log(abs(self.lam)),
@@ -361,14 +360,13 @@ class MittagLeffler(Descriptor):
         return v
 
     def eval_arrays(self, x, y):
-        """Every row where ml_eval returns, so all but those where E_alpha
-        leaves double range."""
-        rows, er, ei, dr, di = mittag.ml_eval_arrays(self.alpha, x, y)
+        """NaN where E_alpha leaves double range, as ml_eval_arrays gives it."""
+        er, ei, dr, di = mittag.ml_eval_arrays(self.alpha, x, y)
         if self._log_scale != 0.0:
             # _checked's v *= self._scale, a complex * float product
             er, ei = mittag.cmul(er, ei, self._scale, 0.0)
             dr, di = mittag.cmul(dr, di, self._scale, 0.0)
-        return rows, er, ei, dr, di
+        return er, ei, dr, di
 
     def log_max_modulus(self, r: float) -> float:
         return mittag.ml_log_abs(self.alpha, r) + math.log(self.eta)
@@ -392,10 +390,8 @@ def choose_eta(alpha: float) -> float:
     """
     theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     ring = np.exp(1j * theta)
-    peak = 0.0
-    for z in ring:
-        e, de = mittag.ml_eval(alpha, z)
-        peak = max(peak, abs(e), abs(de))
+    er, ei, dr, di = mittag.ml_eval_arrays(alpha, ring.real, ring.imag)
+    peak = float(np.hypot([er, dr], [ei, di]).max())  # |z| = 1 is inside switch_radius: no NaN
     eta = 0.5
     while eta * peak >= 0.99:
         eta *= 0.5
@@ -496,10 +492,10 @@ def growth_constant(alpha: float) -> float:
         # deep in the growth sector, Re z^p > 45, the ratio is p to within e^-45
         deep = (np.abs(th) <= edge) & (r ** p * np.cos(p * th) > 45.0)
         r, th = r[~deep], th[~deep]
-        rows, er, ei, dr, di = mittag.ml_eval_arrays(alpha, r * np.cos(th), r * np.sin(th))
+        er, ei, dr, di = mittag.ml_eval_arrays(alpha, r * np.cos(th), r * np.sin(th))
         e = np.hypot(er, ei)
-        ok = e >= 1.0
-        ratio = np.hypot(dr, di)[ok] / (r[rows[ok]] ** (p - 1.0) * e[ok])
+        ok = e >= 1.0  # NaN, where E_alpha left double range, fails
+        ratio = np.hypot(dr, di)[ok] / (r[ok] ** (p - 1.0) * e[ok])
         best = max(best, p if deep.any() else 0.0, ratio.max(initial=0.0))
     return 1.05 * float(best)
 

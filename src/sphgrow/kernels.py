@@ -247,12 +247,10 @@ def poly_logphi(x0, y0, n: int, coefficients):
         rect = slice(None) if rows is None else rows
         s[rect], ll[rect] = sr, lm
         s[prows], ll[prows] = ps, pl
-        # log(1 + |z_n|^2), or 2 log|z_n| where |z_n|^2 may overflow; from
-        # log|z_n| alone on the log-polar rows
+        # log(1 + |z_n|^2): |z_n| <= e^esc_log on the rectangular rows, so
+        # |z_n|^2 fits doubles; from log|z_n| alone on the log-polar rows
         den = np.multiply(mag, mag, out=mag)
         np.log1p(den, out=den)
-        far = lm > LOG_SQUARE_CUT
-        den[far] = 2.0 * lm[far]
         logphi = np.full(m, np.nan)
         logphi[rect] = np.subtract(sr, den, out=den)
         logphi[prows] = ps - (2.0 * pl + np.log1p(np.exp(-2.0 * pl)))

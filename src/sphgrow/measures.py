@@ -16,7 +16,6 @@ import numpy as np
 
 from . import dynamics as dy
 from . import functions as fx
-from . import kernels
 
 
 @dataclass(frozen=True)
@@ -122,16 +121,15 @@ class GridSpec:
 # batched log (f^n)^# evaluation
 
 
-def logphi_batch(f, xs: np.ndarray, ys: np.ndarray, n: int):
-    """(logphi, status) arrays over start points; NaN where the orbit dies."""
+def logphi_batch(f, xs: np.ndarray, ys: np.ndarray, n: int) -> np.ndarray:
+    """log (f^n)^# over start points; NaN where the orbit left double range
+    before step n."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    batch = f.logphi(xs, ys, n)
-    if batch is not None:
-        return batch
-    # the orbit table for variants without a batch kernel
-    lp = dy.orbit_table(f, xs.ravel(), ys.ravel(), n).logphi.reshape(xs.shape)
-    return lp, np.where(np.isnan(lp), kernels.STATUS_OVERFLOW, kernels.STATUS_OK)
+    lp = f.logphi(xs, ys, n)
+    if lp is None:  # the orbit table for variants without a batch kernel
+        lp = dy.orbit_table(f, xs.ravel(), ys.ravel(), n).logphi.reshape(xs.shape)
+    return lp
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +193,22 @@ def _edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _logphi_inside(f, xs: np.ndarray, ys: np.ndarray, inside: np.ndarray, n: int):
-    """(log (f^n)^#, overflowed) laid out on the mask inside, from the points
-    xs + i ys where it holds: NaN and False elsewhere, and no kernel call
-    when it holds nowhere."""
-    lpi, sti = logphi_batch(f, xs, ys, n) if xs.size else (np.nan, kernels.STATUS_OK)
-    lp = np.full(inside.shape, np.nan)
+    """log (f^n)^# laid out on the mask inside, from the points xs + i ys
+    where it holds: -inf elsewhere, so a NaN is a point of U whose orbit
+    overflowed, and no kernel call when it holds nowhere."""
+    lpi = logphi_batch(f, xs, ys, n) if xs.size else np.nan
+    lp = np.full(inside.shape, -np.inf)  # formed after the kernel call, not alive in it
     lp[inside] = lpi
-    hot = np.zeros(inside.shape, dtype=bool)
-    hot[inside] = sti != kernels.STATUS_OK
-    return lp, hot
+    return lp
 
 
-def _subcells(xe, ye, block, hot, threshold: float, floor: float):
-    """(x edges, y edges, corner values, corner flags) of the subcells to refine
-    next: those the window test marks whose top corner is above floor, at most
-    4096, the widest first and in the order 4i + 2p + q among equal widths."""
+def _subcells(xe, ye, block, threshold: float, floor: float):
+    """(x edges, y edges, corner values) of the subcells to refine next: those
+    the window test marks whose top corner is above floor, at most 4096, by
+    descending x-width as rounded and in the order 4i + 2p + q among equal
+    ones.  The two x-halves of a cell differ by how its midpoint rounded, so
+    where more than 4096 of one depth compete that rounding picks the ones
+    kept, not their size."""
     m = xe.shape[1]
     # subcell (p, q) of cell i, x half p outer, has corners block[p:p+2, q:q+2, i]
     refine, top = _window_test(block.reshape(3, 3, m), threshold)
@@ -220,7 +219,7 @@ def _subcells(xe, ye, block, hot, threshold: float, floor: float):
     i, p, q = sub >> 2, sub >> 1 & 1, sub & 1
     corner = (3 * p + q) * m + i + np.array([[0], [m], [3 * m], [4 * m]])
     return (_edges(xe[p, i], xe[p + 1, i]), _edges(ye[q, i], ye[q + 1, i]),
-            block.reshape(-1)[corner], hot.reshape(-1)[corner])
+            block.reshape(-1)[corner])
 
 
 def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
@@ -233,9 +232,9 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     gy = np.linspace(y0, y1, res + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
     mask = U.contains(X, Y)
-    lp, hot = _logphi_inside(f, X[mask], Y[mask], mask, n)  # hot: overflowed inside U
+    lp = _logphi_inside(f, X[mask], Y[mask], mask, n)
     vals = lp[np.isfinite(lp)]
-    overflow = int(hot.sum())
+    overflow = int(np.isnan(lp).sum())
     evals = X.size
     if vals.size == 0:
         raise ValueError(f"every grid orbit overflows before n={n}; use smaller n")
@@ -245,9 +244,9 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
 
     u, v = np.divmod(np.flatnonzero(_window_test(lp, threshold)[0]), res)
     xe, ye = _edges(gx[u], gx[u + 1]), _edges(gy[v], gy[v + 1])
-    # each cell's corner values and overflow flags, from the pass that evaluated them
+    # each cell's corner values, from the pass that evaluated them
     corner = u * (res + 1) + v + np.array([[0], [1], [res + 1], [res + 2]])
-    lpc, hotc = lp.reshape(-1)[corner], hot.reshape(-1)[corner]
+    lpc = lp.reshape(-1)[corner]
     rounds = 0
     while xe.shape[1] and rounds < grid.max_refinements:
         rounds += 1
@@ -256,17 +255,17 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         ys = ye[[1, 0, 1, 2, 1]].reshape(-1)
         inside = U.contains(xs, ys)
         xs, ys = xs[inside], ys[inside]  # only the points in U stay alive in the kernel
-        lpv, hotv = _logphi_inside(f, xs, ys, inside.reshape(5, -1), n)
+        lpv = _logphi_inside(f, xs, ys, inside.reshape(5, -1), n)
         # the corners are in best already
         best = max(best, float(np.where(np.isfinite(lpv), lpv, -np.inf).max()))
-        block, hot = np.concatenate((lpc, lpv))[_ROWS], np.concatenate((hotc, hotv))[_ROWS]
-        overflow += int(hot.sum())
+        block = np.concatenate((lpc, lpv))[_ROWS]
+        overflow += int(np.isnan(block).sum())
         evals += block.size
         if rounds == grid.max_refinements:
             break  # nothing reads the subcells of the last permitted round
-        xe, ye, lpc, hotc = _subcells(xe, ye, block, hot, threshold,
-                                      best - 3.0 * max(spread_ref, 1.0))  # near the top
-        del block, hot, lpv, hotv  # not alive in the next kernel call
+        xe, ye, lpc = _subcells(xe, ye, block, threshold,
+                                best - 3.0 * max(spread_ref, 1.0))  # near the top
+        del block, lpv  # not alive in the next kernel call
     return MuSupResult(log_mu=best, evaluations=evals, refinements=rounds,
                        overflow_points=overflow)
 
@@ -378,7 +377,7 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
         inside = U.contains(xs, ys)
         # only the new points and their radii stay alive in the kernel
         del mv, um, vm
-        lp, _ = logphi_batch(f, xs, ys, n)
+        lp = logphi_batch(f, xs, ys, n)
         del xs, ys
         um, vm = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
         k0, k1 = slice(own, own + m), slice(own + m, None)

@@ -284,51 +284,45 @@ def ml_asymptotic(alpha: float, z: complex) -> tuple:
     return lead + tail, d_lead + d_tail
 
 
-def _pointwise(fn, alpha: float, x, y) -> tuple:
-    """fn(alpha, z), a pair of complex values, at each point x + iy: ok,
-    False where fn raises OverflowError, and the pairs' parts as (4, n)."""
-    ok = np.ones(x.shape, dtype=bool)
+def _pointwise(fn, alpha: float, x, y) -> np.ndarray:
+    """fn(alpha, z), a pair of complex values, at each point x + iy: the
+    pairs' parts as (4, n), NaN where fn raises OverflowError."""
+    nan = complex(math.nan, math.nan)
     out = []
-    for i, z in enumerate(map(complex, x.tolist(), y.tolist())):
+    for z in map(complex, x.tolist(), y.tolist()):
         try:
             out += fn(alpha, z)
         except OverflowError:
-            ok[i] = False
-            out += (0j, 0j)
-    return ok, np.array(out, dtype=complex).view(float).reshape(-1, 4).T
+            out += (nan, nan)
+    return np.array(out, dtype=complex).view(float).reshape(-1, 4).T
 
 
-def _asymptotic_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> tuple:
-    """ml_asymptotic at the points x + iy: ok, False where it raises
-    OverflowError, and (Re E, Im E, Re E', Im E') as (4, n).  The tail sums
-    as arrays; exp and log go point by point through cmath, since numpy's
-    differ from libm's in the last bit."""
+def _asymptotic_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ml_asymptotic at the points x + iy: (Re E, Im E, Re E', Im E') as
+    (4, n), NaN where it raises OverflowError.  The tail sums as arrays; exp
+    and log go point by point through cmath, since numpy's differ from
+    libm's in the last bit."""
     if alpha in (1.0, 2.0):  # the closed forms
         return _pointwise(ml_asymptotic, alpha, x, y)
     ir, ii = _recip(x, y)
     out = np.concatenate([_tail_sums(alpha, ir, ii, False), _tail_sums(alpha, ir, ii, True)])
-    ok = np.ones(x.shape, dtype=bool)
     g = np.flatnonzero(_growth_sector(alpha, x, y))
-    ok[g], lead = _pointwise(_growth_terms, alpha, x[g], y[g])
-    out[:, g] = lead + out[:, g]
-    return ok, out
+    out[:, g] = _pointwise(_growth_terms, alpha, x[g], y[g]) + out[:, g]
+    return out
 
 
 def ml_eval_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> tuple:
-    """ml_eval at the points x + iy, bit for bit: (rows, Re E, Im E, Re E',
-    Im E') for the rows where ml_eval returns, which leaves out those where it
-    raises OverflowError.  Both branches follow ml_eval's in the real and
-    imaginary arrays of cmul; np.hypot is abs(complex)."""
+    """ml_eval at the points x + iy, bit for bit: (Re E, Im E, Re E', Im E'),
+    NaN where ml_eval raises OverflowError.  Both branches follow ml_eval's
+    in the real and imaginary arrays of cmul; np.hypot is abs(complex)."""
     x, y = x + 0.0, y + 0.0  # as ml_eval reads z
     near = np.hypot(x, y) <= switch_radius(alpha)
     out = np.empty((4, x.shape[0]))
-    ok = np.ones(x.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
         out[:, near] = _series_arrays(alpha, x[near], y[near])
         far = ~near
-        ok[far], out[:, far] = _asymptotic_arrays(alpha, x[far], y[far])
-    rows = np.flatnonzero(ok)
-    return rows, *out[:, rows]
+        out[:, far] = _asymptotic_arrays(alpha, x[far], y[far])
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)

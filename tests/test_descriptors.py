@@ -75,8 +75,8 @@ def _towers(f, R, n_max):
 
 
 def _batch(f, n):
-    lp, st = ms.logphi_batch(f, np.array(BATCH_X), np.array(BATCH_Y), n)
-    return {"logphi": [_h(v) for v in lp], "status": [int(s) for s in st]}
+    lp = ms.logphi_batch(f, np.array(BATCH_X), np.array(BATCH_Y), n)
+    return {"logphi": [_h(v) for v in lp], "status": [int(s) for s in np.isnan(lp)]}
 
 
 def _orbit(f, z0):
@@ -166,6 +166,24 @@ def test_no_region_rules_outside_region(module):
     # measures.Region; render may only refuse a window that is not a rectangle
     want = [("kind", "refusal")] if module == "render" else []
     assert _region_field_reads(SRC / f"{module}.py") == want
+
+
+STATUS_CODES = {"STATUS_OK", "STATUS_OVERFLOW"}
+
+
+def _status_code_names(path: pathlib.Path) -> list:
+    """Lines of path that name a kernel status code, as a name, an attribute
+    or an import."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if STATUS_CODES & {getattr(node, key, None) for key in ("id", "attr", "name")}]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem != "kernels"))
+def test_no_status_codes_above_the_kernels(module):
+    # above the kernels a NaN marks an orbit or value that left double range
+    # and -inf a point off U; only the kernels still return status codes
+    assert _status_code_names(SRC / f"{module}.py") == []
 
 
 ROW_FORMAT_OWNERS = {"_row", "_verdict", "rows_csv", "violating_rows"}

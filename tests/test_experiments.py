@@ -276,6 +276,25 @@ def test_thm4_small_scan():
     assert not rep.violating_rows()
 
 
+def test_unit_disk_check_rejects_nan_on_the_ring(monkeypatch):
+    # a ring point where eta * E_alpha left double range comes back NaN from
+    # eval_arrays, and the check must refuse it: Python's max(NaN, x) is NaN,
+    # and NaN >= 1.0 is False
+    f = fx.MittagLeffler(1.0, 0.1)
+    ex._check_unit_disk_contraction(f)
+    eval_arrays = type(f).eval_arrays
+
+    def one_nan(self, x, y):
+        parts = eval_arrays(self, x, y)
+        for part in parts:
+            part[7] = np.nan
+        return parts
+
+    monkeypatch.setattr(type(f), "eval_arrays", one_nan)
+    with pytest.raises(ValueError, match="unit-disk contraction"):
+        ex._check_unit_disk_contraction(f)
+
+
 # run_thm4_scan as it was with one iterate_orbit per start: the oracle of
 # the batched scan, kept with the two checks it called
 
