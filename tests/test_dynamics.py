@@ -119,6 +119,37 @@ def test_orbit_ends_when_no_value_is_representable():
     assert orbit.log_mag(3) > 200.0
 
 
+_NAN, _INF, _NEG_INF = complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 1.0)
+
+
+@pytest.mark.parametrize("f, z0, status, escalated_at, overflow_at, length", [
+    # a NaN value escalates like one past ESCALATION_THRESHOLD; a variant with
+    # no log continuation then ends its orbit at that point
+    (fx.CoshSqrt(), _NAN, dy.OVERFLOW, 1, 1, 2),
+    (fx.CoshSqrt(), _INF, dy.OVERFLOW, 1, 1, 2),
+    (fx.MittagLeffler(0.75), _NAN, dy.OVERFLOW, 1, 1, 2),
+    (fx.MittagLeffler(0.75), _INF, dy.OVERFLOW, 1, 1, 2),
+    (fx.MittagLeffler(0.75), _NEG_INF, dy.COMPLETE, -1, -1, 5),
+    (SQUARE, _NAN, dy.ESCALATED, 1, -1, 5),
+    (SQUARE, _INF, dy.ESCALATED, 1, -1, 5),
+    (SQUARE, _NEG_INF, dy.ESCALATED, 1, -1, 5),
+    (EXP, _NAN, dy.ESCALATED, 1, -1, 5),
+    (EXP, _INF, dy.OVERFLOW, 1, 1, 2),
+    (EXP, _NEG_INF, dy.COMPLETE, -1, -1, 5),
+], ids=["cosh_sqrt-nan", "cosh_sqrt-inf", "ml0.75-nan", "ml0.75-inf", "ml0.75-neg_inf",
+        "square-nan", "square-inf", "square-neg_inf", "exp-nan", "exp-inf", "exp-neg_inf"])
+def test_orbit_of_a_non_finite_start(f, z0, status, escalated_at, overflow_at, length):
+    orbit = dy.iterate_orbit(f, z0, 4)
+    assert (orbit.status, orbit.escalated_at, orbit.overflow_at) == (status, escalated_at, overflow_at)
+    assert orbit.length() == length
+
+
+def test_orbit_of_a_non_finite_start_outside_the_domain():
+    # cosh sqrt z at -inf + i: sinh(sqrt z) = sinh(i inf) has no value in cmath
+    with pytest.raises(ValueError):
+        dy.iterate_orbit(fx.CoshSqrt(), _NEG_INF, 4)
+
+
 # ---------------------------------------------------------------------------
 # orbit_table against one iterate_orbit per start
 
@@ -136,10 +167,10 @@ def _thm4_starts():
 
 # z0 = 0 and its signed-zero twins, other -0.0 parts, and large starts: 300
 # escalates E_1, 1e5 escalates cosh sqrt z, 1e200 overflows E_0.2 and E_0.5
-# with no log-polar value
+# with no log-polar value; E_1'(-800) = e^-800 rounds to 0
 _EDGE_STARTS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
                 complex(-0.0, 0.3), complex(0.5, -0.0), complex(-1.5, -0.0),
-                300.0 + 0j, 1e5 + 0j, 1e200 + 0j, -1e200 + 0j]
+                300.0 + 0j, 1e5 + 0j, 1e200 + 0j, -1e200 + 0j, -800.0 + 0j]
 
 
 def _orbit_rows_per_start(f, starts, n):
