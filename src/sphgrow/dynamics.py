@@ -4,9 +4,9 @@ Orbits run in rectangular coordinates while representable, then escalate
 to log-polar continuation (exact for the exponential family, leading-term
 for polynomials).  The chain rule is tracked as a running sum of
 log|f'(z_j)| so that log (f^n)^# stays finite far past double overflow.
-`orbit_table` steps a batch of orbits together, in arrays where the variant
-evaluates as arrays (`eval_arrays`), and gives each start the bits of its
-`iterate_orbit`.
+`_orbit_steps` alone decides when an orbit escalates and when it ends:
+`iterate_orbit` records its steps, and `orbit_table` those of a batch,
+stepping in arrays where the variant has `eval_arrays`.
 """
 
 from __future__ import annotations
@@ -73,28 +73,31 @@ def _log_abs_derivative(f, z: complex) -> float:
     return math.log(abs(d))
 
 
-def _orbit_step(f, z: complex, z_lp):
-    """One orbit step from z, or from z_lp = (log|z|, arg z) once the orbit
-    has escalated: (log|f'(z)|, f(z), None) while |f(z)| <= ESCALATION_THRESHOLD,
-    else (log|f'(z)|, None, (log|f(z)|, arg f(z))); None when f(z) has no
-    value, not even a log-polar one."""
-    try:
-        if z_lp is None:
-            logd = _log_abs_derivative(f, z)
-            try:
-                nxt, nxt_lp = fx.eval_f(f, z), None
-            except fx.EvalOverflow as e:
-                nxt, nxt_lp = None, (e.log_mag, e.arg)
-        else:
-            logd = f.log_abs_derivative_polar(*z_lp)
-            nxt, nxt_lp = None, fx.log_eval(f, z_lp)
-    except (OverflowError, fx.OrbitOverflow):
-        return None
-    if nxt is not None and abs(nxt) <= ESCALATION_THRESHOLD:
-        return logd, nxt, None
-    if nxt is not None:
-        nxt_lp = (math.log(abs(nxt)), cmath.phase(nxt))
-    return logd, None, nxt_lp
+def _orbit_steps(f, z: complex, n: int):
+    """Up to n steps of the orbit of z, each (log|f'(z_k)|, z_(k+1), None)
+    while |z_(k+1)| <= ESCALATION_THRESHOLD, else (log|f'(z_k)|, None,
+    (log|z_(k+1)|, arg z_(k+1))); a NaN z_(k+1) escalates too.  The orbit
+    ends at a step where f has no value, not even a log-polar one, and
+    after its first log-polar point where f has no log continuation."""
+    z_lp = None
+    for _ in range(n):
+        try:
+            if z_lp is not None:
+                logd = f.log_abs_derivative_polar(*z_lp)
+                z_lp = fx.log_eval(f, z_lp)
+            else:
+                logd = _log_abs_derivative(f, z)
+                try:
+                    z = fx.eval_f(f, z)
+                except fx.EvalOverflow as e:
+                    z, z_lp = None, (e.log_mag, e.arg)
+        except (OverflowError, fx.OrbitOverflow):
+            return
+        if z is not None and not abs(z) <= ESCALATION_THRESHOLD:
+            z, z_lp = None, (math.log(abs(z)), cmath.phase(z))
+        yield logd, z, z_lp
+        if z is None and not f.log_continuation:
+            return
 
 
 def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
@@ -105,39 +108,18 @@ def iterate_orbit(f, z0: complex, n_max: int) -> OrbitRecord:
     points = [z0]
     log_points = []
     prefix = [0.0]
-    status = COMPLETE
-    escalated_at = -1
-    overflow_at = -1
-    cur = z0
-    cur_lp = None
-    for n in range(n_max):
-        step = _orbit_step(f, cur, cur_lp)
-        if step is None:
-            # no value, not even a log-polar one: the orbit ends here
-            status = OVERFLOW
-            overflow_at = n
-            break
-        logd, nxt, nxt_lp = step
+    for logd, z, z_lp in _orbit_steps(f, z0, n_max):
         prefix.append(prefix[-1] + logd)
-        if nxt is not None:
-            points.append(nxt)
-            cur = nxt
-            continue
-        log_points.append(nxt_lp)
-        if cur_lp is None:
-            # escalate to log-polar continuation
-            escalated_at = n + 1
-            status = ESCALATED
-            if not f.log_continuation:
-                # next point recorded, but no way to iterate further
-                if n + 1 < n_max:
-                    status = OVERFLOW
-                    overflow_at = n + 1
-                break
-        cur_lp = nxt_lp
+        if z is not None:
+            points.append(z)
+        else:
+            log_points.append(z_lp)
+    steps = len(prefix) - 1  # fewer than n_max where the orbit ended
+    status = OVERFLOW if steps < n_max else ESCALATED if log_points else COMPLETE
     return OrbitRecord(start=z0, points=points, log_points=log_points,
                        log_deriv_prefix=prefix, status=status,
-                       escalated_at=escalated_at, overflow_at=overflow_at)
+                       escalated_at=len(points) if log_points else -1,
+                       overflow_at=steps if steps < n_max else -1)
 
 
 @dataclass
@@ -158,14 +140,14 @@ def _log_abs(mags: np.ndarray) -> list:
 
 
 def orbit_table(f, xs, ys, n: int) -> OrbitTable:
-    """The orbits of the start points xs + i ys for n steps, all rows a step
-    at a time, each row bit for bit its iterate_orbit.
+    """The orbits of the start points xs + i ys for n steps, each row bit for
+    bit its iterate_orbit.
 
-    At each step the rows in rectangular form that f.eval_arrays evaluates
-    step together in arrays; every other row, and each one whose step is not
-    the common case (f'(z) = 0, |f(z)| past ESCALATION_THRESHOLD, or a NaN
-    where f left double range), takes _orbit_step.  np.hypot gives
-    abs(complex) bit for bit.
+    The rows step together in arrays where f.eval_arrays evaluates them
+    (np.hypot gives abs(complex) bit for bit).  A row leaves the arrays at
+    the first z_k whose |f(z_k)| is past ESCALATION_THRESHOLD or NaN, and
+    from there takes the rest of its orbit from _orbit_steps; with no
+    eval_arrays every row does so from z_0.
     """
     if n < 1:
         raise ValueError("n_max must be >= 1")
@@ -177,48 +159,30 @@ def orbit_table(f, xs, ys, n: int) -> OrbitTable:
     log_mag[:, 0] = _log_abs(np.hypot(x, y))
     log_deriv[:, 0] = 0.0
     length = np.ones(m, dtype=np.int64)
-    rect = np.arange(m)  # rows still iterating in rectangular form
-    polar = {}  # rows iterating in log-polar form: row -> (log|z|, arg z)
+    rect = np.arange(m)  # rows stepping in arrays
+    handed = []  # (row, k, log|(f^k)'(z_0)|, z_k): rows that left the arrays at z_k
     for k in range(n):
-        for i, z_lp in list(polar.items()):
-            step = _orbit_step(f, None, z_lp)
-            if step is None:
-                del polar[i]
-                continue
-            logd, _, polar[i] = step
-            log_deriv[i, k + 1] = log_deriv[i, k] + logd
-            log_mag[i, k + 1] = polar[i][0]
-            length[i] += 1
-        scalar = np.ones(rect.size, dtype=bool)
-        batch = f.eval_arrays(x[rect], y[rect]) if rect.size else None
-        if batch is not None:
-            er, ei, dr, di = batch
-            dmag, vmag = np.hypot(dr, di), np.hypot(er, ei)
-            sub = np.flatnonzero((dmag > 0.0) & (vmag <= ESCALATION_THRESHOLD))  # NaN fails
-            rows = rect[sub]
-            log_deriv[rows, k + 1] = log_deriv[rows, k] + _log_abs(dmag[sub])
-            log_mag[rows, k + 1] = _log_abs(vmag[sub])
-            x[rows], y[rows] = er[sub], ei[sub]
-            length[rows] += 1
-            scalar[sub] = False
-        stay = np.ones(rect.size, dtype=bool)
-        for j in np.flatnonzero(scalar).tolist():
-            i = int(rect[j])
-            step = _orbit_step(f, complex(x[i], y[i]), None)
-            stay[j] = step is not None and step[1] is not None
-            if step is None:
-                continue
-            logd, nxt, nxt_lp = step
-            log_deriv[i, k + 1] = log_deriv[i, k] + logd
-            length[i] += 1
-            if nxt is not None:
-                log_mag[i, k + 1] = _log_abs_point(nxt)
-                x[i], y[i] = nxt.real, nxt.imag
-            else:
-                log_mag[i, k + 1] = nxt_lp[0]
-                if f.log_continuation:
-                    polar[i] = nxt_lp
-        rect = rect[stay]
+        er, ei, dr, di = f.eval_arrays(x[rect], y[rect]) or np.full((4, rect.size), np.nan)
+        vmag = np.hypot(er, ei)
+        keep = vmag <= ESCALATION_THRESHOLD  # NaN fails, as where there is no array rule
+        out, rect = rect[~keep], rect[keep]
+        handed += zip(out.tolist(), [k] * out.size, log_deriv[out, k].tolist(),
+                      map(complex, x[out].tolist(), y[out].tolist()))
+        if not rect.size:
+            break
+        log_deriv[rect, k + 1] = log_deriv[rect, k] + _log_abs(np.hypot(dr[keep], di[keep]))
+        log_mag[rect, k + 1] = _log_abs(vmag[keep])
+        x[rect], y[rect] = er[keep], ei[keep]
+    length[rect] = n + 1
+    cells = []  # (row, k, log|(f^k)'(z_0)|, log|z_k|) past each row's hand-over
+    for i, k, d, z_k in handed:
+        for logd, z, z_lp in _orbit_steps(f, z_k, n - k):
+            k, d = k + 1, d + logd
+            cells.append((i, k, d, _log_abs_point(z) if z is not None else z_lp[0]))
+    if cells:
+        rows, cols, derivs, mags = (np.array(c) for c in zip(*cells))
+        log_deriv[rows, cols], log_mag[rows, cols] = derivs, mags
+        np.maximum.at(length, rows, cols + 1)
     logphi = np.full(m, np.nan)
     done = np.flatnonzero(length > n)
     logphi[done] = [log_spherical(d, lm) for d, lm in
@@ -240,7 +204,7 @@ def log_spherical(log_deriv: float, log_mag: float) -> float:
 
 def log_spherical_derivative(orbit: OrbitRecord, n: int) -> float:
     """log (f^n)^# along a recorded orbit."""
-    if n >= len(orbit.log_deriv_prefix) or n >= orbit.length():
+    if n >= orbit.length():
         raise IndexError(f"orbit data ends before n={n}")
     return log_spherical(orbit.log_deriv_prefix[n], orbit.log_mag(n))
 
@@ -262,12 +226,10 @@ def lyapunov_estimate(f, z0: complex, N: int) -> LyapunovEstimate:
     if N < 4:
         raise ValueError("N must be >= 4")
     orbit = iterate_orbit(f, z0, N)
-    avail = min(N, orbit.length() - 1, len(orbit.log_deriv_prefix) - 1)
+    avail = min(N, orbit.length() - 1)
     if avail < 2:
         raise ValueError("orbit dies before step 2; no estimate")
-    per_n = []
-    for n in range(1, avail + 1):
-        per_n.append(log_spherical_derivative(orbit, n) / n)
+    per_n = [log_spherical_derivative(orbit, n) / n for n in range(1, avail + 1)]
     window = [v for n, v in enumerate(per_n, start=1) if n >= N / 2.0]
     if not window:
         window = per_n

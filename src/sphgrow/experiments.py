@@ -111,6 +111,8 @@ def run_thm7(f, U: ms.Region, R: float, m: int, n_range,
     Rows with n < m are vacuous; when every row is, nothing was checked and
     the verdict is Inconclusive.
     """
+    if m < 0:
+        raise ValueError(f"m={m} must be >= 0")
     grid = grid or ms.GridSpec()
     ns = sorted(n_range)
     table = fx.iterated_max_modulus(f, R, max(ns))
@@ -145,6 +147,8 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
     R_upper 2^k, k <= 20, witnesses makes it Fail.  R_upper_final is the
     last radius tried.
     """
+    if m < 0:
+        raise ValueError(f"m={m} must be >= 0")
     grid = grid or ms.GridSpec()
     ns = sorted(n_range)
     low_table = fx.iterated_max_modulus(f, R_lower, max(ns))
@@ -283,12 +287,9 @@ def run_thm4_scan(f, N: int, starts: int, seed: int = 0) -> ExperimentReport:
     log_C = math.log(C)
     margin = 0.1
     rng = np.random.default_rng(seed)
-    xs, ys = np.empty(starts), np.empty(starts)
-    for idx in range(starts):
-        r = math.sqrt(rng.uniform(0.0, 1.0)) * 20.0
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        xs[idx], ys[idx] = r * math.cos(th), r * math.sin(th)
-    orbits = dy.orbit_table(f, xs, ys, N)
+    disk = ms.Region.disk(0j, 20.0)
+    zs = np.array([disk.sample(rng) for _ in range(starts)], dtype=complex)
+    orbits = dy.orbit_table(f, zs.real, zs.imag, N)
     cap = math.log(1.0 + rho) + margin
     rows = []
     retained = 0

@@ -92,7 +92,9 @@ class Descriptor:
     def eval_arrays(self, x: np.ndarray, y: np.ndarray):
         """(Re f, Im f, Re f', Im f') at the points x + iy, bit for bit what
         eval and derivative return and NaN where they raise EvalOverflow;
-        None when it has no array rule."""
+        None when it has no array rule.  orbit_table reads log|f'| = -inf at
+        f' = 0 and no log continuation here, so a variant with an array rule
+        keeps the default log_abs_derivative_underflow and log_continuation."""
         return None
 
     def logphi(self, xs: np.ndarray, ys: np.ndarray, n: int):

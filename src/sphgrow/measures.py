@@ -113,8 +113,8 @@ class GridSpec:
             value = getattr(self, name)
             if not (fx.is_number(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
-        if not 0.0 < self.rel_tol <= 0.1:
-            raise ValueError("rel_tol must be in (0, 0.1]")
+        if not (fx.is_number(self.rel_tol) and 0.0 < self.rel_tol <= 0.1):
+            raise ValueError(f"rel_tol must be a number in (0, 0.1], not {self.rel_tol!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,21 @@ def test_thm1_scan_rejects_negative_starts(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("sub", ["thm7", "thm56"])
+def test_lower_bound_runners_reject_a_negative_shift(tmp_path, sub):
+    # before, a negative m indexed past the tower table: an IndexError, exit 1
+    U = ms.Region.disk(complex(0.318, 1.337), 0.5)
+    run = {"thm7": lambda: ex.run_thm7(EXP, U, 5.0, -3, [1], FAST_GRID),
+           "thm56": lambda: ex.run_thm5_thm6(EXP, U, 5.0, 5.0, -3, [1], FAST_GRID)}[sub]
+    with pytest.raises(ValueError, match="^m=-3 must be >= 0$"):
+        run()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({sub: {"m": -3, "n_max": 1}}))
+    with pytest.raises(ValueError, match="^m=-3 must be >= 0$"):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), sub])
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_thm1_scan_signature():
     U = ms.Region.disk(complex(0.318, 1.337), 0.5)
     rep = ex.run_thm1_growth_scan(EXP, U, N=5, starts=5, seed=0, grid=FAST_GRID)
@@ -675,7 +690,10 @@ def test_cli_rejects_bad_region_values(tmp_path, sub, config, message):
     ("thm1scan", {"thm1scan": {"grid": {"max_refinements": True}}},
      r"thm1scan\.grid: max_refinements must be an integer >= 0, not True"),
     ("thm7", {"thm7": {"grid": 3}}, r"thm7\.grid: expected a JSON object, not 3"),
-], ids=["nan-max-refinements", "nan-base-resolution", "fractional", "bool", "scalar-grid"])
+    ("thm56", {"thm56": {"grid": {"rel_tol": "0.01"}}},
+     r"thm56\.grid: rel_tol must be a number in \(0, 0\.1\], not '0\.01'"),
+], ids=["nan-max-refinements", "nan-base-resolution", "fractional", "bool", "scalar-grid",
+        "string-rel-tol"])
 def test_cli_rejects_bad_grid_values(tmp_path, sub, config, message):
     # before, a NaN max_refinements ran the experiment and then failed
     # writing report.json; a NaN base_resolution failed inside np.linspace
