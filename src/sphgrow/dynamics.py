@@ -158,7 +158,7 @@ def orbit_table(f, xs, ys, n: int) -> OrbitTable:
     log_deriv = np.full((m, n + 1), np.nan)
     log_mag[:, 0] = _log_abs(np.hypot(x, y))
     log_deriv[:, 0] = 0.0
-    length = np.ones(m, dtype=np.int64)
+    length = np.full(m, n + 1, dtype=np.int64)  # k + 1 for a row that leaves at z_k
     rect = np.arange(m)  # rows stepping in arrays
     handed = []  # (row, k, log|(f^k)'(z_0)|, z_k): rows that left the arrays at z_k
     for k in range(n):
@@ -166,6 +166,7 @@ def orbit_table(f, xs, ys, n: int) -> OrbitTable:
         vmag = np.hypot(er, ei)
         keep = vmag <= ESCALATION_THRESHOLD  # NaN fails, as where there is no array rule
         out, rect = rect[~keep], rect[keep]
+        length[out] = k + 1
         handed += zip(out.tolist(), [k] * out.size, log_deriv[out, k].tolist(),
                       map(complex, x[out].tolist(), y[out].tolist()))
         if not rect.size:
@@ -173,7 +174,6 @@ def orbit_table(f, xs, ys, n: int) -> OrbitTable:
         log_deriv[rect, k + 1] = log_deriv[rect, k] + _log_abs(np.hypot(dr[keep], di[keep]))
         log_mag[rect, k + 1] = _log_abs(vmag[keep])
         x[rect], y[rect] = er[keep], ei[keep]
-    length[rect] = n + 1
     cells = []  # (row, k, log|(f^k)'(z_0)|, log|z_k|) past each row's hand-over
     for i, k, d, z_k in handed:
         for logd, z, z_lp in _orbit_steps(f, z_k, n - k):

@@ -8,6 +8,7 @@ import pytest
 
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
+from sphgrow import measures as ms
 from sphgrow import mittag
 
 EXP = fx.ExpAffine(1.0)
@@ -157,20 +158,18 @@ def test_orbit_of_a_non_finite_start_outside_the_domain():
 def _thm4_starts():
     """The 1,000 starts of run_thm4_scan at seed 0, drawn the same way."""
     rng = np.random.default_rng(0)
-    out = []
-    for _ in range(1000):
-        r = math.sqrt(rng.uniform(0.0, 1.0)) * 20.0
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        out.append(complex(r * math.cos(th), r * math.sin(th)))
-    return out
+    disk = ms.Region.disk(0j, 20.0)
+    return [disk.sample(rng) for _ in range(1000)]
 
 
 # z0 = 0 and its signed-zero twins, other -0.0 parts, and large starts: 300
 # escalates E_1, 1e5 escalates cosh sqrt z, 1e200 overflows E_0.2 and E_0.5
-# with no log-polar value; E_1'(-800) = e^-800 rounds to 0
+# with no log-polar value; E_1'(-800) = e^-800 rounds to 0; E_0.2(2.8) is
+# about 5e74, and E_0.2 at it has neither a value nor a log|f'|
 _EDGE_STARTS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
                 complex(-0.0, 0.3), complex(0.5, -0.0), complex(-1.5, -0.0),
-                300.0 + 0j, 1e5 + 0j, 1e200 + 0j, -1e200 + 0j, -800.0 + 0j]
+                300.0 + 0j, 1e5 + 0j, 1e200 + 0j, -1e200 + 0j, -800.0 + 0j,
+                2.8 + 0j]
 
 
 def _orbit_rows_per_start(f, starts, n):
