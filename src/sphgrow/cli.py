@@ -128,6 +128,8 @@ def _grid(given: dict, name: str) -> ms.GridSpec:
 def _n_values(c: dict, given: dict, name: str):
     """n_range as given, else n_min..n_max; the two forms exclude each other."""
     if c["n_range"] is None:
+        if c["n_min"] > c["n_max"]:
+            raise ValueError(f"{name}: n_min={c['n_min']} must be <= n_max={c['n_max']}")
         return range(c["n_min"], c["n_max"] + 1)
     if "n_min" in given or "n_max" in given:
         raise ValueError(f"{name}: give n_range or n_min/n_max, not both")

@@ -21,8 +21,6 @@ from . import functions as fx
 from . import kernels
 from .towers import TowerReal
 
-ESCALATION_THRESHOLD = 1e100
-
 COMPLETE = "complete"
 ESCALATED = "escalated"
 OVERFLOW = "overflow"
@@ -63,7 +61,7 @@ def _log_abs_point(z: complex) -> float:
 
 def _log_abs_derivative(f, z: complex) -> float:
     try:
-        d = fx.derivative_f(f, z)
+        d = f.derivative(z)
     except fx.EvalOverflow as e:
         return e.log_mag
     if d == 0:
@@ -84,16 +82,16 @@ def _orbit_steps(f, z: complex, n: int):
         try:
             if z_lp is not None:
                 logd = f.log_abs_derivative_polar(*z_lp)
-                z_lp = fx.log_eval(f, z_lp)
+                z_lp = f.log_eval(*z_lp)
             else:
                 logd = _log_abs_derivative(f, z)
                 try:
-                    z = fx.eval_f(f, z)
+                    z = f.eval(z)
                 except fx.EvalOverflow as e:
                     z, z_lp = None, (e.log_mag, e.arg)
         except (OverflowError, fx.OrbitOverflow):
             return
-        if z is not None and not abs(z) <= ESCALATION_THRESHOLD:
+        if z is not None and not abs(z) <= kernels.ESCALATION_THRESHOLD:
             z, z_lp = None, (math.log(abs(z)), cmath.phase(z))
         yield logd, z, z_lp
         if z is None and not f.log_continuation:
@@ -150,7 +148,7 @@ def orbit_table(f, xs, ys, n: int) -> OrbitTable:
     eval_arrays every row does so from z_0.
     """
     if n < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ValueError(f"n={n} must be >= 1")
     x = np.array(xs, dtype=np.float64)
     y = np.array(ys, dtype=np.float64)
     m = x.size
@@ -164,7 +162,7 @@ def orbit_table(f, xs, ys, n: int) -> OrbitTable:
     for k in range(n):
         er, ei, dr, di = f.eval_arrays(x[rect], y[rect]) or np.full((4, rect.size), np.nan)
         vmag = np.hypot(er, ei)
-        keep = vmag <= ESCALATION_THRESHOLD  # NaN fails, as where there is no array rule
+        keep = vmag <= kernels.ESCALATION_THRESHOLD  # NaN fails, as where there is no array rule
         out, rect = rect[~keep], rect[keep]
         length[out] = k + 1
         handed += zip(out.tolist(), [k] * out.size, log_deriv[out, k].tolist(),
@@ -251,8 +249,8 @@ def _cycle_data(f, z: complex, p: int) -> tuple:
     deriv = 1.0 + 0.0j
     for _ in range(p):
         try:
-            deriv *= fx.derivative_f(f, w)
-            w = fx.eval_f(f, w)
+            deriv *= f.derivative(w)
+            w = f.eval(w)
         except fx.EvalOverflow:
             return None, None
     return w, deriv
@@ -299,8 +297,7 @@ def _finish_periodic(f, z: complex, p: int) -> PeriodicPoint:
     return PeriodicPoint(location=z, period=true_p, multiplier=mult, lyapunov=chi)
 
 
-def fast_escaping_test(f, z0: complex, R: float, l_max: int, n_max: int,
-                       table: "fx.MaxModulusTable" = None):
+def fast_escaping_test(f, z0: complex, R: float, l_max: int, n_max: int):
     """Smallest l with |f^n(z0)| > M^(n-l)(R,f) strictly for all l <= n <= n_max.
 
     Returns (member, l, failures) where failures maps each tried l to the
@@ -310,14 +307,13 @@ def fast_escaping_test(f, z0: complex, R: float, l_max: int, n_max: int,
     far as their log-polar continuation reaches, and undeterminable steps
     count as failures.
     """
-    if table is None:
-        table = fx.iterated_max_modulus(f, R, n_max)
+    levels = fx.iterated_max_modulus(f, R, n_max)
     mags = _orbit_towers(f, z0, n_max)
     failures = {}
     for l in range(0, l_max + 1):
         ok = True
         for n in range(l, n_max + 1):
-            if n >= len(mags) or mags[n] is None or not mags[n] > table.log_levels[n - l]:
+            if n >= len(mags) or mags[n] is None or not mags[n] > levels[n - l]:
                 failures[l] = n
                 ok = False
                 break

@@ -111,15 +111,13 @@ def run_thm7(f, U: ms.Region, R: float, m: int, n_range,
     Rows with n < m are vacuous; when every row is, nothing was checked and
     the verdict is Inconclusive.
     """
-    if m < 0:
-        raise ValueError(f"m={m} must be >= 0")
+    ns = _checked_ns(m, n_range)
     grid = grid or ms.GridSpec()
-    ns = sorted(n_range)
-    table = fx.iterated_max_modulus(f, R, max(ns))
+    levels = fx.iterated_max_modulus(f, R, max(ns))
     log_mus = [ms.mu_sup(f, U, n, grid).log_mu for n in ns]
 
     def rows_at(m_try):
-        return [_lower_bound_row(n, v, table, m_try) for n, v in zip(ns, log_mus)]
+        return [_lower_bound_row(n, v, levels, m_try) for n, v in zip(ns, log_mus)]
 
     # smallest m in [0, 6] that leaves at least one non-vacuous row and
     # makes every non-vacuous row hold; a shift that checks nothing is not
@@ -147,22 +145,20 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
     R_upper 2^k, k <= 20, witnesses makes it Fail.  R_upper_final is the
     last radius tried.
     """
-    if m < 0:
-        raise ValueError(f"m={m} must be >= 0")
+    ns = _checked_ns(m, n_range)
     grid = grid or ms.GridSpec()
-    ns = sorted(n_range)
-    low_table = fx.iterated_max_modulus(f, R_lower, max(ns))
+    low_levels = fx.iterated_max_modulus(f, R_lower, max(ns))
     areas = {n: ms.spherical_area(f, U, n, grid) for n in ns}
     # raise R_upper (doubling, <= 20 times) until the upper bound holds
     R_up, doublings = R_upper, 0
     while True:
         try:
-            up_table = fx.iterated_max_modulus(f, R_up, max(ns))
+            up_levels = fx.iterated_max_modulus(f, R_up, max(ns))
         except fx.NonEscalatingError:
-            up_table = None
-        upper_ok = up_table is not None and all(
+            up_levels = None
+        upper_ok = up_levels is not None and all(
             tower_compare(TowerReal.from_log(areas[n].log_value),
-                          up_table.log_levels[n].log()) <= 0
+                          up_levels[n].log()) <= 0
             for n in ns if areas[n].log_value != -math.inf)
         if upper_ok or doublings == 20:
             break
@@ -170,9 +166,9 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
         doublings += 1
     rows = []
     for n in ns:
-        row = _lower_bound_row(n, areas[n].log_value, low_table, m)
+        row = _lower_bound_row(n, areas[n].log_value, low_levels, m)
         if upper_ok and not row["vacuous"]:
-            up = up_table.log_levels[n].log()
+            up = up_levels[n].log()
             row["upper_tower"] = str(up)
             row["upper_margin_log"] = _clean(_tower_margin_log(
                 up, TowerReal.from_log(areas[n].log_value)))
@@ -191,12 +187,21 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
                     "quadrature_rel_tol": grid.rel_tol}, notes=notes)
 
 
-def _lower_bound_row(n: int, log_lhs: float, table, m: int) -> dict:
-    """Row comparing e^log_lhs with level n - m of table; vacuous when n < m."""
+def _checked_ns(m: int, n_range) -> list:
+    """n_range sorted; a negative shift m or an empty n_range is rejected."""
+    if m < 0:
+        raise ValueError(f"m={m} must be >= 0")
+    if not n_range:
+        raise ValueError("n_range must not be empty")
+    return sorted(n_range)
+
+
+def _lower_bound_row(n: int, log_lhs: float, levels, m: int) -> dict:
+    """Row comparing e^log_lhs with levels[n - m]; vacuous when n < m."""
     lhs = TowerReal.from_log(log_lhs)
     if n < m:
         return _row(n, False, str(lhs), vacuous=True)
-    rhs = table.log_levels[n - m].log()
+    rhs = levels[n - m].log()
     return _row(n, tower_compare(lhs, rhs) < 0, str(lhs), str(rhs),
                 _tower_margin_log(lhs, rhs), vacuous=False)
 
@@ -215,6 +220,8 @@ def _lower_bound_checked(rows, m: int) -> tuple:
 def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
                          seed: int = 0, grid: ms.GridSpec = None) -> ExperimentReport:
     """Probe for unbounded per-iterate growth of (1/n) log mu(U, f^n)."""
+    if N < 2:
+        raise ValueError(f"N={N} must be >= 2")
     if starts < 0:
         raise ValueError(f"starts={starts} must be >= 0")
     grid = grid or ms.GridSpec()
@@ -252,7 +259,7 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
     max_chi = max(chis) if chis else None
     usable = 2 in seq and len(seq) >= 2
     signature = usable and seq[2] > 0 and any(v >= 2.0 * seq[2] for v in seq.values())
-    if not usable:
+    if not usable and deepest < N:  # mu_sup stopped the scan
         notes.append(f"overflow-dominated; deepest usable n = {deepest}")
     elif not signature:
         notes.append(f"no doubling signature up to n = {deepest} (n = 2 value "
@@ -279,6 +286,8 @@ def run_thm4_scan(f, N: int, starts: int, seed: int = 0) -> ExperimentReport:
     """
     if not isinstance(f, fx.MittagLeffler):
         raise ValueError("run_thm4_scan expects a MittagLeffler eta * E_alpha")
+    if N < 1:
+        raise ValueError(f"N={N} must be >= 1")
     if starts < 0:
         raise ValueError(f"starts={starts} must be >= 0")
     _check_unit_disk_contraction(f)
@@ -420,9 +429,7 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
         rows.append(_row(n, not stat >= floor, f"E^0({_fmt(stat)})", f"E^0({_fmt(floor)})",
                          stat - floor, tier="a"))
     return ExperimentReport(
-        experiment_id="thm3-slow-escape",
-        function={"variant": "exp_affine",
-                  "lambda": [float(np.real(lam)), float(np.imag(lam))]},
+        experiment_id="thm3-slow-escape", function=fx.ExpAffine(lam).to_json(),
         parameters={"x0": x0, "n_max": n_max,
                     "precision_bits": precision_bits,
                     "precision_bits_used": achieved_n and trace.precision_bits,
@@ -438,6 +445,8 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
 
 def classical_suite(seed: int = 0, samples: int = 10_000) -> ExperimentReport:
     """Koebe distortion/growth/quarter checks plus the Harnack bounds."""
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be >= 1")
     rng = np.random.default_rng(seed)
     rows = []
 

@@ -6,8 +6,9 @@ small enough that |f|, |f'| < 1 on the unit circle gives the scaled
 family of the growth scans).  Each variant owns its rules: pointwise
 values and derivatives, the log-polar continuation (also on a whole
 circle of angles at once), log M(r, f) and its tower form, its JSON form
-and, where one exists, its batch kernel or its array evaluation.  The
-module-level functions below are the entry points callers use.
+and, where one exists, its batch kernel or its array evaluation.  Those
+methods are the entry points callers use (f.eval(z), f.log_max_modulus(r));
+the module-level functions below build on them.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class Descriptor:
     log_continuation = False
 
     def log_eval(self, log_mag: float, arg: float) -> tuple:
-        """Log-polar (log|f|, arg f) at z = e^(log_mag + i arg)."""
+        """Log-polar (log|f|, arg f) at z = e^(log_mag + i arg): exact for
+        ExpAffine while e^log_mag fits a double and for Polynomial at large
+        |z| by its leading term; elsewhere only while z itself fits doubles."""
         if log_mag > 709.0:
             raise OrbitOverflow(f"{type(self).__name__} has no log continuation at tower scale")
         z = cmath.exp(complex(log_mag, arg))
@@ -403,58 +406,18 @@ def choose_eta(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation
-
-
-def eval_f(f, z: complex) -> complex:
-    """Value of f at z; EvalOverflow with log-polar payload when too large."""
-    return f.eval(complex(z))
-
-
-def derivative_f(f, z: complex) -> complex:
-    """Exact analytic derivative of the variant at z."""
-    return f.derivative(complex(z))
-
-
-def log_eval(f, z_logpolar: tuple) -> tuple:
-    """Log-polar (log_mag, arg) of f at z = e^(log_mag) * e^(i arg).
-
-    Exact for ExpAffine whenever the rectangular form of z is available
-    (log_mag small enough that e^log_mag fits a double); exact for
-    Polynomial at large |z| via the leading term.  Other variants are
-    supported only while the input itself fits doubles.
-    """
-    return f.log_eval(float(z_logpolar[0]), float(z_logpolar[1]))
-
-
-# ---------------------------------------------------------------------------
 # maximum modulus
 
 
-def log_max_modulus(f, r: float) -> float:
-    """log M(r, f).  Exact positive-axis rule when the variant allows it."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    return f.log_max_modulus(r)
-
-
-@dataclass
-class MaxModulusTable:
-    """Iterated maximum modulus M^n(R0, f) held as towers."""
-
-    R0: float
-    log_levels: list  # entry n: TowerReal equal to M^n(R0, f)
-
-
-def iterated_max_modulus(f, R: float, n_max: int) -> MaxModulusTable:
-    """Table of M^n(R, f) for n = 0..n_max as TowerReal values.
+def iterated_max_modulus(f, R: float, n_max: int) -> list:
+    """The towers M^n(R, f), entry n for n = 0..n_max.
 
     Past FLOAT_CEILING each step uses the variant's tower form of M, whose
     explicit closed form dominates log M(r) once r is large.
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
-    if log_max_modulus(f, R) <= math.log(R):
+    if f.log_max_modulus(R) <= math.log(R):
         raise NonEscalatingError(
             f"M(R,f) <= R at R={R}; raise R until the iteration escapes")
     levels = [TowerReal.from_value(R)]
@@ -462,10 +425,10 @@ def iterated_max_modulus(f, R: float, n_max: int) -> MaxModulusTable:
         t = levels[-1]
         v = t.value()
         if math.isfinite(v) and v <= FLOAT_CEILING:
-            levels.append(TowerReal.from_log(log_max_modulus(f, v)))
+            levels.append(TowerReal.from_log(f.log_max_modulus(v)))
         else:
             levels.append(f.tower_log_max(t))
-    return MaxModulusTable(R0=R, log_levels=levels)
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,11 @@ USING_NUMBA = False
 STATUS_OK = 0
 STATUS_OVERFLOW = 1
 
+ESCALATION_THRESHOLD = 1e100  # |z| past which an orbit steps in log-polar form
 # log-magnitude ceilings: e^709 is the double limit; polynomial log-polar
 # magnitudes themselves overflow doubles near 1e300
 _EXP_LIMIT = 709.0
-_POLAR_ESCALATE = 230.25850929940457  # log 1e100
+_POLAR_ESCALATE = math.log(ESCALATION_THRESHOLD)
 _LOG_BIG = 1e300
 LOG_SQUARE_CUT = 350.0  # past it, log(1 + |z|^2) is 2 log|z| and |z|^2 may overflow
 

@@ -457,7 +457,7 @@ def nevanlinna_T(f, r: float) -> float:
     panels = 4096
 
     def g(theta: float) -> float:
-        lm, _ = fx.log_eval(f, (logr, theta))
+        lm, _ = f.log_eval(logr, theta)
         return lm
 
     thetas = np.linspace(0.0, 2.0 * math.pi, panels + 1)
@@ -506,7 +506,7 @@ def characteristic_sandwich_check(f, r: float, grid: GridSpec = GridSpec()) -> d
     """Standard inequalities tying T, T0, and S(r) together."""
     T = nevanlinna_T(f, r)
     T0, unconv = ahlfors_shimizu_T0(f, r, grid)
-    f0 = abs(fx.eval_f(f, 0.0))
+    f0 = abs(f.eval(0j))
     logplus_f0 = max(math.log(f0), 0.0) if f0 > 0 else 0.0
     gap = abs(T - T0 - logplus_f0)
     bound = 0.5 * math.log(2.0) + 1e-2

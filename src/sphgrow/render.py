@@ -44,7 +44,7 @@ def render_escape(f, window: ms.Region, resolution, R: float,
     x0, x1, y0, y1 = window.bounds()
     xs = np.linspace(x0, x1, width) if width > 1 else np.array([window.center.real])
     ys = np.linspace(y1, y0, height) if height > 1 else np.array([window.center.imag])
-    table = fx.iterated_max_modulus(f, R, n_max)
+    levels = fx.iterated_max_modulus(f, R, n_max)
     rows = _BLOCK_PIXELS // width
     escaped = members = 0
     with open(out_path, "wb") as fh:
@@ -52,7 +52,7 @@ def render_escape(f, window: ms.Region, resolution, R: float,
         for r0 in range(0, height, rows):
             X, Y = np.meshgrid(xs, ys[r0:r0 + rows], indexing="xy")
             escape_step, fast = _escape_and_fast(f, X.ravel(), Y.ravel(), R, l_max, n_max,
-                                                 table)
+                                                 levels)
             fh.write(_colorize(escape_step, fast, n_max).tobytes())
             escaped += int((escape_step >= 0).sum())
             members += int(fast.sum())
@@ -64,12 +64,10 @@ def render_escape(f, window: ms.Region, resolution, R: float,
             "fast_fraction": members / total}
 
 
-def _escape_and_fast(f, xs, ys, R, l_max, n_max, table=None):
+def _escape_and_fast(f, xs, ys, R, l_max, n_max, levels):
     """Escape steps and fast mask, the orbits fed to the rules a step at a
-    time; table is iterated_max_modulus(f, R, n_max), built when not given."""
-    if table is None:
-        table = fx.iterated_max_modulus(f, R, n_max)
-    rules = _StepRules(xs.size, math.log(max(R, 10.0)), table, l_max)
+    time; levels is iterated_max_modulus(f, R, n_max)."""
+    rules = _StepRules(xs.size, math.log(max(R, 10.0)), levels, l_max)
     if not f.logmag_steps(xs, ys, n_max, rules.step):
         for col in dy.orbit_table(f, xs, ys, n_max).log_mag.T:
             rules.step(col)
@@ -90,8 +88,8 @@ class _StepRules:
     that already beat every decidable comparison.
     """
 
-    def __init__(self, m, log_escape, table, l_max):
-        self.log_escape, self.levels, self.l_max = log_escape, table.log_levels, l_max
+    def __init__(self, m, log_escape, levels, l_max):
+        self.log_escape, self.levels, self.l_max = log_escape, levels, l_max
         # float view of the tower table: log M^k where it fits, else +inf
         self.log_M = [t.log().value() for t in self.levels]
         self.escape_step = np.full(m, -1, dtype=np.int64)

@@ -159,14 +159,10 @@ def _normalize(depth: int, base: float) -> TowerReal:
     return TowerReal(depth, base)
 
 
-def normalize(t: TowerReal) -> TowerReal:
-    return _normalize(t.depth, t.base)
-
-
 def tower_compare(a: TowerReal, b: TowerReal) -> int:
     """-1, 0, 1 following real-number order of the represented values."""
-    a = normalize(a)
-    b = normalize(b)
+    a = _normalize(a.depth, a.base)
+    b = _normalize(b.depth, b.base)
     if a.depth != b.depth:
         return -1 if a.depth < b.depth else 1
     if a.base == b.base:

@@ -63,8 +63,8 @@ def test_criterion_02_derivative_oracle():
     for f in variants:
         for _ in range(100):
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            d = fx.derivative_f(f, z)
-            fd = (fx.eval_f(f, z + h) - fx.eval_f(f, z - h)) / (2 * h)
+            d = f.derivative(z)
+            fd = (f.eval(z + h) - f.eval(z - h)) / (2 * h)
             worst = max(worst, abs(d - fd) / max(1.0, abs(d)))
     _report(2, "derivative oracle", worst <= 1e-6,
             f"analytic vs central difference rel err {worst:.2e} <= 1e-6, "

@@ -1,8 +1,8 @@
 """Bit-exact lock on every function variant's pointwise and batch rules.
 
-Each variant is built from its JSON form and probed on fixed points:
-serialization, eval_f, derivative_f, log_eval, log_max_modulus, the
-iterated max-modulus towers, logphi_batch, forward orbits, the fast-escape
+Each variant is built from its JSON form and probed on fixed points
+through its descriptor methods: serialization, eval, derivative, log_eval,
+log_max_modulus, the iterated max-modulus towers, logphi_batch, forward orbits, the fast-escape
 test and a tiny render.  Floats are compared through float.hex, so any
 change in the last bit fails.  The expected values live in
 tests/golden/descriptors.json; regenerate them (only for a deliberate
@@ -70,8 +70,7 @@ def _probe(fn):
 
 
 def _towers(f, R, n_max):
-    table = fx.iterated_max_modulus(f, R, n_max)
-    return [[t.depth, _h(t.base)] for t in table.log_levels]
+    return [[t.depth, _h(t.base)] for t in fx.iterated_max_modulus(f, R, n_max)]
 
 
 def _batch(f, n):
@@ -102,11 +101,11 @@ def _render(f, path):
 def snapshot(obj, tmp_dir) -> dict:
     f = fx.descriptor_from_json(obj)
     out = {"json": json.dumps(f.to_json())}
-    out["eval"] = [_probe(lambda z=z: _c(fx.eval_f(f, z))) for z in POINTS]
-    out["derivative"] = [_probe(lambda z=z: _c(fx.derivative_f(f, z))) for z in POINTS]
-    out["log_eval"] = [_probe(lambda p=p: [_h(v) for v in fx.log_eval(f, p)])
+    out["eval"] = [_probe(lambda z=z: _c(f.eval(z))) for z in POINTS]
+    out["derivative"] = [_probe(lambda z=z: _c(f.derivative(z))) for z in POINTS]
+    out["log_eval"] = [_probe(lambda p=p: [_h(v) for v in f.log_eval(*p)])
                        for p in LOG_POINTS]
-    out["log_max_modulus"] = [_probe(lambda r=r: _h(fx.log_max_modulus(f, r)))
+    out["log_max_modulus"] = [_probe(lambda r=r: _h(f.log_max_modulus(r)))
                               for r in RADII]
     out["towers"] = [_probe(lambda R=R: _towers(f, R, 5)) for R in (5.0, 20.0)]
     out["logphi_batch"] = [_batch(f, n) for n in (1, 3)]

@@ -98,11 +98,9 @@ def test_fast_escape_member_l3():
     assert member and l == 3
 
 
-def test_fast_escape_precomputed_table():
-    table = fx.iterated_max_modulus(EXP, 5.0, 12)
-    a = dy.fast_escaping_test(EXP, 10.0, R=5.0, l_max=3, n_max=12)
-    b = dy.fast_escaping_test(EXP, 10.0, R=5.0, l_max=3, n_max=12, table=table)
-    assert a == b
+def test_orbit_table_rejects_no_steps():
+    with pytest.raises(ValueError, match="^n=0 must be >= 1$"):
+        dy.orbit_table(EXP, [0.5], [0.0], 0)
 
 
 def test_lyapunov_rejects_tiny_horizon():

@@ -115,8 +115,8 @@ def _orbit_logmags(f, xs, ys, n_max, log_escape):
     return table, _escape_index(table, log_escape)
 
 
-def _classify_fast(logmags, table, l_max, n_max):
-    log_M = [t.log().value() for t in table.log_levels]
+def _classify_fast(logmags, levels, l_max, n_max):
+    log_M = [t.log().value() for t in levels]
     fast = np.zeros(logmags.shape[0], dtype=bool)
     for l in range(l_max + 1):
         run = np.flatnonzero(~fast)  # the pixels still in the running for l
@@ -126,7 +126,7 @@ def _classify_fast(logmags, table, l_max, n_max):
             gap = rd._TIE_REL * np.maximum(np.maximum(np.abs(col), abs(v)), 1.0)
             near = np.isfinite(col) & ~(np.abs(col - v) > gap)
             for i in np.flatnonzero(near):
-                beats[i] = TowerReal.from_log(col[i]) > table.log_levels[n - l]
+                beats[i] = TowerReal.from_log(col[i]) > levels[n - l]
             run = run[beats]
         fast[run] = True
     return fast
@@ -162,7 +162,7 @@ def _ppm_pixels(rgb):
 
 def _rules(f, xs, ys, R, l_max, n_max):
     """Escape steps and fast mask as the render computes them."""
-    return rd._escape_and_fast(f, xs, ys, R, l_max, n_max)
+    return rd._escape_and_fast(f, xs, ys, R, l_max, n_max, fx.iterated_max_modulus(f, R, n_max))
 
 
 def _rules_from_columns(logmags, log_escape, towers, l_max):

@@ -475,6 +475,55 @@ def test_lower_bound_runners_reject_a_negative_shift(tmp_path, sub):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("N", [1, -7])
+def test_thm1_scan_rejects_fewer_than_two_iterates(N):
+    # before, N < 2 reported Inconclusive with no rows and a note that
+    # overflow stopped the scan
+    U = ms.Region.disk(complex(0.318, 1.337), 0.5)
+    with pytest.raises(ValueError, match=f"^N={N} must be >= 2$"):
+        ex.run_thm1_growth_scan(EXP, U, N=N, starts=5, grid=FAST_GRID)
+
+
+def test_thm1_scan_notes_overflow_only_where_it_stopped_the_scan(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thm1scan": {"N": 2}}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "thm1scan"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [row["n"] for row in report["rows"]] == [2]
+    assert not any("overflow-dominated" in note for note in report["notes"])
+    # e^z on a disk around 800: every grid orbit overflows before n = 2
+    U = ms.Region.disk(800.0 + 0j, 0.5)
+    rep = ex.run_thm1_growth_scan(EXP, U, N=3, starts=1, grid=FAST_GRID)
+    assert "overflow-dominated; deepest usable n = 1" in rep.notes
+
+
+@pytest.mark.parametrize("sub, given, message", [
+    ("thm1scan", {"N": 1}, "N=1 must be >= 2"),
+    ("thm4scan", {"N": 0}, "N=0 must be >= 1"),
+    ("thm7", {"n_min": 5, "n_max": 2}, "thm7: n_min=5 must be <= n_max=2"),
+    ("thm56", {"n_min": 5, "n_max": 2}, "thm56: n_min=5 must be <= n_max=2"),
+    ("classical", {"samples": 0}, "samples=0 must be >= 1"),
+], ids=["thm1scan-N", "thm4scan-N", "thm7-empty-range", "thm56-empty-range",
+        "classical-samples"])
+def test_console_names_the_rejected_key(tmp_path, capsys, sub, given, message):
+    # before, each exited 2 naming another key (n_max) or none ("max() arg
+    # is an empty sequence", "zero-size array to reduction operation")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({sub: given}))
+    assert cli.console(["--config", str(cfg), "--out", str(tmp_path), sub]) == 2
+    assert capsys.readouterr().err == f"sphgrow: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["thm7", "thm56"])
+def test_lower_bound_runners_reject_an_empty_n_range(sub):
+    U = ms.Region.disk(complex(0.318, 1.337), 0.5)
+    run = {"thm7": lambda: ex.run_thm7(EXP, U, 5.0, 2, [], FAST_GRID),
+           "thm56": lambda: ex.run_thm5_thm6(EXP, U, 5.0, 5.0, 2, range(5, 3), FAST_GRID)}[sub]
+    with pytest.raises(ValueError, match="^n_range must not be empty$"):
+        run()
+
+
 def test_thm1_scan_signature():
     U = ms.Region.disk(complex(0.318, 1.337), 0.5)
     rep = ex.run_thm1_growth_scan(EXP, U, N=5, starts=5, seed=0, grid=FAST_GRID)

@@ -97,7 +97,7 @@ def _nevanlinna_T_scalar(f, r):
     logr = math.log(r)
 
     def g(theta):
-        return fx.log_eval(f, (logr, theta))[0]
+        return f.log_eval(logr, theta)[0]
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 4097)
     vals = np.array([g(t) for t in thetas])

@@ -49,7 +49,8 @@ def test_render_matches_unblocked_reference(tmp_path, f, window, R, l_max, n_max
     width, height = resolution
     x0, x1, y0, y1 = window.bounds()
     X, Y = np.meshgrid(np.linspace(x0, x1, width), np.linspace(y1, y0, height), indexing="xy")
-    escape_step, fast = rd._escape_and_fast(f, X.ravel(), Y.ravel(), R, l_max, n_max)
+    escape_step, fast = rd._escape_and_fast(f, X.ravel(), Y.ravel(), R, l_max, n_max,
+                                            fx.iterated_max_modulus(f, R, n_max))
     rgb = rd._colorize(escape_step, fast, n_max)
     assert out.read_bytes() == f"P6\n{width} {height}\n255\n".encode("ascii") + rgb.tobytes()
     escaped, members = int((escape_step >= 0).sum()), int(fast.sum())
@@ -59,7 +60,7 @@ def test_render_matches_unblocked_reference(tmp_path, f, window, R, l_max, n_max
     assert 0 < members < escaped < width * height
 
 
-def _oracle_member(log_mags, table, l_max, n_max) -> bool:
+def _oracle_member(log_mags, levels, l_max, n_max) -> bool:
     """log_mags: log|z_k| for the known part of the orbit (-inf for z_k = 0)."""
     avail = len(log_mags)
     for l in range(l_max + 1):
@@ -68,7 +69,7 @@ def _oracle_member(log_mags, table, l_max, n_max) -> bool:
             if n >= avail:
                 break  # grew out of range: keeps pace from here on
             lm = log_mags[n]
-            if lm == -math.inf or not TowerReal.from_log(lm) > table.log_levels[n - l]:
+            if lm == -math.inf or not TowerReal.from_log(lm) > levels[n - l]:
                 ok = False
                 break
         if ok:
@@ -76,10 +77,10 @@ def _oracle_member(log_mags, table, l_max, n_max) -> bool:
     return False
 
 
-def _oracle_orbit(f, z0, table, l_max, n_max) -> bool:
+def _oracle_orbit(f, z0, levels, l_max, n_max) -> bool:
     orbit = dy.iterate_orbit(f, z0, n_max)
     return _oracle_member([orbit.log_mag(k) for k in range(orbit.length())],
-                          table, l_max, n_max)
+                          levels, l_max, n_max)
 
 
 def _pixels(window, size):
@@ -107,19 +108,19 @@ CASES = [
 @pytest.mark.parametrize("l_max", [0, 1, 3])
 def test_classify_fast_matches_scalar_oracle(name, f, window, R, size, n_max, l_max):
     xs, ys = _pixels(window, size)
-    _, fast = rd._escape_and_fast(f, xs, ys, R, l_max, n_max)
-    table = fx.iterated_max_modulus(f, R, n_max)
-    expect = [_oracle_orbit(f, complex(x, y), table, l_max, n_max)
+    levels = fx.iterated_max_modulus(f, R, n_max)
+    _, fast = rd._escape_and_fast(f, xs, ys, R, l_max, n_max, levels)
+    expect = [_oracle_orbit(f, complex(x, y), levels, l_max, n_max)
               for x, y in zip(xs, ys)]
     assert fast.tolist() == expect
     if l_max == 3:
         assert 0 < sum(expect) < len(expect)
 
 
-def _hand_made_table(table, n_max):
+def _hand_made_table(levels, n_max):
     """Rows with exact float ties to log M^k, neighbours one ulp away,
     entries above 1e300, NaN tails and z_k = 0, plus random rows."""
-    log_M = [t.log().value() for t in table.log_levels]
+    log_M = [t.log().value() for t in levels]
     up = [math.nextafter(v, math.inf) for v in log_M]
     down = [math.nextafter(v, -math.inf) for v in log_M]
     nan = math.nan
@@ -161,15 +162,15 @@ def _hand_made_table(table, n_max):
 @pytest.mark.parametrize("l_max, R", [(0, 5.0), (1, 5.0), (3, 5.0), (0, 1.0), (1, 1.0)])
 def test_classify_fast_hand_made_table(l_max, R):
     f, n_max = fx.ExpAffine(1.0), 6
-    table = fx.iterated_max_modulus(f, R, n_max)
-    logmags = _hand_made_table(table, n_max)
+    levels = fx.iterated_max_modulus(f, R, n_max)
+    logmags = _hand_made_table(levels, n_max)
     m = logmags.shape[0]
     rows = [[v for v in row if not math.isnan(v)] for row in logmags]
-    rules = rd._StepRules(m, math.log(10.0), table, l_max)
+    rules = rd._StepRules(m, math.log(10.0), levels, l_max)
     for col in logmags.T:
         rules.step(col)
     fast = rules.fast()
-    expect = [_oracle_member(row, table, l_max, n_max) for row in rows]
+    expect = [_oracle_member(row, levels, l_max, n_max) for row in rows]
     assert fast.tolist() == expect
     assert 0 < sum(expect) < m
 
@@ -273,7 +274,7 @@ def test_logmags_fallback_bit_identical_to_per_point(name, f, window, R, n_max):
     xs, ys = _pixels(window, 11)
     log_escape = math.log(max(R, 10.0))
     table = dy.orbit_table(f, xs, ys, n_max).log_mag
-    esc, _ = rd._escape_and_fast(f, xs, ys, R, 0, n_max)
+    esc, _ = rd._escape_and_fast(f, xs, ys, R, 0, n_max, fx.iterated_max_modulus(f, R, n_max))
     want_table, want_esc = _orbit_logmags_per_point(f, xs, ys, n_max, log_escape)
     assert table.tobytes() == want_table.tobytes()
     # the two rules agree on every start inside the escape radius
@@ -288,14 +289,16 @@ def test_fallback_escape_rule_matches_kernel(monkeypatch):
     # radius, so a start beyond it does not escape at step 0
     # (R = 10: log_escape = log 10)
     xs, ys = np.array([30.0, -30.0]), np.zeros(2)
-    assert rd._escape_and_fast(fx.Polynomial((0, 0, 1)), xs, ys, 10.0, 0, 6)[0].tolist() == [1, 1]
-    assert rd._escape_and_fast(fx.CoshSqrt(), xs, ys, 10.0, 0, 6)[0].tolist() == [1, -1]
+    for f, want in ((fx.Polynomial((0, 0, 1)), [1, 1]), (fx.CoshSqrt(), [1, -1])):
+        levels = fx.iterated_max_modulus(f, 10.0, 6)
+        assert rd._escape_and_fast(f, xs, ys, 10.0, 0, 6, levels)[0].tolist() == want
     f = fx.ExpAffine(1.0)
+    levels = fx.iterated_max_modulus(f, 10.0, 8)
     xs = np.concatenate([xs, np.linspace(-3.0, 3.0, 25)])
     ys = np.concatenate([ys, np.linspace(2.0, -2.0, 25)])
-    kernel = rd._escape_and_fast(f, xs, ys, 10.0, 3, 8)
+    kernel = rd._escape_and_fast(f, xs, ys, 10.0, 3, 8, levels)
     monkeypatch.setattr(fx.ExpAffine, "logmag_steps", fx.Descriptor.logmag_steps)
-    fallback = rd._escape_and_fast(f, xs, ys, 10.0, 3, 8)
+    fallback = rd._escape_and_fast(f, xs, ys, 10.0, 3, 8, levels)
     assert kernel[0].tolist()[:2] == [1, 4]
     assert fallback[0].tobytes() == kernel[0].tobytes()
     assert fallback[1].tobytes() == kernel[1].tobytes()

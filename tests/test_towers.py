@@ -10,7 +10,6 @@ from sphgrow.towers import (
     BAND_TOP,
     TowerDomainError,
     TowerReal,
-    normalize,
     tower_compare,
 )
 
@@ -32,7 +31,7 @@ def test_from_log_roundtrip():
 
 def test_normal_form_band():
     for x in [1e-3, 1.0, 5.0, 1e7, 1e9, 1e300]:
-        t = normalize(TowerReal.from_value(x))
+        t = TowerReal.from_value(x)  # built in normal form
         if t.depth >= 1:
             assert BAND_BOTTOM <= t.base < BAND_TOP
         else:
