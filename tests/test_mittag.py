@@ -333,6 +333,128 @@ def test_evaluator_bit_identical_to_split_oracle(alpha):
     assert (True, True) in seen and (False, False) in seen, seen
 
 
+# ---------------------------------------------------------------------------
+# bit-for-bit oracle of the scalar sums as they were written with the E and
+# E' halves interleaved in one loop
+
+
+def _interleaved_series(alpha, z):
+    c = mittag._series_ratios(alpha)
+    total = term = 1.0 + 0.0j
+    term *= z * c[1]  # the n = 1 term of E; that of E' seeds d_total
+    total += term
+    biggest = max(1.0, abs(term))
+    d_total = d_term = 1.0 / math.gamma(alpha + 1.0) + 0.0j
+    d_biggest = abs(d_total)
+    live = d_live = True
+    for n in range(2, mittag.MAX_SERIES_TERMS):
+        if live:
+            term *= z * c[n]
+            total += term
+            mag = abs(term)
+            if mag > biggest:
+                biggest = mag
+            elif mag < mittag._SERIES_STOP * biggest and n > 3:
+                live = False
+                if not d_live:
+                    break
+        if d_live:
+            d_term *= z * (n / (n - 1)) * c[n]
+            d_total += d_term
+            mag = abs(d_term)
+            if mag > d_biggest:
+                d_biggest = mag
+            elif mag < mittag._SERIES_STOP * d_biggest and n > 3:
+                d_live = False
+                if not live:
+                    break
+    return total, d_total
+
+
+def _interleaved_tail(alpha, z):
+    inv = 1.0 / z
+    total = d_total = 0.0 + 0.0j
+    prev_mag = d_prev_mag = math.inf
+    live = d_live = True
+    zk = inv
+    for k in range(1, 121):
+        coeff = mittag._tail_coeff(alpha, k)
+        if live:
+            term = -coeff * zk
+            mag = abs(term)
+            live = not mag > prev_mag
+            if live:
+                total += term
+                prev_mag = mag
+                live = not mag < 1e-300
+        if d_live:
+            term = k * coeff * zk * inv
+            mag = abs(term)
+            d_live = not mag > d_prev_mag
+            if d_live:
+                d_total += term
+                d_prev_mag = mag
+                d_live = not mag < 1e-300
+        if not (live or d_live):
+            break
+        zk *= inv
+    return total, d_total
+
+
+def _interleaved_log_abs(alpha, x):
+    if x <= mittag.switch_radius(alpha):
+        return math.log(abs(_interleaved_series(alpha, x)[0]))
+    p = 1.0 / alpha
+    xp = p * math.log(x)
+    if alpha == 2.0:
+        s = math.sqrt(x)
+        return s - math.log(2.0) + math.log1p(math.exp(-2.0 * s))
+    lead = math.exp(xp)
+    if lead < 600.0:
+        tail = _interleaved_tail(alpha, complex(x))[0]
+        return lead + math.log(p) + math.log1p(tail.real * math.exp(-lead) / p)
+    return lead + math.log(p)
+
+
+def _tail_halves(alpha, z):
+    """The library's algebraic tail and its derivative at z."""
+    return mittag._algebraic_tail(alpha, z)
+
+
+def _seeded_points(rng, radii, size):
+    """size points at radii(rng, size) and all angles, and points at
+    radii(rng, 20) on both signs of both axes, with both signed zeros."""
+    zs = [cmath.rect(r, th) for r, th in
+          zip(radii(rng, size).tolist(), rng.uniform(-math.pi, math.pi, size).tolist())]
+    for t in radii(rng, 20).tolist():
+        zs += [complex(s * t, z0) for s in (1.0, -1.0) for z0 in (0.0, -0.0)]
+        zs += [complex(z0, s * t) for s in (1.0, -1.0) for z0 in (0.0, -0.0)]
+    return zs
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.75, 1.0, 1.5, 1.95, 2.0])
+def test_sums_bit_identical_to_interleaved_oracle(alpha):
+    # float.hex of both parts of E and E': == sees no signed zero
+    rng = np.random.default_rng(30)
+    r_sw = mittag.switch_radius(alpha)
+    series_zs = _seeded_points(rng, lambda g, k: 1.1 * r_sw * np.sqrt(g.uniform(0.0, 1.0, k)),
+                               2000)
+    series_zs += [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    for z in series_zs:
+        got, want = mittag.ml_series(alpha, z), _interleaved_series(alpha, z)
+        assert [_hex(v) for v in got] == [_hex(v) for v in want], z
+    # the tail from inside the switch radius to 1e8; at alpha 0.5, 1 and 1.5
+    # (and 2) it meets a zero coefficient, a pole of Gamma(1 - alpha k)
+    tail_zs = _seeded_points(rng, lambda g, k: 10.0 ** g.uniform(-1.0, 8.0, k), 2000)
+    for z in tail_zs:
+        got, want = _tail_halves(alpha, z), _interleaved_tail(alpha, z)
+        assert [_hex(v) for v in got] == [_hex(v) for v in want], z
+    xs = [0.0, *rng.uniform(0.0, 1.2 * r_sw, 100).tolist(),
+          *(10.0 ** rng.uniform(0.0, 8.0, 100)).tolist()]
+    for x in xs:
+        assert mittag.ml_log_abs(alpha, x).hex() == _interleaved_log_abs(alpha, x).hex(), x
+
+
 def _layer_oracle(alpha, z):
     """E_alpha(z) by _ml_oracle with |z|^p / 2.3 + 40 digits, enough for the
     cancellation (the largest term is about e^(|z|^p)), and the terms run on
