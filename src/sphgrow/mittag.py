@@ -89,40 +89,33 @@ def _series_ratios(alpha: float) -> list:
     return [math.nan] + [math.exp(lg[n - 1] - lg[n]) for n in range(1, MAX_SERIES_TERMS)]
 
 
-def ml_series(alpha: float, z: complex) -> tuple:
-    """(E_alpha(z), E_alpha'(z)) by the truncated power series and its
-    term-wise derivative sum n z^(n-1) / Gamma(alpha n + 1); accurate while
-    |z|**(1/alpha) is moderate."""
+def _series_sum(alpha: float, z: complex, derivative: bool) -> complex:
+    """E_alpha(z) by its truncated power series, or E_alpha'(z) by the
+    term-wise derivative sum n z^(n-1) / Gamma(alpha n + 1); the sum stops
+    past n = 3 at a term below _SERIES_STOP times the largest."""
     c = _series_ratios(alpha)
-    total = term = 1.0 + 0.0j
-    term *= z * c[1]  # the n = 1 term of E; that of E' seeds d_total
-    total += term
-    biggest = max(1.0, abs(term))
-    d_total = d_term = 1.0 / math.gamma(alpha + 1.0) + 0.0j
-    d_biggest = abs(d_total)
-    live = d_live = True
+    if derivative:
+        total = term = 1.0 / math.gamma(alpha + 1.0) + 0.0j
+        biggest = abs(total)
+    else:
+        term = (1.0 + 0.0j) * (z * c[1])
+        total = (1.0 + 0.0j) + term
+        biggest = max(1.0, abs(term))
     for n in range(2, MAX_SERIES_TERMS):
-        if live:
-            term *= z * c[n]
-            total += term
-            mag = abs(term)
-            if mag > biggest:
-                biggest = mag
-            elif mag < _SERIES_STOP * biggest and n > 3:
-                live = False
-                if not d_live:
-                    break
-        if d_live:
-            d_term *= z * (n / (n - 1)) * c[n]
-            d_total += d_term
-            mag = abs(d_term)
-            if mag > d_biggest:
-                d_biggest = mag
-            elif mag < _SERIES_STOP * d_biggest and n > 3:
-                d_live = False
-                if not live:
-                    break
-    return total, d_total
+        term *= (z * (n / (n - 1)) if derivative else z) * c[n]
+        total += term
+        mag = abs(term)
+        if mag > biggest:
+            biggest = mag
+        elif mag < _SERIES_STOP * biggest and n > 3:
+            break
+    return total
+
+
+def ml_series(alpha: float, z: complex) -> tuple:
+    """(E_alpha(z), E_alpha'(z)) by the power series; accurate while
+    |z|**(1/alpha) is moderate."""
+    return _series_sum(alpha, z, False), _series_sum(alpha, z, True)
 
 
 def cmul(ar, ai, br, bi) -> tuple:
@@ -149,72 +142,60 @@ def _row_sums(ks, state, step) -> np.ndarray:
     return out
 
 
-def _series_sums(x, y, total, term, biggest, factor) -> np.ndarray:
-    """Continue ml_series's sum from its n = 1 term over the points x + iy:
-    term n is term n-1 times factor(n, x, y), and each point stops by the
-    scalar rule (past n = 3, a term below _SERIES_STOP times the largest)."""
+def _series_sums(alpha: float, x, y, derivative: bool) -> np.ndarray:
+    """_series_sum over the points x + iy, term for term; each point stops by
+    the scalar rule (past n = 3, a term below _SERIES_STOP times the largest)."""
+    c = _series_ratios(alpha)
+    if derivative:
+        g = np.full(x.shape, 1.0 / math.gamma(alpha + 1.0)), np.zeros(x.shape)
+        start = (*g, *g, np.abs(g[0]))
+    else:
+        tr, ti = cmul(1.0, 0.0, *cmul(x, y, c[1], 0.0))
+        start = (1.0 + tr, 0.0 + ti, tr, ti, np.fmax(np.hypot(tr, ti), 1.0))
+
     def step(n, sr, si, tr, ti, biggest, x, y):
-        tr, ti = cmul(tr, ti, *factor(n, x, y))
+        zr, zi = cmul(x, y, n / (n - 1), 0.0) if derivative else (x, y)
+        tr, ti = cmul(tr, ti, *cmul(zr, zi, c[n], 0.0))
         mag = np.hypot(tr, ti)
-        biggest = np.fmax(biggest, mag)  # a NaN term leaves it, as in ml_series
+        biggest = np.fmax(biggest, mag)  # a NaN term leaves it, as in _series_sum
         # a term that just set biggest is not below _SERIES_STOP times it
         return (sr + tr, si + ti, tr, ti, biggest, x, y), (n > 3) & (mag < _SERIES_STOP * biggest)
 
-    return _row_sums(range(2, MAX_SERIES_TERMS), (*total, *term, biggest, x, y), step)
+    return _row_sums(range(2, MAX_SERIES_TERMS), (*start, x, y), step)
 
 
-def _series_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> tuple:
-    """ml_series at the points x + iy: both sums follow it term for term."""
-    c = _series_ratios(alpha)
-    tr, ti = cmul(1.0, 0.0, *cmul(x, y, c[1], 0.0))
-    g = np.full(x.shape, 1.0 / math.gamma(alpha + 1.0)), np.zeros(x.shape)
-    return (*_series_sums(x, y, (1.0 + tr, 0.0 + ti), (tr, ti), np.fmax(np.hypot(tr, ti), 1.0),
-                          lambda n, x, y: cmul(x, y, c[n], 0.0)),
-            *_series_sums(x, y, g, g, np.abs(g[0]),
-                          lambda n, x, y: cmul(*cmul(x, y, n / (n - 1), 0.0), c[n], 0.0)))
-
-
+@lru_cache(maxsize=None)
 def _tail_coeff(alpha: float, k: int) -> float:
     """1/Gamma(1 - alpha k), the coefficient of -z^(-k) in the tail; zero at
-    the poles of Gamma (1 - alpha k a nonpositive integer)."""
+    the poles of Gamma (1 - alpha k a nonpositive integer).  Memoised as the
+    sums reach k, not precomputed: past 1 - alpha k ~ -178 Gamma underflows
+    to 0 and this raises ZeroDivisionError, at k no sum reaches."""
     g = 1.0 - alpha * k
     return 0.0 if g <= 0.0 and abs(g - round(g)) < 1e-12 else 1.0 / math.gamma(g)
 
 
-def _algebraic_tail(alpha: float, z: complex) -> tuple:
-    """-sum_k z^(-k)/Gamma(1-a k) and its derivative, each truncated at its
-    smallest term.
+def _tail_sum(alpha: float, inv: complex, derivative: bool) -> complex:
+    """-sum_k z^(-k)/Gamma(1-a k), or its derivative, at 1/z = inv, truncated
+    at its smallest term.
 
     The tail is an asymptotic (divergent) series; optimal truncation stops
     once terms start growing again.
     """
-    inv = 1.0 / z
-    total = d_total = 0.0 + 0.0j
-    prev_mag = d_prev_mag = math.inf
-    live = d_live = True
+    total = 0.0 + 0.0j
+    prev_mag = math.inf
     zk = inv
     for k in range(1, 121):
         coeff = _tail_coeff(alpha, k)
-        if live:
-            term = -coeff * zk
-            mag = abs(term)
-            live = not mag > prev_mag
-            if live:
-                total += term
-                prev_mag = mag
-                live = not mag < 1e-300
-        if d_live:
-            term = k * coeff * zk * inv
-            mag = abs(term)
-            d_live = not mag > d_prev_mag
-            if d_live:
-                d_total += term
-                d_prev_mag = mag
-                d_live = not mag < 1e-300
-        if not (live or d_live):
+        term = k * coeff * zk * inv if derivative else -coeff * zk
+        mag = abs(term)
+        if mag > prev_mag:
+            break
+        total += term
+        prev_mag = mag
+        if mag < 1e-300:
             break
         zk *= inv
-    return total, d_total
+    return total
 
 
 def _recip(x, y) -> tuple:
@@ -227,9 +208,9 @@ def _recip(x, y) -> tuple:
 
 
 def _tail_sums(alpha: float, ir, ii, derivative: bool) -> np.ndarray:
-    """_algebraic_tail's sum, or its derivative's, over the points with
-    1/z = ir + i ii; each point stops by the scalar rule (before a term larger
-    than the last, after one below 1e-300)."""
+    """_tail_sum over the points with 1/z = ir + i ii; each point stops by
+    the scalar rule (before a term larger than the last, after one below
+    1e-300)."""
     def step(k, sr, si, prev, zr, zi, ir, ii):
         c = _tail_coeff(alpha, k)
         tr, ti = cmul(*cmul(k * c, 0.0, zr, zi), ir, ii) if derivative else cmul(-c, 0.0, zr, zi)
@@ -277,7 +258,8 @@ def ml_asymptotic(alpha: float, z: complex) -> tuple:
             raise OverflowError("E_alpha overflows double range")
         e = cmath.exp(z)
         return e, e
-    tail, d_tail = _algebraic_tail(alpha, z)
+    inv = 1.0 / z
+    tail, d_tail = _tail_sum(alpha, inv, False), _tail_sum(alpha, inv, True)
     if abs(cmath.phase(z)) > alpha * math.pi / 2.0 + SECTOR_DELTA:
         return tail, d_tail
     lead, d_lead = _growth_terms(alpha, z)
@@ -319,7 +301,9 @@ def ml_eval_arrays(alpha: float, x: np.ndarray, y: np.ndarray) -> tuple:
     near = np.hypot(x, y) <= switch_radius(alpha)
     out = np.empty((4, x.shape[0]))
     with np.errstate(all="ignore"):
-        out[:, near] = _series_arrays(alpha, x[near], y[near])
+        x_near, y_near = x[near], y[near]
+        out[:, near] = np.concatenate([_series_sums(alpha, x_near, y_near, False),
+                                       _series_sums(alpha, x_near, y_near, True)])
         far = ~near
         out[:, far] = _asymptotic_arrays(alpha, x[far], y[far])
     return tuple(out)
@@ -340,7 +324,7 @@ def ml_log_abs(alpha: float, x: float) -> float:
     if x < 0.0:
         raise ValueError("positive axis only")
     if x <= switch_radius(alpha):
-        return math.log(abs(ml_series(alpha, x)[0]))
+        return math.log(abs(_series_sum(alpha, x, False)))
     p = 1.0 / alpha
     xp = p * math.log(x)
     if alpha == 2.0:
@@ -350,6 +334,6 @@ def ml_log_abs(alpha: float, x: float) -> float:
     # p e^{x^p} dominates; fold in the O(1/x) tail while it is visible
     lead = math.exp(xp)
     if lead < 600.0:
-        tail = _algebraic_tail(alpha, complex(x))[0]
+        tail = _tail_sum(alpha, 1.0 / complex(x), False)
         return lead + math.log(p) + math.log1p(tail.real * math.exp(-lead) / p)
     return lead + math.log(p)

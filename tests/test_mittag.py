@@ -418,7 +418,8 @@ def _interleaved_log_abs(alpha, x):
 
 def _tail_halves(alpha, z):
     """The library's algebraic tail and its derivative at z."""
-    return mittag._algebraic_tail(alpha, z)
+    inv = 1.0 / z
+    return mittag._tail_sum(alpha, inv, False), mittag._tail_sum(alpha, inv, True)
 
 
 def _seeded_points(rng, radii, size):
