@@ -112,6 +112,7 @@ def run_thm7(f, U: ms.Region, R: float, m: int, n_range,
     the verdict is Inconclusive.
     """
     ns = _checked_ns(m, n_range)
+    _check_radii(R=R)
     grid = grid or ms.GridSpec()
     levels = fx.iterated_max_modulus(f, R, max(ns))
     log_mus = [ms.mu_sup(f, U, n, grid).log_mu for n in ns]
@@ -146,6 +147,7 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
     last radius tried.
     """
     ns = _checked_ns(m, n_range)
+    _check_radii(R_lower=R_lower, R_upper=R_upper)  # R_upper before the doubling loop
     grid = grid or ms.GridSpec()
     low_levels = fx.iterated_max_modulus(f, R_lower, max(ns))
     areas = {n: ms.spherical_area(f, U, n, grid) for n in ns}
@@ -188,12 +190,23 @@ def run_thm5_thm6(f, U: ms.Region, R_lower: float, R_upper: float, m: int,
 
 
 def _checked_ns(m: int, n_range) -> list:
-    """n_range sorted; a negative shift m or an empty n_range is rejected."""
+    """n_range sorted; a negative shift m, an empty n_range or an n < 1 in it
+    is rejected."""
     if m < 0:
         raise ValueError(f"m={m} must be >= 0")
     if not n_range:
         raise ValueError("n_range must not be empty")
-    return sorted(n_range)
+    ns = sorted(n_range)
+    if ns[0] < 1:
+        raise ValueError(f"n={ns[0]} in n_range must be >= 1")
+    return ns
+
+
+def _check_radii(**radii):
+    """Reject each radius that is not positive, by its key."""
+    for key, R in radii.items():
+        if not R > 0.0:
+            raise ValueError(f"{key}={R} must be positive")
 
 
 def _lower_bound_row(n: int, log_lhs: float, levels, m: int) -> dict:
@@ -401,8 +414,11 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
     tol = 0.15
     rows = []
     notes = []
-    # the first step: schedule_build rejects a bad x0 or n_max by name
+    # the first step: schedule_build rejects a bad x0 or a negative n_max by
+    # name; tier b judges only its row n = n_max, so n_max < 2 judges none
     sched = lg.schedule_build(x0, n_max)
+    if n_max < 2:
+        raise ValueError(f"n_max={n_max} must be >= 2")
     if sched.invariant_failures:
         notes.append("schedule invariant failures: "
                      + "; ".join(sched.invariant_failures))

@@ -40,6 +40,12 @@ def render_escape(f, window: ms.Region, resolution, R: float,
         width, height = resolution
     if not (1 <= width <= MAX_RESOLUTION and 1 <= height <= MAX_RESOLUTION):
         raise ValueError(f"resolution must be within 1..{MAX_RESOLUTION}")
+    if not R > 0.0:
+        raise ValueError(f"R={R} must be positive")
+    if n_max < 1:  # no step: every pixel would count as fast-escaping
+        raise ValueError(f"n_max={n_max} must be >= 1")
+    if l_max < 0:  # no l: no pixel could count as fast-escaping
+        raise ValueError(f"l_max={l_max} must be >= 0")
 
     x0, x1, y0, y1 = window.bounds()
     xs = np.linspace(x0, x1, width) if width > 1 else np.array([window.center.real])

@@ -259,6 +259,14 @@ def test_thm3_rejects_bad_tier_a(tmp_path, key, value, message):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_thm3_rejects_a_tier_b_that_judges_no_row(n_max):
+    # tier b judges only its row n = n_max, from n = 2 on; before, n_max 0
+    # and 1 judged no row and reported Pass
+    with pytest.raises(ValueError, match=f"^n_max={n_max} must be >= 2$"):
+        ex.run_thm3(1.0, 26.0, n_max, 256, x0_tier_a=1e6, n_tier_a=100)
+
+
 def test_thm3_rejects_infinite_tier_a_before_tier_b(monkeypatch):
     # a bad tier-a start is refused before any tier-b work is done
     calls = []
@@ -503,11 +511,25 @@ def test_thm1_scan_notes_overflow_only_where_it_stopped_the_scan(tmp_path):
     ("thm7", {"n_min": 5, "n_max": 2}, "thm7: n_min=5 must be <= n_max=2"),
     ("thm56", {"n_min": 5, "n_max": 2}, "thm56: n_min=5 must be <= n_max=2"),
     ("classical", {"samples": 0}, "samples=0 must be >= 1"),
+    ("thm3", {"n_max": 1}, "n_max=1 must be >= 2"),
+    ("render", {"n_max": 0, "resolution": 4}, "n_max=0 must be >= 1"),
+    ("render", {"l_max": -1, "resolution": 4}, "l_max=-1 must be >= 0"),
+    ("thm7", {"n_min": 0}, "thm7: n_min=0 must be >= 1"),
+    ("thm56", {"n_range": [0, 1]}, "n=0 in n_range must be >= 1"),
+    ("thm7", {"R": -1}, "R=-1 must be positive"),
+    ("thm56", {"R_lower": 0}, "R_lower=0 must be positive"),
+    ("thm56", {"R_upper": 0}, "R_upper=0 must be positive"),
+    ("thm56", {"R_upper": -5}, "R_upper=-5 must be positive"),
+    ("render", {"R": 0, "resolution": 4}, "R=0 must be positive"),
 ], ids=["thm1scan-N", "thm4scan-N", "thm7-empty-range", "thm56-empty-range",
-        "classical-samples"])
+        "classical-samples", "thm3-n_max", "render-n_max", "render-l_max", "thm7-n_min",
+        "thm56-n_range", "thm7-R", "thm56-R_lower", "thm56-R_upper-0", "thm56-R_upper-neg",
+        "render-R"])
 def test_console_names_the_rejected_key(tmp_path, capsys, sub, given, message):
     # before, each exited 2 naming another key (n_max) or none ("max() arg
-    # is an empty sequence", "zero-size array to reduction operation")
+    # is an empty sequence", "zero-size array to reduction operation", "n
+    # must be >= 1", "R must be positive"), or (thm3 n_max, render n_max and
+    # l_max) ran with nothing to check and reported Pass
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({sub: given}))
     assert cli.console(["--config", str(cfg), "--out", str(tmp_path), sub]) == 2
@@ -522,6 +544,35 @@ def test_lower_bound_runners_reject_an_empty_n_range(sub):
            "thm56": lambda: ex.run_thm5_thm6(EXP, U, 5.0, 5.0, 2, range(5, 3), FAST_GRID)}[sub]
     with pytest.raises(ValueError, match="^n_range must not be empty$"):
         run()
+
+
+@pytest.mark.parametrize("sub, n", [("thm7", -1), ("thm56", 0)])
+def test_lower_bound_runners_reject_n_below_one(sub, n):
+    U = ms.Region.disk(complex(0.318, 1.337), 0.5)
+    run = {"thm7": lambda: ex.run_thm7(EXP, U, 5.0, 2, [3, -1, 2], FAST_GRID),
+           "thm56": lambda: ex.run_thm5_thm6(EXP, U, 5.0, 5.0, 0, range(0, 2), FAST_GRID)}[sub]
+    with pytest.raises(ValueError, match=f"^n={n} in n_range must be >= 1$"):
+        run()
+
+
+@pytest.mark.parametrize("R_lower, R_upper, key", [(0.0, 5.0, "R_lower"), (5.0, 0.0, "R_upper"),
+                                                   (5.0, -5.0, "R_upper")])
+def test_thm56_rejects_a_nonpositive_radius_before_any_area(monkeypatch, R_lower, R_upper, key):
+    # R_upper is checked before the areas and the doubling loop, which reads a
+    # NonEscalatingError as "not witnessed" and would turn it into Fail
+    calls = []
+    monkeypatch.setattr(ex.ms, "spherical_area", lambda *args: calls.append(args))
+    U = ms.Region.disk(complex(0.318, 1.337), 0.5)
+    bad = R_lower if key == "R_lower" else R_upper
+    with pytest.raises(ValueError, match=f"^{key}={bad} must be positive$"):
+        ex.run_thm5_thm6(EXP, U, R_lower, R_upper, 2, [1, 2], FAST_GRID)
+    assert not calls
+
+
+def test_thm7_rejects_a_nonpositive_radius():
+    U = ms.Region.disk(complex(0.318, 1.337), 0.5)
+    with pytest.raises(ValueError, match="^R=-1.0 must be positive$"):
+        ex.run_thm7(EXP, U, -1.0, 2, [1, 2], FAST_GRID)
 
 
 def test_thm1_scan_signature():
