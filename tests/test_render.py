@@ -228,21 +228,6 @@ def _render_peak_bytes(tmp_path, size, n_max):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("R, l_max, n_max, message", [
-    (5.0, 3, 0, "^n_max=0 must be >= 1$"),
-    (5.0, -1, 12, "^l_max=-1 must be >= 0$"),
-    (0.0, 3, 12, "^R=0.0 must be positive$"),
-], ids=["n_max", "l_max", "R"])
-def test_render_rejects_a_run_with_nothing_to_check(tmp_path, R, l_max, n_max, message):
-    # before, n_max = 0 counted every pixel as fast-escaping (fast_fraction
-    # 1.0) and l_max = -1 none, each without a word
-    out = tmp_path / "img.ppm"
-    with pytest.raises(ValueError, match=message):
-        rd.render_escape(fx.ExpAffine(1.0), ms.Region.rectangle(1.0 + 0j, 3.0, 3.0),
-                         4, R, l_max, n_max, str(out))
-    assert not out.exists()
-
-
 def test_exp_render_memory_does_not_grow_with_n_max(tmp_path):
     # the orbits stream into the two rules a step at a time: the peak stays
     # below the (n_max + 1) m doubles an orbit table would take, and a
