@@ -1,11 +1,9 @@
 """Mittag-Leffler function E_a(z) = sum z^n / Gamma(a n + 1), 0 < a <= 2.
 
-`ml_eval(a, z)` gives (E_a(z), E_a'(z)) from one call; the last (a, z) is
-memoised.  Each sum, the power series and the algebraic tail, is one loop
-that sums E_a or E_a' as its `derivative` flag says, each with its own term
-recurrence and stopping rule.  `ml_eval_arrays` gives the same bits over
-arrays of points anywhere in the plane through the array twin of each loop,
-with complex products written out on real arrays (`cmul`).
+`ml_eval(a, z)` gives (E_a(z), E_a'(z)) from one call, one loop per sum that
+sums E_a or E_a' by its `derivative` flag; the last (a, z) is memoised.
+`ml_eval_arrays` gives the same bits over arrays of points anywhere in the
+plane, with complex products written out on real arrays (`cmul`).
 
 Evaluation strategy: the power series in the zone where double-precision
 summation keeps full accuracy, and the sector expansion outside it.  With
