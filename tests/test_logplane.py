@@ -217,6 +217,52 @@ def test_slow_orbit_derivative_statistic():
     assert stat >= math.log(2.0) - 0.15
 
 
+def _slow_orbit_mp(lam, schedule):
+    """slow_orbit_construct as it was before the interval pullback, verbatim
+    but for its error checks: a point pullback at 1.45 (x_0 + ... + x_(n-1))
+    + 64 bits, at least 256, then a forward run at twice that.  Returns the
+    base point u, the floats Re F^j(u) and the bits."""
+    xs = schedule.x
+    n_max = len(xs) - 1
+    internal = max(256, int(1.5 * float(max(xs))) + 64,
+                   int(1.45 * float(mp.fsum(xs[:n_max]))) + 64)
+    with mp.workprec(internal):
+        log_lam = mp.log(mp.mpc(lam))
+        two_pi = 2 * mp.pi
+        w = mp.mpc(xs[n_max], 0)
+        for j in range(n_max - 1, -1, -1):
+            a = w - log_lam
+            big = mp.exp(xs[j])
+            s = mp.sqrt(big * big - a.real * a.real)
+            m = mp.nint((s - a.imag) / two_pi)
+            w = mp.log(mp.mpc(a.real, a.imag + two_pi * m))
+        u = w
+    with mp.workprec(2 * internal):
+        v = mp.mpc(u)
+        log_lam = mp.log(mp.mpc(lam))
+        re_F = [float(v.real)]
+        for _ in range(n_max):
+            v = mp.exp(v) + log_lam
+            re_F.append(float(v.real))
+    return u, re_F, internal
+
+
+def _log_sph_deriv_mp(u, re_F, n):
+    """log_sph_deriv_from_logplane's formula on _slow_orbit_mp's floats."""
+    return sum(re_F[:n]) - math.log(2.0) - float(u.real) - re_F[n]
+
+
+@pytest.mark.parametrize("n_max", range(2, 13))
+def test_slow_orbit_bound_matches_point_pullback(n_max):
+    # n_max = 12 is where the point pullback needs 6,010 bits
+    sched = lp.schedule_build(26.0, n_max)
+    trace = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
+    u, re_F, _ = _slow_orbit_mp(1.0, sched)
+    for n in range(1, n_max + 1):
+        assert math.isclose(lp.log_sph_deriv_from_logplane(trace, n),
+                            _log_sph_deriv_mp(u, re_F, n), rel_tol=1e-12)
+
+
 def test_slow_orbit_json_stable():
     sched = lp.schedule_build(26.0, 5)
     t1 = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
