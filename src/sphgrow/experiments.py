@@ -413,20 +413,17 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
     target = math.log(1.0 + 1.0)  # lambda(f) = 1 for the exponential family
     tol = 0.15
     rows = []
-    notes = []
     # the first step: schedule_build rejects a bad x0 or a negative n_max by
     # name; tier b judges only its row n = n_max, so n_max < 2 judges none
     sched = lg.schedule_build(x0, n_max)
     if n_max < 2:
         raise ValueError(f"n_max={n_max} must be >= 2")
-    if sched.invariant_failures:
-        notes.append("schedule invariant failures: "
-                     + "; ".join(sched.invariant_failures))
-    achieved_n = 0
+    sched_a = lg.schedule_build(x0_tier_a, n_tier_a)
+    notes = [f"tier {tier} schedule invariant failures: " + "; ".join(s.invariant_failures)
+             for tier, s in (("b", sched), ("a", sched_a)) if s.invariant_failures]
     constructed = False
     try:
         trace = lg.slow_orbit_construct(lam, sched, precision_bits)
-        achieved_n = trace.length()
         for n in range(2, n_max + 1):
             bound = lg.log_sph_deriv_from_logplane(trace, n)
             stat = math.log(bound) / n if bound > 1.0 else -math.inf
@@ -434,11 +431,10 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
             rows.append(_row(n, not ok, f"E^0({_fmt(stat)})", f"E^0({_fmt(target - tol)})",
                              stat - (target - tol), tier="b"))
         constructed = True
-    except (lg.PrecisionExhausted, lg.ScheduleInfeasible) as exc:
-        notes.append(f"construction failed at n={achieved_n}: {exc}; tier b is "
+    except lg.ScheduleInfeasible as exc:
+        notes.append(f"construction failed: {exc}; tier b is "
                      "unchecked, so the verdict is at best Inconclusive")
     # tier a: pure schedule arithmetic out to n_tier_a
-    sched_a = lg.schedule_build(x0_tier_a, n_tier_a)
     for n in sorted({n for n in (10, 100, 1000, n_tier_a) if n <= n_tier_a}):
         stat = lg.schedule_growth_statistic(sched_a, n)
         floor = target - 3.0 * math.log(n) / n
@@ -448,7 +444,6 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
         experiment_id="thm3-slow-escape", function=fx.ExpAffine(lam).to_json(),
         parameters={"x0": x0, "n_max": n_max,
                     "precision_bits": precision_bits,
-                    "precision_bits_used": achieved_n and trace.precision_bits,
                     "x0_tier_a": x0_tier_a, "n_tier_a": n_tier_a},
         rows=rows, verdict=_verdict(rows, constructed),
         tolerances={"slope_tol": tol, "tier_a_slack": "3 log(n)/n"},

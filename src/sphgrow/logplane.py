@@ -1,20 +1,16 @@
 """Logarithmic change of variable for f(z) = lam * e^z.
 
 Work happens in the w-plane where F(w) = e^w + log(lam) satisfies
-exp(F(w)) = f(e^w).  Provides the slow-escape target schedule, the
-extended-precision backward orbit construction hitting those targets,
-and the resulting certified lower bounds on log (f^n)^#.
-
-Everything precision-critical runs through mpmath: once a target x_j
-exceeds ~36 the quantity e^{x_j} cannot be reduced mod 2*pi in doubles,
-and the backward-constructed base point needs on the order of
-1.45 * sum(x_j) mantissa bits to survive forward verification.  Each
-function imports mpmath itself, so importing the CLI does not load it.
+exp(F(w)) = f(e^w).  Provides the slow-escape target schedule, the backward
+orbit hitting those targets as a chain of mpmath.iv boxes (one pullback
+through inverse branches of F, at a fixed precision), and the certified
+lower bounds on log (f^n)^# read off the boxes.  Each function imports
+mpmath itself, so importing the CLI does not load it.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -23,10 +19,6 @@ import numpy as np
 LOG_96PI = math.log(96.0 * math.pi)
 FOUR_PI = 4.0 * math.pi
 X0_FLOOR = 8.0 * math.pi  # smallest schedule start; above e^2, so delta(x0) < 1/2
-
-
-class PrecisionExhausted(Exception):
-    """Forward verification could not resolve imaginary parts mod 2*pi."""
 
 
 class ScheduleInfeasible(Exception):
@@ -143,32 +135,36 @@ def schedule_growth_statistic(schedule: SlowEscapeSchedule, n: int) -> float:
 # orbit construction
 
 
+@contextlib.contextmanager
+def _iv_at(bits: int):
+    """mpmath.iv at bits of precision, restored on exit (iv has no workprec)."""
+    import mpmath as mp
+    saved, mp.iv.prec = mp.iv.prec, bits
+    try:
+        yield mp.iv
+    finally:
+        mp.iv.prec = saved
+
+
 @dataclass
 class SlowOrbitTrace:
-    u: object                    # mpc base point at working precision
-    steps: list                  # dicts: n, x_target, re_F_n, strip, angular_offset_log
-    re_F: list                   # float Re F^j(u), j = 0..n_max
-    log_F_deriv_partial: list    # float sum_{j<n} Re F^j(u), n = 0..n_max
+    boxes: list                  # iv.mpc: Re F^j(u) lies in Re boxes[j], j = 0..n_max
     precision_bits: int
 
     def length(self) -> int:
-        return len(self.steps)
-
-    def to_json(self) -> str:
-        import mpmath as mp
-        return json.dumps({
-            "precision_bits": self.precision_bits,
-            "u": [mp.nstr(self.u.real, 30), mp.nstr(self.u.imag, 30)],
-            "steps": self.steps}, sort_keys=True, indent=1)
+        return len(self.boxes) - 1
 
 
 def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule,
                          precision_bits: int) -> SlowOrbitTrace:
-    """Backward orbit whose forward Re F^n hit the schedule within 4*pi.
+    """Boxes around a backward orbit whose Re F^j(u) hit the schedule within 4*pi.
 
-    Each level solves |e^{w_j}| = e^{x_j} with F(w_j) = w_{j+1} + 2*pi*i*m,
-    branch fixed to the positive-imaginary side of strip 0.  The base point
-    is then verified forward at twice the working precision.
+    From the point x_n, level j pulls the box above back through
+    G_j(w) = Log(w - log lam + 2*pi*i*m_j), with m_j the branch that puts
+    |e^{G_j}| nearest e^{x_j} on the positive-imaginary side of strip 0.
+    F(G_j(w)) = w + 2*pi*i*m_j and F has period 2*pi*i, so Re F^j(u) lies in
+    Re boxes[j] for the base point u that the chain reaches.  Any integer m_j
+    is a branch, so m_j may be rounded, and every box is at precision_bits.
     """
     import mpmath as mp
     if lam == 0:
@@ -176,61 +172,23 @@ def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule,
     if precision_bits < 53:
         raise ValueError("precision_bits must be at least 53")
     xs = schedule.x
-    n_max = len(xs) - 1
-    max_x = float(max(xs))
-    # argument reduction of e^{x_j} mod 2*pi needs ~1.5*max(x)+64 bits, and
-    # forward phase errors grow like e^{sum x_j}; the requested precision is
-    # treated as a floor and raised internally as needed (recorded in the trace)
-    internal = max(precision_bits, int(1.5 * max_x) + 64,
-                   int(1.45 * float(mp.fsum(xs[:n_max]))) + 64)
-    with mp.workprec(internal):
-        log_lam = mp.log(mp.mpc(lam))
-        two_pi = 2 * mp.pi
-        w = mp.mpc(xs[n_max], 0)      # topmost point: real axis, Re = x_n
-        ws = [w]
-        for j in range(n_max - 1, -1, -1):
-            a = w - log_lam           # need e^{w_j} = a + 2*pi*i*m
-            big = mp.exp(xs[j])
-            if abs(a.real) >= big:
+    with _iv_at(precision_bits) as iv:
+        log_lam = iv.log(iv.mpc(lam.real, lam.imag))  # mpmath 1.3: no iv.mpc(complex)
+        two_pi = 2 * iv.pi
+        boxes = [iv.mpc(xs[-1], 0)]   # topmost point: real axis, Re = x_n
+        for j in range(len(xs) - 2, -1, -1):
+            a = boxes[-1] - log_lam   # need e^{w_j} = a + 2*pi*i*m_j
+            big = iv.exp(xs[j])
+            if not abs(a.real) < big:
                 raise ScheduleInfeasible(
                     f"target x_{j+1}={float(xs[j+1]):.3f} exceeds e^x_{j}")
-            s = mp.sqrt(big * big - a.real * a.real)
-            m = mp.nint((s - a.imag) / two_pi)
-            T = mp.mpc(a.real, a.imag + two_pi * m)
-            if T.imag <= 0:
+            q = (iv.sqrt(big * big - a.real * a.real) - a.imag) / two_pi
+            m = iv.mpf(mp.make_mpf(mp.libmp.mpf_nint(q.mid._mpi_[0])))  # an exact integer
+            T = a + iv.mpc(0, two_pi * m)
+            if not T.imag > 0:
                 raise ScheduleInfeasible(f"no positive-side branch at level {j}")
-            w = mp.log(T)             # principal: lands in strip 0, Im in (0, pi/2)
-            ws.append(w)
-        ws.reverse()
-        u = ws[0]
-
-    # forward verification at doubled precision
-    with mp.workprec(2 * internal):
-        v = mp.mpc(u)
-        log_lam = mp.log(mp.mpc(lam))
-        re_F = [float(v.real)]
-        steps = []
-        for n in range(1, n_max + 1):
-            v = mp.exp(v) + log_lam
-            re_F.append(float(v.real))
-            err = abs(re_F[n] - float(xs[n]))
-            if err > FOUR_PI:
-                raise PrecisionExhausted(
-                    f"|Re F^{n}(u) - x_{n}| = {err:.3e} > 4*pi; "
-                    f"raise precision_bits (used {internal})")
-            offs = float(mp.log(mp.pi / 2 - abs(ws[n].imag))) \
-                if abs(ws[n].imag) < mp.pi / 2 else -math.inf
-            steps.append({"n": n, "x_target": float(xs[n]),
-                          "re_F_n": re_F[n], "strip": 0,
-                          "angular_offset_log": offs})
-    partial = [0.0]
-    acc = 0.0
-    for r in re_F:
-        acc += r
-        partial.append(acc)
-    return SlowOrbitTrace(u=u, steps=steps, re_F=re_F,
-                          log_F_deriv_partial=partial[:n_max + 1],
-                          precision_bits=internal)
+            boxes.append(iv.log(T))   # principal: lands in strip 0, Im in (0, pi/2)
+    return SlowOrbitTrace(boxes=boxes[::-1], precision_bits=precision_bits)
 
 
 def log_sph_deriv_from_logplane(trace: SlowOrbitTrace, n: int) -> float:
@@ -238,12 +196,16 @@ def log_sph_deriv_from_logplane(trace: SlowOrbitTrace, n: int) -> float:
 
     log (f^n)^# >= log|(F^n)'(u)| - log 2 - log|z| - Re F^n(u), and for this
     family |F'(w)| = e^{Re w} exactly, so log|(F^n)'| = sum_{j<n} Re F^j(u).
+    Summed in intervals of the boxes' real parts, which adds their lower ends
+    and subtracts their upper ends; the lower end is rounded down to a float.
     """
+    import mpmath as mp
     if not 1 <= n <= trace.length():
         raise ValueError("n past trace length")
-    log_abs_z = float(trace.u.real)
-    return (trace.log_F_deriv_partial[n] - math.log(2.0)
-            - log_abs_z - trace.re_F[n])
+    re = [box.real for box in trace.boxes]
+    with _iv_at(trace.precision_bits) as iv:
+        bound = sum(re[:n]) - iv.log(2) - re[0] - re[n]
+    return mp.libmp.to_float(bound._mpi_[0], rnd="f")
 
 
 # ---------------------------------------------------------------------------

@@ -199,13 +199,44 @@ def test_growth_statistic_tends_to_log2():
     assert abs(float(stat) - math.log(2.0)) < 5e-3
 
 
+def _ends(x):
+    """The ends of an mpmath.iv real interval, as mpf."""
+    return tuple(mp.make_mpf(t) for t in x._mpi_)
+
+
 def test_slow_orbit_tracks_schedule():
     sched = lp.schedule_build(26.0, 7)
     trace = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
-    for n in range(1, 8):
-        assert abs(trace.re_F[n] - float(sched.x[n])) <= lp.FOUR_PI
-    # internal precision was raised to what the target magnitudes demand
-    assert trace.precision_bits >= 256
+    assert trace.length() == 7
+    for box, x in zip(trace.boxes, sched.x):
+        assert all(abs(end - x) <= lp.FOUR_PI for end in _ends(box.real))
+    assert trace.precision_bits == 256
+
+
+def test_slow_orbit_keeps_the_requested_precision():
+    # the point pullback raised 256 bits to 6,010 here
+    sched = lp.schedule_build(26.0, 12)
+    assert lp.slow_orbit_construct(1.0, sched, 256).precision_bits == 256
+
+
+def test_slow_orbit_far_past_the_point_pullback():
+    # n_max = 100 would have needed 5e28 bits; the boxes stay narrow at
+    # 256, and the statistic dips to 0.5570 at n = 20, above log 2 - 0.15
+    sched = lp.schedule_build(26.0, 100)
+    trace = lp.slow_orbit_construct(1.0, sched, 256)
+    for box, x in zip(trace.boxes, sched.x):
+        lo, hi = _ends(box.real)
+        assert hi - lo <= 1e-40 and abs(lo - x) <= lp.FOUR_PI
+    stat = math.log(lp.log_sph_deriv_from_logplane(trace, 20)) / 20
+    assert 0.556 < stat < 0.558
+
+
+def test_slow_orbit_rejects_a_target_past_the_tract():
+    # x_1 = 10^12 > e^26: no branch of level 0 reaches it
+    sched = lp.SlowEscapeSchedule(x=[mp.mpf(26), mp.mpf(10) ** 12])
+    message = r"^target x_1=1000000000000\.000 exceeds e\^x_0$"
+    with pytest.raises(lp.ScheduleInfeasible, match=message):
+        lp.slow_orbit_construct(1.0, sched, 256)
 
 
 def test_slow_orbit_derivative_statistic():
@@ -217,15 +248,21 @@ def test_slow_orbit_derivative_statistic():
     assert stat >= math.log(2.0) - 0.15
 
 
+def _point_bits(xs):
+    """The bits of the point pullback: 1.45 (x_0 + ... + x_(n-1)) + 64, at
+    least 256."""
+    return max(256, int(1.5 * float(max(xs))) + 64,
+               int(1.45 * float(mp.fsum(xs[:-1]))) + 64)
+
+
 def _slow_orbit_mp(lam, schedule):
     """slow_orbit_construct as it was before the interval pullback, verbatim
-    but for its error checks: a point pullback at 1.45 (x_0 + ... + x_(n-1))
-    + 64 bits, at least 256, then a forward run at twice that.  Returns the
-    base point u, the floats Re F^j(u) and the bits."""
+    but for its error checks: a point pullback at _point_bits, then a
+    forward run at twice that.  Returns the base point u, the floats
+    Re F^j(u) and the bits."""
     xs = schedule.x
     n_max = len(xs) - 1
-    internal = max(256, int(1.5 * float(max(xs))) + 64,
-                   int(1.45 * float(mp.fsum(xs[:n_max]))) + 64)
+    internal = _point_bits(xs)
     with mp.workprec(internal):
         log_lam = mp.log(mp.mpc(lam))
         two_pi = 2 * mp.pi
@@ -263,11 +300,25 @@ def test_slow_orbit_bound_matches_point_pullback(n_max):
                             _log_sph_deriv_mp(u, re_F, n), rel_tol=1e-12)
 
 
-def test_slow_orbit_json_stable():
-    sched = lp.schedule_build(26.0, 5)
-    t1 = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
-    t2 = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
-    assert t1.to_json() == t2.to_json()
+@pytest.mark.parametrize("n_max", [5, 7, 12])
+def test_slow_orbit_forward_run_stays_in_boxes(n_max):
+    # the forward check the point pullback ran, kept here: from box_0's
+    # midpoint at _point_bits plus the boxes' own 256 bits, so the run
+    # resolves Re F^j(u) finer than a box, Re F^j stays inside every box
+    # and within 4 pi of x_j.  The top box is the point x_n, so one unit
+    # of 256 bits is allowed at each end.
+    sched = lp.schedule_build(26.0, n_max)
+    boxes = lp.slow_orbit_construct(1.0, sched, 256).boxes
+    bits = _point_bits(sched.x) + 256
+    base = lp.slow_orbit_construct(1.0, sched, bits).boxes[0]
+    with mp.workprec(bits):
+        v = mp.mpc(*(sum(_ends(part)) / 2 for part in (base.real, base.imag)))
+        for j, (box, x) in enumerate(zip(boxes, sched.x)):
+            lo, hi = _ends(box.real)
+            slack = x * 2.0 ** -256
+            assert lo - slack <= v.real <= hi + slack, j
+            assert abs(v.real - x) <= lp.FOUR_PI, j
+            v = mp.exp(v)  # F(w) = e^w + log 1
 
 
 def test_harnack():
