@@ -192,7 +192,7 @@ def _tail_sum(alpha: float, inv: complex, derivative: bool) -> complex:
             break
         total += term
         prev_mag = mag
-        if mag < 1e-300:
+        if mag < 1e-300 or not math.isfinite(mag):  # a NaN point gives NaN
             break
         zk *= inv
     return total
@@ -210,14 +210,15 @@ def _recip(x, y) -> tuple:
 def _tail_sums(alpha: float, ir, ii, derivative: bool) -> np.ndarray:
     """_tail_sum over the points with 1/z = ir + i ii; each point stops by
     the scalar rule (before a term larger than the last, after one below
-    1e-300)."""
+    1e-300 or not finite)."""
     def step(k, sr, si, prev, zr, zi, ir, ii):
         c = _tail_coeff(alpha, k)
         tr, ti = cmul(*cmul(k * c, 0.0, zr, zi), ir, ii) if derivative else cmul(-c, 0.0, zr, zi)
         mag = np.hypot(tr, ti)
         take = ~(mag > prev)
         sr, si = np.where(take, sr + tr, sr), np.where(take, si + ti, si)
-        return (sr, si, mag, *cmul(zr, zi, ir, ii), ir, ii), ~take | (mag < 1e-300)
+        done = ~take | (mag < 1e-300) | ~np.isfinite(mag)
+        return (sr, si, mag, *cmul(zr, zi, ir, ii), ir, ii), done
 
     zero = np.zeros(ir.shape)
     return _row_sums(range(1, 121), (zero, zero, zero + np.inf, ir, ii, ir, ii), step)

@@ -572,6 +572,25 @@ def test_eval_arrays_bit_identical_to_ml_eval(alpha):
         assert got[rows].tobytes() == np.array([part(v) for v in want.values()]).tobytes()
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.75, 1.0, 1.5, 1.8, 1.95, 2.0])
+def test_a_nan_point_gives_nan_and_leaves_the_other_rows(alpha):
+    # a NaN point's tail terms are all NaN, so no term is larger than the
+    # last; at alpha 1.8 and 1.95 the sum ran on to the k where
+    # Gamma(1 - alpha k) underflows, and 1/Gamma raised ZeroDivisionError
+    # for the whole array
+    nan = math.nan
+    x = np.array([nan, 3.0, 0.0, nan, 2.0, -20.0, 0.1])
+    y = np.array([0.0, 1.0, nan, nan, -6.0, 0.5, 0.1])
+    out = mittag.ml_eval_arrays(alpha, x, y)
+    for i in range(x.size):
+        want = mittag.ml_eval(alpha, complex(x[i], y[i]))
+        got = complex(out[0][i], out[1][i]), complex(out[2][i], out[3][i])
+        if math.isnan(x[i]) or math.isnan(y[i]):
+            assert all(map(cmath.isnan, (*want, *got))), i
+        else:
+            assert [_hex(v) for v in got] == [_hex(v) for v in want], i
+
+
 def test_array_sector_test_decides_as_cmath_phase():
     # np.arctan2 differs from cmath.phase in the last bit on some points; a
     # point within a few ulps of the sector edge must still fall on the side
