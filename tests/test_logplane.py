@@ -214,7 +214,7 @@ def test_slow_orbit_tracks_schedule():
 
 
 def test_slow_orbit_keeps_the_requested_precision():
-    # the point pullback raised 256 bits to 6,010 here
+    # no precision grows with the targets; the point pullback needed 6,010 bits here
     sched = lp.schedule_build(26.0, 12)
     assert lp.slow_orbit_construct(1.0, sched, 256).precision_bits == 256
 

@@ -575,9 +575,9 @@ def test_eval_arrays_bit_identical_to_ml_eval(alpha):
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.75, 1.0, 1.5, 1.8, 1.95, 2.0])
 def test_a_nan_point_gives_nan_and_leaves_the_other_rows(alpha):
     # a NaN point's tail terms are all NaN, so no term is larger than the
-    # last; at alpha 1.8 and 1.95 the sum ran on to the k where
-    # Gamma(1 - alpha k) underflows, and 1/Gamma raised ZeroDivisionError
-    # for the whole array
+    # last: without the stop on a non-finite term the sum runs on to the k
+    # where Gamma(1 - alpha k) underflows (alpha 1.8 and 1.95), and 1/Gamma
+    # raises ZeroDivisionError for the whole array
     nan = math.nan
     x = np.array([nan, 3.0, 0.0, nan, 2.0, -20.0, 0.1])
     y = np.array([0.0, 1.0, nan, nan, -6.0, 0.5, 0.1])
