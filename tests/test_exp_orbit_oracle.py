@@ -320,12 +320,23 @@ def test_logphi_bit_identical_to_table_loop(lam, n):
     cx, cy = _criterion_5_points()
     ox, oy = _overflow_rows(lam, n)
     xs, ys = np.concatenate([cx, ox]), np.concatenate([cy, oy])
+    want = _assert_logphi_same(xs, ys, n, lam)
+    assert cx.size > 200_000
+    # rows that die before step n, and rows that pass e^709 at step n
+    assert (want[3] == kernels.STATUS_OVERFLOW).sum() >= 200 * (n >= 2)
+    assert (want[2] > 709.0).sum() >= 3 * (n >= 1)
+    if 1 <= n <= 4:
+        # criterion 5's points alone: no orbit leaves double range before step n
+        want = _assert_logphi_same(cx, cy, n, lam)
+        assert (want[3] == kernels.STATUS_OK).all()
+
+
+def _assert_logphi_same(xs, ys, n, lam):
+    """expaffine_logphi's four outputs against the table loop's, bit for bit;
+    returns the table loop's."""
     args = (xs, ys, n, math.log(abs(lam)), cmath.phase(lam))
     got = kernels.expaffine_logphi(*args)
     want = _expaffine_logphi(*args)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert cx.size > 200_000
-    # rows that die before step n, and rows that pass e^709 at step n
-    assert (want[3] == kernels.STATUS_OVERFLOW).sum() >= 200 * (n >= 2)
-    assert (want[2] > 709.0).sum() >= 3 * (n >= 1)
+    return want
