@@ -5,9 +5,11 @@ start points (the inner loop of the measure quadratures and the theorem
 scans), and the render's orbit log-magnitudes a step at a time.  There is
 one numpy live-row orbit loop per orbit family, each stepping only the rows
 that still need its step, with the floating-point ops of a full-width loop:
-`_exp_orbit` for lam e^z keeps no table and forms no z_n (`expaffine_logphi`
-takes log(1 + |z_n|^2) from log|z_n| by dynamics.log_spherical's rule,
-`expaffine_logmag_steps` gets each log|z_k| as it is formed), and
+`_exp_orbit` for lam e^z keeps no table, forms no z_n, and log|z_0| only
+for the render (`expaffine_logmag_steps`, fed each log|z_k| as it is
+formed) or n = 0 (`expaffine_logphi` takes log(1 + |z_n|^2) from log|z_n|
+by dynamics.log_spherical's rule, scattering into NaN-filled outputs only
+if some orbit left double range), and
 `poly_logphi` steps the rectangular rows by Horner in place and the
 log-polar rows on log|z| alone; its Horner starts from the leading
 coefficient and skips zero ones (z^2: 2 complex multiplies per step), with
@@ -43,18 +45,19 @@ LOG_SQUARE_CUT = 350.0  # past it, log(1 + |z|^2) is 2 log|z| and |z|^2 may over
 
 def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, visit):
     """n steps of f = lam e^z, each on the live rows only (log|z_k| <= 709
-    before the last step); neither reader forms z_n.  With visit, each
-    log|z_k| (k = 0..n) goes to visit(ll, live) as it is formed and nothing
-    is kept; a boolean mask over live that visit returns drops the rows
-    outside it.  Without, returns s = log|(f^k)'(z_0)| up to the step where
-    the orbit left double range or n, and the live rows with log|z_n|."""
+    before the last step); no reader forms z_n.  With visit, each log|z_k|
+    (k = 0..n) goes to visit(ll, live) as it is formed and nothing is kept;
+    a boolean mask over live that visit returns drops the rows outside it.
+    Without, returns s = log|(f^k)'(z_0)| up to the step where the orbit left
+    double range or n, the live rows and log|z_n| (log|z_0| only for n = 0)."""
     x = np.ascontiguousarray(x0, dtype=np.float64)
     y = np.ascontiguousarray(y0, dtype=np.float64)
     m = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r2 = x * x + y * y
-        ll = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
-        del r2  # one (m,) array fewer at the peak of a 512^2 render
+        if visit is not None or n == 0:  # else step 1 overwrites log|z_0| unread
+            r2 = x * x + y * y
+            ll = np.where(r2 > 0.0, 0.5 * np.log(np.maximum(r2, 1e-323)), -745.0)
+            del r2  # one (m,) array fewer at the peak of a 512^2 render
         live = np.arange(m)
         if visit is None:
             s_all, s = np.zeros(m), np.zeros(m)
@@ -92,22 +95,25 @@ def _exp_orbit(x0, y0, n: int, loglam: float, arglam: float, visit):
             del r  # nor held while visit runs
         if visit is not None:
             return None
-        s_all[live] = s
-    return s_all, live, ll
+        if live.size < m:  # some orbit ended early: the live rows' s into s_all
+            s_all[live], s = s, s_all
+    return s, live, ll
 
 
 def expaffine_logphi(x0, y0, n: int, loglam: float, arglam: float):
     """log (f^n)^#, log|(f^n)'|, log|z_n| (NaN where the orbit left double
     range before step n), status for f = lam e^z."""
     s, live, ll = _exp_orbit(x0, y0, n, loglam, arglam, None)
-    logphi = np.full(s.shape, np.nan)
-    last = np.full(s.shape, np.nan)
-    last[live] = ll
     with np.errstate(over="ignore", invalid="ignore"):
         # log(1 + |z_n|^2) from log|z_n|: dynamics.log_spherical's rule
         two = 2.0 * ll
         den = np.where(ll > LOG_SQUARE_CUT, two, np.log1p(np.exp(two)))
+        if live.size == s.size:  # no orbit left double range: live is every row
+            return s - den, s, ll, np.zeros(s.size, dtype=np.int64)
+        logphi = np.full(s.shape, np.nan)
         logphi[live] = s[live] - den
+    last = np.full(s.shape, np.nan)
+    last[live] = ll
     status = np.full(s.shape, STATUS_OVERFLOW, dtype=np.int64)
     status[live] = STATUS_OK
     return logphi, s, last, status

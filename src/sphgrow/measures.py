@@ -171,20 +171,16 @@ def _window_test(g: np.ndarray, threshold: float):
     laid out as g is, one shorter on both): (refine?, largest finite corner).
 
     A cell is refined when some corner is finite and either the finite
-    corners spread by more than threshold or a corner is missing.
+    corners spread by more than threshold or a corner is missing: with each
+    non-finite corner read as -inf, top - low > threshold says just that.
     """
-    fin = np.isfinite(g)
-    count = fin.view(np.int8)
-    count = count[:, :-1] + count[:, 1:]
-    count = count[:-1] + count[1:]
-    top = np.where(fin, g, -np.inf)
-    top = np.maximum(top[:, :-1], top[:, 1:])
+    h = np.where(np.isfinite(g), g, -np.inf)
+    top = np.maximum(h[:, :-1], h[:, 1:])
     top = np.maximum(top[:-1], top[1:])
-    low = np.minimum(g[:, :-1], g[:, 1:])
+    low = np.minimum(h[:, :-1], h[:, 1:])
     low = np.minimum(low[:-1], low[1:])
     with np.errstate(invalid="ignore"):
-        spread = top - low  # that of the finite corners wherever all 4 are
-    return (count > 0) & ((spread > threshold) | (count < 4)), top
+        return top - low > threshold, top
 
 
 def _edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -195,11 +191,12 @@ def _edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _logphi_inside(f, xs: np.ndarray, ys: np.ndarray, inside: np.ndarray, n: int):
     """log (f^n)^# laid out on the mask inside, from the points xs + i ys
     where it holds: -inf elsewhere, so a NaN is a point of U whose orbit
-    overflowed, and no kernel call when it holds nowhere."""
+    overflowed, and no kernel call when it holds nowhere; and the largest
+    value that is not NaN, -inf for none."""
     lpi = logphi_batch(f, xs, ys, n) if xs.size else np.nan
     lp = np.full(inside.shape, -np.inf)  # formed after the kernel call, not alive in it
     lp[inside] = lpi
-    return lp
+    return lp, float(np.fmax.reduce(lpi, initial=-np.inf))
 
 
 def _subcells(xe, ye, block, threshold: float, floor: float):
@@ -232,7 +229,7 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     gy = np.linspace(y0, y1, res + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
     mask = U.contains(X, Y)
-    lp = _logphi_inside(f, X[mask], Y[mask], mask, n)
+    lp, _ = _logphi_inside(f, X[mask], Y[mask], mask, n)
     vals = lp[np.isfinite(lp)]
     overflow = int(np.isnan(lp).sum())
     evals = X.size
@@ -255,9 +252,8 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
         ys = ye[[1, 0, 1, 2, 1]].reshape(-1)
         inside = U.contains(xs, ys)
         xs, ys = xs[inside], ys[inside]  # only the points in U stay alive in the kernel
-        lpv = _logphi_inside(f, xs, ys, inside.reshape(5, -1), n)
-        # the corners are in best already
-        best = max(best, float(np.where(np.isfinite(lpv), lpv, -np.inf).max()))
+        lpv, top = _logphi_inside(f, xs, ys, inside.reshape(5, -1), n)
+        best = max(best, top)  # the corners are in best already
         block = np.concatenate((lpc, lpv))[_ROWS]
         overflow += int(np.isnan(block).sum())
         evals += block.size
