@@ -298,7 +298,8 @@ class CoshSqrt(Descriptor):
         if s.real > 705.0:
             raise EvalOverflow(s.real - math.log(2.0),
                                math.remainder(s.imag, 2.0 * math.pi))
-        return cmath.cosh(s)
+        # s = i inf at z = -inf + iy: C99 gives cosh and sinh NaN there, cmath raises
+        return complex(math.nan, math.nan) if math.isinf(s.imag) else cmath.cosh(s)
 
     def derivative(self, z: complex) -> complex:
         # d/dz cosh sqrt z = sinh(sqrt z) / (2 sqrt z); entire (even series)
@@ -308,7 +309,7 @@ class CoshSqrt(Descriptor):
         if s.real > 705.0:
             raise EvalOverflow(s.real - math.log(2.0) - math.log(2.0 * abs(s)),
                                math.remainder(s.imag - cmath.phase(s), 2.0 * math.pi))
-        return cmath.sinh(s) / (2.0 * s)
+        return complex(math.nan, math.nan) if math.isinf(s.imag) else cmath.sinh(s) / (2.0 * s)
 
     def log_max_modulus(self, r: float) -> float:
         s = math.sqrt(r)

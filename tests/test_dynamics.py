@@ -144,9 +144,19 @@ def test_orbit_of_a_non_finite_start(f, z0, status, escalated_at, overflow_at, l
 
 
 def test_orbit_of_a_non_finite_start_outside_the_domain():
-    # cosh sqrt z at -inf + i: sinh(sqrt z) = sinh(i inf) has no value in cmath
-    with pytest.raises(ValueError):
-        dy.iterate_orbit(fx.CoshSqrt(), _NEG_INF, 4)
+    # cosh sqrt z at -inf + i: sqrt z = i inf, where cosh and sinh are NaN
+    # (cmath raises there), so the orbit ends as a NaN start's does, and a
+    # batch holding that start keeps its other rows
+    orbit = dy.iterate_orbit(fx.CoshSqrt(), _NEG_INF, 4)
+    assert (orbit.status, orbit.escalated_at, orbit.overflow_at) == (dy.OVERFLOW, 1, 1)
+    assert orbit.length() == 2
+    starts = [_NEG_INF, 0.5 + 0j, 2.0 - 1.0j, complex(-math.inf, 0.0)]
+    tab = dy.orbit_table(fx.CoshSqrt(), [z.real for z in starts], [z.imag for z in starts], 4)
+    *want, _ = _orbit_rows_per_start(fx.CoshSqrt(), starts, 4)
+    for got, exp in zip((tab.log_mag, tab.log_deriv, tab.length, tab.logphi), want):
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+    assert tab.length.tolist() == [2, 5, 5, 2]
+    assert np.isfinite(tab.logphi[1:3]).all() and np.isnan(tab.logphi[[0, 3]]).all()
 
 
 # ---------------------------------------------------------------------------
