@@ -145,7 +145,7 @@ def _resolve_region(given: dict, name: str, f) -> ms.Region:
     if "region" in given:
         return _named(f"{name}.region", lambda: ms.Region.from_json(given["region"]))
     # a disk around a repelling fixed point of f, which lies in J(f)
-    p = dy.find_periodic_point(f, 1, complex(1.0, 1.0))
+    p = _named(f"{name}.region", lambda: dy.find_periodic_point(f, 1, complex(1.0, 1.0)))
     if not abs(p.multiplier) > 1.0:
         raise ValueError(f"{name}.region: the default disk needs a repelling fixed point, "
                          f"but the one found at {p.location:.6g} has |multiplier| "
@@ -169,6 +169,8 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    if args.seed < 0:
+        raise ValueError(f"--seed={args.seed} must be >= 0")
 
     config = {}
     if args.config:

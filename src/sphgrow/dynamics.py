@@ -26,14 +26,6 @@ ESCALATED = "escalated"
 OVERFLOW = "overflow"
 
 
-class NoConvergence(Exception):
-    pass
-
-
-class DerivativeSingular(Exception):
-    pass
-
-
 @dataclass
 class OrbitRecord:
     start: complex
@@ -257,7 +249,8 @@ def _cycle_data(f, z: complex, p: int) -> tuple:
 
 
 def find_periodic_point(f, p: int, seed: complex) -> PeriodicPoint:
-    """Newton's method on f^p(z) - z from seed (plus perturbed restarts)."""
+    """Newton's method on f^p(z) - z from seed (plus perturbed restarts); a
+    singular or non-finite step moves on to the next restart."""
     if not 1 <= p <= 8:
         raise ValueError("period must be in [1, 8]")
     seeds = [complex(seed)]
@@ -275,11 +268,11 @@ def find_periodic_point(f, p: int, seed: complex) -> PeriodicPoint:
                 return _finish_periodic(f, z, p)
             denom = dw - 1.0
             if abs(denom) < 1e-300:
-                raise DerivativeSingular(f"Newton denominator ~0 at {z}")
+                break
             z = z - g / denom
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 break
-    raise NoConvergence(f"no period-{p} point found from seed {seed}")
+    raise ValueError(f"no period-{p} point found from seed {seed}")
 
 
 def _finish_periodic(f, z: complex, p: int) -> PeriodicPoint:

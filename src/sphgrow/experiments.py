@@ -380,13 +380,12 @@ def _check_growth_chain(t, d, rho, log_C, margin):
     for n in range(1, horizon + 1):
         log_sharp = dy.log_spherical(d[n], t[n])
         if t[n] > rho * partial[n - 1]:
-            if n >= n0 if n0 is not None else True:
-                chain_alive = False
+            chain_alive = chain_alive and n < n0
             events += 1
             # any such event forces (f^n)^# <= C^n
             if log_sharp > n * log_C + 1e-9:
                 ok = False
-        elif chain_alive and n0 is not None and n >= n0 - 1:
+        elif chain_alive:
             if partial[n] > c0 * (1.0 + rho) ** n * (1.0 + 1e-12):
                 ok = False
         if n >= 3 and log_sharp > 1.0:

@@ -3,15 +3,14 @@
 Iterating an entire function, or iterating its maximum modulus M(r,f),
 produces values like exp(exp(exp(20))) that no float can hold.  A
 TowerReal stores such a magnitude as exp applied `depth` times to a float
-`base`, kept in a canonical band so that comparing two towers reduces to
-comparing (depth, base) lexicographically.
+`base`.  The constructor moves every (depth, base) into a canonical band, so
+order, equality and hash are those of the (depth, base) pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
 
 # Canonical band for the base when depth >= 1: base in [ln(BAND_TOP), BAND_TOP).
 # ln(1e8) ~ 18.4 leaves plenty of double headroom above for sums of logs.
@@ -27,21 +26,33 @@ class TowerDomainError(ValueError):
     """Log of a tower value <= 1 cannot be held by a (nonnegative) tower."""
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TowerReal:
-    """exp^depth(base), canonical when depth >= 1 and base in the band."""
+    """exp^depth(base), built canonical: base < BAND_TOP, and base in the
+    band [BAND_BOTTOM, BAND_TOP) when depth >= 1."""
 
     depth: int
     base: float
 
     def __post_init__(self):
-        if self.depth < 0:
+        depth, base = self.depth, self.base
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
-        if not math.isfinite(self.base):
+        if not math.isfinite(base):
             raise ValueError("base must be finite")
-        if self.depth == 0 and self.base < 0.0:
+        if depth == 0 and base < 0.0:
             raise ValueError("tower values are nonnegative")
+        if depth == 0 and base >= BAND_TOP:
+            # promote so lexicographic order stays consistent across depths
+            depth, base = 1, math.log(base)
+        while depth >= 1 and base >= BAND_TOP:
+            base = math.log(base)
+            depth += 1
+        while depth >= 1 and base < BAND_BOTTOM:
+            base = math.exp(base)
+            depth -= 1
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "base", base)
 
     # -- construction ------------------------------------------------------
 
@@ -49,14 +60,14 @@ class TowerReal:
     def from_value(x: float) -> "TowerReal":
         if not math.isfinite(x) or x < 0.0:
             raise ValueError(f"not representable: {x!r}")
-        return _normalize(0, x)
+        return TowerReal(0, x)
 
     @staticmethod
     def from_log(log_value: float) -> "TowerReal":
         """Tower equal to exp(log_value), for any finite log_value."""
         if not math.isfinite(log_value):
             raise ValueError(f"log value must be finite: {log_value!r}")
-        return _normalize(1, log_value)
+        return TowerReal(1, log_value)
 
     # -- queries -----------------------------------------------------------
 
@@ -72,7 +83,7 @@ class TowerReal:
     def log(self) -> "TowerReal":
         """ln of the represented value, as a tower."""
         if self.depth >= 1:
-            return _normalize(self.depth - 1, self.base)
+            return TowerReal(self.depth - 1, self.base)
         if self.base < 1.0:
             raise TowerDomainError(
                 f"log of {self.base} is negative; use plain floats"
@@ -80,7 +91,7 @@ class TowerReal:
         return TowerReal(0, math.log(self.base))
 
     def exp(self) -> "TowerReal":
-        return _normalize(self.depth + 1, self.base)
+        return TowerReal(self.depth + 1, self.base)
 
     # -- arithmetic used by max-modulus recursions -------------------------
     #
@@ -98,7 +109,7 @@ class TowerReal:
             adj = c * math.exp(-self.base)
             if abs(adj) < _NEGLIGIBLE:
                 return self
-            return _normalize(1, self.base + math.log1p(adj))
+            return TowerReal(1, self.base + math.log1p(adj))
         return self
 
     def mul_const(self, k: float) -> "TowerReal":
@@ -110,7 +121,7 @@ class TowerReal:
                 return self
             return TowerReal.from_log(math.log(self.base) + math.log(k))
         if self.depth == 1:
-            return _normalize(1, self.base + math.log(k))
+            return TowerReal(1, self.base + math.log(k))
         return self
 
     def pow_const(self, p: float) -> "TowerReal":
@@ -123,48 +134,12 @@ class TowerReal:
             return TowerReal.from_log(p * math.log(self.base))
         return self.log().mul_const(p).exp()
 
-    # -- ordering ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TowerReal):
-            return NotImplemented
-        return tower_compare(self, other) == 0
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, TowerReal):
-            return NotImplemented
-        return tower_compare(self, other) < 0
-
-    def __hash__(self):
-        return hash((self.depth, self.base))
-
     # -- report form -------------------------------------------------------
 
     def __str__(self) -> str:
         return f"E^{self.depth}({self.base:.17g})"
 
 
-def _normalize(depth: int, base: float) -> TowerReal:
-    if depth == 0 and base >= BAND_TOP:
-        # promote so lexicographic order stays consistent across depths
-        depth, base = 1, math.log(base)
-    while depth >= 1 and base >= BAND_TOP:
-        base = math.log(base)
-        depth += 1
-    while depth >= 1 and base < BAND_BOTTOM:
-        base = math.exp(base)
-        depth -= 1
-    if depth == 0 and base < 0.0:
-        raise TowerDomainError(f"negative value {base} after normalization")
-    return TowerReal(depth, base)
-
-
 def tower_compare(a: TowerReal, b: TowerReal) -> int:
     """-1, 0, 1 following real-number order of the represented values."""
-    a = _normalize(a.depth, a.base)
-    b = _normalize(b.depth, b.base)
-    if a.depth != b.depth:
-        return -1 if a.depth < b.depth else 1
-    if a.base == b.base:
-        return 0
-    return -1 if a.base < b.base else 1
+    return (a > b) - (a < b)

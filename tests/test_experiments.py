@@ -933,6 +933,36 @@ def test_console_exit_codes(tmp_path):
     done = _sphgrow(["--config", str(cfg), "thm7"], tmp_path)
     assert done.returncode == 1, done.stderr
     assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "Fail"
+    (tmp_path / "report.json").unlink()
+    # the default region: Newton from 1+i meets a singular step at 1 for
+    # z^2 - z, and goes on to the repelling fixed point 2 (multiplier 3)
+    cfg.write_text(json.dumps({"function": {"variant": "polynomial",
+                                            "coefficients": [[0, 0], [-1, 0], [1, 0]]}}))
+    done = _sphgrow(["--config", str(cfg), "thm7"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    region = json.loads((tmp_path / "report.json").read_text())["parameters"]["region"]
+    assert region["center"][0] == pytest.approx(2.0) and region["radius"] == 0.5
+    (tmp_path / "report.json").unlink()
+    # no seed converges for 1e300 e^z: a rejected input, named by its key
+    cfg.write_text(json.dumps({"function": {"variant": "exp_affine", "lambda": [1e300, 0]}}))
+    done = _sphgrow(["--config", str(cfg), "thm7"], tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("sphgrow: thm7.region: ")
+    assert not (tmp_path / "report.json").exists()
+    # a negative seed, named by its option (numpy's message named none)
+    done = _sphgrow(["--seed", "-1", "classical"], tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == "sphgrow: --seed=-1 must be >= 0\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub", [*cli.SECTIONS, "specfun-check"])
+def test_console_rejects_a_negative_seed(tmp_path, capsys, sub):
+    # before, thm7, thm56, thm3 and render ran with it, and the four that
+    # sample stopped on numpy's "expected non-negative integer"
+    assert cli.console(["--seed", "-1", "--out", str(tmp_path), sub]) == 2
+    assert capsys.readouterr().err == "sphgrow: --seed=-1 must be >= 0\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_console_config_file_not_read(tmp_path, capsys):

@@ -29,13 +29,28 @@ def test_from_log_roundtrip():
             assert t.value() == math.inf
 
 
+def _in_band(t):
+    return BAND_BOTTOM <= t.base < BAND_TOP if t.depth >= 1 else 0.0 <= t.base < BAND_TOP
+
+
 def test_normal_form_band():
     for x in [1e-3, 1.0, 5.0, 1e7, 1e9, 1e300]:
-        t = TowerReal.from_value(x)  # built in normal form
-        if t.depth >= 1:
-            assert BAND_BOTTOM <= t.base < BAND_TOP
-        else:
-            assert t.base < BAND_TOP
+        assert _in_band(TowerReal.from_value(x))  # built in normal form
+
+
+@pytest.mark.parametrize("depth, base, twin", [
+    (0, 1e9, TowerReal.from_value(1e9)),
+    (1, math.nextafter(BAND_TOP, math.inf), TowerReal.from_value(BAND_TOP).exp()),
+    (3, 1.0, TowerReal.from_log(math.exp(math.e))),
+], ids=["depth0-above-band", "depth1-one-ulp-above-band", "depth3-below-band"])
+def test_constructor_builds_the_normal_form(depth, base, twin):
+    # a (depth, base) pair outside the band is moved into it when built, so
+    # order, equality and hash by fields agree with the represented value
+    t = TowerReal(depth, base)
+    assert _in_band(t)
+    assert (t.depth, t.base) == (twin.depth, twin.base)
+    assert t == twin and hash(t) == hash(twin) and len({t, twin}) == 1
+    assert str(t) == str(twin)
 
 
 def test_ordering_matches_floats():
