@@ -37,7 +37,8 @@ sizes positive.  thm7 and thm56 take either
 "n_range" (a list of n, e.g. [1, 2]) or n_min/n_max, not both.  Without a
 region, thm7, thm56 and thm1scan use a disk of radius 0.5 around the fixed
 point of f that Newton's method finds from 1+i; when that point is not
-repelling, they stop with an error that asks for a region.
+repelling, or Newton finds none, they stop with an error that names the
+region key.
 """
 
 from __future__ import annotations

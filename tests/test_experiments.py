@@ -949,11 +949,6 @@ def test_console_exit_codes(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("sphgrow: thm7.region: ")
     assert not (tmp_path / "report.json").exists()
-    # a negative seed, named by its option (numpy's message named none)
-    done = _sphgrow(["--seed", "-1", "classical"], tmp_path)
-    assert done.returncode == 2
-    assert done.stderr == "sphgrow: --seed=-1 must be >= 0\n"
-    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("sub", [*cli.SECTIONS, "specfun-check"])
