@@ -953,8 +953,8 @@ def test_console_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("sub", [*cli.SECTIONS, "specfun-check"])
 def test_console_rejects_a_negative_seed(tmp_path, capsys, sub):
-    # before, thm7, thm56, thm3 and render ran with it, and the four that
-    # sample stopped on numpy's "expected non-negative integer"
+    # every subcommand takes --seed, and those that sample hand it to numpy,
+    # whose own error names no option
     assert cli.console(["--seed", "-1", "--out", str(tmp_path), sub]) == 2
     assert capsys.readouterr().err == "sphgrow: --seed=-1 must be >= 0\n"
     assert not (tmp_path / "report.json").exists()
