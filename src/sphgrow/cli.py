@@ -19,8 +19,7 @@ error):
   "thm56":    {"region": REGION, "R_lower": 5.0, "R_upper": 5.0, "m": 2,
                "n_range": null, "n_min": 1, "n_max": 3, "grid": GRID},
   "thm1scan": {"region": REGION, "N": 5, "starts": 20, "grid": GRID},
-  "thm3":     {"lambda": 1.0, "x0": 26.0, "n_max": 7, "precision_bits": 256,
-               "x0_tier_a": 1e6, "n_tier_a": 10000},
+  "thm3":     {"lambda": 1.0, "x0": 26.0, "n_max": 7, "x0_tier_a": 1e6, "n_tier_a": 10000},
   "thm4scan": {"alpha": 1.0, "eta": 0.1, "N": 25, "starts": 1000},
   "classical": {"samples": 10000},
   "render":   {"window": REGION, "resolution": 512, "R": 5.0,
@@ -71,8 +70,7 @@ SECTIONS = {
     "thm56": {"region": _REGION, "R_lower": 5.0, "R_upper": 5.0, "m": 2,
               "n_range": None, "n_min": 1, "n_max": 3, "grid": _GRID},
     "thm1scan": {"region": _REGION, "N": 5, "starts": 20, "grid": _GRID},
-    "thm3": {"lambda": 1.0, "x0": 26.0, "n_max": 7, "precision_bits": 256,
-             "x0_tier_a": 1e6, "n_tier_a": 10_000},
+    "thm3": {"lambda": 1.0, "x0": 26.0, "n_max": 7, "x0_tier_a": 1e6, "n_tier_a": 10_000},
     "thm4scan": {"alpha": 1.0, "eta": 0.1, "N": 25, "starts": 1000},
     "classical": {"samples": 10_000},
     "render": {"window": _REGION, "resolution": 512, "R": 5.0, "l_max": 3,
@@ -211,7 +209,7 @@ def main(argv=None) -> int:
         report = ex.run_thm1_growth_scan(f, _resolve_region(given, cmd, f), c["N"], c["starts"],
                                          seed=seed, grid=_grid(given, cmd))
     elif cmd == "thm3":
-        report = ex.run_thm3(complex(c["lambda"]), c["x0"], c["n_max"], c["precision_bits"],
+        report = ex.run_thm3(complex(c["lambda"]), c["x0"], c["n_max"],
                              x0_tier_a=c["x0_tier_a"], n_tier_a=c["n_tier_a"])
     elif cmd == "thm4scan":
         ml = fx.descriptor_from_json({"variant": "scaled_mittag_leffler",

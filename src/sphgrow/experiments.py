@@ -88,7 +88,7 @@ def _safe_log_value(t: TowerReal) -> float:
     v = t.value()
     if math.isfinite(v) and v > 0.0:
         return math.log(v)
-    return t.log().value()
+    return t.log().value() if v else -math.inf  # v = 0 only for E^0(0)
 
 
 def _tower_margin_log(lhs: TowerReal, rhs: TowerReal) -> float:
@@ -240,13 +240,6 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
     grid = grid or ms.GridSpec()
     notes = ["evidence-grade probe: density of chi = infinity points is "
              "not falsifiable at finite horizon"]
-    if starts == 0:
-        return ExperimentReport(
-            experiment_id="thm1-growth-scan", function=f.to_json(),
-            parameters={"region": U.to_json(), "N": N, "starts": 0,
-                        "seed": seed, "grid": asdict(grid)},
-            rows=[], verdict=_verdict([], False),
-            tolerances={"signature_factor": 2.0}, notes=notes + ["no starts"])
     seq = {}
     deepest = 1
     rows = []
@@ -400,8 +393,8 @@ def _check_growth_chain(t, d, rho, log_C, margin):
 # slow-escape lower bound (log plane)
 
 
-def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
-             x0_tier_a: float = 1e6, n_tier_a: int = 10_000) -> ExperimentReport:
+def run_thm3(lam: complex, x0: float, n_max: int, x0_tier_a: float = 1e6,
+             n_tier_a: int = 10_000) -> ExperimentReport:
     """Two-tier slow-escape verification of the log(1 + lambda) lower bound."""
     if n_tier_a < 1:
         raise ValueError(f"n_tier_a={n_tier_a} must be >= 1")
@@ -422,7 +415,7 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
              for tier, s in (("b", sched), ("a", sched_a)) if s.invariant_failures]
     constructed = False
     try:
-        trace = lg.slow_orbit_construct(lam, sched, precision_bits)
+        trace = lg.slow_orbit_construct(lam, sched)
         for n in range(2, n_max + 1):
             bound = lg.log_sph_deriv_from_logplane(trace, n)
             stat = math.log(bound) / n if bound > 1.0 else -math.inf
@@ -441,8 +434,7 @@ def run_thm3(lam: complex, x0: float, n_max: int, precision_bits: int,
                          stat - floor, tier="a"))
     return ExperimentReport(
         experiment_id="thm3-slow-escape", function=fx.ExpAffine(lam).to_json(),
-        parameters={"x0": x0, "n_max": n_max,
-                    "precision_bits": precision_bits,
+        parameters={"x0": x0, "n_max": n_max, "precision_bits": lg.PRECISION_BITS,
                     "x0_tier_a": x0_tier_a, "n_tier_a": n_tier_a},
         rows=rows, verdict=_verdict(rows, constructed),
         tolerances={"slope_tol": tol, "tier_a_slack": "3 log(n)/n"},
@@ -579,8 +571,7 @@ def run_specfun_check(seed: int = 0) -> ExperimentReport:
                     "series_vs_asymptotic": 1e-4, "decay": "10/x"})
 
 
-def _ml_series_highprec(alpha: float, zs, terms: int = 400,
-                        dps: int = 60) -> list:
+def _ml_series_highprec(alpha: float, zs) -> list:
     """Power-series reference at each z in zs, summed exactly in integers.
 
     The coefficients 1/Gamma(alpha n + 1) come from mpmath at dps digits
@@ -604,7 +595,7 @@ def _ml_series_highprec(alpha: float, zs, terms: int = 400,
     the 1-norm), that is when terms is too few for the series to converge.
     """
     import mpmath as mp
-    P = 256
+    P, terms, dps = 256, 400, 60  # fraction bits, series terms, gamma's digits
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         coeffs = []

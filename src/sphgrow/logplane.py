@@ -19,6 +19,7 @@ import numpy as np
 LOG_96PI = math.log(96.0 * math.pi)
 FOUR_PI = 4.0 * math.pi
 X0_FLOOR = 8.0 * math.pi  # smallest schedule start; above e^2, so delta(x0) < 1/2
+PRECISION_BITS = 256  # of every box; 128 sufficed in a probe out to n = 10,000
 
 
 class ScheduleInfeasible(Exception):
@@ -136,10 +137,10 @@ def schedule_growth_statistic(schedule: SlowEscapeSchedule, n: int) -> float:
 
 
 @contextlib.contextmanager
-def _iv_at(bits: int):
-    """mpmath.iv at bits of precision, restored on exit (iv has no workprec)."""
+def _iv_at():
+    """mpmath.iv at PRECISION_BITS, restored on exit (iv has no workprec)."""
     import mpmath as mp
-    saved, mp.iv.prec = mp.iv.prec, bits
+    saved, mp.iv.prec = mp.iv.prec, PRECISION_BITS
     try:
         yield mp.iv
     finally:
@@ -155,8 +156,7 @@ class SlowOrbitTrace:
         return len(self.boxes) - 1
 
 
-def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule,
-                         precision_bits: int) -> SlowOrbitTrace:
+def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule) -> SlowOrbitTrace:
     """Boxes around a backward orbit whose Re F^j(u) hit the schedule within 4*pi.
 
     From the point x_n, level j pulls the box above back through
@@ -164,15 +164,13 @@ def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule,
     |e^{G_j}| nearest e^{x_j} on the positive-imaginary side of strip 0.
     F(G_j(w)) = w + 2*pi*i*m_j and F has period 2*pi*i, so Re F^j(u) lies in
     Re boxes[j] for the base point u that the chain reaches.  Any integer m_j
-    is a branch, so m_j may be rounded, and every box is at precision_bits.
+    is a branch, so m_j may be rounded, and every box is at PRECISION_BITS.
     """
     import mpmath as mp
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    if precision_bits < 53:
-        raise ValueError("precision_bits must be at least 53")
     xs = schedule.x
-    with _iv_at(precision_bits) as iv:
+    with _iv_at() as iv:
         log_lam = iv.log(iv.mpc(lam.real, lam.imag))  # mpmath 1.3: no iv.mpc(complex)
         two_pi = 2 * iv.pi
         boxes = [iv.mpc(xs[-1], 0)]   # topmost point: real axis, Re = x_n
@@ -188,7 +186,7 @@ def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule,
             if not T.imag > 0:
                 raise ScheduleInfeasible(f"no positive-side branch at level {j}")
             boxes.append(iv.log(T))   # principal: lands in strip 0, Im in (0, pi/2)
-    return SlowOrbitTrace(boxes=boxes[::-1], precision_bits=precision_bits)
+    return SlowOrbitTrace(boxes=boxes[::-1], precision_bits=PRECISION_BITS)
 
 
 def log_sph_deriv_from_logplane(trace: SlowOrbitTrace, n: int) -> float:
@@ -203,7 +201,7 @@ def log_sph_deriv_from_logplane(trace: SlowOrbitTrace, n: int) -> float:
     if not 1 <= n <= trace.length():
         raise ValueError("n past trace length")
     re = [box.real for box in trace.boxes]
-    with _iv_at(trace.precision_bits) as iv:
+    with _iv_at() as iv:
         bound = sum(re[:n]) - iv.log(2) - re[0] - re[n]
     return mp.libmp.to_float(bound._mpi_[0], rnd="f")
 

@@ -213,14 +213,14 @@ def test_report_json_refuses_numpy_scalars(value):
 
 
 def test_thm3_tier_b():
-    rep = ex.run_thm3(1.0, 26.0, 7, 256, x0_tier_a=1e6, n_tier_a=1000)
+    rep = ex.run_thm3(1.0, 26.0, 7, x0_tier_a=1e6, n_tier_a=1000)
     assert rep.verdict == ex.PASS
     assert any("partial-sum" in note for note in rep.notes)
 
 
 def test_thm3_notes_schedule_failures_of_both_tiers():
     # each tier's schedule invariant failures are noted, tier b's first
-    rep = ex.run_thm3(1.0, 26.0, 3, 256, x0_tier_a=1e6, n_tier_a=100)
+    rep = ex.run_thm3(1.0, 26.0, 3, x0_tier_a=1e6, n_tier_a=100)
     assert rep.notes == [
         "tier b schedule invariant failures: partial-sum inequality at n=2; "
         "partial-sum inequality at n=3",
@@ -230,13 +230,13 @@ def test_thm3_notes_schedule_failures_of_both_tiers():
 @pytest.mark.parametrize("n_tier_a, expect", [(100, [10, 100]), (1000, [10, 100, 1000]),
                                               (50, [10, 50]), (5, [5])])
 def test_thm3_tier_a_rows_distinct(n_tier_a, expect):
-    rep = ex.run_thm3(1.0, 26.0, 3, 256, x0_tier_a=1e6, n_tier_a=n_tier_a)
+    rep = ex.run_thm3(1.0, 26.0, 3, x0_tier_a=1e6, n_tier_a=n_tier_a)
     assert [row["n"] for row in rep.rows if row["tier"] == "a"] == expect
 
 
 def test_thm3_rejects_zero_lambda(tmp_path):
     with pytest.raises(ValueError, match="lam must be nonzero"):
-        ex.run_thm3(0j, 26.0, 7, 256)
+        ex.run_thm3(0j, 26.0, 7)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"thm3": {"lambda": 0.0}}))
     with pytest.raises(ValueError, match="lam must be nonzero"):
@@ -260,7 +260,7 @@ def test_thm3_rejects_zero_lambda(tmp_path):
 ])
 def test_thm3_rejects_bad_tier_a(tmp_path, key, value, message):
     # a bad tier-b start fails as loudly as a bad tier-a one: no report at all
-    args = {"lam": 1.0, "x0": 26.0, "n_max": 3, "precision_bits": 256, key: value}
+    args = {"lam": 1.0, "x0": 26.0, "n_max": 3, key: value}
     with pytest.raises(ValueError, match=message):
         ex.run_thm3(**args)
     cfg = tmp_path / "cfg.json"
@@ -278,7 +278,7 @@ def test_thm3_rejects_infinite_tier_a_before_tier_b(monkeypatch):
     monkeypatch.setattr(ex.lg, "slow_orbit_construct",
                         lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="^x0_tier_a=inf must be finite$"):
-        ex.run_thm3(1.0, 26.0, 3, 256, x0_tier_a=math.inf)
+        ex.run_thm3(1.0, 26.0, 3, x0_tier_a=math.inf)
     assert not calls
 
 
@@ -406,6 +406,27 @@ def _growth_chain_per_start(orbit, t, horizon, rho, log_C, margin):
     return ok, worst_stat, events
 
 
+# rho = 1, C = 1 and margin 0.1, so the cap is log 2 + 0.1; past
+# LOG_SQUARE_CUT = 350, log (f^n)^# is d[n] - 2 t[n] exactly
+@pytest.mark.parametrize("t, d, want", [
+    # n = 1 is an event (500 > 400): (f^1)^# = e^0 is within C^1, e^1 is not
+    pytest.param([400, 500], [0, 1000], (True, -math.inf, 1), id="event-within-C^n"),
+    pytest.param([400, 500], [0, 1001], (False, -math.inf, 1), id="event-above-C^n"),
+    # on a retained orbit every t > 0, and each non-event step gives
+    # partial[n] <= 2 partial[n-1], so the chain bound holds by induction;
+    # with partial[0] = -1 the bound's relative slack tightens it instead
+    pytest.param([-1, -1], [0, 0], (False, -math.inf, 0), id="chain-below-zero"),
+    # n = 1..3 are non-events; log (f^3)^# = d[3] - 800
+    pytest.param([400] * 4, [0, 0, 0, 801], (True, -math.inf, 0), id="loglog-not-evaluated"),
+    pytest.param([400] * 4, [0, 0, 0, 808], (True, math.log(2), 0), id="loglog-within-cap"),
+    pytest.param([400] * 4, [0, 0, 0, 827], (False, math.log(3), 0), id="loglog-above-cap"),
+])
+def test_check_growth_chain_branches(t, d, want):
+    ok, worst_stat, events = ex._check_growth_chain(t, d, 1.0, 0.0, 0.1)
+    assert (ok, events) == (want[0], want[2])
+    assert worst_stat == pytest.approx(want[1], rel=1e-15)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0])
 def test_thm4_scan_bit_identical_to_per_start_scan(alpha):
     f = fx.MittagLeffler(alpha, fx.choose_eta(alpha))
@@ -439,7 +460,7 @@ def test_thm3_inconclusive_when_construction_cannot_run(monkeypatch):
         raise ex.lg.ScheduleInfeasible("no positive-side branch at level 3")
 
     monkeypatch.setattr(ex.lg, "slow_orbit_construct", fails)
-    rep = ex.run_thm3(1.0, 26.0, 7, 256, x0_tier_a=1e6, n_tier_a=1000)
+    rep = ex.run_thm3(1.0, 26.0, 7, x0_tier_a=1e6, n_tier_a=1000)
     assert rep.verdict == ex.INCONCLUSIVE
     assert [row["tier"] for row in rep.rows] == ["a", "a", "a"]
     assert not any(row["violates"] for row in rep.rows)
@@ -450,7 +471,7 @@ def test_thm3_inconclusive_when_construction_cannot_run(monkeypatch):
 def test_thm3_tier_a_row_below_floor_fails(monkeypatch):
     # the floors at n = 10 and 100 are log 2 - 3 log(n)/n > 0
     monkeypatch.setattr(ex.lg, "schedule_growth_statistic", lambda sched, n: 0.0)
-    rep = ex.run_thm3(1.0, 26.0, 7, 256, x0_tier_a=1e6, n_tier_a=100)
+    rep = ex.run_thm3(1.0, 26.0, 7, x0_tier_a=1e6, n_tier_a=100)
     assert [(row["tier"], row["n"]) for row in rep.violating_rows()] == [("a", 10), ("a", 100)]
     assert rep.verdict == ex.FAIL
 
@@ -566,6 +587,26 @@ def test_thm1_scan_signature():
     U = ms.Region.disk(complex(0.318, 1.337), 0.5)
     rep = ex.run_thm1_growth_scan(EXP, U, N=5, starts=5, seed=0, grid=FAST_GRID)
     assert rep.verdict in (ex.PASS, ex.INCONCLUSIVE)
+
+
+def test_thm1_scan_without_starts_keeps_the_growth_rows(tmp_path):
+    # the rows and the verdict come from mu_sup alone, and the starts feed
+    # only max_finite_horizon_chi; before, starts = 0 returned early with no
+    # rows, the note "no starts" and an Inconclusive verdict
+    reports = []
+    for starts in (0, 5):  # criterion 10's thm1scan config and seed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thm1scan": {"N": 3, "starts": starts,
+                                                "grid": {"rel_tol": 0.01}}}))
+        out = tmp_path / str(starts)
+        cli.main(["--config", str(cfg), "--seed", "99", "--out", str(out), "thm1scan"])
+        reports.append(json.loads((out / "report.json").read_text()))
+    none, some = reports
+    assert [row["n"] for row in none["rows"]] == [2, 3]
+    assert (none["rows"], none["verdict"], none["notes"]) == (
+        some["rows"], "Pass", some["notes"])
+    assert none["parameters"]["max_finite_horizon_chi"] is None
+    assert some["parameters"]["max_finite_horizon_chi"] is not None
 
 
 @pytest.mark.parametrize("lam", [[0, 3], [-3, 0]])
@@ -696,6 +737,8 @@ def test_cli_n_range_excludes_n_min_n_max(tmp_path):
                           "half_width": 1}}}, "thm7.region.half_width"),
     ({"render": {"window": {"kind": "rectangle", "center": [1, 0], "half_width": 3,
                             "half_height": 3, "radius": 1}}}, "render.window.radius"),
+    # thm3 runs at logplane.PRECISION_BITS; the key that once set it is gone
+    ({"thm3": {"precision_bits": 256}}, "thm3.precision_bits"),
 ])
 def test_cli_rejects_unknown_config_keys(tmp_path, config, path):
     cfg = tmp_path / "cfg.json"
@@ -832,7 +875,7 @@ def test_cli_null_section_reads_as_empty(tmp_path):
     ("thm1scan", "starts", 20.0, "an integer"),
     ("thm3", "x0", "26", "a number"),
     ("thm3", "lambda", False, "a number"),
-    ("thm3", "precision_bits", 256.0, "an integer"),
+    ("thm3", "n_tier_a", 10000.0, "an integer"),
     ("thm4scan", "alpha", True, "a number"),
     ("thm4scan", "eta", "0.1", "a number or null"),
     ("thm4scan", "starts", 1000.0, "an integer"),
@@ -854,8 +897,8 @@ def test_cli_null_section_reads_as_empty(tmp_path):
 ])
 def test_cli_rejects_mistyped_values(tmp_path, section, key, value, rule):
     # a value takes its default's type; before, "abc" for thm7.R ended in a
-    # bare TypeError, true for thm7.m ran as m = 1, and 256.0 for
-    # thm3.precision_bits ran.  JSON's NaN and Infinity once passed as
+    # bare TypeError, true for thm7.m ran as m = 1, and 256.0 for the
+    # since removed thm3.precision_bits ran.  JSON's NaN and Infinity once passed as
     # numbers and failed later with errors that named no key
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}))
@@ -949,6 +992,20 @@ def test_console_exit_codes(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("sphgrow: thm7.region: ")
     assert not (tmp_path / "report.json").exists()
+    # a left side below e^-745 is the tower E^0(0), a valid row and a Fail;
+    # before, its log raised and the run exited 2 naming no key
+    region = {"kind": "disk", "center": [1e50, 0], "radius": 1e49}
+    cfg.write_text(json.dumps({
+        "function": {"variant": "polynomial", "coefficients": [[0, 0], [0, 0], [1e-200, 0]]},
+        "thm7": {"region": region, "R": 1e201, "m": 0, "n_range": [1, 2]},
+        "thm56": {"region": region, "R_lower": 1e201, "R_upper": 1e201, "m": 0,
+                  "n_range": [1, 2]}}))
+    for sub in ("thm7", "thm56"):
+        done = _sphgrow(["--config", str(cfg), sub], tmp_path)
+        assert done.returncode == 1, done.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "Fail"
+        rows = (tmp_path / "rows.csv").read_text().splitlines()
+        assert rows[-1] == "2,E^0(0),E^0(469.72735897078462),-inf"
 
 
 @pytest.mark.parametrize("sub", [*cli.SECTIONS, "specfun-check"])

@@ -206,7 +206,7 @@ def _ends(x):
 
 def test_slow_orbit_tracks_schedule():
     sched = lp.schedule_build(26.0, 7)
-    trace = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
+    trace = lp.slow_orbit_construct(1.0, sched)
     assert trace.length() == 7
     for box, x in zip(trace.boxes, sched.x):
         assert all(abs(end - x) <= lp.FOUR_PI for end in _ends(box.real))
@@ -216,14 +216,14 @@ def test_slow_orbit_tracks_schedule():
 def test_slow_orbit_keeps_the_requested_precision():
     # no precision grows with the targets; the point pullback needed 6,010 bits here
     sched = lp.schedule_build(26.0, 12)
-    assert lp.slow_orbit_construct(1.0, sched, 256).precision_bits == 256
+    assert lp.slow_orbit_construct(1.0, sched).precision_bits == lp.PRECISION_BITS == 256
 
 
 def test_slow_orbit_far_past_the_point_pullback():
     # n_max = 100 would have needed 5e28 bits; the boxes stay narrow at
     # 256, and the statistic dips to 0.5570 at n = 20, above log 2 - 0.15
     sched = lp.schedule_build(26.0, 100)
-    trace = lp.slow_orbit_construct(1.0, sched, 256)
+    trace = lp.slow_orbit_construct(1.0, sched)
     for box, x in zip(trace.boxes, sched.x):
         lo, hi = _ends(box.real)
         assert hi - lo <= 1e-40 and abs(lo - x) <= lp.FOUR_PI
@@ -236,12 +236,12 @@ def test_slow_orbit_rejects_a_target_past_the_tract():
     sched = lp.SlowEscapeSchedule(x=[mp.mpf(26), mp.mpf(10) ** 12])
     message = r"^target x_1=1000000000000\.000 exceeds e\^x_0$"
     with pytest.raises(lp.ScheduleInfeasible, match=message):
-        lp.slow_orbit_construct(1.0, sched, 256)
+        lp.slow_orbit_construct(1.0, sched)
 
 
 def test_slow_orbit_derivative_statistic():
     sched = lp.schedule_build(26.0, 7)
-    trace = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
+    trace = lp.slow_orbit_construct(1.0, sched)
     n = 7
     log_phi = lp.log_sph_deriv_from_logplane(trace, n)
     stat = math.log(log_phi) / n
@@ -293,7 +293,7 @@ def _log_sph_deriv_mp(u, re_F, n):
 def test_slow_orbit_bound_matches_point_pullback(n_max):
     # n_max = 12 is where the point pullback needs 6,010 bits
     sched = lp.schedule_build(26.0, n_max)
-    trace = lp.slow_orbit_construct(1.0, sched, precision_bits=256)
+    trace = lp.slow_orbit_construct(1.0, sched)
     u, re_F, _ = _slow_orbit_mp(1.0, sched)
     for n in range(1, n_max + 1):
         assert math.isclose(lp.log_sph_deriv_from_logplane(trace, n),
@@ -301,16 +301,17 @@ def test_slow_orbit_bound_matches_point_pullback(n_max):
 
 
 @pytest.mark.parametrize("n_max", [5, 7, 12])
-def test_slow_orbit_forward_run_stays_in_boxes(n_max):
+def test_slow_orbit_forward_run_stays_in_boxes(monkeypatch, n_max):
     # the forward check the point pullback ran, kept here: from box_0's
     # midpoint at _point_bits plus the boxes' own 256 bits, so the run
     # resolves Re F^j(u) finer than a box, Re F^j stays inside every box
     # and within 4 pi of x_j.  The top box is the point x_n, so one unit
     # of 256 bits is allowed at each end.
     sched = lp.schedule_build(26.0, n_max)
-    boxes = lp.slow_orbit_construct(1.0, sched, 256).boxes
+    boxes = lp.slow_orbit_construct(1.0, sched).boxes
     bits = _point_bits(sched.x) + 256
-    base = lp.slow_orbit_construct(1.0, sched, bits).boxes[0]
+    monkeypatch.setattr(lp, "PRECISION_BITS", bits)
+    base = lp.slow_orbit_construct(1.0, sched).boxes[0]
     with mp.workprec(bits):
         v = mp.mpc(*(sum(_ends(part)) / 2 for part in (base.real, base.imag)))
         for j, (box, x) in enumerate(zip(boxes, sched.x)):
