@@ -414,7 +414,8 @@ def _growth_chain_per_start(orbit, t, horizon, rho, log_C, margin):
     pytest.param([400, 500], [0, 1001], (False, -math.inf, 1), id="event-above-C^n"),
     # on a retained orbit every t > 0, and each non-event step gives
     # partial[n] <= 2 partial[n-1], so the chain bound holds by induction;
-    # with partial[0] = -1 the bound's relative slack tightens it instead
+    # with partial[0] = -1 the bound c0 2^n is negative, and its (1 + 1e-12)
+    # slack moves it below partial[1] = -2
     pytest.param([-1, -1], [0, 0], (False, -math.inf, 0), id="chain-below-zero"),
     # n = 1..3 are non-events; log (f^3)^# = d[3] - 800
     pytest.param([400] * 4, [0, 0, 0, 801], (True, -math.inf, 0), id="loglog-not-evaluated"),
@@ -897,9 +898,10 @@ def test_cli_null_section_reads_as_empty(tmp_path):
 ])
 def test_cli_rejects_mistyped_values(tmp_path, section, key, value, rule):
     # a value takes its default's type; before, "abc" for thm7.R ended in a
-    # bare TypeError, true for thm7.m ran as m = 1, and 256.0 for the
-    # since removed thm3.precision_bits ran.  JSON's NaN and Infinity once passed as
-    # numbers and failed later with errors that named no key
+    # bare TypeError, true for thm7.m ran as m = 1, and 256.0 for
+    # thm3.precision_bits (a key since removed) ran.  JSON's NaN and
+    # Infinity once passed as numbers and failed later with errors that
+    # named no key
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}))
     message = f"^{section}.{key} must be {re.escape(rule)}, not {re.escape(repr(value))}$"
