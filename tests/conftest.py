@@ -1,7 +1,14 @@
 """Shared test plumbing: collects one summary line per acceptance criterion
-and prints them after the run."""
+and prints them after the run, and reads log (f^n)^# off a recorded orbit."""
+
+from sphgrow import dynamics as dy
 
 CRITERION_LINES = []
+
+
+def log_sharp(orbit, n: int) -> float:
+    """log (f^n)^#(z_0) along an iterate_orbit record; IndexError past its end."""
+    return dy.log_spherical(orbit.log_deriv_prefix[n], orbit.log_mag(n))
 
 
 def record_criterion(line: str):

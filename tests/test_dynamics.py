@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import log_sharp
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
 from sphgrow import measures as ms
@@ -36,7 +37,7 @@ def test_spherical_derivative_square_map():
     z0 = cmath.exp(0.7j)
     n = 6
     orbit = dy.iterate_orbit(SQUARE, z0, n)
-    got = dy.log_spherical_derivative(orbit, n)
+    got = log_sharp(orbit, n)
     want = n * math.log(2.0) - math.log(2.0)   # log|..'| - log(1 + 1)
     assert math.isclose(got, want, rel_tol=0, abs_tol=1e-9)
 
@@ -192,7 +193,7 @@ def _orbit_rows_per_start(f, starts, n):
         log_mag[i, :length[i]] = [orbit.log_mag(k) for k in range(length[i])]
         log_deriv[i, :length[i]] = orbit.log_deriv_prefix
         if length[i] > n:
-            logphi[i] = dy.log_spherical_derivative(orbit, n)
+            logphi[i] = log_sharp(orbit, n)
         if orbit.escalated_at >= 0:
             # an EvalOverflow value is past double range; an escalated one is not
             ends.add("eval_overflow" if orbit.log_points[0][0] > 709.8 else "escalation")

@@ -1,6 +1,7 @@
 """Experiment harness: verdicts, report serialization, determinism, render
 output, and the CLI entry point."""
 
+import cmath
 import dataclasses
 import errno
 import hashlib
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import log_sharp
 from sphgrow import cli
 from sphgrow import dynamics as dy
 from sphgrow import experiments as ex
@@ -186,6 +188,19 @@ def test_thm56_reports_the_last_radius_tried(monkeypatch):
     assert rep.parameters["R_upper_final"] == tried[-1] == 5242880.0
     assert rep.parameters["upper_doublings"] == 20
     assert rep.verdict == ex.FAIL
+
+
+def test_thm56_doubles_past_a_non_escalating_upper_radius():
+    # the max-modulus iteration of cosh sqrt z from R = 5 does not escalate,
+    # so R_upper = 5 witnesses nothing and the search goes on from R = 10
+    f = fx.CoshSqrt()
+    with pytest.raises(fx.NonEscalatingError):
+        fx.iterated_max_modulus(f, 5.0, 2)
+    rep = ex.run_thm5_thm6(f, ms.Region.disk(-3.0 + 0j, 0.5), 100.0, 5.0, 0, [1, 2],
+                           ms.GridSpec(rel_tol=1e-2, max_refinements=4))
+    assert rep.parameters["upper_doublings"] == 1
+    assert rep.parameters["R_upper_final"] == 10.0
+    assert rep.parameters["upper_witnessed"] is True
 
 
 def test_report_json_deterministic():
@@ -367,7 +382,7 @@ def _shrinking_tail_per_start(orbit, entered):
     horizon = orbit.length() - 1
     prev = None
     for n in range(max(entered, 1), horizon + 1):
-        cur = dy.log_spherical_derivative(orbit, n)
+        cur = log_sharp(orbit, n)
         if prev is not None and cur > prev + 1e-9:
             return False
         prev = cur
@@ -388,18 +403,18 @@ def _growth_chain_per_start(orbit, t, horizon, rho, log_C, margin):
         c0 = (1.0 + rho) ** (-n0 + 1) * partial[n0 - 1]
     chain_alive = n0 is not None
     for n in range(1, horizon + 1):
-        log_sharp = dy.log_spherical_derivative(orbit, n)
+        log_phi = log_sharp(orbit, n)
         if t[n] > rho * partial[n - 1]:
             if n >= n0 if n0 is not None else True:
                 chain_alive = False
             events += 1
-            if log_sharp > n * log_C + 1e-9:
+            if log_phi > n * log_C + 1e-9:
                 ok = False
         elif chain_alive and n0 is not None and n >= n0 - 1:
             if partial[n] > c0 * (1.0 + rho) ** n * (1.0 + 1e-12):
                 ok = False
-        if n >= 3 and log_sharp > 1.0:
-            stat = math.log(log_sharp) / n
+        if n >= 3 and log_phi > 1.0:
+            stat = math.log(log_phi) / n
             worst_stat = max(worst_stat, stat)
             if stat > math.log(1.0 + rho) + margin:
                 ok = False
@@ -426,6 +441,13 @@ def test_check_growth_chain_branches(t, d, want):
     ok, worst_stat, events = ex._check_growth_chain(t, d, 1.0, 0.0, 0.1)
     assert (ok, events) == (want[0], want[2])
     assert worst_stat == pytest.approx(want[1], rel=1e-15)
+
+
+def test_check_shrinking_tail_fails_where_the_derivative_grows():
+    # inside the unit disk from n = 1: log (f^1)^# = -0.1 - log(1 + e^-2) ~ -0.227,
+    # and log (f^2)^# = -0.2 - log(1 + e^-10) ~ -0.200 rises above it
+    assert not ex._check_shrinking_tail([0.5, -1.0, -5.0], [0.0, -0.1, -0.2], 1)
+    assert ex._check_shrinking_tail([0.5, -1.0, -5.0], [0.0, -0.1, -0.3], 1)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0])
@@ -608,6 +630,55 @@ def test_thm1_scan_without_starts_keeps_the_growth_rows(tmp_path):
         some["rows"], "Pass", some["notes"])
     assert none["parameters"]["max_finite_horizon_chi"] is None
     assert some["parameters"]["max_finite_horizon_chi"] is not None
+
+
+def _thm1_scan_per_start(f, U, N, starts, seed, grid):
+    """run_thm1_growth_scan with max_finite_horizon_chi as first written: one
+    iterate_orbit per start, the largest (1/n) log (f^n)^# over n >= H/2 (over
+    every n reached if the orbit ends first), and no statistic from an orbit
+    that ends before step 2.  The rows come from mu_sup alone, so the scan
+    without starts gives them."""
+    rep = ex.run_thm1_growth_scan(f, U, N, 0, seed, grid)
+    H = min(N + 10, 40)
+    rng = np.random.default_rng(seed)
+    chis = []
+    for _ in range(starts):
+        orbit = dy.iterate_orbit(f, U.sample(rng), H)
+        avail = min(H, orbit.length() - 1)
+        if avail < 2:
+            continue
+        per_n = [log_sharp(orbit, n) / n for n in range(1, avail + 1)]
+        window = [v for n, v in enumerate(per_n, start=1) if n >= H / 2.0]
+        chis.append(max(window or per_n))
+    rep.parameters.update(starts=starts,
+                          max_finite_horizon_chi=ex._clean(max(chis)) if chis else None)
+    return rep
+
+
+# e^z orbits from disk(800, 0.5) end at step 1, from the square around 5 at
+# step 3 or 8 (before and after H/2 = 7.5), and the E_0.75 ones run 2 to 15
+# steps
+_THM1_CASES = {
+    "exp": (EXP, ms.Region.disk(complex(0.318, 1.337), 0.5), 5),
+    "exp-lambda": (fx.ExpAffine(0.3 - 0.2j), ms.Region.disk(0j, 2.0), 5),
+    "exp-dies": (EXP, ms.Region.disk(800.0 + 0j, 0.5), 5),
+    "exp-short": (EXP, ms.Region.rectangle(5.0 + 0j, 0.5, 0.5), 5),
+    "square": (SQUARE, ms.Region.disk(cmath.exp(0.7j), 0.3), 2),
+    "cubic": (fx.Polynomial((0.1 + 0.2j, -1.0, 0.0, 0.5)), ms.Region.disk(1.0 + 0j, 1.0), 5),
+    "ml0.75": (fx.MittagLeffler(0.75), ms.Region.disk(0j, 3.0), 5),
+    "cosh_sqrt": (fx.CoshSqrt(), ms.Region.disk(-3.0 + 0j, 0.5), 2),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("case", sorted(_THM1_CASES))
+def test_thm1_scan_bit_identical_to_per_start_scan(case, seed):
+    f, U, N = _THM1_CASES[case]
+    grid = ms.GridSpec(base_resolution=16, rel_tol=0.1, max_refinements=4)
+    got = ex.run_thm1_growth_scan(f, U, N, 40, seed, grid)
+    want = _thm1_scan_per_start(f, U, N, 40, seed, grid)
+    assert got.to_json() == want.to_json()
+    assert (got.parameters["max_finite_horizon_chi"] is None) == (case == "exp-dies")
 
 
 @pytest.mark.parametrize("lam", [[0, 3], [-3, 0]])

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import log_sharp
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
 from sphgrow import kernels
@@ -38,7 +39,7 @@ def _assert_grid_matches_orbits(f, xs, ys, n, got, min_pairs):
         assert (status[i] == kernels.STATUS_OK) == reaches, i
         if not reaches:
             continue
-        want = (dy.log_spherical_derivative(orbit, n),
+        want = (log_sharp(orbit, n),
                 orbit.log_deriv_prefix[n], orbit.log_mag(n))
         for k, (g, w) in enumerate(zip((logphi[i], logderiv[i], loglast[i]), want)):
             if w == -math.inf:
@@ -62,7 +63,7 @@ def test_exp_kernel_vs_scalar_orbit():
         orbit = dy.iterate_orbit(f, complex(xs[i], ys[i]), n)
         assert status[i] == kernels.STATUS_OK
         assert math.isclose(loglast[i], orbit.log_mag(n), rel_tol=0, abs_tol=1e-10)
-        want = dy.log_spherical_derivative(orbit, n)
+        want = log_sharp(orbit, n)
         assert math.isclose(logphi[i], want, rel_tol=0, abs_tol=1e-9)
     # 500 points, most of which overflow before n = 12
     xs, ys = _grid(0)
@@ -80,7 +81,7 @@ def test_poly_kernel_vs_scalar_orbit():
         orbit = dy.iterate_orbit(f, complex(xs[i], ys[i]), n)
         assert status[i] == kernels.STATUS_OK
         assert math.isclose(loglast[i], orbit.log_mag(n), rel_tol=0, abs_tol=1e-9)
-        want = dy.log_spherical_derivative(orbit, n)
+        want = log_sharp(orbit, n)
         assert math.isclose(logphi[i], want, rel_tol=0, abs_tol=1e-8)
     xs, ys = _grid(1)
     coeffs = (0.1 + 0.2j, -1.0, 0.0, 0.5)
@@ -469,11 +470,13 @@ def _poly_oracle_cases():
         cases.append((f"signed-n{n}", xs, ys, n, (-0.0, complex(0.5, -0.0), complex(1.0, -0.0))))
     # the coefficient patterns that Horner from the leading coefficient
     # branches on: a complex and a real lead other than 1, a monic
-    # polynomial with c_(d-1) != 0, a sparse one and degree 1; from starts
-    # that stay bounded, escalate or die, and from the starts above
+    # polynomial with c_(d-1) != 0, one whose derivative is z (Horner's
+    # p(z) = z exit), a sparse one and degree 1; from starts that stay
+    # bounded, escalate or die, and from the starts above
     patterns = (("lead-complex", 4, (1, 0, 0, 0, 0, 2 - 1j)),
                 ("lead-real", 10, (0.3, 0.0, -1.5)),
                 ("monic-z2+z", 9, (0.0, 1.0, 1.0)),
+                ("derivative-z", 6, (0.25, 0, 0.5)),
                 ("sparse-z5+0.3", 4, (0.3, 0, 0, 0, 0, 1.0)),
                 ("degree-1", 520, (0.2 - 0.1j, 1.5 + 0.5j)),
                 ("degree-1-real", 3, (0.5, 2.0)))

@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import log_sharp
 from sphgrow import dynamics as dy
 from sphgrow import functions as fx
 from sphgrow import kernels
@@ -795,7 +796,7 @@ def _logphi_per_point(f, xs, ys, n):
         try:
             orbit = dy.iterate_orbit(f, complex(xs[i], ys[i]), n)
             if orbit.length() > n:
-                lp[i] = dy.log_spherical_derivative(orbit, n)
+                lp[i] = log_sharp(orbit, n)
             else:
                 lp[i] = math.nan
         except (OverflowError, fx.OrbitOverflow):
