@@ -1,4 +1,4 @@
-"""Forward orbits, Lyapunov estimators, periodic points, fast escape.
+"""Forward orbits, a Lyapunov estimator, periodic points, fast escape.
 
 Orbits run in rectangular coordinates while representable, then escalate
 to log-polar continuation (exact for the exponential family, leading-term
@@ -192,39 +192,23 @@ def log_spherical(log_deriv: float, log_mag: float) -> float:
     return log_deriv - den
 
 
-def log_spherical_derivative(orbit: OrbitRecord, n: int) -> float:
-    """log (f^n)^# along a recorded orbit."""
-    if n >= orbit.length():
-        raise IndexError(f"orbit data ends before n={n}")
-    return log_spherical(orbit.log_deriv_prefix[n], orbit.log_mag(n))
-
-
-@dataclass
-class LyapunovEstimate:
-    horizon: int
-    upper: float
-    lower: float
-    per_n: list
-    truncated: bool = False
-
-
-def lyapunov_estimate(f, z0: complex, N: int) -> LyapunovEstimate:
-    """Finite-horizon Lyapunov surrogates from (1/n) log (f^n)^#.
-
-    Only n >= N/2 enter the max/min, damping transients.
-    """
+def lyapunov_estimate(f, xs, ys, N: int) -> np.ndarray:
+    """The upper finite-horizon Lyapunov statistic of each start xs + i ys:
+    the largest (1/n) log (f^n)^# over n >= N/2, damping transients, or over
+    every n its orbit reaches when it ends before N/2; NaN where it ends
+    before step 2.  One orbit_table covers the starts."""
     if N < 4:
         raise ValueError("N must be >= 4")
-    orbit = iterate_orbit(f, z0, N)
-    avail = min(N, orbit.length() - 1)
-    if avail < 2:
-        raise ValueError("orbit dies before step 2; no estimate")
-    per_n = [log_spherical_derivative(orbit, n) / n for n in range(1, avail + 1)]
-    window = [v for n, v in enumerate(per_n, start=1) if n >= N / 2.0]
-    if not window:
-        window = per_n
-    return LyapunovEstimate(horizon=N, upper=max(window), lower=min(window),
-                            per_n=per_n, truncated=avail < N)
+    tab = orbit_table(f, xs, ys, N)
+    upper = np.full(tab.length.size, np.nan)
+    for i, steps in enumerate((tab.length - 1).tolist()):
+        if steps < 2:
+            continue
+        per_n = [log_spherical(d, lm) / n for n, d, lm in zip(
+            range(1, steps + 1), tab.log_deriv[i, 1:steps + 1].tolist(),
+            tab.log_mag[i, 1:steps + 1].tolist())]
+        upper[i] = max(per_n[(N - 1) // 2:] or per_n)  # n >= N/2 from index (N - 1) // 2
+    return upper
 
 
 @dataclass

@@ -252,17 +252,13 @@ def run_thm1_growth_scan(f, U: ms.Region, N: int, starts: int,
         deepest = n
         rows.append(_row(n, False, str(TowerReal.from_log(res.log_mu)), margin=seq[n],
                          per_n_log_mu=_clean(seq[n])))
-    # finite-horizon upper Lyapunov statistics over sampled starts
+    # finite-horizon upper Lyapunov statistics over sampled starts; an orbit
+    # that ends before step 2 gives none
     rng = np.random.default_rng(seed)
-    chis = []
-    for _ in range(starts):
-        z0 = U.sample(rng)
-        try:
-            est = dy.lyapunov_estimate(f, z0, min(N + 10, 40))
-            chis.append(est.upper)
-        except (ValueError, fx.OrbitOverflow):
-            continue
-    max_chi = max(chis) if chis else None
+    zs = [U.sample(rng) for _ in range(starts)]
+    chis = dy.lyapunov_estimate(f, [z.real for z in zs], [z.imag for z in zs],
+                                min(N + 10, 40))
+    max_chi = max((c for c in chis.tolist() if not math.isnan(c)), default=None)
     usable = 2 in seq and len(seq) >= 2
     signature = usable and seq[2] > 0 and any(v >= 2.0 * seq[2] for v in seq.values())
     if not usable and deepest < N:  # mu_sup stopped the scan
@@ -356,31 +352,24 @@ def _check_shrinking_tail(t, d, entered: int) -> bool:
 
 
 def _check_growth_chain(t, d, rho, log_C, margin):
-    """Partial-sum induction, per-event C^n branch, and loglog bound."""
-    horizon = len(t) - 1
+    """Per-event C^n bound and loglog bound along a retained orbit; an event
+    is a step n with t[n] > rho (t[0] + ... + t[n-1]).
+
+    Between events partial[n] <= (1 + rho) partial[n-1], so on an orbit
+    with every t[k] > 0 the partial-sum bound holds by induction and is not
+    checked."""
     ok = True
     worst_stat = -math.inf
     events = 0
-    partial = [t[0]]
-    for k in range(1, horizon + 1):
-        partial.append(partial[-1] + t[k])
-    n0 = next((k for k in range(1, horizon + 1)
-               if t[k] <= rho * partial[k - 1]), None)
-    c0 = None
-    if n0 is not None:
-        c0 = (1.0 + rho) ** (-n0 + 1) * partial[n0 - 1]
-    chain_alive = n0 is not None
-    for n in range(1, horizon + 1):
+    partial = t[0]
+    for n in range(1, len(t)):
         log_sharp = dy.log_spherical(d[n], t[n])
-        if t[n] > rho * partial[n - 1]:
-            chain_alive = chain_alive and n < n0
+        if t[n] > rho * partial:
             events += 1
             # any such event forces (f^n)^# <= C^n
             if log_sharp > n * log_C + 1e-9:
                 ok = False
-        elif chain_alive:
-            if partial[n] > c0 * (1.0 + rho) ** n * (1.0 + 1e-12):
-                ok = False
+        partial += t[n]
         if n >= 3 and log_sharp > 1.0:
             stat = math.log(log_sharp) / n
             worst_stat = max(worst_stat, stat)

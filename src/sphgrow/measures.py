@@ -301,15 +301,14 @@ def spherical_area(f, U: Region, n: int, grid: GridSpec) -> AreaResult:
     return _area(f, U, n, grid, grid.base_resolution, None)
 
 
-def _cell_logs(lp, inside, u0, u1, v0, v1, polar: bool, rho, weight_r):
+def _cell_logs(lp, u0, u1, v0, v1, polar: bool, rho, weight_r):
     """log of (1/pi) (f^n)^#(mid)^2 area per cell, times log(weight_r/rho) at
-    its midpoint radius rho unless weight_r is None: -inf outside U, nan on
-    overflow."""
+    its midpoint radius rho unless weight_r is None: nan on overflow."""
     area = 0.5 * (u1 * u1 - u0 * u0) * (v1 - v0) if polar else (u1 - u0) * (v1 - v0)
     logs = 2.0 * lp + np.log(area) - math.log(math.pi)
     if weight_r is not None:
         logs += np.log(np.log(weight_r / rho))
-    return np.where(inside, logs, -np.inf)
+    return logs
 
 
 def _pairs(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -370,8 +369,8 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
             ys = U.center.imag + mu * np.sin(mv)
         else:
             xs, ys = mu, mv
-        inside = U.contains(xs, ys)
-        # only the new points and their radii stay alive in the kernel
+        # the cells tile U, so every midpoint lies in U; only the new points
+        # and their radii stay alive in the kernel
         del mv, um, vm
         lp = logphi_batch(f, xs, ys, n)
         del xs, ys
@@ -382,10 +381,10 @@ def _area(f, U: Region, n: int, grid: GridSpec, sectors: int, weight_r) -> AreaR
         cv0, cv1 = np.where(along_u, v0, vm), np.where(along_u, v1, vm)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if own:
-                logc = _cell_logs(lp[:m], inside[:m], u0, u1, v0, v1, polar, um, weight_r)
-            l0 = _cell_logs(lp[k0], inside[k0], u0, cu1, v0, cv1, polar, mu[k0], weight_r)
-            l1 = _cell_logs(lp[k1], inside[k1], cu0, u1, cv0, v1, polar, mu[k1], weight_r)
-            del lp, inside, mu, um, vm, along_u
+                logc = _cell_logs(lp[:m], u0, u1, v0, v1, polar, um, weight_r)
+            l0 = _cell_logs(lp[k0], u0, cu1, v0, cv1, polar, mu[k0], weight_r)
+            l1 = _cell_logs(lp[k1], cu0, u1, cv0, v1, polar, mu[k1], weight_r)
+            del lp, mu, um, vm, along_u
             # logf = log(e^l0 + e^l1), the larger finite term factored out
             top = np.where((l0 == -np.inf) | (l1 > l0), l1, l0)
             logf = np.where(np.isfinite(top),

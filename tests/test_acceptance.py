@@ -206,7 +206,7 @@ def test_criterion_07_upper_growth_law():
     _report(7, "scaled Mittag-Leffler growth cap", ok,
             f"1000 starts, horizon 25 ({retained} retained): loglog stat <= "
             f"log(1+rho)+0.1 (evaluated on {evaluated} of {retained} retained rows), "
-            "partial-sum induction exact, event rows <= C^n",
+            "event rows <= C^n",
             time.time() - t0, 120.0)
 
 

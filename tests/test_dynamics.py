@@ -43,17 +43,22 @@ def test_spherical_derivative_square_map():
 
 
 def test_lyapunov_estimate_square_map():
-    est = dy.lyapunov_estimate(SQUARE, cmath.exp(0.7j), 30)
-    # on the unit circle (1/n) log (f^n)^# -> log 2
-    assert abs(est.upper - math.log(2.0)) < 0.05
-    assert est.lower <= est.upper
+    z0 = cmath.exp(0.7j)
+    upper = dy.lyapunov_estimate(SQUARE, [z0.real, 0.5], [z0.imag, 0.0], 30)
+    # on the unit circle (1/n) log (f^n)^# -> log 2; from 0.5 the orbit
+    # reaches 0 in doubles by n = 11, where (z^2)' = 0
+    assert abs(upper[0] - math.log(2.0)) < 0.05
+    assert upper[1] == -math.inf
 
 
 def test_lyapunov_estimate_exp_derivative_underflow():
     # f'(z) = e^z underflows to 0 in doubles at Re z = -800 but never vanishes
-    est = dy.lyapunov_estimate(EXP, -800.0 + 0j, 10)
-    assert math.isfinite(est.upper)
-    assert est.per_n[0] == -800.0  # log f^#(z) = Re z - log(1 + e^(2 Re z))
+    # (the orbit of 800 ends at step 1, where e^(e^800) has no value)
+    upper = dy.lyapunov_estimate(EXP, [-800.0, 800.0], [0.0, 0.0], 10)
+    assert math.isfinite(upper[0]) and math.isnan(upper[1])
+    tab = dy.orbit_table(EXP, [-800.0], [0.0], 10)
+    # log f^#(z) = Re z - log(1 + e^(2 Re z)), and z_1 = e^-800 rounds to 0
+    assert tab.log_deriv[0, 1] == -800.0 and tab.log_mag[0, 1] == -math.inf
 
 
 def test_find_periodic_point_square():
@@ -105,8 +110,8 @@ def test_orbit_table_rejects_no_steps():
 
 
 def test_lyapunov_rejects_tiny_horizon():
-    with pytest.raises(ValueError):
-        dy.lyapunov_estimate(SQUARE, 0.5, 2)
+    with pytest.raises(ValueError, match="^N must be >= 4$"):
+        dy.lyapunov_estimate(SQUARE, [0.5], [0.0], 2)
 
 
 def test_orbit_ends_when_no_value_is_representable():

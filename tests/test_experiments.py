@@ -427,11 +427,6 @@ def _growth_chain_per_start(orbit, t, horizon, rho, log_C, margin):
     # n = 1 is an event (500 > 400): (f^1)^# = e^0 is within C^1, e^1 is not
     pytest.param([400, 500], [0, 1000], (True, -math.inf, 1), id="event-within-C^n"),
     pytest.param([400, 500], [0, 1001], (False, -math.inf, 1), id="event-above-C^n"),
-    # on a retained orbit every t > 0, and each non-event step gives
-    # partial[n] <= 2 partial[n-1], so the chain bound holds by induction;
-    # with partial[0] = -1 the bound c0 2^n is negative, and its (1 + 1e-12)
-    # slack moves it below partial[1] = -2
-    pytest.param([-1, -1], [0, 0], (False, -math.inf, 0), id="chain-below-zero"),
     # n = 1..3 are non-events; log (f^3)^# = d[3] - 800
     pytest.param([400] * 4, [0, 0, 0, 801], (True, -math.inf, 0), id="loglog-not-evaluated"),
     pytest.param([400] * 4, [0, 0, 0, 808], (True, math.log(2), 0), id="loglog-within-cap"),
