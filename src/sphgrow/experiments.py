@@ -406,8 +406,7 @@ def run_thm3(lam: complex, x0: float, n_max: int, x0_tier_a: float = 1e6,
     try:
         trace = lg.slow_orbit_construct(lam, sched)
         for n in range(2, n_max + 1):
-            bound = lg.log_sph_deriv_from_logplane(trace, n)
-            stat = math.log(bound) / n if bound > 1.0 else -math.inf
+            stat = lg.log_sph_deriv_statistic(trace, n)
             ok = (n < n_max) or stat >= target - tol
             rows.append(_row(n, not ok, f"E^0({_fmt(stat)})", f"E^0({_fmt(target - tol)})",
                              stat - (target - tol), tier="b"))

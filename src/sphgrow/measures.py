@@ -89,6 +89,23 @@ class Region:
                    (np.abs(ys - self.center.imag) <= self.half_height)
         return (xs - self.center.real) ** 2 + (ys - self.center.imag) ** 2 <= self.radius**2
 
+    def contains_stencil(self, xe: np.ndarray, ye: np.ndarray, stencil) -> np.ndarray:
+        """contains(xe[i], ye[j]) at each (i, j) of stencil, bit for bit, as
+        an array of shape (len(xe), len(ye)) + xe.shape[1:] that is False off
+        the stencil: xe and ye are rows of x and y values, and each row's
+        offset from the centre is formed once."""
+        out = np.zeros((len(xe), len(ye)) + xe.shape[1:], dtype=bool)
+        if self.kind == "rectangle":
+            near_x = np.abs(xe - self.center.real) <= self.half_width
+            near_y = np.abs(ye - self.center.imag) <= self.half_height
+            for i, j in stencil:
+                np.logical_and(near_x[i], near_y[j], out=out[i, j])
+            return out
+        dx2, dy2 = (xe - self.center.real) ** 2, (ye - self.center.imag) ** 2
+        for i, j in stencil:
+            np.less_equal(dx2[i] + dy2[j], self.radius**2, out=out[i, j])
+        return out
+
     def sample(self, rng) -> complex:
         """A uniform random point of the region, drawn from the numpy Generator rng."""
         if self.kind == "disk":
@@ -142,6 +159,8 @@ class MuSupResult:
     evaluations: int  # grid and 3x3 block points examined, reused corners included
     refinements: int
     overflow_points: int  # of those, the ones inside U whose orbit overflowed
+    capped_rounds: int  # rounds whose 4096-subcell cap dropped marked subcells
+    depth_capped: bool  # the last permitted round still had cells
 
 
 # Both refinement engines hold their cells as parallel arrays (u0, u1, v0, v1):
@@ -153,10 +172,14 @@ class MuSupResult:
 # arrays: a pass's points go to the kernel in blocks (on the first pass the cells'
 # own midpoints, then every child 0's, then every child 1's), and the next pass's
 # cells are the growing cells' children, child 0 then child 1 of each.  mu_sup
-# holds x and y edges with midpoints as (3, N) arrays and 3x3 blocks as (9, N):
-# block position (x outer) on the rows, cells along the contiguous axis; row r is
-# row _ROWS[r] of 4 corners over 5 new points.
-_ROWS = [0, 4, 1, 5, 6, 7, 2, 8, 3]
+# holds x and y edges with midpoints as (3, N) arrays and 3x3 blocks as (3, 3, N):
+# block position (x, y) on the first two axes (x outer), cells along the
+# contiguous axis.  A round writes its block in place: -inf, then the kernel's
+# values at the new points in U, those of the stencil _NEW (rows 1, 3, 4, 5, 7
+# of the flat (9, N) view, in the kernel's order), then the 4 corners from the
+# block that evaluated them at positions (0, 0), (0, 2), (2, 0), (2, 2) (rows 0,
+# 2, 6, 8).
+_NEW = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))
 
 
 def _grid_cells(us: np.ndarray, vs: np.ndarray):
@@ -166,15 +189,17 @@ def _grid_cells(us: np.ndarray, vs: np.ndarray):
     return u0.ravel(), u1.ravel(), v0.ravel(), v1.ravel()
 
 
-def _window_test(g: np.ndarray, threshold: float):
+def _window_test(g: np.ndarray, threshold: float, masked: bool = True):
     """Per 2x2 cell of the point grid g, x and y on its first two axes (cells
     laid out as g is, one shorter on both): (refine?, largest finite corner).
 
     A cell is refined when some corner is finite and either the finite
     corners spread by more than threshold or a corner is missing: with each
     non-finite corner read as -inf, top - low > threshold says just that.
+    masked=False skips that reading where the caller knows g holds no NaN
+    or +inf, so that every value already reads as itself.
     """
-    h = np.where(np.isfinite(g), g, -np.inf)
+    h = np.where(np.isfinite(g), g, -np.inf) if masked else g
     top = np.maximum(h[:, :-1], h[:, 1:])
     top = np.maximum(top[:-1], top[1:])
     low = np.minimum(h[:, :-1], h[:, 1:])
@@ -188,35 +213,34 @@ def _edges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.stack([lo, (lo + hi) / 2, hi])
 
 
-def _logphi_inside(f, xs: np.ndarray, ys: np.ndarray, inside: np.ndarray, n: int):
-    """log (f^n)^# laid out on the mask inside, from the points xs + i ys
-    where it holds: -inf elsewhere, so a NaN is a point of U whose orbit
-    overflowed, and no kernel call when it holds nowhere; and the largest
-    value that is not NaN, -inf for none."""
-    lpi = logphi_batch(f, xs, ys, n) if xs.size else np.nan
-    lp = np.full(inside.shape, -np.inf)  # formed after the kernel call, not alive in it
-    lp[inside] = lpi
-    return lp, float(np.fmax.reduce(lpi, initial=-np.inf))
+def _logphi_points(f, xs: np.ndarray, ys: np.ndarray, n: int) -> np.ndarray:
+    """log (f^n)^# at the points xs + i ys: NaN where the orbit overflowed,
+    and no kernel call for no points."""
+    return logphi_batch(f, xs, ys, n) if xs.size else np.empty(0)
 
 
-def _subcells(xe, ye, block, threshold: float, floor: float):
-    """(x edges, y edges, corner values) of the subcells to refine next: those
-    the window test marks whose top corner is above floor, at most 4096, by
-    descending x-width as rounded and in the order 4i + 2p + q among equal
-    ones.  The two x-halves of a cell differ by how its midpoint rounded, so
-    where more than 4096 of one depth compete that rounding picks the ones
-    kept, not their size."""
+def _subcells(xe, ye, block, threshold: float, floor: float, masked: bool = True):
+    """(x edges, y edges, corner values) of the subcells to refine next, and
+    how many marked subcells the cap dropped: the subcells the window test
+    marks whose top corner is above floor, at most 4096, by descending
+    x-width as rounded and in the order 4i + 2p + q among equal ones.  The
+    two x-halves of a cell differ by how its midpoint rounded, so where more
+    than 4096 of one depth compete that rounding picks the ones kept, not
+    their size.  masked as in _window_test."""
     m = xe.shape[1]
     # subcell (p, q) of cell i, x half p outer, has corners block[p:p+2, q:q+2, i]
-    refine, top = _window_test(block.reshape(3, 3, m), threshold)
+    refine, top = _window_test(block, threshold, masked)
     refine &= top > floor
     sub = np.flatnonzero(refine.reshape(4, m).T)  # 4i + 2p + q
-    keep = np.argsort(-(xe[1:] - xe[:-1])[sub >> 1 & 1, sub >> 2], kind="stable")[:4096]
-    sub = sub[keep]
-    i, p, q = sub >> 2, sub >> 1 & 1, sub & 1
-    corner = (3 * p + q) * m + i + np.array([[0], [m], [3 * m], [4 * m]])
-    return (_edges(xe[p, i], xe[p + 1, i]), _edges(ye[q, i], ye[q + 1, i]),
-            block.reshape(-1)[corner])
+    keep = np.argsort(-(xe[1:] - xe[:-1]).take((sub >> 1 & 1) * m + (sub >> 2)),
+                      kind="stable")[:4096]
+    dropped = sub.size - keep.size
+    sub = sub.take(keep)
+    i = sub >> 2
+    px, qy = (sub >> 1 & 1) * m + i, (sub & 1) * m + i  # flat: edge row p of cell i
+    at = 3 * px + qy - 3 * i  # flat (3p + q) m + i: block position (p, q) of cell i
+    return (_edges(xe.take(px), xe[1:].take(px)), _edges(ye.take(qy), ye[1:].take(qy)),
+            block.take(at + m * np.array([[0], [1], [3], [4]])), dropped)
 
 
 def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
@@ -229,41 +253,50 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     gy = np.linspace(y0, y1, res + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
     mask = U.contains(X, Y)
-    lp, _ = _logphi_inside(f, X[mask], Y[mask], mask, n)
-    vals = lp[np.isfinite(lp)]
-    overflow = int(np.isnan(lp).sum())
+    lpi = _logphi_points(f, X[mask], Y[mask], n)
+    lp = np.full(mask.shape, -np.inf)  # -inf off U; NaN: a point of U whose orbit overflowed
+    lp[mask] = lpi
+    vals = lpi[np.isfinite(lpi)]
+    overflow = int(np.count_nonzero(np.isnan(lpi)))
     evals = X.size
     if vals.size == 0:
         raise ValueError(f"every grid orbit overflows before n={n}; use smaller n")
     best = float(vals.max())
     spread_ref = float(vals.max() - vals.min()) if vals.size > 1 else 0.0
     threshold = grid.rel_tol * max(spread_ref, 1.0)
+    floor_gap = 3.0 * max(spread_ref, 1.0)  # subcells refine only near the top
 
     u, v = np.divmod(np.flatnonzero(_window_test(lp, threshold)[0]), res)
     xe, ye = _edges(gx[u], gx[u + 1]), _edges(gy[v], gy[v + 1])
     # each cell's corner values, from the pass that evaluated them
     corner = u * (res + 1) + v + np.array([[0], [1], [res + 1], [res + 2]])
     lpc = lp.reshape(-1)[corner]
-    rounds = 0
+    rounds = capped = 0
     while xe.shape[1] and rounds < grid.max_refinements:
         rounds += 1
-        # the new points, rows 1, 3, 4, 5, 7: (x0, ym), (xm, y0), (xm, ym), (xm, y1), (x1, ym)
-        xs = xe[[0, 1, 1, 1, 2]].reshape(-1)
-        ys = ye[[1, 0, 1, 2, 1]].reshape(-1)
-        inside = U.contains(xs, ys)
-        xs, ys = xs[inside], ys[inside]  # only the points in U stay alive in the kernel
-        lpv, top = _logphi_inside(f, xs, ys, inside.reshape(5, -1), n)
-        best = max(best, top)  # the corners are in best already
-        block = np.concatenate((lpc, lpv))[_ROWS]
-        overflow += int(np.isnan(block).sum())
-        evals += block.size
+        inside = U.contains_stencil(xe, ye, _NEW)  # (3, 3, N), False at the corners
+        # only the new points in U stay alive in the kernel
+        lpi = _logphi_points(f, np.broadcast_to(xe[:, None], inside.shape)[inside],
+                             np.broadcast_to(ye[None], inside.shape)[inside], n)
+        nans = int(np.count_nonzero(np.isnan(lpi)) + np.count_nonzero(np.isnan(lpc)))
+        overflow += nans
+        evals += inside.size
+        best = max(best, float(np.fmax.reduce(lpi, initial=-np.inf)))  # corners: in best
         if rounds == grid.max_refinements:
-            break  # nothing reads the subcells of the last permitted round
-        xe, ye, lpc = _subcells(xe, ye, block, threshold,
-                                best - 3.0 * max(spread_ref, 1.0))  # near the top
-        del block, lpv  # not alive in the next kernel call
+            break  # nothing reads the block or subcells of the last permitted round
+        block = np.full(inside.shape, -np.inf)
+        block[inside] = lpi
+        block[::2, ::2] = lpc.reshape(2, 2, -1)
+        del inside, lpi, lpc
+        # the one overflow mark: with no NaN the block holds no value but -inf
+        # that is not finite
+        xe, ye, lpc, dropped = _subcells(xe, ye, block, threshold, best - floor_gap,
+                                         masked=nans > 0)
+        capped += dropped > 0
+        del block  # not alive in the next kernel call
     return MuSupResult(log_mu=best, evaluations=evals, refinements=rounds,
-                       overflow_points=overflow)
+                       overflow_points=overflow, capped_rounds=capped,
+                       depth_capped=rounds == grid.max_refinements and xe.shape[1] > 0)
 
 
 # ---------------------------------------------------------------------------

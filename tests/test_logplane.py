@@ -248,6 +248,44 @@ def test_slow_orbit_derivative_statistic():
     assert stat >= math.log(2.0) - 0.15
 
 
+def _far_trace():
+    """40 boxes with Re in [1e307, 1.0000001e307]: from n = 20 on, the bound's
+    lower end (n - 2) 1e307 - log 2 - 2e-7 1e307 is past double range."""
+    with lp._iv_at() as iv:
+        box = iv.mpc(iv.mpf([1e307, 1.0000001e307]), 0)
+    return lp.SlowOrbitTrace(boxes=[box] * 40, precision_bits=lp.PRECISION_BITS)
+
+
+def test_statistic_past_double_range():
+    trace = _far_trace()
+    assert lp.log_sph_deriv_from_logplane(trace, 30) == math.inf
+    for n in range(2, 20):  # the bound fits a double: the float path's bits
+        bound = lp.log_sph_deriv_from_logplane(trace, n)
+        want = math.log(bound) / n if bound > 1.0 else -math.inf
+        assert lp.log_sph_deriv_statistic(trace, n) == want, n
+    with mp.workprec(400):
+        for n in (20, 30, 39):
+            exact = mp.log(n * mp.mpf(1e307) - mp.log(2) - 2 * mp.mpf(1.0000001e307)) / n
+            stat = lp.log_sph_deriv_statistic(trace, n)
+            assert math.isfinite(stat) and stat <= exact, n
+            assert exact - stat < 1e-14 * exact, n
+
+
+def test_thm3_rows_finite_past_double_range(monkeypatch):
+    # the tier-b rows read a finite lower bound, not E^0(inf), at every n
+    from sphgrow import experiments as ex
+    monkeypatch.setattr(lp, "slow_orbit_construct", lambda lam, schedule: _far_trace())
+    rep = ex.run_thm3(1.0, 26.0, 39, n_tier_a=10)
+    rows = {row["n"]: row for row in rep.rows if row["tier"] == "b"}
+    assert sorted(rows) == list(range(2, 40))
+    assert rows[2]["lhs_tower"] == "E^0(-inf)"  # the bound's lower end is below 1
+    assert not [n for n in range(3, 40) if "inf" in rows[n]["lhs_tower"]]
+    for n in range(3, 40):
+        stat = lp.log_sph_deriv_statistic(_far_trace(), n)
+        assert rows[n]["lhs_tower"] == f"E^0({ex._fmt(stat)})", n
+    assert rep.verdict == "Pass"
+
+
 def _point_bits(xs):
     """The bits of the point pullback: 1.45 (x_0 + ... + x_(n-1)) + 64, at
     least 256."""

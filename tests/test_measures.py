@@ -238,6 +238,38 @@ def test_region_owns_its_rules(U):
     assert not U.contains(np.array([x0 - 1e-9, x1 + 1e-9]), np.full(2, U.center.imag)).any()
 
 
+@pytest.mark.parametrize("U", [ms.Region.disk(0.318 + 1.337j, 0.5),
+                               ms.Region.rectangle(1.0 - 0.25j, 3.0, 0.125),
+                               ms.Region.disk(3e6 - 1.25e6j, 0.75),
+                               ms.Region.rectangle(-2e7 + 5e6j, 0.5, 2.0)])
+def test_region_stencil_matches_contains(U):
+    # cells over and around U's box, and edge rows that put points exactly
+    # on the boundary: each stencil point as contains reads it, bit for bit
+    rng = np.random.default_rng(17)
+    x0, x1, y0, y1 = U.bounds()
+    m = 3000
+    lo_x = rng.uniform(x0 - 0.2 * (x1 - x0), x1, m)
+    lo_y = rng.uniform(y0 - 0.2 * (y1 - y0), y1, m)
+    xe = ms._edges(lo_x, lo_x + rng.uniform(0.0, 0.3, m) * (x1 - x0))
+    ye = ms._edges(lo_y, lo_y + rng.uniform(0.0, 0.3, m) * (y1 - y0))
+    cx, cy = U.center.real, U.center.imag
+    on = slice(0, 40)  # (x0, ym) on the boundary: x0 at the left end, ym on the axis
+    xe[0, on] = x0
+    ye[1, on] = cy
+    xe[2, 40:80] = x1  # (x1, ym) on the right end
+    ye[1, 40:80] = cy
+    xe[1, 80:120] = cx  # (xm, y0) and (xm, y1) at the bottom and top
+    ye[0, 80:120], ye[2, 80:120] = y0, y1
+    got = U.contains_stencil(xe, ye, ms._NEW)
+    want = np.zeros((3, 3, m), dtype=bool)
+    for i, j in ms._NEW:
+        want[i, j] = U.contains(xe[i], ye[j])
+    assert got.tobytes() == want.tobytes()
+    assert got[0, 1, on].all() and got[2, 1, 40:80].all()
+    assert got[1, 0, 80:120].all() and got[1, 2, 80:120].all()
+    assert 0 < got.sum() < 5 * m
+
+
 # Decisions of the refinement engine on fixed inputs: evaluation and cell
 # counts and depths are exact, log_mu is bit-exact; log_value may differ in
 # the last bits where numpy's vectorised exp/log and summation order differ
@@ -274,6 +306,18 @@ def test_refinement_decisions_pinned():
         assert (res.cells, res.refinements, res.overflow_cells, res.unconverged) == \
             (cells, rounds, 0, False), (U, n)
         assert math.isclose(res.log_value, log_value, rel_tol=1e-13, abs_tol=0.0), (U, n)
+
+
+# Whether criterion 5's searches were cut short, by the rule of the engine
+# before these counters existed: rounds in which more than 4096 subcells were
+# marked, and a last permitted round that still had cells.
+_PIN_CUT_SHORT = {1: (20, True), 2: (15, True), 3: (15, True), 4: (15, True)}
+
+
+def test_mu_sup_cut_short_pinned():
+    for n, pin in _PIN_CUT_SHORT.items():
+        res = ms.mu_sup(EXP, _PIN_DISK, n, GRID)
+        assert (res.capped_rounds, res.depth_capped) == pin, n
 
 
 # Further variants the pins above never reach: orbits that overflow inside
@@ -344,7 +388,7 @@ def _mu_sup_full_blocks(f, U, n, grid):
     corners = np.stack([lp[:-1, :-1], lp[1:, :-1], lp[:-1, 1:], lp[1:, 1:]], axis=-1)
     refine, _ = _corner_test_rows(corners.reshape(-1, 4), threshold)
     a, b, c, d = (e[refine] for e in ms._grid_cells(gx, gy))
-    rounds = 0
+    rounds = capped = 0
     for _ in range(grid.max_refinements):
         if not a.size:
             break
@@ -370,8 +414,12 @@ def _mu_sup_full_blocks(f, U, n, grid):
                ((a, a, mx, mx), (mx, mx, b, b), (c, my, c, my), (my, d, my, d))]
         keep = np.argsort(-(sub[1] - sub[0]), kind="stable")[:4096]
         a, b, c, d = (e[keep] for e in sub)
+        # the last permitted round picks no subcells, so its cap drops none
+        capped += rounds < grid.max_refinements and keep.size < refine.sum()
     return ms.MuSupResult(log_mu=best, evaluations=evals, refinements=rounds,
-                          overflow_points=overflow)
+                          overflow_points=overflow, capped_rounds=capped,
+                          depth_capped=rounds == grid.max_refinements
+                          and bool(rounds or a.size))
 
 
 def _area_three_points(f, U, n, grid):
@@ -475,6 +523,16 @@ def test_mu_sup_bit_identical_to_full_blocks(name):
     assert repr(got.log_mu) == repr(want.log_mu)
     assert (got.evaluations, got.refinements, got.overflow_points) == \
         (want.evaluations, want.refinements, want.overflow_points)
+
+
+@pytest.mark.parametrize("name", ["exp-complex-rect", "exp-overflow", "exp-pin-rounds0",
+                                  "exp-pin-rounds1", "exp-rect", "square-crit-rect"])
+def test_mu_sup_cut_short_matches_full_blocks(name):
+    # searches that end before the depth cap, with and without a capped
+    # round, one cut at 0 or 1 rounds, and one with overflowed orbits
+    f, U, n, grid = _ORACLE_MU[name]
+    got, want = ms.mu_sup(f, U, n, grid), _mu_sup_full_blocks(f, U, n, grid)
+    assert (got.capped_rounds, got.depth_capped) == (want.capped_rounds, want.depth_capped)
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_AREA))
@@ -671,6 +729,45 @@ def test_corner_test_columns_match_rows():
             assert got[1][p, q].tobytes() == want[1].tobytes()
 
 
+def test_window_test_mask_skip_same_bytes():
+    # with no NaN or +inf in g (the one overflow mark allows only -inf) the
+    # finite mask changes nothing: the same bytes without it
+    rows = _seeded_corner_rows()
+    rows[np.isnan(rows) | (rows == np.inf)] = -np.inf
+    grids = [rows.T.reshape(2, 2, -1), rows.reshape(-1)[:33 * 33].reshape(33, 33),
+             rows.reshape(-1)[:9 * 1700].reshape(3, 3, -1)]
+    for threshold in (1e-3, 0.5, 4.0):
+        for g in grids:
+            masked, bare = ms._window_test(g, threshold), ms._window_test(g, threshold, False)
+            assert masked[0].tobytes() == bare[0].tobytes()
+            assert masked[1].tobytes() == bare[1].tobytes()
+
+
+def test_window_test_nan_corners_take_masked_path(monkeypatch):
+    # a NaN corner reads as -inf: its subcells refine (a corner is missing)
+    # with the top of the finite corners, where a bare NaN would spread
+    g = np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, np.nan]])[..., None]
+    refine, top = ms._window_test(g, 0.5)
+    assert refine[..., 0].tolist() == [[True, False], [False, True]]
+    assert top[..., 0].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert np.isnan(ms._window_test(g, 0.5, False)[1][0, 0, 0])
+    # and mu_sup takes that path in exactly the rounds whose block holds a NaN
+    seen = []
+    window_test = ms._window_test
+
+    def recorded(g, threshold, masked=True):
+        seen.append((bool(np.isnan(g).any()), masked))
+        return window_test(g, threshold, masked)
+
+    monkeypatch.setattr(ms, "_window_test", recorded)
+    f, U, n, grid = _PIN_CASES["exp-overflow"][:4]
+    ms.mu_sup(f, U, n, grid)
+    rounds = seen[1:]  # after the base grid's test, which always masks
+    assert seen[0][1] and len(rounds) == grid.max_refinements - 1
+    assert all(nan == masked for nan, masked in rounds)
+    assert {nan for nan, _ in rounds} == {True, False}
+
+
 def test_subcell_corners_match_cell_corners():
     # the subcells _subcells picks, their edges and corner rows, against the
     # (N, 3, 3) block engine: stacked corners per subcell 4i + 2p + q, masked,
@@ -693,11 +790,12 @@ def test_subcell_corners_match_cell_corners():
            ((a, a, mx, mx), (mx, mx, b, b), (c, my, c, my), (my, d, my, d))]
     keep = np.argsort(-(sub[1] - sub[0]), kind="stable")[:4096]
     assert 4096 < refine.sum() and np.unique(sub[1] - sub[0]).size > 1
-    xe, ye, lpc = ms._subcells(ms._edges(a, b), ms._edges(c, d),
-                               blocks.reshape(m, 9).T.copy(), threshold, floor)
+    xe, ye, lpc, dropped = ms._subcells(ms._edges(a, b), ms._edges(c, d),
+                                        blocks.transpose(1, 2, 0).copy(), threshold, floor)
     for got, want in zip((xe[0], xe[2], ye[0], ye[2]), sub):
         assert got.tobytes() == want[keep].tobytes()
     assert lpc.tobytes() == corners[refine][keep].T.tobytes()
+    assert dropped == refine.sum() - 4096
 
 
 def _kernel_points(monkeypatch):
