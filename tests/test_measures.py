@@ -835,8 +835,9 @@ def test_mu_sup_heap_peak():
     # while the kernel runs, a pass holds its cells' edges and corners and its
     # new points in U, not the blocks and subcell indices of the pass before;
     # the kernel forms no log|z_0| and no NaN-filled outputs when no orbit
-    # leaves double range.  Peak 2.09 MB, bound 3% above it (forming both
-    # peaks at 2.23 MB)
+    # leaves double range.  Peak 2.10 MB, bound 2.4% above it (forming both
+    # peaks at 2.23 MB; the round's (3, 3, N) inside mask holds 16 KB more
+    # than a 5-row one)
     tracemalloc.start()
     try:
         ms.mu_sup(EXP, _PIN_DISK, 4, GRID)
