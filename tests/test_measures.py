@@ -745,7 +745,7 @@ def test_window_test_mask_skip_same_bytes():
 
 def test_window_test_nan_corners_take_masked_path(monkeypatch):
     # a NaN corner reads as -inf: its subcells refine (a corner is missing)
-    # with the top of the finite corners, where a bare NaN would spread
+    # with the top of the finite corners, where a bare NaN would be the top
     g = np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, np.nan]])[..., None]
     refine, top = ms._window_test(g, 0.5)
     assert refine[..., 0].tolist() == [[True, False], [False, True]]
