@@ -190,8 +190,14 @@ def slow_orbit_construct(lam: complex, schedule: SlowEscapeSchedule) -> SlowOrbi
 
 
 def _bound_lower_end(trace: SlowOrbitTrace, n: int) -> tuple:
-    """The lower end, an mpf tuple, of the interval that holds
-    log_sph_deriv_from_logplane's bound."""
+    """Certified lower bound on log (f^n)^#(e^u) from the trace, as the mpf
+    tuple of an interval's lower end (any exponent).
+
+    log (f^n)^# >= log|(F^n)'(u)| - log 2 - log|z| - Re F^n(u), and for this
+    family |F'(w)| = e^{Re w} exactly, so log|(F^n)'| = sum_{j<n} Re F^j(u).
+    Summed in intervals of the boxes' real parts, which adds their lower ends
+    and subtracts their upper ends.
+    """
     if not 1 <= n <= trace.length():
         raise ValueError("n past trace length")
     re = [box.real for box in trace.boxes]
@@ -200,30 +206,19 @@ def _bound_lower_end(trace: SlowOrbitTrace, n: int) -> tuple:
     return bound._mpi_[0]
 
 
-def log_sph_deriv_from_logplane(trace: SlowOrbitTrace, n: int) -> float:
-    """Certified lower bound on log (f^n)^#(e^u) from the trace.
-
-    log (f^n)^# >= log|(F^n)'(u)| - log 2 - log|z| - Re F^n(u), and for this
-    family |F'(w)| = e^{Re w} exactly, so log|(F^n)'| = sum_{j<n} Re F^j(u).
-    Summed in intervals of the boxes' real parts, which adds their lower ends
-    and subtracts their upper ends; the lower end is rounded down to a float,
-    which reads inf once it passes double range.
-    """
-    import mpmath as mp
-    return mp.libmp.to_float(_bound_lower_end(trace, n), rnd="f")
-
-
 def log_sph_deriv_statistic(trace: SlowOrbitTrace, n: int) -> float:
-    """(1/n) log of log_sph_deriv_from_logplane's bound, -inf where the bound
-    is at most 1.  Past double range the log is taken in intervals from the
-    bound's lower end and rounded down, so the statistic stays a finite
+    """(1/n) log of _bound_lower_end's bound, -inf where the bound is at
+    most 1.  Where the bound fits a double it is rounded down to a float and
+    its log taken there; past double range the log is taken in intervals
+    from the bound itself and rounded down, so the statistic stays a finite
     lower bound at any n."""
     import mpmath as mp
-    bound = log_sph_deriv_from_logplane(trace, n)
+    lo = _bound_lower_end(trace, n)
+    bound = mp.libmp.to_float(lo, rnd="f")
     if bound != math.inf:
         return math.log(bound) / n if bound > 1.0 else -math.inf
     with _iv_at() as iv:
-        stat = iv.log(iv.mpf(mp.make_mpf(_bound_lower_end(trace, n)))) / n
+        stat = iv.log(iv.mpf(mp.make_mpf(lo))) / n
     return mp.libmp.to_float(stat._mpi_[0], rnd="f")
 
 

@@ -89,23 +89,6 @@ class Region:
                    (np.abs(ys - self.center.imag) <= self.half_height)
         return (xs - self.center.real) ** 2 + (ys - self.center.imag) ** 2 <= self.radius**2
 
-    def contains_stencil(self, xe: np.ndarray, ye: np.ndarray, stencil) -> np.ndarray:
-        """contains(xe[i], ye[j]) at each (i, j) of stencil, bit for bit, as
-        an array of shape (len(xe), len(ye)) + xe.shape[1:] that is False off
-        the stencil: xe and ye are rows of x and y values, and each row's
-        offset from the centre is formed once."""
-        out = np.zeros((len(xe), len(ye)) + xe.shape[1:], dtype=bool)
-        if self.kind == "rectangle":
-            near_x = np.abs(xe - self.center.real) <= self.half_width
-            near_y = np.abs(ye - self.center.imag) <= self.half_height
-            for i, j in stencil:
-                np.logical_and(near_x[i], near_y[j], out=out[i, j])
-            return out
-        dx2, dy2 = (xe - self.center.real) ** 2, (ye - self.center.imag) ** 2
-        for i, j in stencil:
-            np.less_equal(dx2[i] + dy2[j], self.radius**2, out=out[i, j])
-        return out
-
     def sample(self, rng) -> complex:
         """A uniform random point of the region, drawn from the numpy Generator rng."""
         if self.kind == "disk":
@@ -175,11 +158,10 @@ class MuSupResult:
 # holds x and y edges with midpoints as (3, N) arrays and 3x3 blocks as (3, 3, N):
 # block position (x, y) on the first two axes (x outer), cells along the
 # contiguous axis.  A round writes its block in place: -inf, then the kernel's
-# values at the new points in U, those of the stencil _NEW (rows 1, 3, 4, 5, 7
-# of the flat (9, N) view, in the kernel's order), then the 4 corners from the
-# block that evaluated them at positions (0, 0), (0, 2), (2, 0), (2, 2) (rows 0,
-# 2, 6, 8).
-_NEW = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))
+# values at the new points in U (positions (0, 1), (1, 0), (1, 1), (1, 2), (2, 1),
+# rows 1, 3, 4, 5, 7 of the flat (9, N) view, in the kernel's order), then the 4
+# corners from the block that evaluated them at positions (0, 0), (0, 2), (2, 0),
+# (2, 2) (rows 0, 2, 6, 8).
 
 
 def _grid_cells(us: np.ndarray, vs: np.ndarray):
@@ -274,7 +256,8 @@ def mu_sup(f, U: Region, n: int, grid: GridSpec) -> MuSupResult:
     rounds = capped = 0
     while xe.shape[1] and rounds < grid.max_refinements:
         rounds += 1
-        inside = U.contains_stencil(xe, ye, _NEW)  # (3, 3, N), False at the corners
+        inside = U.contains(xe[:, None], ye[None])  # (3, 3, N): each row's offset once
+        inside[::2, ::2] = False  # the corners come from the parent block
         # only the new points in U stay alive in the kernel
         lpi = _logphi_points(f, np.broadcast_to(xe[:, None], inside.shape)[inside],
                              np.broadcast_to(ye[None], inside.shape)[inside], n)

@@ -227,7 +227,7 @@ def test_slow_orbit_far_past_the_point_pullback():
     for box, x in zip(trace.boxes, sched.x):
         lo, hi = _ends(box.real)
         assert hi - lo <= 1e-40 and abs(lo - x) <= lp.FOUR_PI
-    stat = math.log(lp.log_sph_deriv_from_logplane(trace, 20)) / 20
+    stat = lp.log_sph_deriv_statistic(trace, 20)
     assert 0.556 < stat < 0.558
 
 
@@ -243,9 +243,13 @@ def test_slow_orbit_derivative_statistic():
     sched = lp.schedule_build(26.0, 7)
     trace = lp.slow_orbit_construct(1.0, sched)
     n = 7
-    log_phi = lp.log_sph_deriv_from_logplane(trace, n)
-    stat = math.log(log_phi) / n
+    stat = math.log(_bound(trace, n)) / n
     assert stat >= math.log(2.0) - 0.15
+
+
+def _bound(trace, n):
+    """The certified lower bound on log (f^n)^#, rounded down to a float."""
+    return mp.libmp.to_float(lp._bound_lower_end(trace, n), rnd="f")
 
 
 def _far_trace():
@@ -258,9 +262,9 @@ def _far_trace():
 
 def test_statistic_past_double_range():
     trace = _far_trace()
-    assert lp.log_sph_deriv_from_logplane(trace, 30) == math.inf
+    assert _bound(trace, 30) == math.inf
     for n in range(2, 20):  # the bound fits a double: the float path's bits
-        bound = lp.log_sph_deriv_from_logplane(trace, n)
+        bound = _bound(trace, n)
         want = math.log(bound) / n if bound > 1.0 else -math.inf
         assert lp.log_sph_deriv_statistic(trace, n) == want, n
     with mp.workprec(400):
@@ -323,7 +327,7 @@ def _slow_orbit_mp(lam, schedule):
 
 
 def _log_sph_deriv_mp(u, re_F, n):
-    """log_sph_deriv_from_logplane's formula on _slow_orbit_mp's floats."""
+    """_bound_lower_end's formula on _slow_orbit_mp's floats."""
     return sum(re_F[:n]) - math.log(2.0) - float(u.real) - re_F[n]
 
 
@@ -334,7 +338,7 @@ def test_slow_orbit_bound_matches_point_pullback(n_max):
     trace = lp.slow_orbit_construct(1.0, sched)
     u, re_F, _ = _slow_orbit_mp(1.0, sched)
     for n in range(1, n_max + 1):
-        assert math.isclose(lp.log_sph_deriv_from_logplane(trace, n),
+        assert math.isclose(_bound(trace, n),
                             _log_sph_deriv_mp(u, re_F, n), rel_tol=1e-12)
 
 

@@ -238,38 +238,6 @@ def test_region_owns_its_rules(U):
     assert not U.contains(np.array([x0 - 1e-9, x1 + 1e-9]), np.full(2, U.center.imag)).any()
 
 
-@pytest.mark.parametrize("U", [ms.Region.disk(0.318 + 1.337j, 0.5),
-                               ms.Region.rectangle(1.0 - 0.25j, 3.0, 0.125),
-                               ms.Region.disk(3e6 - 1.25e6j, 0.75),
-                               ms.Region.rectangle(-2e7 + 5e6j, 0.5, 2.0)])
-def test_region_stencil_matches_contains(U):
-    # cells over and around U's box, and edge rows that put points exactly
-    # on the boundary: each stencil point as contains reads it, bit for bit
-    rng = np.random.default_rng(17)
-    x0, x1, y0, y1 = U.bounds()
-    m = 3000
-    lo_x = rng.uniform(x0 - 0.2 * (x1 - x0), x1, m)
-    lo_y = rng.uniform(y0 - 0.2 * (y1 - y0), y1, m)
-    xe = ms._edges(lo_x, lo_x + rng.uniform(0.0, 0.3, m) * (x1 - x0))
-    ye = ms._edges(lo_y, lo_y + rng.uniform(0.0, 0.3, m) * (y1 - y0))
-    cx, cy = U.center.real, U.center.imag
-    on = slice(0, 40)  # (x0, ym) on the boundary: x0 at the left end, ym on the axis
-    xe[0, on] = x0
-    ye[1, on] = cy
-    xe[2, 40:80] = x1  # (x1, ym) on the right end
-    ye[1, 40:80] = cy
-    xe[1, 80:120] = cx  # (xm, y0) and (xm, y1) at the bottom and top
-    ye[0, 80:120], ye[2, 80:120] = y0, y1
-    got = U.contains_stencil(xe, ye, ms._NEW)
-    want = np.zeros((3, 3, m), dtype=bool)
-    for i, j in ms._NEW:
-        want[i, j] = U.contains(xe[i], ye[j])
-    assert got.tobytes() == want.tobytes()
-    assert got[0, 1, on].all() and got[2, 1, 40:80].all()
-    assert got[1, 0, 80:120].all() and got[1, 2, 80:120].all()
-    assert 0 < got.sum() < 5 * m
-
-
 # Decisions of the refinement engine on fixed inputs: evaluation and cell
 # counts and depths are exact, log_mu is bit-exact; log_value may differ in
 # the last bits where numpy's vectorised exp/log and summation order differ
